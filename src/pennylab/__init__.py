@@ -60,7 +60,6 @@ from .reductions import (
     payoff_to_distinguisher,
     per_round_payoffs,
     predictor_accuracy,
-    predictor_strategy,
     round_win_probabilities,
 )
 from .discounting import (

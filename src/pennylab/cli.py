@@ -4,6 +4,10 @@ Every run is fully determined by its config: flags override config-file values,
 the effective config is echoed into each artifact header, and the run id is a
 hash of the canonical config, so re-running an identical config reproduces
 byte-identical output.
+
+Exit status: 0 ran (and certified, where the command certifies), 1 not
+certified, 2 bad input, 3 internal error.  Statuses 2 and 3 print one JSON
+line {"error", "type"} on stderr.
 """
 
 from __future__ import annotations
@@ -14,39 +18,17 @@ import json
 import os
 import sys
 import tempfile
+import traceback
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 from .discounting import DiscountParams, certify_discounted_eq, min_rounds
 from .exploiter import expected_average_payoff, guarantee, play_match
-from .game import Action, average_payoff, cumulative_payoff, format_transcript
+from .game import as_fraction, average_payoff, cumulative_payoff, format_transcript
 from .oracle import certify_gap
-from .prng import (
-    GeneratorSpec,
-    blum_micali,
-    broken_counter,
-    broken_repeat,
-    check_seed_space,
-    eval_next_bit_predictor,
-    passthrough,
-)
-from .strategies import (
-    StrategySpec,
-    alternator,
-    as_seed,
-    constant,
-    describe,
-    exploiter_vs,
-    generator_backed,
-    make_gamma_equilibrium,
-    predictor_backed,
-    prefix_tail,
-    simulate,
-    uniform_table,
-)
-
-_MISSING = object()
+from .prng import check_seed_space, eval_next_bit_predictor, make_generator, parse_generator
+from .strategies import as_seed, describe, make_gamma_equilibrium, parse_strategy, simulate, uniform_table
 
 
 @dataclass(frozen=True)
@@ -57,108 +39,6 @@ class ExperimentConfig:
     values: dict[str, Any]
     run_id: str
     out: Optional[str]
-
-    def canonical(self) -> str:
-        body = ";".join(f"{k}={self.values[k]}" for k in sorted(self.values))
-        return f"{self.command};{body}"
-
-
-# --------------------------------------------------------------------------
-# Descriptor parsing
-# --------------------------------------------------------------------------
-
-
-def parse_fraction(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as e:
-        raise ValueError(f"malformed fraction: {text!r}") from e
-
-
-def _parse_kv(parts: list[str]) -> dict[str, str]:
-    out = {}
-    for part in parts:
-        if "=" not in part:
-            raise ValueError(f"malformed descriptor parameter: {part!r}")
-        key, _, value = part.partition("=")
-        out[key.strip()] = value.strip()
-    return out
-
-
-def _parse_action(text: str) -> Action:
-    if text not in ("H", "T"):
-        raise ValueError(f"malformed action: {text!r}")
-    return Action(text)
-
-
-def _parse_bool(text: str) -> bool:
-    return text.strip().lower() in ("1", "true", "yes")
-
-
-def parse_generator(text: str, n: int) -> GeneratorSpec:
-    """Parse a generator descriptor like "bm,perm=add1,m=3" with output length n."""
-    parts = [p.strip() for p in text.split(",")]
-    kind, params = parts[0], _parse_kv(parts[1:])
-    if kind == "bm":
-        if "m" not in params:
-            raise ValueError("generator bm requires m=<width>")
-        return blum_micali(params.get("perm", "mulmod"), int(params["m"]), n)
-    if kind == "passthrough":
-        return passthrough(n)
-    if kind == "repeat":
-        return broken_repeat(n)
-    if kind == "counter":
-        if "m" not in params:
-            raise ValueError("generator counter requires m=<width>")
-        return broken_counter(int(params["m"]), n)
-    raise ValueError(f"unknown generator family: {kind!r}")
-
-
-def parse_strategy(desc: str, n: int, player: int = 1) -> StrategySpec:
-    """Parse a strategy descriptor such as "uniform:8", "const:H", or "exploit:vs=alt:H".
-
-    `player` selects the side for seat-dependent constructions (prefix-tail
-    with a gamma parameter).
-    """
-    head, _, rest = desc.partition(":")
-    head = head.strip()
-    if head == "uniform":
-        if not rest:
-            raise ValueError("uniform requires a seed length, e.g. uniform:8")
-        return uniform_table(int(rest))
-    if head == "const":
-        return constant(_parse_action(rest))
-    if head == "alt":
-        return alternator(_parse_action(rest or "H"))
-    if head == "prefix-tail":
-        params = _parse_kv([p for p in rest.split(",") if p])
-        if "gamma" in params:
-            horizon = int(params.get("n", n))
-            if horizon != n:
-                raise ValueError("prefix-tail horizon disagrees with --n")
-            pair = make_gamma_equilibrium(horizon, parse_fraction(params["gamma"]))
-            return pair[player - 1]
-        if "prefix" in params:
-            return prefix_tail(
-                int(params["prefix"]),
-                params.get("tail", "constant"),
-                _parse_action(params.get("start", "H")),
-            )
-        raise ValueError("prefix-tail requires gamma=... or prefix=...")
-    if head == "gen":
-        return generator_backed(parse_generator(rest, n))
-    if head == "pred":
-        parts = [p.strip() for p in rest.split(",")]
-        params = _parse_kv(parts[1:])
-        return predictor_backed(parts[0], beat=_parse_bool(params.get("beat", "0")))
-    if head == "exploit":
-        before, marker, nested = rest.partition("vs=")
-        if not marker:
-            raise ValueError("exploit requires vs=<opponent descriptor>")
-        params = _parse_kv([p for p in before.rstrip(",").split(",") if p])
-        opponent = parse_strategy(nested, n, player=3 - player)
-        return exploiter_vs(opponent, beat=_parse_bool(params.get("beat", "0")))
-    raise ValueError(f"unknown strategy family: {head!r}")
 
 
 # --------------------------------------------------------------------------
@@ -218,201 +98,64 @@ def csv_artifact(cfg: ExperimentConfig, header: list[str], rows: list[list[str]]
 
 
 # --------------------------------------------------------------------------
-# Config resolution
+# Per-command validation: each turns resolved values into the command's
+# inputs, raising ValueError on bad input.  `parse_config` runs it to reject
+# a config up front; `run` runs it again to hand the inputs to the body.
 # --------------------------------------------------------------------------
 
 
-def _load_config_file(path: str) -> dict[str, str]:
-    values: dict[str, str] = {}
-    with open(path) as handle:
-        for lineno, raw in enumerate(handle, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key = value")
-            key, _, value = line.partition("=")
-            values[key.strip().replace("-", "_")] = value.strip()
-    return values
+def _simulate_inputs(v: dict):
+    return parse_strategy(v["p1"], v["n"], player=1), parse_strategy(v["p2"], v["n"], player=2)
 
 
-def _resolve(args, filecfg: dict[str, str], name: str, caster, default=_MISSING):
-    cli_value = getattr(args, name, None)
-    if cli_value is not None:
-        return cli_value
-    if name in filecfg:
-        return caster(filecfg[name])
-    if default is _MISSING:
-        raise ValueError(f"missing required field: {name}")
-    return default
+def _exploit_inputs(v: dict):
+    spec = parse_strategy(v["opponent"], v["n"], player=2)
+    check_seed_space(spec.seed_len)
+    if not 0 <= v["opponent_seed"] < (1 << spec.seed_len):
+        raise ValueError("opponent seed outside the declared seed space")
+    return spec
 
 
-def parse_config(argv: list[str]) -> ExperimentConfig:
-    """Parse argv (plus any --config file) into a validated ExperimentConfig."""
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    filecfg = _load_config_file(args.config) if args.config else {}
-
-    command = args.command
-    values: dict[str, Any] = {}
-
-    def take(name: str, caster, default=_MISSING):
-        values[name] = _resolve(args, filecfg, name, caster, default)
-        return values[name]
-
-    if command == "simulate":
-        n = take("n", int)
-        take("p1", str)
-        take("p2", str)
-        take("seed1", str, "")
-        take("seed2", str, "")
-        parse_strategy(values["p1"], n, player=1)
-        parse_strategy(values["p2"], n, player=2)
-    elif command == "exploit":
-        n = take("n", int)
-        take("opponent", str)
-        take("opponent_seed", int, 0)
-        spec = parse_strategy(values["opponent"], n, player=2)
+def _verify_eq_inputs(v: dict):
+    n = v["n"]
+    if v["gamma"] is not None:
+        pair = make_gamma_equilibrium(n, v["gamma"])
+    elif not (v["p1"] and v["p2"]):
+        raise ValueError("verify-eq needs --gamma or both --p1 and --p2")
+    else:
+        pair = parse_strategy(v["p1"], n, player=1), parse_strategy(v["p2"], n, player=2)
+    for spec in pair:
         check_seed_space(spec.seed_len)
-        if not 0 <= values["opponent_seed"] < (1 << spec.seed_len):
-            raise ValueError("opponent seed outside the declared seed space")
-    elif command == "verify-eq":
-        n = take("n", int)
-        take("gamma", parse_fraction, None)
-        take("p1", str, None)
-        take("p2", str, None)
-        if values["gamma"] is not None:
-            pair = make_gamma_equilibrium(n, values["gamma"])
-        elif not (values["p1"] and values["p2"]):
-            raise ValueError("verify-eq needs --gamma or both --p1 and --p2")
-        else:
-            pair = (
-                parse_strategy(values["p1"], n, player=1),
-                parse_strategy(values["p2"], n, player=2),
-            )
-        for spec in pair:
-            check_seed_space(spec.seed_len)
-    elif command == "prng-test":
-        n = take("n", int)
-        take("gen", str)
-        take("perm", str, "mulmod")
-        take("m", int, 0)
-        take("predictor", str)
-        take("mode", str, "exact")
-        take("samples", int, 10_000)
-        take("eval_seed", int, 0)
-        generator = _generator_from_values(values, n)
-        if values["mode"] == "exact":
-            check_seed_space(generator.seed_len)
-    elif command == "discounted":
-        take("delta", parse_fraction)
-        take("epsilon", parse_fraction)
-        params = DiscountParams.of(values["delta"], values["epsilon"])
-        take("n", int, min_rounds(params))
-        take("seed_len", int, None)
-        take("prefix", str, "uniform")
-        if values["prefix"] != "uniform" and not values["prefix"].startswith("gen:"):
-            raise ValueError("prefix must be uniform or gen:<descriptor>")
-    elif command == "sweep":
-        take("n", int)
-        take("k", str)
-        _parse_k_range(values["k"], values["n"])
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown command: {command!r}")
-
-    canonical = command + ";" + ";".join(f"{k}={values[k]}" for k in sorted(values))
-    explicit_run_id = getattr(args, "run_id", None) or filecfg.get("run_id")
-    run_id = explicit_run_id or hashlib.sha256(canonical.encode()).hexdigest()[:12]
-    out = getattr(args, "out", None) or filecfg.get("out")
-    return ExperimentConfig(command, values, run_id, out)
+    return pair
 
 
-def _generator_from_values(values: dict, n: int) -> GeneratorSpec:
-    kind = values["gen"]
-    if kind == "bm":
-        if not values["m"]:
-            raise ValueError("prng-test bm requires --m")
-        return blum_micali(values["perm"], values["m"], n)
-    if kind == "passthrough":
-        return passthrough(n)
-    if kind == "repeat":
-        return broken_repeat(n)
-    if kind == "counter":
-        if not values["m"]:
-            raise ValueError("prng-test counter requires --m")
-        return broken_counter(values["m"], n)
-    raise ValueError(f"unknown generator family: {kind!r}")
+def _prng_test_inputs(v: dict):
+    generator = make_generator(v["gen"], v["n"], v["m"], v["perm"])
+    if v["mode"] == "exact":
+        check_seed_space(generator.seed_len)
+    return generator
 
 
-def _parse_k_range(text: str, n: int) -> list[int]:
+def _discounted_inputs(v: dict):
+    params = DiscountParams.of(v["delta"], v["epsilon"])
+    prefix = v["prefix"]
+    if prefix == "uniform":
+        return params, None
+    if not prefix.startswith("gen:"):
+        raise ValueError("prefix must be uniform or gen:<descriptor>")
+    return params, parse_generator(prefix[len("gen:") :], v["n"])
+
+
+def _sweep_inputs(v: dict) -> list[int]:
+    text = v["k"]
     if ".." in text:
         lo, _, hi = text.partition("..")
         ks = list(range(int(lo), int(hi) + 1))
     else:
         ks = [int(part) for part in text.split(",")]
-    if not ks or any(k < 0 or k > n for k in ks):
+    if not ks or any(k < 0 or k > v["n"] for k in ks):
         raise ValueError("k values must lie in [0, n]")
     return ks
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="pennylab",
-        description="Randomness-budgeted repeated Matching Pennies laboratory.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--config", help="flat key = value config file")
-        p.add_argument("--out", help="artifact path (stdout if omitted)")
-        p.add_argument("--run-id", dest="run_id", help="override the derived run id")
-
-    p = sub.add_parser("simulate", help="play two strategies with fixed seeds")
-    p.add_argument("--n", type=int)
-    p.add_argument("--p1")
-    p.add_argument("--p2")
-    p.add_argument("--seed1")
-    p.add_argument("--seed2")
-    common(p)
-
-    p = sub.add_parser("exploit", help="run the consistent-set exploiter against an opponent")
-    p.add_argument("--n", type=int)
-    p.add_argument("--opponent")
-    p.add_argument("--opponent-seed", dest="opponent_seed", type=int)
-    common(p)
-
-    p = sub.add_parser("verify-eq", help="certify equilibrium gaps for a profile")
-    p.add_argument("--n", type=int)
-    p.add_argument("--gamma", type=parse_fraction)
-    p.add_argument("--p1")
-    p.add_argument("--p2")
-    common(p)
-
-    p = sub.add_parser("prng-test", help="measure a next-bit predictor against a generator")
-    p.add_argument("--n", type=int)
-    p.add_argument("--gen", choices=("bm", "passthrough", "repeat", "counter"))
-    p.add_argument("--perm")
-    p.add_argument("--m", type=int)
-    p.add_argument("--predictor")
-    p.add_argument("--mode", choices=("exact", "sampled"))
-    p.add_argument("--samples", type=int)
-    p.add_argument("--eval-seed", dest="eval_seed", type=int)
-    common(p)
-
-    p = sub.add_parser("discounted", help="certify the discounted infinite-game construction")
-    p.add_argument("--delta", type=parse_fraction)
-    p.add_argument("--epsilon", type=parse_fraction)
-    p.add_argument("--n", type=int)
-    p.add_argument("--seed-len", dest="seed_len", type=int)
-    p.add_argument("--prefix")
-    common(p)
-
-    p = sub.add_parser("sweep", help="exploiter guarantee sweep over opponent budgets")
-    p.add_argument("--n", type=int)
-    p.add_argument("--k")
-    common(p)
-
-    return parser
 
 
 # --------------------------------------------------------------------------
@@ -420,13 +163,11 @@ def _build_parser() -> argparse.ArgumentParser:
 # --------------------------------------------------------------------------
 
 
-def _cmd_simulate(cfg: ExperimentConfig) -> int:
-    n = cfg.values["n"]
-    s1 = parse_strategy(cfg.values["p1"], n, player=1)
-    s2 = parse_strategy(cfg.values["p2"], n, player=2)
+def _cmd_simulate(cfg: ExperimentConfig, specs) -> int:
+    s1, s2 = specs
     seed1 = as_seed(cfg.values["seed1"] or "0" * s1.seed_len, s1.seed_len)
     seed2 = as_seed(cfg.values["seed2"] or "0" * s2.seed_len, s2.seed_len)
-    transcript = simulate(s1, seed1, s2, seed2, n)
+    transcript = simulate(s1, seed1, s2, seed2, cfg.values["n"])
     avg = average_payoff(transcript)
     payload = {
         "transcript": format_transcript(transcript),
@@ -438,23 +179,14 @@ def _cmd_simulate(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _cmd_exploit(cfg: ExperimentConfig) -> int:
+def _cmd_exploit(cfg: ExperimentConfig, opponent) -> int:
     n = cfg.values["n"]
-    opponent = parse_strategy(cfg.values["opponent"], n, player=2)
-    k = opponent.seed_len
     achieved = expected_average_payoff(opponent, n)
-    bound = guarantee(n, k)
+    bound = guarantee(n, opponent.seed_len)
     match = play_match(opponent, cfg.values["opponent_seed"], n)
     rows = [
-        [
-            str(row.round),
-            frac_str(row.p),
-            str(row.alive_size),
-            str(row.payoff),
-            "%.12g" % row.phi,
-            "%.12g" % row.delta_phi,
-        ]
-        for row in match.rows
+        [str(r.round), frac_str(r.p), str(r.alive_size), str(r.payoff), "%.12g" % r.phi, "%.12g" % r.delta_phi]
+        for r in match.rows
     ]
     extra = {
         "achieved": frac_str(achieved),
@@ -470,14 +202,10 @@ def _cmd_exploit(cfg: ExperimentConfig) -> int:
     return 0 if achieved >= bound else 1
 
 
-def _cmd_verify_eq(cfg: ExperimentConfig) -> int:
+def _cmd_verify_eq(cfg: ExperimentConfig, pair) -> int:
     n = cfg.values["n"]
     gamma = cfg.values["gamma"]
-    if gamma is not None:
-        s1, s2 = make_gamma_equilibrium(n, gamma)
-    else:
-        s1 = parse_strategy(cfg.values["p1"], n, player=1)
-        s2 = parse_strategy(cfg.values["p2"], n, player=2)
+    s1, s2 = pair
     report = certify_gap(s1, s2, n)
     payload = {
         "n": n,
@@ -502,9 +230,7 @@ def _cmd_verify_eq(cfg: ExperimentConfig) -> int:
     return status
 
 
-def _cmd_prng_test(cfg: ExperimentConfig) -> int:
-    n = cfg.values["n"]
-    generator = _generator_from_values(cfg.values, n)
+def _cmd_prng_test(cfg: ExperimentConfig, generator) -> int:
     report = eval_next_bit_predictor(
         generator,
         cfg.values["predictor"],
@@ -532,20 +258,16 @@ def _cmd_prng_test(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _cmd_discounted(cfg: ExperimentConfig) -> int:
-    params = DiscountParams.of(cfg.values["delta"], cfg.values["epsilon"])
+def _cmd_discounted(cfg: ExperimentConfig, inputs) -> int:
+    params, generator = inputs
     n = cfg.values["n"]
-    prefix = cfg.values["prefix"]
-    generator = None
-    if prefix != "uniform":
-        generator = parse_generator(prefix[len("gen:") :], n)
     cert = certify_discounted_eq(n, params, seed_len=cfg.values["seed_len"], generator=generator)
     payload = {
         "n": cert.n,
         "delta": frac_str(cert.delta),
         "epsilon": frac_str(cert.epsilon),
         "min_rounds": min_rounds(params),
-        "prefix": prefix,
+        "prefix": cfg.values["prefix"],
         "prefix_gap": frac_str(cert.prefix_gap),
         "tail_gain": frac_str(cert.tail),
         "tail_gain_dec": dec_str(cert.tail),
@@ -557,9 +279,8 @@ def _cmd_discounted(cfg: ExperimentConfig) -> int:
     return 0 if cert.certified else 1
 
 
-def _cmd_sweep(cfg: ExperimentConfig) -> int:
+def _cmd_sweep(cfg: ExperimentConfig, ks) -> int:
     n = cfg.values["n"]
-    ks = _parse_k_range(cfg.values["k"], n)
     rows = []
     all_ok = True
     for k in ks:
@@ -567,47 +288,152 @@ def _cmd_sweep(cfg: ExperimentConfig) -> int:
         bound = guarantee(n, k)
         margin = achieved - bound
         all_ok = all_ok and margin >= 0
-        rows.append(
-            [
-                str(k),
-                str(n),
-                frac_str(bound),
-                frac_str(achieved),
-                frac_str(margin),
-                dec_str(bound),
-                dec_str(achieved),
-                dec_str(margin),
-            ]
-        )
+        exact = (bound, achieved, margin)
+        rows.append([str(k), str(n), *map(frac_str, exact), *map(dec_str, exact)])
     header = ["k", "n", "guaranteed", "achieved", "margin", "guaranteed_dec", "achieved_dec", "margin_dec"]
     emit(cfg, csv_artifact(cfg, header, rows, {"opponent_family": "uniform-table"}))
     return 0 if all_ok else 1
 
 
-_COMMANDS = {
-    "simulate": _cmd_simulate,
-    "exploit": _cmd_exploit,
-    "verify-eq": _cmd_verify_eq,
-    "prng-test": _cmd_prng_test,
-    "discounted": _cmd_discounted,
-    "sweep": _cmd_sweep,
+# --------------------------------------------------------------------------
+# The command table and config resolution
+# --------------------------------------------------------------------------
+
+REQUIRED = object()
+
+
+def _default_rounds(values: dict) -> int:
+    return min_rounds(DiscountParams.of(values["delta"], values["epsilon"]))
+
+
+class Command(NamedTuple):
+    """One subcommand.  Each field (name, type, default) is both the flag
+    --name (underscores spelled "-") and the config-file key `name`; `type`
+    casts either.  A callable default is computed from the fields before it.
+    """
+
+    help: str
+    fields: tuple[tuple[str, Callable[[str], Any], Any], ...]
+    inputs: Callable[[dict], Any]
+    body: Callable[[ExperimentConfig, Any], int]
+
+
+COMMANDS = {
+    "simulate": Command(
+        "play two strategies with fixed seeds",
+        (("n", int, REQUIRED), ("p1", str, REQUIRED), ("p2", str, REQUIRED), ("seed1", str, ""), ("seed2", str, "")),
+        _simulate_inputs,
+        _cmd_simulate,
+    ),
+    "exploit": Command(
+        "run the consistent-set exploiter against an opponent",
+        (("n", int, REQUIRED), ("opponent", str, REQUIRED), ("opponent_seed", int, 0)),
+        _exploit_inputs,
+        _cmd_exploit,
+    ),
+    "verify-eq": Command(
+        "certify equilibrium gaps for a profile",
+        (("n", int, REQUIRED), ("gamma", as_fraction, None), ("p1", str, None), ("p2", str, None)),
+        _verify_eq_inputs,
+        _cmd_verify_eq,
+    ),
+    "prng-test": Command(
+        "measure a next-bit predictor against a generator",
+        (
+            ("n", int, REQUIRED), ("gen", str, REQUIRED), ("perm", str, "mulmod"), ("m", int, 0),
+            ("predictor", str, REQUIRED), ("mode", str, "exact"), ("samples", int, 10_000), ("eval_seed", int, 0),
+        ),
+        _prng_test_inputs,
+        _cmd_prng_test,
+    ),
+    "discounted": Command(
+        "certify the discounted infinite-game construction",
+        (
+            ("delta", as_fraction, REQUIRED), ("epsilon", as_fraction, REQUIRED), ("n", int, _default_rounds),
+            ("seed_len", int, None), ("prefix", str, "uniform"),
+        ),
+        _discounted_inputs,
+        _cmd_discounted,
+    ),
+    "sweep": Command(
+        "exploiter guarantee sweep over opponent budgets",
+        (("n", int, REQUIRED), ("k", str, REQUIRED)),
+        _sweep_inputs,
+        _cmd_sweep,
+    ),
 }
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="pennylab",
+        description="Randomness-budgeted repeated Matching Pennies laboratory.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for field, cast, _ in command.fields:
+            p.add_argument("--" + field.replace("_", "-"), dest=field, type=cast)
+        p.add_argument("--config", help="flat key = value config file")
+        p.add_argument("--out", help="artifact path (stdout if omitted)")
+        p.add_argument("--run-id", dest="run_id", help="override the derived run id")
+    return parser
+
+
+def _load_config_file(path: str) -> dict[str, str]:
+    values: dict[str, str] = {}
+    with open(path) as handle:
+        for lineno, raw in enumerate(handle, 1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line:
+                raise ValueError(f"{path}:{lineno}: expected key = value")
+            key, _, value = line.partition("=")
+            values[key.strip().replace("-", "_")] = value.strip()
+    return values
+
+
+def parse_config(argv: list[str]) -> ExperimentConfig:
+    """Parse argv (plus any --config file) into a validated ExperimentConfig."""
+    args = _build_parser().parse_args(argv)
+    filecfg = _load_config_file(args.config) if args.config else {}
+    command = COMMANDS[args.command]
+    values: dict[str, Any] = {}
+    for name, cast, default in command.fields:
+        value = getattr(args, name)
+        if value is None and name in filecfg:
+            value = cast(filecfg[name])
+        elif value is None and default is REQUIRED:
+            raise ValueError(f"missing required field: {name}")
+        elif value is None:
+            value = default(values) if callable(default) else default
+        values[name] = value
+    if values["n"] < 1:
+        raise ValueError("horizon must be positive")
+    command.inputs(values)
+
+    canonical = args.command + ";" + ";".join(f"{k}={values[k]}" for k in sorted(values))
+    run_id = args.run_id or filecfg.get("run_id") or hashlib.sha256(canonical.encode()).hexdigest()[:12]
+    return ExperimentConfig(args.command, values, run_id, args.out or filecfg.get("out"))
 
 
 def run(cfg: ExperimentConfig) -> int:
     """Execute a resolved config; returns the process exit status."""
-    return _COMMANDS[cfg.command](cfg)
+    command = COMMANDS[cfg.command]
+    return command.body(cfg, command.inputs(cfg.values))
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
-        cfg = parse_config(argv)
-        return run(cfg)
-    except ValueError as e:
-        record = {"error": str(e), "type": type(e).__name__}
-        print(json.dumps(record, sort_keys=True), file=sys.stderr)
-        return 2
+        return run(parse_config(argv))
+    except Exception as e:
+        bad_input = isinstance(e, ValueError)
+        if not bad_input:
+            traceback.print_exc()
+        print(json.dumps({"error": str(e), "type": type(e).__name__}, sort_keys=True), file=sys.stderr)
+        return 2 if bad_input else 3
 
 
 def entry() -> None:  # console-script hook

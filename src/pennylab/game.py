@@ -41,7 +41,20 @@ def action_to_bit(a: Action) -> int:
 
 def as_fraction(x: RationalLike) -> Fraction:
     """Coerce ints, 'p/q' strings, or Fractions to an exact rational."""
-    return x if isinstance(x, Fraction) else Fraction(x)
+    if isinstance(x, Fraction):
+        return x
+    try:
+        return Fraction(x)
+    except (ValueError, ZeroDivisionError) as e:
+        raise ValueError(f"malformed fraction: {x!r}") from e
+
+
+def round_weights(delta: Fraction, n: int) -> list[Fraction]:
+    """Discount weights [delta**0, delta**1, ..., delta**n]; round t is weighted delta**t."""
+    weights = [Fraction(1)]
+    for _ in range(n):
+        weights.append(weights[-1] * delta)
+    return weights
 
 
 def stage_payoff(a: Action, b: Action) -> int:
@@ -73,12 +86,8 @@ def discounted_payoff(t: Transcript, delta: RationalLike) -> Fraction:
     d = as_fraction(delta)
     if not 0 < d < 1:
         raise ValueError("invalid discount factor")
-    total = Fraction(0)
-    weight = Fraction(1)
-    for a, b in t:
-        weight *= d
-        total += weight * stage_payoff(a, b)
-    return total
+    weights = round_weights(d, len(t))
+    return sum((w * stage_payoff(a, b) for w, (a, b) in zip(weights[1:], t)), Fraction(0))
 
 
 def parse_transcript(text: str) -> Transcript:

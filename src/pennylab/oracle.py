@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .game import Action, cumulative_payoff, discounted_payoff
+from .game import Action, cumulative_payoff, discounted_payoff, round_weights
 from .prng import check_seed_space, int_to_bits
 from .strategies import (
     Seed,
@@ -52,17 +52,6 @@ def _seed_ints(spec: StrategySpec, cap: Optional[int]) -> range:
     return range(check_seed_space(spec.seed_len, cap))
 
 
-def _round_weights(n: int, delta: Optional[Fraction]) -> Optional[list[Fraction]]:
-    if delta is None:
-        return None
-    weights = [Fraction(0)] * (n + 1)
-    w = Fraction(1)
-    for t in range(1, n + 1):
-        w *= delta
-        weights[t] = w
-    return weights
-
-
 def exact_value(
     s1: StrategySpec,
     s2: StrategySpec,
@@ -81,7 +70,7 @@ def exact_value(
     if s1.oblivious and s2.oblivious:
         # Independent seeds: per-round expectations factor through the two
         # marginal H-frequencies, E[h_t] = (2*p1 - 1)(2*p2 - 1).
-        weights = _round_weights(n, delta)
+        weights = None if delta is None else round_weights(delta, n)
         total = Fraction(0)
         heads1 = [0] * n
         heads2 = [0] * n
@@ -127,7 +116,7 @@ def _tree_best_response(
     if n > TREE_HORIZON:
         raise ValueError("tree too large")
     space = check_seed_space(opponent.seed_len, cap)
-    weights = _round_weights(n, delta)
+    weights = None if delta is None else round_weights(delta, n)
     memo: dict = {}
     zero = Fraction(0)
 

@@ -19,13 +19,6 @@ Bits = tuple[int, ...]
 PermFn = Callable[[int], int]
 PredictorFn = Callable[[Bits], int]
 
-GENERATOR_KINDS = (
-    "blum-micali-ip",
-    "uniform-passthrough",
-    "broken-repeat",
-    "broken-counter",
-)
-
 DEFAULT_CAP = 1 << 20
 MAX_PERM_WIDTH = 20
 
@@ -187,6 +180,55 @@ class GeneratorSpec:
         if self.kind == "broken-repeat":
             return "repeat"
         return f"counter,m={self.m}"
+
+
+def parse_params(text: str, allowed: Sequence[str]) -> dict[str, str]:
+    """Parse descriptor parameters "k=v,k=v", rejecting keys outside `allowed`.
+
+    Empty pieces are skipped; a repeated key keeps its last value.
+    """
+    params = {}
+    for part in text.split(","):
+        if not part.strip():
+            continue
+        key, eq, value = part.partition("=")
+        key = key.strip()
+        if not eq:
+            raise ValueError(f"malformed descriptor parameter: {part!r}")
+        if key not in allowed:
+            raise ValueError(f"unknown descriptor parameter: {key!r}")
+        params[key] = value.strip()
+    return params
+
+
+# Descriptor family -> the parameters it accepts.
+_GENERATOR_PARAMS = {"bm": ("perm", "m"), "counter": ("m",), "passthrough": (), "repeat": ()}
+
+
+def parse_generator(text: str, n: int) -> GeneratorSpec:
+    """Parse a generator descriptor like "bm,perm=add1,m=3" with output length n.
+
+    The inverse of `GeneratorSpec.describe`.
+    """
+    kind, _, rest = text.partition(",")
+    kind = kind.strip()
+    if kind not in _GENERATOR_PARAMS:
+        raise ValueError(f"unknown generator family: {kind!r}")
+    params = parse_params(rest, _GENERATOR_PARAMS[kind])
+    return make_generator(kind, n, int(params.get("m", "0")), params.get("perm", "mulmod"))
+
+
+def make_generator(kind: str, n: int, m: int = 0, perm: str = "mulmod") -> GeneratorSpec:
+    """The generator a descriptor family names, with output length n; m = 0 means unset."""
+    if kind == "passthrough":
+        return passthrough(n)
+    if kind == "repeat":
+        return broken_repeat(n)
+    if kind not in ("bm", "counter"):
+        raise ValueError(f"unknown generator family: {kind!r}")
+    if not m:
+        raise ValueError(f"generator {kind} requires a width m")
+    return blum_micali(perm, m, n) if kind == "bm" else broken_counter(m, n)
 
 
 def blum_micali(perm: str, m: int, out_len: int) -> GeneratorSpec:

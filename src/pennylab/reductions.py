@@ -1,9 +1,10 @@
 """Reductions between game payoff and stream distinguishing/prediction.
 
 `payoff_to_distinguisher` turns a generator-backed player's payoff advantage
-into an exact single-round distinguishing advantage; `predictor_strategy` turns
-a next-bit predictor into an adaptive strategy whose payoff equals twice its
-prediction advantage.
+into an exact single-round distinguishing advantage; `predictor_accuracy` gives
+a next-bit predictor's exact accuracy q against an oblivious opponent, and the
+adaptive `strategies.predictor_backed` player built on that predictor earns
+2q - 1 per round, twice its prediction advantage.
 """
 
 from __future__ import annotations
@@ -11,14 +12,13 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from .game import Action, stage_payoff
+from .game import Action, round_weights, stage_payoff
 from .prng import GeneratorSpec, PREDICTORS, check_seed_space, int_to_bits
 from .strategies import (
     Seed,
     StrategySpec,
     generator_backed,
     oblivious_actions,
-    predictor_backed,
     simulate,
 )
 
@@ -79,22 +79,9 @@ def payoff_to_distinguisher(
     """
     per_round = per_round_payoffs(s, g, n, cap=cap)
     if delta is not None:
-        weight = Fraction(1)
-        for i in range(n):
-            weight *= delta
-            per_round[i] *= weight
+        per_round = [w * e for w, e in zip(round_weights(delta, n)[1:], per_round)]
     best = max(range(n), key=lambda i: (abs(per_round[i]), -i))
     return best + 1, abs(per_round[best]) / 2
-
-
-def predictor_strategy(predictor: str, beat: bool = False) -> StrategySpec:
-    """An adaptive zero-seed strategy that plays its predictor's guess each round.
-
-    With beat=True it plays the flip of the guess instead (seat 2's winning
-    reply).  Per round, the matcher's payoff is +1 exactly when the guess is
-    right, so the expected average payoff is 2q - 1 at prediction accuracy q.
-    """
-    return predictor_backed(predictor, beat=beat)
 
 
 def predictor_accuracy(

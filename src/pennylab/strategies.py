@@ -16,17 +16,7 @@ from dataclasses import dataclass
 from typing import Any, Iterator, Sequence, Union
 
 from .game import Action, RationalLike, Transcript, as_fraction, bit_to_action
-from .prng import GeneratorSpec, PREDICTORS, bitstream, int_to_bits
-
-KINDS = (
-    "uniform-table",
-    "constant",
-    "alternator",
-    "prefix-tail",
-    "generator",
-    "predictor",
-    "exploiter",
-)
+from .prng import GeneratorSpec, PREDICTORS, bitstream, int_to_bits, parse_generator, parse_params
 
 
 class Seed:
@@ -326,3 +316,61 @@ def describe(spec: StrategySpec) -> str:
         prefix = "exploit:beat=1,vs=" if spec.param("beat") else "exploit:vs="
         return prefix + describe(spec.param("opponent"))
     raise ValueError(f"unknown strategy kind: {kind!r}")
+
+
+def _parse_action(text: str) -> Action:
+    if text not in ("H", "T"):
+        raise ValueError(f"malformed action: {text!r}")
+    return Action(text)
+
+
+def _parse_bool(text: str) -> bool:
+    word = text.strip().lower()
+    if word not in ("1", "true", "yes", "0", "false", "no"):
+        raise ValueError(f"malformed boolean: {text!r}")
+    return word in ("1", "true", "yes")
+
+
+def parse_strategy(desc: str, n: int, player: int = 1) -> StrategySpec:
+    """Parse a descriptor such as "uniform:8", "const:H" or "exploit:vs=alt:H"; inverts `describe`.
+
+    `player` selects the side for seat-dependent constructions (prefix-tail
+    with a gamma parameter).
+    """
+    head, _, rest = desc.partition(":")
+    head = head.strip()
+    if head == "uniform":
+        if not rest:
+            raise ValueError("uniform requires a seed length, e.g. uniform:8")
+        return uniform_table(int(rest))
+    if head == "const":
+        return constant(_parse_action(rest))
+    if head == "alt":
+        return alternator(_parse_action(rest or "H"))
+    if head == "prefix-tail":
+        params = parse_params(rest, ("n", "gamma", "prefix", "tail", "start"))
+        if "gamma" in params:
+            if int(params.get("n", n)) != n:
+                raise ValueError("prefix-tail horizon disagrees with --n")
+            return make_gamma_equilibrium(n, as_fraction(params["gamma"]))[player - 1]
+        if "prefix" in params:
+            return prefix_tail(
+                int(params["prefix"]),
+                params.get("tail", "constant"),
+                _parse_action(params.get("start", "H")),
+            )
+        raise ValueError("prefix-tail requires gamma=... or prefix=...")
+    if head == "gen":
+        return generator_backed(parse_generator(rest, n))
+    if head == "pred":
+        name, _, tail = rest.partition(",")
+        params = parse_params(tail, ("beat",))
+        return predictor_backed(name.strip(), beat=_parse_bool(params.get("beat", "0")))
+    if head == "exploit":
+        before, marker, nested = rest.partition("vs=")
+        if not marker:
+            raise ValueError("exploit requires vs=<opponent descriptor>")
+        params = parse_params(before, ("beat",))
+        opponent = parse_strategy(nested, n, player=3 - player)
+        return exploiter_vs(opponent, beat=_parse_bool(params.get("beat", "0")))
+    raise ValueError(f"unknown strategy family: {head!r}")

@@ -28,7 +28,7 @@ from pennylab import (
     passthrough,
     payoff_to_distinguisher,
     predictor_accuracy,
-    predictor_strategy,
+    predictor_backed,
     prefix_tail,
     tail_gain,
     uniform_table,
@@ -123,7 +123,7 @@ def test_criterion_4_payoff_to_distinguisher():
             ("const-H", constant(H)),
             ("alt-H", alternator(H)),
             ("uniform-2", uniform_table(2)),
-            ("pred-freq-beat", predictor_strategy("frequency", beat=True)),
+            ("pred-freq-beat", predictor_backed("frequency", beat=True)),
         ]
         for glabel, g in generator_population(n):
             player = generator_backed(g)
@@ -152,7 +152,7 @@ def test_criterion_5_predictor_payoff_identity():
         for name in ("const0", "const1", "frequency", "markov1", "periodicity"):
             for olabel, opponent in population:
                 accuracy = predictor_accuracy(name, opponent, n)
-                payoff = exact_value(predictor_strategy(name), opponent, n)
+                payoff = exact_value(predictor_backed(name), opponent, n)
                 assert payoff == 2 * accuracy - 1, (name, olabel)
         # Frequency vs broken-repeat: advantage exactly 1/2 at every affected
         # position, payoff +1 on every affected round.
@@ -164,7 +164,7 @@ def test_criterion_5_predictor_payoff_identity():
 
         repeat_player = generator_backed(broken_repeat(n))
         for seed_value in range(4):
-            transcript = simulate(predictor_strategy("frequency"), "", repeat_player, seed_value, n)
+            transcript = simulate(predictor_backed("frequency"), "", repeat_player, seed_value, n)
             assert all(stage_payoff(a, b) == 1 for a, b in transcript[2:])
 
 

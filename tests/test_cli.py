@@ -7,7 +7,10 @@ import os
 
 import pytest
 
-from pennylab.cli import main, parse_config, parse_strategy
+from pennylab import cli
+from pennylab.cli import main, parse_config
+from pennylab.game import as_fraction
+from pennylab.strategies import parse_strategy
 
 
 def run_cli(args, tmp_path, name):
@@ -29,8 +32,18 @@ def test_parse_config_rejects_odd_gamma_budget():
 
 
 def test_parse_config_rejects_unknown_strategy():
-    with pytest.raises(ValueError, match="unknown strategy family"):
-        parse_config(["simulate", "--n", "4", "--p1", "bogus:1", "--p2", "const:H"])
+    for p1, message in [
+        ("bogus:1", "unknown strategy family"),
+        ("gen:bm,m=2,bogus=1", "unknown descriptor parameter"),
+        ("gen:passthrough,m=3", "unknown descriptor parameter"),
+        ("pred:markov1,beat=maybe", "malformed boolean"),
+        ("exploit:beat=maybe,vs=const:H", "malformed boolean"),
+        ("exploit:seat=2,vs=const:H", "unknown descriptor parameter"),
+        ("prefix-tail:prefix=2,tail=constant,stop=H", "unknown descriptor parameter"),
+        ("prefix-tail:n=4,gamma=1/0", "malformed fraction"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            parse_config(["simulate", "--n", "4", "--p1", p1, "--p2", "const:H"])
 
 
 def test_parse_config_sweep_range():
@@ -50,6 +63,53 @@ def test_parse_strategy_descriptors():
     assert gen.seed_len == 6
     nested = parse_strategy("exploit:vs=gen:counter,m=3", 8)
     assert nested.param("opponent").seed_len == 3
+    for word, beat in (("1", True), ("TRUE", True), ("yes", True), ("0", False), ("false", False), ("No", False)):
+        assert parse_strategy(f"pred:frequency,beat={word}", 4).param("beat") is beat
+    with pytest.raises(ValueError, match="malformed fraction"):
+        as_fraction("1/0")
+    with pytest.raises(ValueError, match="unknown descriptor parameter"):
+        parse_strategy("pred:markov1,bet=1", 4)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["sweep", "--n", "0", "--k", "0"],
+        ["exploit", "--n", "0", "--opponent", "const:H"],
+    ],
+    ids=["sweep", "exploit"],
+)
+def test_empty_horizon_is_bad_input(capsys, args):
+    assert main(args) == 2
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record == {"error": "horizon must be positive", "type": "ValueError"}
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["exploit", "--n", "1500", "--opponent", "const:H"],
+        ["sweep", "--n", "1500", "--k", "0"],
+        ["verify-eq", "--n", "1500", "--p1", "const:H", "--p2", "alt:H"],
+    ],
+    ids=["exploit", "sweep", "verify-eq"],
+)
+def test_long_horizons_never_report_not_certified(tmp_path, capsys, args):
+    status = main(args + ["--out", str(tmp_path / "artifact")])
+    assert status != 1
+    if status != 0:
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert set(record) == {"error", "type"}
+
+
+def test_internal_error_exits_3(monkeypatch, capsys):
+    def crash(cfg, inputs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli.COMMANDS, "sweep", cli.COMMANDS["sweep"]._replace(body=crash))
+    assert main(["sweep", "--n", "4", "--k", "0"]) == 3
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record == {"error": "boom", "type": "RuntimeError"}
 
 
 def test_cli_reports_errors_as_json(capsys):
@@ -178,3 +238,22 @@ def test_identical_configs_reproduce_byte_identical_artifacts(tmp_path, args):
         _, blob = run_cli(args, tmp_path, f"artifact-{i}")
         digests.add(hashlib.sha256(blob).hexdigest())
     assert len(digests) == 1
+
+
+# SHA-256 of the acceptance criterion-8 artifacts, recorded before the front
+# end was rebuilt around one command table; any byte change shows up here.
+GOLDEN_DIGESTS = {
+    "simulate --n 4 --p1 uniform:4 --p2 alt:H --seed1 1010": "f5f3e37b380b58118d938cd4c82c795c3fb950adc34b3c5498dfe6f5b33437c4",
+    "exploit --n 10 --opponent uniform:4 --opponent-seed 7": "0d52a230de41b1fa22e5dd95f33678a8b021ee368e15a34087a1c7bad998612e",
+    "verify-eq --n 8 --gamma 1/2": "f7be5b732ac5fa4a994f88be8a2b37cd94543cd820005ff4cdde4b4ab7618634",
+    "prng-test --gen repeat --n 8 --predictor frequency": "ca1ca1759fb8883242967c82b36a60716105f627309de2ac8d4e5bc86d850bbd",
+    "discounted --delta 9/10 --epsilon 1/10": "9beafcc8b4c3f2ed9cb188e22bb268e224909a8d4da2b608e6a7826ddb228e1b",
+    "sweep --n 10 --k 0..8": "1bac9a26ba28d511863e9ca74b2a9d7172bc9b749a9f60888340464e027644e6",
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_DIGESTS))
+def test_criterion_8_artifacts_match_golden_digests(tmp_path, command):
+    status, blob = run_cli(command.split(), tmp_path, "artifact")
+    assert status == 0
+    assert hashlib.sha256(blob).hexdigest() == GOLDEN_DIGESTS[command]

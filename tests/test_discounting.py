@@ -113,18 +113,18 @@ def test_passthrough_prefix_behaves_like_uniform():
 
 
 def test_passthrough_discounted_value_is_zero_exactly():
-    from pennylab import alternator, constant, predictor_strategy
+    from pennylab import alternator, constant, predictor_backed
     from pennylab.game import Action
 
     player = generator_backed(passthrough(5))
-    for s in (constant(Action.T), alternator(Action.H), predictor_strategy("markov1")):
+    for s in (constant(Action.T), alternator(Action.H), predictor_backed("markov1")):
         assert exact_value(player, s, 5, delta=Fraction(1, 2)) == 0
 
 
 def test_discounted_distinguisher_uses_weighted_rounds():
-    from pennylab import payoff_to_distinguisher, predictor_strategy
+    from pennylab import payoff_to_distinguisher, predictor_backed
 
-    s = predictor_strategy("periodicity", beat=True)
+    s = predictor_backed("periodicity", beat=True)
     delta = Fraction(1, 2)
     round_idx, advantage = payoff_to_distinguisher(s, broken_repeat(6), 6, delta=delta)
     # |E[A_3]| = 1 discounted by delta**3, halved.

@@ -19,11 +19,11 @@ from pennylab import (
     passthrough,
     payoff_to_distinguisher,
     predictor_accuracy,
-    predictor_strategy,
+    predictor_backed,
     register_permutation,
     uniform_table,
 )
-from pennylab.prng import bitstream, int_to_bits, permutation
+from pennylab.prng import bitstream, int_to_bits, parse_generator, permutation
 
 from support import PREDICTOR_NAMES, generator_population, oblivious_population
 
@@ -183,7 +183,7 @@ def test_passthrough_is_exactly_unexploitable():
 def test_distinguisher_finds_deterministic_round():
     # The periodicity predictor in the mismatcher seat beats broken-repeat
     # with certainty from round 3 on, making the round outcome deterministic.
-    s = predictor_strategy("periodicity", beat=True)
+    s = predictor_backed("periodicity", beat=True)
     round_idx, advantage = payoff_to_distinguisher(s, broken_repeat(6), 6)
     assert (round_idx, advantage) == (3, Fraction(1, 2))
 
@@ -194,7 +194,7 @@ def test_distinguisher_dominates_half_the_game_value():
         ("const-H", constant(H)),
         ("alt", alternator(H)),
         ("uniform-2", uniform_table(2)),
-        ("pred-freq-beat", predictor_strategy("frequency", beat=True)),
+        ("pred-freq-beat", predictor_backed("frequency", beat=True)),
     ]
     for glabel, g in generator_population(n):
         player = generator_backed(g)
@@ -209,18 +209,18 @@ def test_predictor_payoff_identity():
     for name in PREDICTOR_NAMES:
         for olabel, opponent in oblivious_population(n, max_bits=3):
             accuracy = predictor_accuracy(name, opponent, n)
-            payoff = exact_value(predictor_strategy(name), opponent, n)
+            payoff = exact_value(predictor_backed(name), opponent, n)
             assert payoff == 2 * accuracy - 1, (name, olabel)
 
 
 def test_perfect_and_chance_predictor_payoffs():
     # Constant predictor against the matching constant opponent is always right.
     assert predictor_accuracy("const1", constant(H), 6) == 1
-    assert exact_value(predictor_strategy("const1"), constant(H), 6) == 1
+    assert exact_value(predictor_backed("const1"), constant(H), 6) == 1
     # Any predictor against fresh uniform bits is right exactly half the time.
     for name in PREDICTOR_NAMES:
         assert predictor_accuracy(name, uniform_table(6), 6) == Fraction(1, 2)
-        assert exact_value(predictor_strategy(name), uniform_table(6), 6) == 0
+        assert exact_value(predictor_backed(name), uniform_table(6), 6) == 0
 
 
 def test_frequency_wins_every_affected_round_against_repeat():
@@ -229,9 +229,15 @@ def test_frequency_wins_every_affected_round_against_repeat():
     from pennylab.game import stage_payoff
 
     opponent = generator_backed(broken_repeat(8))
-    striker = predictor_strategy("frequency")
+    striker = predictor_backed("frequency")
     for value in range(4):
         transcript = simulate(striker, "", opponent, value, 8)
         for t, (a, b) in enumerate(transcript, start=1):
             if t >= 3:
                 assert stage_payoff(a, b) == 1
+
+
+def test_describe_round_trips_through_parse_generator():
+    n = 8
+    for g in (blum_micali("add1", 3, n), broken_counter(4, n), broken_repeat(n), passthrough(n)):
+        assert parse_generator(g.describe(), n) == g

@@ -10,16 +10,20 @@ from pennylab import (
     Seed,
     act,
     alternator,
+    blum_micali,
+    broken_counter,
+    broken_repeat,
     constant,
     exploiter_vs,
     generator_backed,
     make_gamma_equilibrium,
     passthrough,
+    predictor_backed,
     prefix_tail,
     simulate,
     uniform_table,
 )
-from pennylab.strategies import as_seed, describe, oblivious_actions, seed_space
+from pennylab.strategies import as_seed, describe, oblivious_actions, parse_strategy, seed_space
 
 from support import oblivious_population
 
@@ -167,16 +171,28 @@ def test_gamma_equilibrium_rejects_odd_budget():
 
 
 def test_describe_round_trips_through_cli_parser():
-    from pennylab.cli import parse_strategy
-
     n = 8
+    gamma_pair = make_gamma_equilibrium(n, Fraction(1, 2))
     specs = [
         uniform_table(4),
         constant(T),
         alternator(H),
         prefix_tail(3, "alternator", H),
+        *gamma_pair,
         generator_backed(passthrough(n)),
+        generator_backed(broken_repeat(n)),
+        generator_backed(broken_counter(3, n)),
+        generator_backed(blum_micali("add1", 3, n)),
+        predictor_backed("markov1"),
+        predictor_backed("frequency", beat=True),
         exploiter_vs(alternator(H), beat=True),
+        exploiter_vs(generator_backed(blum_micali("mulmod", 2, n))),
+        exploiter_vs(exploiter_vs(constant(H)), beat=True),
     ]
     for spec in specs:
         assert parse_strategy(describe(spec), n) == spec
+    for player, spec in zip((1, 2), gamma_pair):
+        assert parse_strategy(f"prefix-tail:n={n},gamma=1/2", n, player=player) == spec
+        nested = parse_strategy(f"exploit:beat=1,vs=prefix-tail:n={n},gamma=1/2", n, player=3 - player)
+        assert nested == exploiter_vs(spec, beat=True)
+        assert parse_strategy(describe(nested), n) == nested
