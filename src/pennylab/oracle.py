@@ -16,15 +16,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .game import Action, cumulative_payoff, discounted_payoff, round_weights
-from .prng import check_seed_space, int_to_bits
-from .strategies import (
-    Seed,
-    StrategySpec,
-    oblivious_actions,
-    predicted_action,
-    simulate,
-)
+from .game import Action, round_weights, stage_payoff
+from .prng import check_seed_space
+from .strategies import StrategySpec, round_plays, simulate, split
 from . import exploiter
 
 TREE_HORIZON = 14
@@ -48,8 +42,34 @@ class GapReport:
     certified_epsilon: Fraction
 
 
-def _seed_ints(spec: StrategySpec, cap: Optional[int]) -> range:
-    return range(check_seed_space(spec.seed_len, cap))
+def round_payoffs(
+    s1: StrategySpec,
+    s2: StrategySpec,
+    n: int,
+    cap: Optional[int] = None,
+) -> list[Fraction]:
+    """Player 1's exact expected stage payoff E[h_t] for each round t = 1..n.
+
+    Uniform over both seed spaces.  Adaptive strategies are allowed: each seed
+    pair yields one deterministic transcript.
+    """
+    space1 = check_seed_space(s1.seed_len, cap)
+    space2 = check_seed_space(s2.seed_len, cap)
+    if s1.oblivious and s2.oblivious:
+        # Independent seeds: per-round expectations factor through the two
+        # marginal H-frequencies, E[h_t] = (2*p1 - 1)(2*p2 - 1).
+        return [
+            Fraction(2 * sum(round_plays(s1, t)) - space1, space1)
+            * Fraction(2 * sum(round_plays(s2, t)) - space2, space2)
+            for t in range(1, n + 1)
+        ]
+    sums = [0] * n
+    for v1 in range(space1):
+        for v2 in range(space2):
+            for i, (a, b) in enumerate(simulate(s1, v1, s2, v2, n)):
+                sums[i] += stage_payoff(a, b)
+    pairs = space1 * space2
+    return [Fraction(total, pairs) for total in sums]
 
 
 def exact_value(
@@ -62,47 +82,12 @@ def exact_value(
     """Player 1's exact expected payoff, uniform over both seed spaces.
 
     Returns the average payoff, or the discounted sum E[sum delta**t h_t] when
-    `delta` is given.  Adaptive strategies are allowed: each seed pair yields
-    one deterministic transcript.
+    `delta` is given; by linearity both are sums over `round_payoffs`.
     """
-    space1 = check_seed_space(s1.seed_len, cap)
-    space2 = check_seed_space(s2.seed_len, cap)
-    if s1.oblivious and s2.oblivious:
-        # Independent seeds: per-round expectations factor through the two
-        # marginal H-frequencies, E[h_t] = (2*p1 - 1)(2*p2 - 1).
-        weights = None if delta is None else round_weights(delta, n)
-        total = Fraction(0)
-        heads1 = [0] * n
-        heads2 = [0] * n
-        for value in range(space1):
-            seq = oblivious_actions(s1, int_to_bits(value, s1.seed_len), n)
-            for t, a in enumerate(seq):
-                if a is Action.H:
-                    heads1[t] += 1
-        for value in range(space2):
-            seq = oblivious_actions(s2, int_to_bits(value, s2.seed_len), n)
-            for t, b in enumerate(seq):
-                if b is Action.H:
-                    heads2[t] += 1
-        for t in range(1, n + 1):
-            bias1 = 2 * Fraction(heads1[t - 1], space1) - 1
-            bias2 = 2 * Fraction(heads2[t - 1], space2) - 1
-            term = bias1 * bias2
-            total += weights[t] * term if weights is not None else term
-        return total / n if delta is None else total
-
-    total = Fraction(0) if delta is not None else 0
-    for v1 in range(space1):
-        for v2 in range(space2):
-            transcript = simulate(s1, Seed.from_int(v1, s1.seed_len), s2, Seed.from_int(v2, s2.seed_len), n)
-            if delta is None:
-                total += cumulative_payoff(transcript)
-            else:
-                total += discounted_payoff(transcript, delta)
-    pairs = space1 * space2
+    payoffs = round_payoffs(s1, s2, n, cap)
     if delta is None:
-        return Fraction(total, pairs * n)
-    return total / pairs
+        return sum(payoffs, Fraction(0)) / n
+    return sum((w * e for w, e in zip(round_weights(delta, n)[1:], payoffs)), Fraction(0))
 
 
 def _tree_best_response(
@@ -120,7 +105,7 @@ def _tree_best_response(
     memo: dict = {}
     zero = Fraction(0)
 
-    def value(t: int, history: tuple, alive: tuple[int, ...]) -> Fraction:
+    def value(t: int, history: tuple, alive: list[int]) -> Fraction:
         if t > n:
             return zero
         if opponent.oblivious:
@@ -132,12 +117,7 @@ def _tree_best_response(
         hit = memo.get(key)
         if hit is not None:
             return hit
-        heads = tuple(
-            s for s in alive if predicted_action(opponent, s, history, t) is Action.H
-        )
-        tails = tuple(
-            s for s in alive if predicted_action(opponent, s, history, t) is Action.T
-        )
+        heads, tails = split(opponent, alive, history, t)
         best: Optional[Fraction] = None
         for play in (Action.H, Action.T):
             acc = zero
@@ -155,7 +135,7 @@ def _tree_best_response(
         memo[key] = best
         return best
 
-    result = value(1, (), tuple(range(space)))
+    result = value(1, (), list(range(space)))
     return result / n if delta is None else result
 
 

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 Bits = tuple[int, ...]
 PermFn = Callable[[int], int]
@@ -139,9 +139,13 @@ _PERM_FACTORIES.update(
 )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def permutation(name: str, m: int) -> PermFn:
-    """Look up a registered permutation at width m, verifying it is a bijection."""
+    """Look up a registered permutation at width m, verifying it is a bijection.
+
+    At most 128 verified (name, width) pairs are cached; the four shipped
+    families at every width take 80.
+    """
     if name not in _PERM_FACTORIES:
         raise ValueError(f"unknown permutation: {name!r}")
     if not 1 <= m <= MAX_PERM_WIDTH:
@@ -370,6 +374,16 @@ PREDICTORS.update(
 )
 
 
+def prediction_hits(fn: PredictorFn, streams: Iterable[Bits], n: int) -> list[int]:
+    """Per-position hit counts: hits[i] counts the streams whose bit i `fn` predicts from bits [:i]."""
+    hits = [0] * n
+    for stream in streams:
+        for i in range(n):
+            if fn(stream[:i]) == stream[i]:
+                hits[i] += 1
+    return hits
+
+
 @dataclass(frozen=True)
 class PredictorReport:
     """Measured next-bit prediction advantage for one generator/predictor pair.
@@ -403,14 +417,10 @@ def eval_next_bit_predictor(
     """
     fn = resolve_predictor(predictor)
     n = g.out_len
-    hits = [0] * n
     if mode == "exact":
         space = check_seed_space(g.seed_len, cap)
-        for value in range(space):
-            stream = bitstream(g, int_to_bits(value, g.seed_len))
-            for i in range(n):
-                if fn(stream[:i]) == stream[i]:
-                    hits[i] += 1
+        streams = (bitstream(g, int_to_bits(value, g.seed_len)) for value in range(space))
+        hits = prediction_hits(fn, streams, n)
         per_position = tuple(Fraction(h, space) - Fraction(1, 2) for h in hits)
         advantage = max(abs(p) for p in per_position)
         best = max(range(n), key=lambda i: (abs(per_position[i]), -i)) + 1
@@ -419,12 +429,10 @@ def eval_next_bit_predictor(
         if samples < 1:
             raise ValueError("sample count must be positive")
         rng = random.Random(eval_seed)
-        for _ in range(samples):
-            value = rng.randrange(1 << g.seed_len)
-            stream = bitstream(g, int_to_bits(value, g.seed_len))
-            for i in range(n):
-                if fn(stream[:i]) == stream[i]:
-                    hits[i] += 1
+        streams = (
+            bitstream(g, int_to_bits(rng.randrange(1 << g.seed_len), g.seed_len)) for _ in range(samples)
+        )
+        hits = prediction_hits(fn, streams, n)
         per_position = tuple(h / samples - 0.5 for h in hits)
         advantage = max(abs(p) for p in per_position)
         best = max(range(n), key=lambda i: (abs(per_position[i]), -i)) + 1

@@ -12,15 +12,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from .game import Action, round_weights, stage_payoff
-from .prng import GeneratorSpec, PREDICTORS, check_seed_space, int_to_bits
-from .strategies import (
-    Seed,
-    StrategySpec,
-    generator_backed,
-    oblivious_actions,
-    simulate,
-)
+from .game import round_weights
+from .oracle import round_payoffs
+from .prng import GeneratorSpec, PREDICTORS, check_seed_space, prediction_hits
+from .strategies import StrategySpec, generator_backed, round_plays
 
 
 def per_round_payoffs(
@@ -37,17 +32,7 @@ def per_round_payoffs(
     """
     if g.out_len < n:
         raise ValueError("generator stream too short for this horizon")
-    player = generator_backed(g)
-    space_g = check_seed_space(g.seed_len, cap)
-    space_s = check_seed_space(s.seed_len, cap)
-    sums = [0] * n
-    for vg in range(space_g):
-        for vs in range(space_s):
-            transcript = simulate(player, Seed.from_int(vg, g.seed_len), s, Seed.from_int(vs, s.seed_len), n)
-            for i, (a, b) in enumerate(transcript):
-                sums[i] += stage_payoff(a, b)
-    pairs = space_g * space_s
-    return [Fraction(total, pairs) for total in sums]
+    return round_payoffs(generator_backed(g), s, n, cap)
 
 
 def round_win_probabilities(
@@ -98,11 +83,6 @@ def predictor_accuracy(
         raise ValueError("accuracy is defined against oblivious opponents")
     fn = PREDICTORS[predictor]
     space = check_seed_space(opponent.seed_len, cap)
-    correct = 0
-    for value in range(space):
-        seq = oblivious_actions(opponent, int_to_bits(value, opponent.seed_len), n)
-        stream = tuple(1 if a is Action.H else 0 for a in seq)
-        for i in range(n):
-            if fn(stream[:i]) == stream[i]:
-                correct += 1
-    return Fraction(correct, space * n)
+    streams = zip(*(round_plays(opponent, t) for t in range(1, n + 1)))
+    hits = prediction_hits(fn, streams, n)
+    return Fraction(sum(hits), space * n)

@@ -13,6 +13,7 @@ one implementation of a reactive family serves either seat.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Any, Iterator, Sequence, Union
 
 from .game import Action, RationalLike, Transcript, as_fraction, bit_to_action
@@ -29,13 +30,10 @@ class Seed:
     __slots__ = ("bits", "reads")
 
     def __init__(self, bits: Union[str, Sequence[int]]):
-        if isinstance(bits, str):
-            if any(c not in "01" for c in bits):
-                raise ValueError(f"malformed bit string: {bits!r}")
-            self.bits = tuple(int(c) for c in bits)
-        else:
-            self.bits = tuple(int(b) for b in bits)
-        if any(b not in (0, 1) for b in self.bits):
+        if isinstance(bits, str) and any(c not in "01" for c in bits):
+            raise ValueError(f"malformed bit string: {bits!r}")
+        self.bits = tuple(map(int, bits))
+        if not {0, 1}.issuperset(self.bits):
             raise ValueError("seed bits must be 0 or 1")
         self.reads: set[int] = set()
 
@@ -263,34 +261,44 @@ def simulate(
     return tuple(rounds)
 
 
-_OBLIVIOUS_SEQ: dict[tuple[StrategySpec, tuple[int, ...]], list[Action]] = {}
+@lru_cache(maxsize=128)
+def round_plays(spec: StrategySpec, t: int) -> bytes:
+    """An oblivious strategy's plays at round `t`: byte s is 1 iff seed s plays H.
 
-
-def oblivious_actions(spec: StrategySpec, seed_bits: tuple[int, ...], upto: int) -> list[Action]:
-    """First `upto` actions of an oblivious strategy, cached per (spec, seed).
-
-    The history fed to `act` uses a filler opponent column, which a genuinely
-    oblivious family never reads.
+    Defined for oblivious specs only.  Each seed acts on a filler history,
+    which an oblivious family never reads, so `act` keeps its budget checks.
+    The cache holds at most 128 tables of 2**seed_len bytes each: 128 MiB at
+    the 2**20 enumeration cap.
     """
-    key = (spec, seed_bits)
-    seq = _OBLIVIOUS_SEQ.get(key)
-    if seq is None:
-        seq = _OBLIVIOUS_SEQ[key] = []
-    if len(seq) < upto:
-        seed = Seed(seed_bits)
-        while len(seq) < upto:
-            t = len(seq) + 1
-            history = tuple((a, Action.H) for a in seq)
-            seq.append(act(spec, seed, history, t))
-    return seq[:upto]
+    filler = ((Action.H, Action.H),) * (t - 1)
+    return bytes(
+        act(spec, Seed.from_int(value, spec.seed_len), filler, t) is Action.H
+        for value in range(1 << spec.seed_len)
+    )
 
 
-def predicted_action(opponent: StrategySpec, seed_value: int, history: Transcript, round: int) -> Action:
-    """What the opponent would play at `round` with this seed, given our view of history."""
-    bits = int_to_bits(seed_value, opponent.seed_len)
+def split(
+    opponent: StrategySpec, alive: Sequence[int], history: Transcript, t: int
+) -> tuple[list[int], list[int]]:
+    """Partition opponent seeds by the action each plays at round `t`: (H's, T's).
+
+    The one consistent-set partition: every walk over opponent seeds asks here
+    what they play next.  Oblivious opponents read `round_plays`;
+    adaptive ones act on the mirror of `history`, the other seat's view of the
+    previous rounds.  Order within `alive` is kept.
+    """
     if opponent.oblivious:
-        return oblivious_actions(opponent, bits, round)[round - 1]
-    return act(opponent, Seed(bits), mirror(history), round)
+        plays = round_plays(opponent, t)
+        return [s for s in alive if plays[s]], [s for s in alive if not plays[s]]
+    view = mirror(history)
+    heads: list[int] = []
+    tails: list[int] = []
+    for s in alive:
+        if act(opponent, Seed.from_int(s, opponent.seed_len), view, t) is Action.H:
+            heads.append(s)
+        else:
+            tails.append(s)
+    return heads, tails
 
 
 def describe(spec: StrategySpec) -> str:

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from pennylab import (
     Action,
+    Seed,
+    act,
     alternator,
     blum_micali,
     broken_counter,
@@ -16,6 +18,8 @@ from pennylab import (
     prefix_tail,
     uniform_table,
 )
+from pennylab.prng import int_to_bits
+from pennylab.strategies import mirror
 
 
 def opponents_with_budget(n: int, k: int):
@@ -80,3 +84,24 @@ def adaptive_population():
 
 
 PREDICTOR_NAMES = ("const0", "const1", "frequency", "markov1", "periodicity")
+
+
+def reference_split(opponent, alive, history, t):
+    """Seed-by-seed partition of `alive` by the opponent's round-t action: (H's, T's).
+
+    The slow path `strategies.split` is checked against.  An oblivious
+    opponent replays its own first t actions, seeing them in its own column
+    and H in the other; an adaptive one acts on the mirror of `history`.
+    """
+    heads, tails = [], []
+    for value in alive:
+        seed = Seed(int_to_bits(value, opponent.seed_len))
+        if opponent.oblivious:
+            seq = []
+            for r in range(1, t + 1):
+                seq.append(act(opponent, seed, tuple((a, Action.H) for a in seq), r))
+            action = seq[-1]
+        else:
+            action = act(opponent, seed, mirror(history), t)
+        (heads if action is Action.H else tails).append(value)
+    return heads, tails

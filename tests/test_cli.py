@@ -86,20 +86,26 @@ def test_empty_horizon_is_bad_input(capsys, args):
 
 
 @pytest.mark.parametrize(
-    "args",
+    "args, field, value",
     [
-        ["exploit", "--n", "1500", "--opponent", "const:H"],
-        ["sweep", "--n", "1500", "--k", "0"],
-        ["verify-eq", "--n", "1500", "--p1", "const:H", "--p2", "alt:H"],
+        (["exploit", "--n", "1500", "--opponent", "const:H"], "achieved", "1/1"),
+        (["sweep", "--n", "1500", "--k", "0"], "margin", "0/1"),
+        (["verify-eq", "--n", "1500", "--p1", "const:H", "--p2", "alt:H"], "certified_epsilon", "1/1"),
+        (["exploit", "--n", "1500", "--opponent", "pred:markov1"], "achieved", "1/1"),
     ],
-    ids=["exploit", "sweep", "verify-eq"],
+    ids=["exploit", "sweep", "verify-eq", "exploit-adaptive"],
 )
-def test_long_horizons_never_report_not_certified(tmp_path, capsys, args):
-    status = main(args + ["--out", str(tmp_path / "artifact")])
-    assert status != 1
-    if status != 0:
-        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-        assert set(record) == {"error", "type"}
+def test_long_horizons_never_report_not_certified(tmp_path, args, field, value):
+    status, blob = run_cli(args, tmp_path, "artifact")
+    assert status == 0
+    text = blob.decode()
+    if args[0] == "verify-eq":
+        assert json.loads(text)[field] == value
+    elif args[0] == "sweep":
+        rows = list(csv.DictReader(l for l in text.splitlines() if not l.startswith("#")))
+        assert [row[field] for row in rows] == [value]
+    else:
+        assert f"# {field}={value}" in text.splitlines()
 
 
 def test_internal_error_exits_3(monkeypatch, capsys):

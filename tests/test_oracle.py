@@ -8,15 +8,22 @@ from pennylab import (
     Action,
     alternator,
     best_response_value,
+    blum_micali,
     certify_gap,
     constant,
     exact_value,
     exploiter_vs,
+    generator_backed,
     make_gamma_equilibrium,
+    per_round_payoffs,
+    predictor_backed,
+    prefix_tail,
+    simulate,
     uniform_table,
 )
 from pennylab.exploiter import greedy_value
-from pennylab.oracle import _tree_best_response
+from pennylab.game import cumulative_payoff, discounted_payoff, stage_payoff
+from pennylab.oracle import _tree_best_response, round_payoffs
 
 from support import adaptive_population, oblivious_population
 
@@ -38,25 +45,31 @@ def test_exact_value_examples():
 
 def test_exact_value_oblivious_fast_path_matches_generic_path():
     # The marginal-product shortcut for oblivious pairs must agree with plain
-    # seed-pair enumeration; the adaptive wrapper forces the generic path.
+    # seed-pair enumeration, round by round and summed, plain and discounted;
+    # the adaptive pair forces the generic path.
     n = 5
+    delta = Fraction(2, 3)
+    g = blum_micali("add1", 2, n)
     pairs = [
         (uniform_table(2), alternator(H)),
         (uniform_table(3), uniform_table(2)),
         (alternator(T), constant(H)),
+        (generator_backed(g), uniform_table(3)),
+        (generator_backed(g), prefix_tail(2, "alternator", H)),
+        (generator_backed(g), predictor_backed("markov1")),
     ]
     for s1, s2 in pairs:
-        fast = exact_value(s1, s2, n)
-        from pennylab.strategies import Seed, simulate
-        from pennylab.game import cumulative_payoff
-
-        total = 0
-        for v1 in range(1 << s1.seed_len):
-            for v2 in range(1 << s2.seed_len):
-                total += cumulative_payoff(
-                    simulate(s1, Seed.from_int(v1, s1.seed_len), s2, Seed.from_int(v2, s2.seed_len), n)
-                )
-        assert fast == Fraction(total, (1 << s1.seed_len) * (1 << s2.seed_len) * n)
+        transcripts = [
+            simulate(s1, v1, s2, v2, n) for v1 in range(1 << s1.seed_len) for v2 in range(1 << s2.seed_len)
+        ]
+        count = len(transcripts)
+        per_round = [Fraction(sum(stage_payoff(*t[i]) for t in transcripts), count) for i in range(n)]
+        assert round_payoffs(s1, s2, n) == per_round
+        assert exact_value(s1, s2, n) == Fraction(sum(map(cumulative_payoff, transcripts)), count * n)
+        discounted = sum(discounted_payoff(t, delta) for t in transcripts) / count
+        assert exact_value(s1, s2, n, delta=delta) == discounted
+        if s1.kind == "generator":
+            assert per_round_payoffs(s2, g, n) == per_round
 
 
 def test_best_response_examples():

@@ -4,6 +4,8 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pennylab import (
     Action,
@@ -23,9 +25,9 @@ from pennylab import (
     simulate,
     uniform_table,
 )
-from pennylab.strategies import as_seed, describe, oblivious_actions, parse_strategy, seed_space
+from pennylab.strategies import as_seed, describe, parse_strategy, seed_space, split
 
-from support import oblivious_population
+from support import adaptive_population, oblivious_population, reference_split
 
 H, T = Action.H, Action.T
 
@@ -53,7 +55,7 @@ def test_uniform_table_reads_round_indexed_bit():
 def test_uniform_table_cycles_its_bits():
     spec = uniform_table(2)
     seed = Seed("10")
-    seq = oblivious_actions(spec, seed.bits, 5)
+    seq = [a for a, _ in simulate(spec, seed, constant(H), "", 5)]
     assert seq == [H, T, H, T, H]
 
 
@@ -112,6 +114,24 @@ def test_declared_oblivious_strategies_ignore_history_exhaustively():
                     assert out is reference, label
 
 
+SPLIT_N = 5
+SPLIT_POPULATION = oblivious_population(SPLIT_N) + adaptive_population()
+
+
+@pytest.mark.parametrize(
+    "spec", [spec for _, spec in SPLIT_POPULATION], ids=[name for name, _ in SPLIT_POPULATION]
+)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_split_matches_seed_by_seed_reference(spec, data):
+    alive = data.draw(st.lists(st.integers(0, (1 << spec.seed_len) - 1), unique=True), label="alive")
+    moves = st.tuples(st.sampled_from((H, T)), st.sampled_from((H, T)))
+    history = data.draw(st.lists(moves, min_size=SPLIT_N, max_size=SPLIT_N), label="history")
+    for t in range(1, SPLIT_N + 1):
+        prefix = tuple(history[: t - 1])
+        assert split(spec, alive, prefix, t) == reference_split(spec, alive, prefix, t)
+
+
 def test_simulate_examples():
     assert simulate(constant(H), "", constant(T), "", 2) == ((H, T), (H, T))
     assert simulate(constant(H), "", alternator(H), "", 2) == ((H, H), (H, T))
@@ -146,8 +166,8 @@ def test_gamma_equilibrium_half():
     p1, p2 = make_gamma_equilibrium(8, Fraction(1, 2))
     assert p1.seed_len == p2.seed_len == 4
     assert p1.oblivious and p2.oblivious
-    tail1 = oblivious_actions(p1, (0, 0, 0, 0), 8)[4:]
-    tail2 = oblivious_actions(p2, (0, 0, 0, 0), 8)[4:]
+    tail1 = [a for a, _ in simulate(p1, "0000", constant(H), "", 8)[4:]]
+    tail2 = [a for a, _ in simulate(p2, "0000", constant(H), "", 8)[4:]]
     assert tail1 == [H, H, H, H]
     assert tail2 == [H, T, H, T]
 
