@@ -271,6 +271,12 @@ def broken_counter(m: int, out_len: int) -> GeneratorSpec:
 
 @lru_cache(maxsize=1 << 14)
 def _bm_stream(perm: str, m: int, out_len: int, x: int, y: int) -> Bits:
+    """One Blum-Micali stream for the seed (x, y).
+
+    The cache keeps 2**14 streams of out_len bits whatever the seed space; a
+    2**20-seed space (m = 10) overflows it, so there each compiled round
+    recomputes every stream.
+    """
     fn = permutation(perm, m)
     # One forward pass over the iterate chain, emitted in reverse: bit 1 uses
     # the deepest iterate, bit out_len the first.
@@ -287,22 +293,25 @@ def bitstream(g: GeneratorSpec, seed_bits: Union[str, Sequence[int]]) -> Bits:
     bits = coerce_bits(seed_bits)
     if len(bits) != g.seed_len:
         raise ValueError("seed length mismatch")
+    return seed_stream(g, bits_to_int(bits))
+
+
+def seed_stream(g: GeneratorSpec, value: int) -> Bits:
+    """`bitstream` for the seed whose big-endian bits read `value`, in [0, 2**seed_len).
+
+    Works on the integer directly: no seed bit tuple is built or re-parsed,
+    and Blum-Micali streams come straight from `_bm_stream`'s bounded cache.
+    """
     if g.kind == "uniform-passthrough":
-        return bits
+        return int_to_bits(value, g.out_len)
     if g.kind == "broken-repeat":
-        return tuple(bits[i % 2] for i in range(g.out_len))
+        pair = (value >> 1, value & 1)
+        return tuple(pair[i % 2] for i in range(g.out_len))
     if g.kind == "broken-counter":
-        out = []
-        value = bits_to_int(bits)
-        mask = (1 << g.m) - 1
-        while len(out) < g.out_len:
-            out.extend(int_to_bits(value, g.m))
-            value = (value + 1) & mask
-        return tuple(out[: g.out_len])
+        m, mask = g.m, (1 << g.m) - 1
+        return tuple((((value + i // m) & mask) >> (m - 1 - i % m)) & 1 for i in range(g.out_len))
     if g.kind == "blum-micali-ip":
-        x = bits_to_int(bits[: g.m])
-        y = bits_to_int(bits[g.m :])
-        return _bm_stream(g.perm, g.m, g.out_len, x, y)
+        return _bm_stream(g.perm, g.m, g.out_len, value >> g.m, value & ((1 << g.m) - 1))
     raise ValueError(f"unknown generator kind: {g.kind!r}")
 
 
@@ -374,12 +383,37 @@ PREDICTORS.update(
 )
 
 
+# `prediction_hits` memoizes guesses for prefixes shorter than this many bits:
+# one byte per prefix, 1 MiB at most.
+_MEMO_BITS = 20
+
+
 def prediction_hits(fn: PredictorFn, streams: Iterable[Bits], n: int) -> list[int]:
-    """Per-position hit counts: hits[i] counts the streams whose bit i `fn` predicts from bits [:i]."""
+    """Per-position hit counts: hits[i] counts the streams whose bit i `fn` predicts from bits [:i].
+
+    A predictor is a function of the prefix alone that returns a bit, so `fn`
+    is called once per distinct prefix shorter than `_MEMO_BITS` bits.  Its
+    guesses are memoized for this call only, one byte per prefix, indexed by
+    the prefix read as a binary number after a leading 1: 2**min(n, 20)
+    bytes, so 1 MiB at most whatever the number of streams.  Longer prefixes
+    (n > 20 only) are each passed to `fn`.
+    """
     hits = [0] * n
+    unknown = 0xFF
+    guesses = bytearray([unknown]) * (1 << min(n, _MEMO_BITS))
+    size = len(guesses)
     for stream in streams:
+        key = 1
         for i in range(n):
-            if fn(stream[:i]) == stream[i]:
+            bit = stream[i]
+            if key < size:
+                guess = guesses[key]
+                if guess == unknown:
+                    guess = guesses[key] = fn(stream[:i])
+                key = key << 1 | bit
+            else:
+                guess = fn(stream[:i])
+            if guess == bit:
                 hits[i] += 1
     return hits
 
@@ -419,7 +453,7 @@ def eval_next_bit_predictor(
     n = g.out_len
     if mode == "exact":
         space = check_seed_space(g.seed_len, cap)
-        streams = (bitstream(g, int_to_bits(value, g.seed_len)) for value in range(space))
+        streams = (seed_stream(g, value) for value in range(space))
         hits = prediction_hits(fn, streams, n)
         per_position = tuple(Fraction(h, space) - Fraction(1, 2) for h in hits)
         advantage = max(abs(p) for p in per_position)
@@ -429,9 +463,7 @@ def eval_next_bit_predictor(
         if samples < 1:
             raise ValueError("sample count must be positive")
         rng = random.Random(eval_seed)
-        streams = (
-            bitstream(g, int_to_bits(rng.randrange(1 << g.seed_len), g.seed_len)) for _ in range(samples)
-        )
+        streams = (seed_stream(g, rng.randrange(1 << g.seed_len)) for _ in range(samples))
         hits = prediction_hits(fn, streams, n)
         per_position = tuple(h / samples - 0.5 for h in hits)
         advantage = max(abs(p) for p in per_position)

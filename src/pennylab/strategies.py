@@ -17,7 +17,15 @@ from functools import lru_cache
 from typing import Any, Iterator, Sequence, Union
 
 from .game import Action, RationalLike, Transcript, as_fraction, bit_to_action
-from .prng import GeneratorSpec, PREDICTORS, bitstream, int_to_bits, parse_generator, parse_params
+from .prng import (
+    GeneratorSpec,
+    PREDICTORS,
+    bitstream,
+    int_to_bits,
+    parse_generator,
+    parse_params,
+    seed_stream,
+)
 
 
 class Seed:
@@ -265,16 +273,30 @@ def simulate(
 def round_plays(spec: StrategySpec, t: int) -> bytes:
     """An oblivious strategy's plays at round `t`: byte s is 1 iff seed s plays H.
 
-    Defined for oblivious specs only.  Each seed acts on a filler history,
-    which an oblivious family never reads, so `act` keeps its budget checks.
+    Defined for oblivious specs only, and compiled family by family from the
+    seed integer, with no `Seed` per seed:
+
+    - a round that reads seed bit i (every `uniform-table` round with a
+      budget, `prefix-tail` rounds t <= prefix_len) is the periodic pattern
+      of big-endian bit i: runs of 2**(k-1-i) zeros, then as many ones;
+    - a `generator` round reads bit t-1 of each seed's `prng.seed_stream`;
+    - every other round reads no seed bit, so one `act` serves all seeds.
+
     The cache holds at most 128 tables of 2**seed_len bytes each: 128 MiB at
     the 2**20 enumeration cap.
     """
+    k = spec.seed_len
+    space = 1 << k
+    if (spec.kind == "uniform-table" and k) or (spec.kind == "prefix-tail" and t <= k):
+        width = 1 << (k - 1 - (t - 1) % k)
+        return (bytes(width) + b"\1" * width) * (space // (2 * width))
+    if spec.kind == "generator":
+        g: GeneratorSpec = spec.param("generator")
+        if t > g.out_len:
+            raise ValueError("generator stream too short for this round")
+        return bytes(seed_stream(g, value)[t - 1] for value in range(space))
     filler = ((Action.H, Action.H),) * (t - 1)
-    return bytes(
-        act(spec, Seed.from_int(value, spec.seed_len), filler, t) is Action.H
-        for value in range(1 << spec.seed_len)
-    )
+    return bytes([act(spec, Seed.from_int(0, k), filler, t) is Action.H]) * space
 
 
 def split(

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from pennylab import (
     Action,
     Seed,
@@ -105,3 +107,38 @@ def reference_split(opponent, alive, history, t):
             action = act(opponent, seed, mirror(history), t)
         (heads if action is Action.H else tails).append(value)
     return heads, tails
+
+
+def reference_round_plays(spec, t):
+    """Seed-by-seed play table of an oblivious spec at round t: byte s is 1 iff seed s plays H.
+
+    The slow path `strategies.round_plays` is checked against: one `Seed` and
+    one `act` per seed, on a filler history an oblivious family never reads.
+    """
+    filler = ((Action.H, Action.H),) * (t - 1)
+    return bytes(
+        act(spec, Seed(int_to_bits(value, spec.seed_len)), filler, t) is Action.H
+        for value in range(1 << spec.seed_len)
+    )
+
+
+def reference_greedy_collect(opponent, n, deviator=1):
+    """Every `(t, p)` the majority walk visits, breadth-first, level by level.
+
+    The order-free reference for `exploiter.greedy_value`'s collector: each
+    level holds every node's history and seeds, partitioned by `reference_split`.
+    """
+    seen = []
+    level = [((), list(range(1 << opponent.seed_len)))]
+    for t in range(1, n + 1):
+        below = []
+        for history, alive in level:
+            heads, tails = reference_split(opponent, alive, history, t)
+            majority = Action.H if len(heads) >= len(tails) else Action.T
+            seen.append((t, Fraction(max(len(heads), len(tails)), len(alive))))
+            play = majority if deviator == 1 else majority.flip()
+            for branch, group in ((Action.H, heads), (Action.T, tails)):
+                if group:
+                    below.append((history + ((play, branch),), group))
+        level = below
+    return seen

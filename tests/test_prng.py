@@ -23,7 +23,15 @@ from pennylab import (
     register_permutation,
     uniform_table,
 )
-from pennylab.prng import bitstream, int_to_bits, parse_generator, permutation
+from pennylab.prng import (
+    PREDICTORS,
+    bitstream,
+    int_to_bits,
+    parse_generator,
+    permutation,
+    prediction_hits,
+    seed_stream,
+)
 
 from support import PREDICTOR_NAMES, generator_population, oblivious_population
 
@@ -84,6 +92,12 @@ def test_streams_are_deterministic_and_sized():
             assert len(stream) == 7, label
             assert bitstream(g, bits) == stream, label
             seen[bits] = stream
+
+
+def test_integer_seed_stream_matches_bitstream():
+    for label, g in generator_population(7):
+        for value in range(1 << g.seed_len):
+            assert seed_stream(g, value) == bitstream(g, int_to_bits(value, g.seed_len)), (label, value)
 
 
 def test_registry_rejects_non_bijections():
@@ -158,6 +172,27 @@ def test_sampled_mode_is_reproducible_and_reports_half_width():
     assert not a.exact
     assert a.half_width is not None and a.half_width >= 0
     assert abs(a.advantage - 0.5) <= 0.1
+
+
+def test_prediction_hits_calls_the_predictor_once_per_distinct_prefix():
+    calls = []
+    reference = PREDICTORS["markov1"]
+
+    def markov1(prefix):
+        calls.append(prefix)
+        return reference(prefix)
+
+    n = 4
+    streams = [int_to_bits(value, n) for value in range(1 << n)] * 2
+    hits = prediction_hits(markov1, streams, n)
+    # Every prefix of length 0..n-1 occurs, each asked about once.
+    assert sorted(calls) == sorted(int_to_bits(v, i) for i in range(n) for v in range(1 << i))
+    expected = [sum(reference(s[:i]) == s[i] for s in streams) for i in range(n)]
+    assert hits == expected
+    # Prefixes of 20 bits and more are not memoized, but still counted.
+    long_streams = [tuple((v >> (i % 3)) & 1 for i in range(23)) for v in range(8)]
+    expected = [sum(reference(s[:i]) == s[i] for s in long_streams) for i in range(23)]
+    assert prediction_hits(reference, long_streams, 23) == expected
 
 
 def test_exact_mode_enforces_cap():

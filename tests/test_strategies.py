@@ -25,9 +25,15 @@ from pennylab import (
     simulate,
     uniform_table,
 )
-from pennylab.strategies import as_seed, describe, parse_strategy, seed_space, split
+from pennylab.strategies import as_seed, describe, parse_strategy, round_plays, seed_space, split
 
-from support import adaptive_population, oblivious_population, reference_split
+from support import (
+    adaptive_population,
+    generator_population,
+    oblivious_population,
+    reference_round_plays,
+    reference_split,
+)
 
 H, T = Action.H, Action.T
 
@@ -130,6 +136,34 @@ def test_split_matches_seed_by_seed_reference(spec, data):
     for t in range(1, SPLIT_N + 1):
         prefix = tuple(history[: t - 1])
         assert split(spec, alive, prefix, t) == reference_split(spec, alive, prefix, t)
+
+
+# Above every seed length in the populations but passthrough's, so uniform
+# tables wrap around and prefix-tail specs reach their tails.
+TABLE_N = 8
+TABLE_POPULATION = (
+    oblivious_population(TABLE_N)
+    + [("gen-" + name, generator_backed(g)) for name, g in generator_population(TABLE_N)]
+    + [
+        ("uniform-7", uniform_table(7)),
+        ("prefix-tail-5-const-T", prefix_tail(5, "constant", T)),
+        ("prefix-tail-5-alt-T", prefix_tail(5, "alternator", T)),
+    ]
+)
+
+
+@pytest.mark.parametrize(
+    "spec", [spec for _, spec in TABLE_POPULATION], ids=[name for name, _ in TABLE_POPULATION]
+)
+def test_round_plays_matches_seed_by_seed_reference(spec):
+    for t in range(1, TABLE_N + 1):
+        assert round_plays(spec, t) == reference_round_plays(spec, t), t
+    if spec.kind == "generator":
+        with pytest.raises(ValueError, match="generator stream too short") as fast:
+            round_plays(spec, TABLE_N + 1)
+        with pytest.raises(ValueError) as slow:
+            reference_round_plays(spec, TABLE_N + 1)
+        assert str(fast.value) == str(slow.value)
 
 
 def test_simulate_examples():
