@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import os
 import random
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -273,9 +274,9 @@ def broken_counter(m: int, out_len: int) -> GeneratorSpec:
 def _bm_stream(perm: str, m: int, out_len: int, x: int, y: int) -> Bits:
     """One Blum-Micali stream for the seed (x, y).
 
-    The cache keeps 2**14 streams of out_len bits whatever the seed space; a
-    2**20-seed space (m = 10) overflows it, so there each compiled round
-    recomputes every stream.
+    The per-seed path: it serves `act`, simulation and sampled predictor
+    runs.  Compiled round tables come from `round_bits` and never call it.
+    The cache keeps at most 2**14 streams of out_len bits.
     """
     fn = permutation(perm, m)
     # One forward pass over the iterate chain, emitted in reverse: bit 1 uses
@@ -286,6 +287,57 @@ def _bm_stream(perm: str, m: int, out_len: int, x: int, y: int) -> Bits:
         cur = fn(cur)
         chain.append(cur)
     return tuple(_ip_int(chain[out_len - i], y) for i in range(1, out_len + 1))
+
+
+# Swaps the bytes 0 and 1: flips a table of bits.
+_FLIP = bytes.maketrans(b"\0\1", b"\1\0")
+
+
+@lru_cache(maxsize=4)
+def _ip_rows(m: int) -> tuple[bytes, ...]:
+    """Inner-product rows at width m: rows[c][y] = popcount(c & y) & 1.
+
+    Built by doubling: each step gives c and y a new top bit, which adds
+    their AND to the parity, so c's row is its row at the width below twice,
+    the second copy flipped when c's top bit is set.  2**(2m) bytes, 1 MiB at
+    m = 10.
+    """
+    rows = (b"\0",)
+    for _ in range(m):
+        rows = tuple(r + r for r in rows) + tuple(r + r.translate(_FLIP) for r in rows)
+    return rows
+
+
+@lru_cache(maxsize=4)
+def _bm_iterates(perm: str, m: int, out_len: int) -> tuple[array, ...]:
+    """Iterate rows of a Blum-Micali generator: iterates[j][x] = perm**(j+1)(x).
+
+    2**m permutation calls tabulate perm once; each further row indexes the
+    table with the one before.  4 * out_len * 2**m bytes, shared by every
+    caller through the cache, so read only.
+    """
+    fn = permutation(perm, m)
+    table = array("I", map(fn, range(1 << m)))
+    rows = [table]
+    for _ in range(out_len - 1):
+        rows.append(array("I", map(table.__getitem__, rows[-1])))
+    return tuple(rows)
+
+
+def round_bits(g: GeneratorSpec, t: int) -> bytes:
+    """Bit t of every seed's stream: byte v is seed_stream(g, v)[t - 1].
+
+    For Blum-Micali the seed is v = x << m | y and bit t is
+    ip(perm**(out_len-t+1)(x), y), so the table is one inner-product row per
+    x: no per-seed stream is computed.  Other families read each seed's
+    `seed_stream`.
+    """
+    if t > g.out_len:
+        raise ValueError("generator stream too short for this round")
+    if g.kind == "blum-micali-ip":
+        rows = _ip_rows(g.m)
+        return b"".join([rows[c] for c in _bm_iterates(g.perm, g.m, g.out_len)[g.out_len - t]])
+    return bytes(seed_stream(g, value)[t - 1] for value in range(1 << g.seed_len))
 
 
 def bitstream(g: GeneratorSpec, seed_bits: Union[str, Sequence[int]]) -> Bits:
@@ -453,7 +505,7 @@ def eval_next_bit_predictor(
     n = g.out_len
     if mode == "exact":
         space = check_seed_space(g.seed_len, cap)
-        streams = (seed_stream(g, value) for value in range(space))
+        streams = zip(*(round_bits(g, t) for t in range(1, n + 1)))
         hits = prediction_hits(fn, streams, n)
         per_position = tuple(Fraction(h, space) - Fraction(1, 2) for h in hits)
         advantage = max(abs(p) for p in per_position)

@@ -24,7 +24,7 @@ from .prng import (
     int_to_bits,
     parse_generator,
     parse_params,
-    seed_stream,
+    round_bits,
 )
 
 
@@ -279,7 +279,8 @@ def round_plays(spec: StrategySpec, t: int) -> bytes:
     - a round that reads seed bit i (every `uniform-table` round with a
       budget, `prefix-tail` rounds t <= prefix_len) is the periodic pattern
       of big-endian bit i: runs of 2**(k-1-i) zeros, then as many ones;
-    - a `generator` round reads bit t-1 of each seed's `prng.seed_stream`;
+    - a `generator` round is `prng.round_bits`, bit t of every seed's stream
+      (Blum-Micali from one iterate chain per x, with no per-seed stream);
     - every other round reads no seed bit, so one `act` serves all seeds.
 
     The cache holds at most 128 tables of 2**seed_len bytes each: 128 MiB at
@@ -291,10 +292,7 @@ def round_plays(spec: StrategySpec, t: int) -> bytes:
         width = 1 << (k - 1 - (t - 1) % k)
         return (bytes(width) + b"\1" * width) * (space // (2 * width))
     if spec.kind == "generator":
-        g: GeneratorSpec = spec.param("generator")
-        if t > g.out_len:
-            raise ValueError("generator stream too short for this round")
-        return bytes(seed_stream(g, value)[t - 1] for value in range(space))
+        return round_bits(spec.param("generator"), t)
     filler = ((Action.H, Action.H),) * (t - 1)
     return bytes([act(spec, Seed.from_int(0, k), filler, t) is Action.H]) * space
 

@@ -20,7 +20,7 @@ from pennylab import (
     prefix_tail,
     uniform_table,
 )
-from pennylab.prng import int_to_bits
+from pennylab.prng import check_seed_space, int_to_bits, prediction_hits, resolve_predictor, seed_stream
 from pennylab.strategies import mirror
 
 
@@ -86,6 +86,7 @@ def adaptive_population():
 
 
 PREDICTOR_NAMES = ("const0", "const1", "frequency", "markov1", "periodicity")
+PERMUTATION_NAMES = ("identity", "add1", "mulodd", "mulmod")
 
 
 def reference_split(opponent, alive, history, t):
@@ -142,3 +143,14 @@ def reference_greedy_collect(opponent, n, deviator=1):
                     below.append((history + ((play, branch),), group))
         level = below
     return seen
+
+
+def reference_prediction_hits(g, predictor):
+    """Exact per-position hit counts of `predictor` on `g`, one `seed_stream` per seed.
+
+    The per-seed path `prng.eval_next_bit_predictor`'s exact mode, which
+    reads compiled `round_bits` tables, is checked against.
+    """
+    space = check_seed_space(g.seed_len)
+    streams = (seed_stream(g, value) for value in range(space))
+    return prediction_hits(resolve_predictor(predictor), streams, g.out_len)

@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pennylab import (
     Action,
@@ -30,10 +32,17 @@ from pennylab.prng import (
     parse_generator,
     permutation,
     prediction_hits,
+    round_bits,
     seed_stream,
 )
 
-from support import PREDICTOR_NAMES, generator_population, oblivious_population
+from support import (
+    PERMUTATION_NAMES,
+    PREDICTOR_NAMES,
+    generator_population,
+    oblivious_population,
+    reference_prediction_hits,
+)
 
 H, T = Action.H, Action.T
 
@@ -98,6 +107,43 @@ def test_integer_seed_stream_matches_bitstream():
     for label, g in generator_population(7):
         for value in range(1 << g.seed_len):
             assert seed_stream(g, value) == bitstream(g, int_to_bits(value, g.seed_len)), (label, value)
+
+
+def _per_seed_round(g, t):
+    return bytes(seed_stream(g, value)[t - 1] for value in range(1 << g.seed_len))
+
+
+@pytest.mark.parametrize("perm", PERMUTATION_NAMES)
+def test_bm_round_bits_match_per_seed_streams(perm):
+    for m in range(1, 7):
+        for out_len in sorted({1, m, 2 * m + 3}):
+            g = blum_micali(perm, m, out_len)
+            for t in range(1, out_len + 1):
+                assert round_bits(g, t) == _per_seed_round(g, t), (m, out_len, t)
+            with pytest.raises(ValueError, match="generator stream too short"):
+                round_bits(g, out_len + 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(PERMUTATION_NAMES),
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=1, max_value=12),
+    st.data(),
+)
+def test_bm_round_bits_property(perm, m, out_len, data):
+    g = blum_micali(perm, m, out_len)
+    t = data.draw(st.integers(min_value=1, max_value=out_len))
+    assert round_bits(g, t) == _per_seed_round(g, t)
+
+
+@pytest.mark.parametrize("predictor", PREDICTOR_NAMES)
+def test_exact_predictor_matches_per_seed_streams(predictor):
+    for label, g in generator_population(9) + [("bm-mulmod-5", blum_micali("mulmod", 5, 11))]:
+        report = eval_next_bit_predictor(g, predictor)
+        hits = reference_prediction_hits(g, predictor)
+        space = 1 << g.seed_len
+        assert report.per_position == tuple(Fraction(h, space) - Fraction(1, 2) for h in hits), label
 
 
 def test_registry_rejects_non_bijections():

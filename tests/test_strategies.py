@@ -25,6 +25,7 @@ from pennylab import (
     simulate,
     uniform_table,
 )
+from pennylab.prng import _bm_stream, seed_stream
 from pennylab.strategies import as_seed, describe, parse_strategy, round_plays, seed_space, split
 
 from support import (
@@ -164,6 +165,18 @@ def test_round_plays_matches_seed_by_seed_reference(spec):
         with pytest.raises(ValueError) as slow:
             reference_round_plays(spec, TABLE_N + 1)
         assert str(fast.value) == str(slow.value)
+
+
+def test_compiled_bm_tables_compute_no_per_seed_stream():
+    n = 10
+    spec = parse_strategy("gen:bm,m=9", n)
+    before = _bm_stream.cache_info()
+    # Bypass round_plays' own cache so every table is really compiled.
+    tables = [round_plays.__wrapped__(spec, t) for t in range(1, n + 1)]
+    assert _bm_stream.cache_info() == before
+    g = spec.param("generator")
+    for value in (0, 1, 511, 512, 77_777, (1 << 18) - 1):
+        assert bytes(table[value] for table in tables) == bytes(seed_stream(g, value)), value
 
 
 def test_simulate_examples():
