@@ -1,13 +1,10 @@
 """Exact expected payoffs, best responses, and Nash-gap certification.
 
 Everything is computed by exhaustive seed enumeration with rational
-arithmetic; no sampling appears anywhere on a certification path.  Against an
-oblivious opponent the best response is the Bayes-greedy rule (track the
-posterior over opponent seeds and match the posterior-majority action each
-round), which is optimal because an oblivious opponent's future play is
-independent of the deviator's actions.  Against adaptive opponents a full
-alternating-move expectimax over histories is used instead, with the horizon
-capped at 14 rounds.
+arithmetic; no sampling appears anywhere on a certification path.  Every best
+response is the Bayes-greedy rule (track the posterior over opponent seeds and
+play against the posterior-majority action each round), computed by one walk
+over the consistent sets, `exploiter.greedy_value`.
 """
 
 from __future__ import annotations
@@ -16,12 +13,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .game import Action, round_weights, stage_payoff
+from .game import round_weights, stage_payoff
 from .prng import check_seed_space
-from .strategies import StrategySpec, round_plays, simulate, split
+from .strategies import StrategySpec, round_plays, simulate
 from . import exploiter
-
-TREE_HORIZON = 14
 
 
 @dataclass(frozen=True)
@@ -90,55 +85,6 @@ def exact_value(
     return sum((w * e for w, e in zip(round_weights(delta, n)[1:], payoffs)), Fraction(0))
 
 
-def _tree_best_response(
-    opponent: StrategySpec,
-    n: int,
-    deviator: int,
-    delta: Optional[Fraction],
-    cap: Optional[int],
-) -> Fraction:
-    """Expectimax over full histories; the opponent's seed is the only hidden state."""
-    if n > TREE_HORIZON:
-        raise ValueError("tree too large")
-    space = check_seed_space(opponent.seed_len, cap)
-    weights = None if delta is None else round_weights(delta, n)
-    memo: dict = {}
-    zero = Fraction(0)
-
-    def value(t: int, history: tuple, alive: list[int]) -> Fraction:
-        if t > n:
-            return zero
-        if opponent.oblivious:
-            # Our own actions never influence an oblivious opponent, so states
-            # collapse onto the observed opponent-action prefix.
-            key = tuple(b for _, b in history)
-        else:
-            key = history
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        heads, tails = split(opponent, alive, history, t)
-        best: Optional[Fraction] = None
-        for play in (Action.H, Action.T):
-            acc = zero
-            for branch, group in ((Action.H, heads), (Action.T, tails)):
-                if not group:
-                    continue
-                win = (play is branch) if deviator == 1 else (play is not branch)
-                step = Fraction(1) if win else Fraction(-1)
-                if weights is not None:
-                    step = weights[t] if win else -weights[t]
-                prob = Fraction(len(group), len(alive))
-                acc += prob * (step + value(t + 1, history + ((play, branch),), group))
-            if best is None or acc > best:
-                best = acc
-        memo[key] = best
-        return best
-
-    result = value(1, (), list(range(space)))
-    return result / n if delta is None else result
-
-
 def best_response_value(
     opponent: StrategySpec,
     n: int,
@@ -149,16 +95,18 @@ def best_response_value(
     """The deviator's exact optimum over all adaptive deviations against `opponent`.
 
     `opponent_player` names the seat the opponent occupies (1 or 2); the value
-    returned is from the other seat's perspective.  Oblivious opponents use the
-    Bayes-greedy computation (which coincides with the majority-elimination
-    strategy); adaptive opponents use game-tree recursion.
+    returned is from the other seat's perspective.  The value is the
+    Bayes-greedy walk over the opponent's consistent sets, which is optimal
+    against two kinds of opponent: an oblivious one, whose future play does
+    not depend on the deviator's actions, and one that reads no seed, which
+    is deterministic given the history, so its single consistent seed
+    predicts every round and the deviator wins them all.  Every adaptive
+    family `act` knows (`predictor`, `exploiter`) reads no seed; an adaptive
+    opponent that did would need an expectimax over histories instead.
     """
     if opponent_player not in (1, 2):
         raise ValueError("opponent seat must be 1 or 2")
-    deviator = 3 - opponent_player
-    if opponent.oblivious:
-        return exploiter.greedy_value(opponent, n, deviator=deviator, delta=delta, cap=cap)
-    return _tree_best_response(opponent, n, deviator, delta, cap)
+    return exploiter.greedy_value(opponent, n, deviator=3 - opponent_player, delta=delta, cap=cap)
 
 
 def certify_gap(

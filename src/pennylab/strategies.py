@@ -82,9 +82,10 @@ def as_seed(value: Union[Seed, str, Sequence[int], int], length: int) -> Seed:
 class StrategySpec:
     """A named, parameterized strategy with a declared seed length.
 
-    `oblivious` declares that the output ignores history entirely; the oracle
-    exploits the flag for fast best-response computation and the test suite
-    checks it exhaustively at small horizons.
+    `oblivious` declares that the output ignores history entirely; it selects
+    the compiled `round_plays` tables in `split` and the factorized path of
+    `oracle.round_payoffs`, and the test suite checks it exhaustively at small
+    horizons.
     """
 
     kind: str

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Optional
 
 from pennylab import (
     Action,
@@ -20,8 +21,9 @@ from pennylab import (
     prefix_tail,
     uniform_table,
 )
+from pennylab.game import round_weights
 from pennylab.prng import check_seed_space, int_to_bits, prediction_hits, resolve_predictor, seed_stream
-from pennylab.strategies import mirror
+from pennylab.strategies import mirror, split
 
 
 def opponents_with_budget(n: int, k: int):
@@ -154,3 +156,55 @@ def reference_prediction_hits(g, predictor):
     space = check_seed_space(g.seed_len)
     streams = (seed_stream(g, value) for value in range(space))
     return prediction_hits(resolve_predictor(predictor), streams, g.out_len)
+
+
+def reference_tree_best_response(
+    opponent,
+    n: int,
+    deviator: int,
+    delta: Optional[Fraction],
+    cap: Optional[int],
+) -> Fraction:
+    """Expectimax over full histories; the opponent's seed is the only hidden state.
+
+    The reference `oracle.best_response_value`'s consistent-set walk is
+    checked against: at every history it tries both plays, so it is optimal
+    against any opponent, not only oblivious or seedless ones.
+    """
+    space = check_seed_space(opponent.seed_len, cap)
+    weights = None if delta is None else round_weights(delta, n)
+    memo: dict = {}
+    zero = Fraction(0)
+
+    def value(t: int, history: tuple, alive: list[int]) -> Fraction:
+        if t > n:
+            return zero
+        if opponent.oblivious:
+            # Our own actions never influence an oblivious opponent, so states
+            # collapse onto the observed opponent-action prefix.
+            key = tuple(b for _, b in history)
+        else:
+            key = history
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
+        heads, tails = split(opponent, alive, history, t)
+        best: Optional[Fraction] = None
+        for play in (Action.H, Action.T):
+            acc = zero
+            for branch, group in ((Action.H, heads), (Action.T, tails)):
+                if not group:
+                    continue
+                win = (play is branch) if deviator == 1 else (play is not branch)
+                step = Fraction(1) if win else Fraction(-1)
+                if weights is not None:
+                    step = weights[t] if win else -weights[t]
+                prob = Fraction(len(group), len(alive))
+                acc += prob * (step + value(t + 1, history + ((play, branch),), group))
+            if best is None or acc > best:
+                best = acc
+        memo[key] = best
+        return best
+
+    result = value(1, (), list(range(space)))
+    return result / n if delta is None else result

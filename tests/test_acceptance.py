@@ -37,9 +37,8 @@ from pennylab import (
     eval_next_bit_predictor,
 )
 from pennylab.exploiter import expected_potential_step, greedy_value, guarantee
-from pennylab.oracle import _tree_best_response
 
-from support import generator_population, oblivious_population, opponents_with_budget
+from support import generator_population, oblivious_population, opponents_with_budget, reference_tree_best_response
 
 H, T = Action.H, Action.T
 
@@ -176,7 +175,7 @@ def test_criterion_6_oracle_self_consistency():
         for label, opponent in population:
             for deviator in (1, 2):
                 fast = greedy_value(opponent, n, deviator=deviator)
-                slow = _tree_best_response(opponent, n, deviator, None, None)
+                slow = reference_tree_best_response(opponent, n, deviator, None, None)
                 assert fast == slow, (label, deviator)
         for n_small in range(1, 9):
             assert best_response_value(uniform_table(n_small), n_small, opponent_player=2) == 0

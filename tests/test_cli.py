@@ -92,8 +92,11 @@ def test_empty_horizon_is_bad_input(capsys, args):
         (["sweep", "--n", "1500", "--k", "0"], "margin", "0/1"),
         (["verify-eq", "--n", "1500", "--p1", "const:H", "--p2", "alt:H"], "certified_epsilon", "1/1"),
         (["exploit", "--n", "1500", "--opponent", "pred:markov1"], "achieved", "1/1"),
+        (["verify-eq", "--n", "16", "--p1", "exploit:vs=uniform:6", "--p2", "uniform:6"], "certified_epsilon", "13/8"),
+        (["verify-eq", "--n", "15", "--p1", "pred:markov1", "--p2", "uniform:8"], "certified_epsilon", "2147/1920"),
+        (["verify-eq", "--n", "1500", "--p1", "pred:markov1", "--p2", "const:H"], "certified_epsilon", "2/1"),
     ],
-    ids=["exploit", "sweep", "verify-eq", "exploit-adaptive"],
+    ids=["exploit", "sweep", "verify-eq", "exploit-adaptive", "verify-eq-exploit", "verify-eq-predictor", "verify-eq-adaptive"],
 )
 def test_long_horizons_never_report_not_certified(tmp_path, args, field, value):
     status, blob = run_cli(args, tmp_path, "artifact")

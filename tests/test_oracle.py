@@ -23,9 +23,10 @@ from pennylab import (
 )
 from pennylab.exploiter import greedy_value
 from pennylab.game import cumulative_payoff, discounted_payoff, stage_payoff
-from pennylab.oracle import _tree_best_response, round_payoffs
+from pennylab.oracle import round_payoffs
+from pennylab.strategies import parse_strategy
 
-from support import adaptive_population, oblivious_population
+from support import PREDICTOR_NAMES, adaptive_population, oblivious_population, reference_tree_best_response
 
 H, T = Action.H, Action.T
 
@@ -96,7 +97,7 @@ def test_greedy_equals_tree_search_for_oblivious_opponents():
     for label, opponent in oblivious_population(n, max_bits=3):
         for deviator in (1, 2):
             fast = greedy_value(opponent, n, deviator=deviator)
-            slow = _tree_best_response(opponent, n, deviator, None, None)
+            slow = reference_tree_best_response(opponent, n, deviator, None, None)
             assert fast == slow, label
 
 
@@ -104,9 +105,25 @@ def test_tree_search_handles_adaptive_opponents():
     # Against the matcher-seated exploiter a deviator feeds it wrong
     # predictions; the optimum is a win every round.
     opponent = exploiter_vs(uniform_table(2))
-    assert _tree_best_response(opponent, 4, 2, None, None) == 1
-    with pytest.raises(ValueError, match="tree too large"):
-        best_response_value(opponent, 15, opponent_player=1)
+    assert reference_tree_best_response(opponent, 4, 2, None, None) == 1
+    assert best_response_value(opponent, 15, opponent_player=1) == 1
+
+
+def test_best_response_equals_tree_search_for_adaptive_opponents():
+    # Every adaptive family reads no seed, so the consistent-set walk wins
+    # every round; the expectimax over histories must agree, in both seats,
+    # plain and discounted.
+    for n in (1, 4, 8):
+        opponents = [spec for _, spec in adaptive_population()]
+        opponents += [predictor_backed(name, beat=beat) for name in PREDICTOR_NAMES for beat in (False, True)]
+        opponents.append(parse_strategy("exploit:vs=gen:bm,perm=mulmod,m=3", n))
+        opponents.append(parse_strategy("exploit:beat=1,vs=uniform:3", n))
+        for opponent in opponents:
+            for seat in (1, 2):
+                for delta in (None, Fraction(2, 3)):
+                    fast = best_response_value(opponent, n, opponent_player=seat, delta=delta)
+                    slow = reference_tree_best_response(opponent, n, 3 - seat, delta, None)
+                    assert fast == slow, (opponent, n, seat, delta)
 
 
 def test_exploiter_achieves_the_best_response_value():
