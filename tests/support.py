@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional
 
 from pennylab import (
     Action,
@@ -158,13 +157,7 @@ def reference_prediction_hits(g, predictor):
     return prediction_hits(resolve_predictor(predictor), streams, g.out_len)
 
 
-def reference_tree_best_response(
-    opponent,
-    n: int,
-    deviator: int,
-    delta: Optional[Fraction],
-    cap: Optional[int],
-) -> Fraction:
+def reference_tree_best_response(opponent, n, deviator, delta, cap):
     """Expectimax over full histories; the opponent's seed is the only hidden state.
 
     The reference `oracle.best_response_value`'s consistent-set walk is
@@ -173,10 +166,10 @@ def reference_tree_best_response(
     """
     space = check_seed_space(opponent.seed_len, cap)
     weights = None if delta is None else round_weights(delta, n)
-    memo: dict = {}
+    memo = {}
     zero = Fraction(0)
 
-    def value(t: int, history: tuple, alive: list[int]) -> Fraction:
+    def value(t, history, alive):
         if t > n:
             return zero
         if opponent.oblivious:
@@ -189,7 +182,7 @@ def reference_tree_best_response(
         if hit is not None:
             return hit
         heads, tails = split(opponent, alive, history, t)
-        best: Optional[Fraction] = None
+        best = None
         for play in (Action.H, Action.T):
             acc = zero
             for branch, group in ((Action.H, heads), (Action.T, tails)):
