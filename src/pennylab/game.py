@@ -35,10 +35,6 @@ def bit_to_action(bit: int) -> Action:
     return Action.H if bit else Action.T
 
 
-def action_to_bit(a: Action) -> int:
-    return 1 if a is Action.H else 0
-
-
 def as_fraction(x: RationalLike) -> Fraction:
     """Coerce ints, 'p/q' strings, or Fractions to an exact rational."""
     if isinstance(x, Fraction):

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .game import round_weights, stage_payoff
+from .game import Action, Transcript, round_weights
 from .prng import check_seed_space
-from .strategies import StrategySpec, round_plays, simulate
+from .strategies import Seed, StrategySpec, act, round_plays, split
 from . import exploiter
 
 
@@ -45,8 +45,9 @@ def round_payoffs(
 ) -> list[Fraction]:
     """Player 1's exact expected stage payoff E[h_t] for each round t = 1..n.
 
-    Uniform over both seed spaces.  Adaptive strategies are allowed: each seed
-    pair yields one deterministic transcript.
+    Uniform over both seed spaces.  Two oblivious seats factor through their
+    play tables; otherwise the adaptive seat (seat 1 if both are) acts once
+    per node of a depth-first walk over the other seat's consistent sets.
     """
     space1 = check_seed_space(s1.seed_len, cap)
     space2 = check_seed_space(s2.seed_len, cap)
@@ -58,13 +59,21 @@ def round_payoffs(
             * Fraction(2 * sum(round_plays(s2, t)) - space2, space2)
             for t in range(1, n + 1)
         ]
+    player, other, space = (s1, s2, space2) if not s1.oblivious else (s2, s1, space1)
     sums = [0] * n
-    for v1 in range(space1):
-        for v2 in range(space2):
-            for i, (a, b) in enumerate(simulate(s1, v1, s2, v2, n)):
-                sums[i] += stage_payoff(a, b)
-    pairs = space1 * space2
-    return [Fraction(total, pairs) for total in sums]
+    # Histories are in the player's view; `split` mirrors them for `other`.
+    stack: list[tuple[int, Transcript, list[int]]] = [(1, (), list(range(space)))] if n else []
+    while stack:
+        t, history, alive = stack.pop()
+        play = act(player, Seed(()), history, t)
+        heads, tails = split(other, alive, history, t)
+        # Seat 1 is paid on matches, so an H from either seat scores heads - tails.
+        sums[t - 1] += len(heads) - len(tails) if play is Action.H else len(tails) - len(heads)
+        if t < n:
+            for branch, group in ((Action.T, tails), (Action.H, heads)):
+                if group:
+                    stack.append((t + 1, history + ((play, branch),), group))
+    return [Fraction(total, space) for total in sums]
 
 
 def exact_value(
@@ -98,11 +107,9 @@ def best_response_value(
     returned is from the other seat's perspective.  The value is the
     Bayes-greedy walk over the opponent's consistent sets, which is optimal
     against two kinds of opponent: an oblivious one, whose future play does
-    not depend on the deviator's actions, and one that reads no seed, which
-    is deterministic given the history, so its single consistent seed
-    predicts every round and the deviator wins them all.  Every adaptive
-    family `act` knows (`predictor`, `exploiter`) reads no seed; an adaptive
-    opponent that did would need an expectimax over histories instead.
+    not depend on the deviator's actions, and an adaptive one, which reads no
+    seed (`StrategySpec` rejects any other), so its single consistent seed
+    predicts every round and the deviator wins them all.
     """
     if opponent_player not in (1, 2):
         raise ValueError("opponent seat must be 1 or 2")

@@ -94,8 +94,6 @@ def register_permutation(name: str, factory: Callable[[int], PermFn]) -> None:
 
 def _largest_prime_at_most(limit: int) -> int:
     for candidate in range(limit, 1, -1):
-        if candidate < 2:
-            break
         if all(candidate % d for d in range(2, int(math.isqrt(candidate)) + 1)):
             return candidate
     raise ValueError("no prime below limit")

@@ -85,13 +85,17 @@ class StrategySpec:
     `oblivious` declares that the output ignores history entirely; it selects
     the compiled `round_plays` tables in `split` and the factorized path of
     `oracle.round_payoffs`, and the test suite checks it exhaustively at small
-    horizons.
+    horizons.  An adaptive spec must read no seed (checked on construction).
     """
 
     kind: str
     params: tuple[tuple[str, Any], ...]
     seed_len: int
     oblivious: bool
+
+    def __post_init__(self) -> None:
+        if self.seed_len and not self.oblivious:
+            raise ValueError("adaptive strategies read no seed")
 
     def param(self, name: str) -> Any:
         for key, value in self.params:
@@ -304,22 +308,16 @@ def split(
     """Partition opponent seeds by the action each plays at round `t`: (H's, T's).
 
     The one consistent-set partition: every walk over opponent seeds asks here
-    what they play next.  Oblivious opponents read `round_plays`;
-    adaptive ones act on the mirror of `history`, the other seat's view of the
-    previous rounds.  Order within `alive` is kept.
+    what they play next.  Oblivious opponents read `round_plays`; adaptive
+    ones read no seed, so their one seed acts on the mirror of `history`,
+    the other seat's view of the previous rounds.  Order within `alive` is kept.
     """
     if opponent.oblivious:
         plays = round_plays(opponent, t)
         return [s for s in alive if plays[s]], [s for s in alive if not plays[s]]
-    view = mirror(history)
-    heads: list[int] = []
-    tails: list[int] = []
-    for s in alive:
-        if act(opponent, Seed.from_int(s, opponent.seed_len), view, t) is Action.H:
-            heads.append(s)
-        else:
-            tails.append(s)
-    return heads, tails
+    if alive and act(opponent, Seed(()), mirror(history), t) is Action.H:
+        return list(alive), []
+    return [], list(alive)
 
 
 def describe(spec: StrategySpec) -> str:

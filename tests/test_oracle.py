@@ -24,6 +24,7 @@ from pennylab import (
 from pennylab.exploiter import greedy_value
 from pennylab.game import cumulative_payoff, discounted_payoff, stage_payoff
 from pennylab.oracle import round_payoffs
+from pennylab.prng import PREDICTORS
 from pennylab.strategies import parse_strategy
 
 from support import PREDICTOR_NAMES, adaptive_population, oblivious_population, reference_tree_best_response
@@ -47,7 +48,8 @@ def test_exact_value_examples():
 def test_exact_value_oblivious_fast_path_matches_generic_path():
     # The marginal-product shortcut for oblivious pairs must agree with plain
     # seed-pair enumeration, round by round and summed, plain and discounted;
-    # the adaptive pair forces the generic path.
+    # the pairs with an adaptive seat (either seat, or both) check the
+    # consistent-set walk against the same enumeration.
     n = 5
     delta = Fraction(2, 3)
     g = blum_micali("add1", 2, n)
@@ -58,6 +60,11 @@ def test_exact_value_oblivious_fast_path_matches_generic_path():
         (generator_backed(g), uniform_table(3)),
         (generator_backed(g), prefix_tail(2, "alternator", H)),
         (generator_backed(g), predictor_backed("markov1")),
+        (uniform_table(3), predictor_backed("frequency", beat=True)),
+        (exploiter_vs(generator_backed(g)), generator_backed(g)),
+        (prefix_tail(2, "alternator", H), exploiter_vs(prefix_tail(2, "alternator", H), beat=True)),
+        (exploiter_vs(uniform_table(2)), alternator(T)),
+        (predictor_backed("markov1"), exploiter_vs(predictor_backed("markov1"), beat=True)),
     ]
     for s1, s2 in pairs:
         transcripts = [
@@ -71,6 +78,19 @@ def test_exact_value_oblivious_fast_path_matches_generic_path():
         assert exact_value(s1, s2, n, delta=delta) == discounted
         if s1.kind == "generator":
             assert per_round_payoffs(s2, g, n) == per_round
+
+
+def test_round_payoffs_acts_once_per_opponent_prefix(monkeypatch):
+    # uniform:4 over 6 rounds has 1 + 2 + 4 + 8 + 16 + 16 = 47 distinct
+    # prefixes; the adaptive seat predicts once at each, from either seat.
+    calls = []
+    markov1 = PREDICTORS["markov1"]
+    monkeypatch.setitem(PREDICTORS, "markov1", lambda prefix: calls.append(prefix) or markov1(prefix))
+    round_payoffs(predictor_backed("markov1"), uniform_table(4), 6)
+    assert len(calls) == 47
+    calls.clear()
+    round_payoffs(uniform_table(4), predictor_backed("markov1", beat=True), 6)
+    assert len(calls) == 47
 
 
 def test_best_response_examples():

@@ -26,7 +26,7 @@ from pennylab import (
     uniform_table,
 )
 from pennylab.prng import _bm_stream, seed_stream
-from pennylab.strategies import as_seed, describe, parse_strategy, round_plays, seed_space, split
+from pennylab.strategies import StrategySpec, as_seed, describe, parse_strategy, round_plays, seed_space, split
 
 from support import (
     adaptive_population,
@@ -74,6 +74,11 @@ def test_zero_bit_uniform_table_is_constant_h():
 def test_act_rejects_wrong_seed_length():
     with pytest.raises(ValueError, match="budget violation"):
         act(uniform_table(3), Seed("10"), (), 1)
+
+
+def test_adaptive_specs_read_no_seed():
+    with pytest.raises(ValueError, match="adaptive strategies read no seed"):
+        StrategySpec("predictor", (("predictor", "markov1"), ("beat", False)), 2, False)
 
 
 def test_act_rejects_history_round_mismatch():
