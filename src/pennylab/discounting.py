@@ -93,7 +93,6 @@ def certify_discounted_eq(
     p: DiscountParams,
     seed_len: Optional[int] = None,
     generator: Optional[GeneratorSpec] = None,
-    cap: Optional[int] = None,
 ) -> DiscountedCertificate:
     """Certify the profile (n-round prefix, then constant-H vs alternator tails).
 
@@ -117,7 +116,7 @@ def certify_discounted_eq(
         if generator.seed_len > n:
             raise ValueError("prefix budget exceeds the horizon")
         spec = generator_backed(generator)
-        report = certify_gap(spec, spec, n, delta=p.delta, cap=cap)
+        report = certify_gap(spec, spec, n, delta=p.delta)
         prefix_gap = report.certified_epsilon
     tail = tail_gain(p.delta, n)
     epsilon_prime = prefix_gap + tail

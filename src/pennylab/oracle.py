@@ -37,20 +37,17 @@ class GapReport:
     certified_epsilon: Fraction
 
 
-def round_payoffs(
-    s1: StrategySpec,
-    s2: StrategySpec,
-    n: int,
-    cap: Optional[int] = None,
-) -> list[Fraction]:
+def round_payoffs(s1: StrategySpec, s2: StrategySpec, n: int) -> list[Fraction]:
     """Player 1's exact expected stage payoff E[h_t] for each round t = 1..n.
 
     Uniform over both seed spaces.  Two oblivious seats factor through their
     play tables; otherwise the adaptive seat (seat 1 if both are) acts once
     per node of a depth-first walk over the other seat's consistent sets.
     """
-    space1 = check_seed_space(s1.seed_len, cap)
-    space2 = check_seed_space(s2.seed_len, cap)
+    if n < 1:
+        raise ValueError("horizon must be positive")
+    space1 = check_seed_space(s1.seed_len)
+    space2 = check_seed_space(s2.seed_len)
     if s1.oblivious and s2.oblivious:
         # Independent seeds: per-round expectations factor through the two
         # marginal H-frequencies, E[h_t] = (2*p1 - 1)(2*p2 - 1).
@@ -62,7 +59,7 @@ def round_payoffs(
     player, other, space = (s1, s2, space2) if not s1.oblivious else (s2, s1, space1)
     sums = [0] * n
     # Histories are in the player's view; `split` mirrors them for `other`.
-    stack: list[tuple[int, Transcript, list[int]]] = [(1, (), list(range(space)))] if n else []
+    stack: list[tuple[int, Transcript, list[int]]] = [(1, (), list(range(space)))]
     while stack:
         t, history, alive = stack.pop()
         play = act(player, Seed(()), history, t)
@@ -81,14 +78,13 @@ def exact_value(
     s2: StrategySpec,
     n: int,
     delta: Optional[Fraction] = None,
-    cap: Optional[int] = None,
 ) -> Fraction:
     """Player 1's exact expected payoff, uniform over both seed spaces.
 
     Returns the average payoff, or the discounted sum E[sum delta**t h_t] when
     `delta` is given; by linearity both are sums over `round_payoffs`.
     """
-    payoffs = round_payoffs(s1, s2, n, cap)
+    payoffs = round_payoffs(s1, s2, n)
     if delta is None:
         return sum(payoffs, Fraction(0)) / n
     return sum((w * e for w, e in zip(round_weights(delta, n)[1:], payoffs)), Fraction(0))
@@ -99,7 +95,6 @@ def best_response_value(
     n: int,
     opponent_player: int,
     delta: Optional[Fraction] = None,
-    cap: Optional[int] = None,
 ) -> Fraction:
     """The deviator's exact optimum over all adaptive deviations against `opponent`.
 
@@ -113,7 +108,7 @@ def best_response_value(
     """
     if opponent_player not in (1, 2):
         raise ValueError("opponent seat must be 1 or 2")
-    return exploiter.greedy_value(opponent, n, deviator=3 - opponent_player, delta=delta, cap=cap)
+    return exploiter.greedy_value(opponent, n, deviator=3 - opponent_player, delta=delta)
 
 
 def certify_gap(
@@ -121,12 +116,11 @@ def certify_gap(
     s2: StrategySpec,
     n: int,
     delta: Optional[Fraction] = None,
-    cap: Optional[int] = None,
 ) -> GapReport:
     """Exact deviation gaps for both players at the profile (s1, s2)."""
-    value = exact_value(s1, s2, n, delta=delta, cap=cap)
-    br1 = best_response_value(s2, n, opponent_player=2, delta=delta, cap=cap)
-    br2 = best_response_value(s1, n, opponent_player=1, delta=delta, cap=cap)
+    value = exact_value(s1, s2, n, delta=delta)
+    br1 = best_response_value(s2, n, opponent_player=2, delta=delta)
+    br2 = best_response_value(s1, n, opponent_player=1, delta=delta)
     gap_1 = br1 - value
     gap_2 = br2 - (-value)
     return GapReport(value, br1, br2, gap_1, gap_2, max(gap_1, gap_2))

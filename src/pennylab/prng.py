@@ -24,21 +24,15 @@ DEFAULT_CAP = 1 << 20
 MAX_PERM_WIDTH = 20
 
 
-def enumeration_cap(cap: Optional[int] = None) -> int:
-    """Active seed-space cap: 2**20, lowered (never raised) by PENNY_CAP or `cap`."""
-    limit = DEFAULT_CAP
-    env = os.environ.get("PENNY_CAP")
-    if env:
-        limit = min(limit, int(env))
-    if cap is not None:
-        limit = min(limit, cap)
-    return limit
+def check_seed_space(seed_len: int) -> int:
+    """Return 2**seed_len if it fits under the enumeration cap, else raise.
 
-
-def check_seed_space(seed_len: int, cap: Optional[int] = None) -> int:
-    """Return 2**seed_len if it fits under the enumeration cap, else raise."""
+    The cap is 2**20, lowered (never raised) by the PENNY_CAP environment
+    variable, which is read on every call.
+    """
     space = 1 << seed_len
-    if space > enumeration_cap(cap):
+    env = os.environ.get("PENNY_CAP")
+    if space > DEFAULT_CAP or (env and space > int(env)):
         raise ValueError("seed space too large")
     return space
 
@@ -175,6 +169,10 @@ class GeneratorSpec:
     m: int = 0
     perm: Optional[str] = None
 
+    def __post_init__(self) -> None:
+        if self.out_len < 1:
+            raise ValueError("output length must be positive")
+
     def describe(self) -> str:
         if self.kind == "blum-micali-ip":
             return f"bm,perm={self.perm},m={self.m}"
@@ -239,42 +237,38 @@ def blum_micali(perm: str, m: int, out_len: int) -> GeneratorSpec:
 
     The seed is the pair (x, y), each m bits wide.
     """
-    if out_len < 1:
-        raise ValueError("output length must be positive")
+    spec = GeneratorSpec("blum-micali-ip", out_len, seed_len=2 * m, m=m, perm=perm)
     permutation(perm, m)  # verify the bijection up front
-    return GeneratorSpec("blum-micali-ip", out_len, seed_len=2 * m, m=m, perm=perm)
+    return spec
 
 
 def passthrough(out_len: int) -> GeneratorSpec:
     """Degenerate control: the output is the seed itself."""
-    if out_len < 1:
-        raise ValueError("output length must be positive")
     return GeneratorSpec("uniform-passthrough", out_len, seed_len=out_len)
 
 
 def broken_repeat(out_len: int) -> GeneratorSpec:
     """Two seed bits repeated forever: bit i equals bit i-2 for every i >= 3."""
-    if out_len < 1:
-        raise ValueError("output length must be positive")
     return GeneratorSpec("broken-repeat", out_len, seed_len=2)
 
 
 def broken_counter(m: int, out_len: int) -> GeneratorSpec:
     """Successive m-bit counter words starting from the seed value."""
-    if out_len < 1:
-        raise ValueError("output length must be positive")
+    spec = GeneratorSpec("broken-counter", out_len, seed_len=m, m=m)
     if m < 1:
         raise ValueError("counter width must be positive")
-    return GeneratorSpec("broken-counter", out_len, seed_len=m, m=m)
+    return spec
 
 
-@lru_cache(maxsize=1 << 14)
+@lru_cache(maxsize=2)
 def _bm_stream(perm: str, m: int, out_len: int, x: int, y: int) -> Bits:
     """One Blum-Micali stream for the seed (x, y).
 
     The per-seed path: it serves `act`, simulation and sampled predictor
     runs.  Compiled round tables come from `round_bits` and never call it.
-    The cache keeps at most 2**14 streams of out_len bits.
+    The cache keeps two streams, one per seat: its only hits are repeated
+    reads of the same seed within one `simulate` or `play_match`, and sampled
+    runs draw fresh seeds that never hit.
     """
     fn = permutation(perm, m)
     # One forward pass over the iterate chain, emitted in reverse: bit 1 uses
@@ -350,7 +344,7 @@ def seed_stream(g: GeneratorSpec, value: int) -> Bits:
     """`bitstream` for the seed whose big-endian bits read `value`, in [0, 2**seed_len).
 
     Works on the integer directly: no seed bit tuple is built or re-parsed,
-    and Blum-Micali streams come straight from `_bm_stream`'s bounded cache.
+    and Blum-Micali streams come from `_bm_stream`, which keeps the last two.
     """
     if g.kind == "uniform-passthrough":
         return int_to_bits(value, g.out_len)
@@ -491,18 +485,17 @@ def eval_next_bit_predictor(
     mode: str = "exact",
     samples: int = 10_000,
     eval_seed: int = 0,
-    cap: Optional[int] = None,
 ) -> PredictorReport:
     """Per-position success of `predictor` on `g`'s output, exact or sampled.
 
-    Exact mode enumerates every seed (cap enforced).  Sampled mode draws seeds
-    from an explicit `eval_seed`-keyed stream and reports a 95% confidence
-    half-width for the best position's estimate.
+    Exact mode enumerates every seed, under the enumeration cap.  Sampled
+    mode draws seeds from an explicit `eval_seed`-keyed stream and reports a
+    95% confidence half-width for the best position's estimate.
     """
     fn = resolve_predictor(predictor)
     n = g.out_len
     if mode == "exact":
-        space = check_seed_space(g.seed_len, cap)
+        space = check_seed_space(g.seed_len)
         streams = zip(*(round_bits(g, t) for t in range(1, n + 1)))
         hits = prediction_hits(fn, streams, n)
         per_position = tuple(Fraction(h, space) - Fraction(1, 2) for h in hits)

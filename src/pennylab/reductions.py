@@ -18,12 +18,7 @@ from .prng import GeneratorSpec, PREDICTORS, check_seed_space, prediction_hits
 from .strategies import StrategySpec, generator_backed, round_plays
 
 
-def per_round_payoffs(
-    s: StrategySpec,
-    g: GeneratorSpec,
-    n: int,
-    cap: Optional[int] = None,
-) -> list[Fraction]:
+def per_round_payoffs(s: StrategySpec, g: GeneratorSpec, n: int) -> list[Fraction]:
     """Exact per-round payoffs E[A_i] of the generator-backed seat-1 player against s.
 
     A_i takes values in {-1, +1}; the equivalent {0, 1} win-indicator
@@ -32,17 +27,12 @@ def per_round_payoffs(
     """
     if g.out_len < n:
         raise ValueError("generator stream too short for this horizon")
-    return round_payoffs(generator_backed(g), s, n, cap)
+    return round_payoffs(generator_backed(g), s, n)
 
 
-def round_win_probabilities(
-    s: StrategySpec,
-    g: GeneratorSpec,
-    n: int,
-    cap: Optional[int] = None,
-) -> list[Fraction]:
+def round_win_probabilities(s: StrategySpec, g: GeneratorSpec, n: int) -> list[Fraction]:
     """Per-round probabilities that the generator-backed player wins: (E[A_i] + 1)/2."""
-    return [(e + 1) / 2 for e in per_round_payoffs(s, g, n, cap=cap)]
+    return [(e + 1) / 2 for e in per_round_payoffs(s, g, n)]
 
 
 def payoff_to_distinguisher(
@@ -50,7 +40,6 @@ def payoff_to_distinguisher(
     g: GeneratorSpec,
     n: int,
     delta: Optional[Fraction] = None,
-    cap: Optional[int] = None,
 ) -> tuple[int, Fraction]:
     """Best single-round distinguishing advantage of playing generator g against s.
 
@@ -62,27 +51,24 @@ def payoff_to_distinguisher(
 
     With `delta` set, each round's payoff is weighted delta**i first.
     """
-    per_round = per_round_payoffs(s, g, n, cap=cap)
+    per_round = per_round_payoffs(s, g, n)
     if delta is not None:
         per_round = [w * e for w, e in zip(round_weights(delta, n)[1:], per_round)]
     best = max(range(n), key=lambda i: (abs(per_round[i]), -i))
     return best + 1, abs(per_round[best]) / 2
 
 
-def predictor_accuracy(
-    predictor: str,
-    opponent: StrategySpec,
-    n: int,
-    cap: Optional[int] = None,
-) -> Fraction:
+def predictor_accuracy(predictor: str, opponent: StrategySpec, n: int) -> Fraction:
     """Exact per-round prediction accuracy of a predictor against an oblivious opponent.
 
     Averaged over the opponent's uniform seed and all n rounds.
     """
+    if n < 1:
+        raise ValueError("horizon must be positive")
     if not opponent.oblivious:
         raise ValueError("accuracy is defined against oblivious opponents")
     fn = PREDICTORS[predictor]
-    space = check_seed_space(opponent.seed_len, cap)
+    space = check_seed_space(opponent.seed_len)
     streams = zip(*(round_plays(opponent, t) for t in range(1, n + 1)))
     hits = prediction_hits(fn, streams, n)
     return Fraction(sum(hits), space * n)

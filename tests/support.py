@@ -157,14 +157,14 @@ def reference_prediction_hits(g, predictor):
     return prediction_hits(resolve_predictor(predictor), streams, g.out_len)
 
 
-def reference_tree_best_response(opponent, n, deviator, delta, cap):
+def reference_tree_best_response(opponent, n, deviator, delta):
     """Expectimax over full histories; the opponent's seed is the only hidden state.
 
     The reference `oracle.best_response_value`'s consistent-set walk is
     checked against: at every history it tries both plays, so it is optimal
     against any opponent, not only oblivious or seedless ones.
     """
-    space = check_seed_space(opponent.seed_len, cap)
+    space = check_seed_space(opponent.seed_len)
     weights = None if delta is None else round_weights(delta, n)
     memo = {}
     zero = Fraction(0)

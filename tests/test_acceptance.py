@@ -175,7 +175,7 @@ def test_criterion_6_oracle_self_consistency():
         for label, opponent in population:
             for deviator in (1, 2):
                 fast = greedy_value(opponent, n, deviator=deviator)
-                slow = reference_tree_best_response(opponent, n, deviator, None, None)
+                slow = reference_tree_best_response(opponent, n, deviator, None)
                 assert fast == slow, (label, deviator)
         for n_small in range(1, 9):
             assert best_response_value(uniform_table(n_small), n_small, opponent_player=2) == 0

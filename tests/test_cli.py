@@ -3,7 +3,6 @@
 import csv
 import hashlib
 import json
-import os
 
 import pytest
 
@@ -218,15 +217,20 @@ def test_missing_required_field_is_diagnosed():
         parse_config(["sweep", "--k", "0..2"])
 
 
-def test_penny_cap_env_rejects_large_spaces(tmp_path):
-    os.environ["PENNY_CAP"] = "16"
-    try:
-        status = main(
-            ["exploit", "--n", "6", "--opponent", "uniform:5", "--out", str(tmp_path / "x.csv")]
-        )
-        assert status == 2
-    finally:
-        del os.environ["PENNY_CAP"]
+def test_penny_cap_env_rejects_large_spaces(tmp_path, monkeypatch):
+    monkeypatch.setenv("PENNY_CAP", "16")
+    status = main(
+        ["exploit", "--n", "6", "--opponent", "uniform:5", "--out", str(tmp_path / "x.csv")]
+    )
+    assert status == 2
+
+
+def test_penny_cap_env_bounds_the_exploiter_seat(monkeypatch, capsys):
+    # The exploiter enumerates its model's seeds, so the cap covers it too.
+    monkeypatch.setenv("PENNY_CAP", "16")
+    assert main(["verify-eq", "--n", "4", "--p1", "exploit:vs=uniform:5", "--p2", "const:H"]) == 2
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record == {"error": "seed space too large", "type": "ValueError"}
 
 
 @pytest.mark.parametrize(

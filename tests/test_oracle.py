@@ -12,10 +12,13 @@ from pennylab import (
     certify_gap,
     constant,
     exact_value,
+    expected_average_payoff,
     exploiter_vs,
     generator_backed,
     make_gamma_equilibrium,
+    payoff_to_distinguisher,
     per_round_payoffs,
+    predictor_accuracy,
     predictor_backed,
     prefix_tail,
     simulate,
@@ -117,7 +120,7 @@ def test_greedy_equals_tree_search_for_oblivious_opponents():
     for label, opponent in oblivious_population(n, max_bits=3):
         for deviator in (1, 2):
             fast = greedy_value(opponent, n, deviator=deviator)
-            slow = reference_tree_best_response(opponent, n, deviator, None, None)
+            slow = reference_tree_best_response(opponent, n, deviator, None)
             assert fast == slow, label
 
 
@@ -125,7 +128,7 @@ def test_tree_search_handles_adaptive_opponents():
     # Against the matcher-seated exploiter a deviator feeds it wrong
     # predictions; the optimum is a win every round.
     opponent = exploiter_vs(uniform_table(2))
-    assert reference_tree_best_response(opponent, 4, 2, None, None) == 1
+    assert reference_tree_best_response(opponent, 4, 2, None) == 1
     assert best_response_value(opponent, 15, opponent_player=1) == 1
 
 
@@ -142,7 +145,7 @@ def test_best_response_equals_tree_search_for_adaptive_opponents():
             for seat in (1, 2):
                 for delta in (None, Fraction(2, 3)):
                     fast = best_response_value(opponent, n, opponent_player=seat, delta=delta)
-                    slow = reference_tree_best_response(opponent, n, 3 - seat, delta, None)
+                    slow = reference_tree_best_response(opponent, n, 3 - seat, delta)
                     assert fast == slow, (opponent, n, seat, delta)
 
 
@@ -205,3 +208,32 @@ def test_seed_space_cap_enforced():
         exact_value(uniform_table(25), constant(H), 4)
     with pytest.raises(ValueError, match="seed space too large"):
         best_response_value(uniform_table(25), 4, opponent_player=2)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda n: round_payoffs(uniform_table(2), uniform_table(2), n),
+        lambda n: exact_value(uniform_table(2), uniform_table(2), n),
+        lambda n: best_response_value(uniform_table(2), n, opponent_player=2),
+        lambda n: certify_gap(uniform_table(2), uniform_table(2), n),
+        lambda n: greedy_value(uniform_table(2), n),
+        lambda n: expected_average_payoff(uniform_table(2), n),
+        lambda n: payoff_to_distinguisher(uniform_table(2), blum_micali("add1", 2, 4), n),
+        lambda n: predictor_accuracy("markov1", uniform_table(2), n),
+    ],
+    ids=[
+        "round_payoffs",
+        "exact_value",
+        "best_response_value",
+        "certify_gap",
+        "greedy_value",
+        "expected_average_payoff",
+        "payoff_to_distinguisher",
+        "predictor_accuracy",
+    ],
+)
+def test_nonpositive_horizons_are_rejected(entry, n):
+    with pytest.raises(ValueError, match="horizon must be positive"):
+        entry(n)

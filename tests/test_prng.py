@@ -27,6 +27,7 @@ from pennylab import (
 )
 from pennylab.prng import (
     PREDICTORS,
+    _bm_stream,
     bitstream,
     int_to_bits,
     parse_generator,
@@ -241,9 +242,30 @@ def test_prediction_hits_calls_the_predictor_once_per_distinct_prefix():
     assert prediction_hits(reference, long_streams, 23) == expected
 
 
-def test_exact_mode_enforces_cap():
+def test_exact_mode_enforces_cap(monkeypatch):
+    monkeypatch.setenv("PENNY_CAP", "16")
     with pytest.raises(ValueError, match="seed space too large"):
-        eval_next_bit_predictor(passthrough(8), "const1", cap=16)
+        eval_next_bit_predictor(passthrough(8), "const1")
+
+
+def test_sampled_mode_keeps_no_streams_beyond_two():
+    eval_next_bit_predictor(blum_micali("mulmod", 6, 40), "const1", mode="sampled", samples=500)
+    assert _bm_stream.cache_info().currsize <= 2
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: blum_micali("mulmod", 3, 0),
+        lambda: passthrough(0),
+        lambda: broken_repeat(0),
+        lambda: broken_counter(3, 0),
+    ],
+    ids=["bm", "passthrough", "repeat", "counter"],
+)
+def test_generators_reject_empty_output(build):
+    with pytest.raises(ValueError, match="output length must be positive"):
+        build()
 
 
 def test_distinguisher_is_zero_for_passthrough():
