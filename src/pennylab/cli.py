@@ -303,7 +303,7 @@ REQUIRED = object()
 
 
 def _default_rounds(values: dict) -> int:
-    return min_rounds(DiscountParams.of(values["delta"], values["epsilon"]))
+    return max(1, min_rounds(DiscountParams.of(values["delta"], values["epsilon"])))
 
 
 class Command(NamedTuple):

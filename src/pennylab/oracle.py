@@ -93,22 +93,19 @@ def exact_value(
 def best_response_value(
     opponent: StrategySpec,
     n: int,
-    opponent_player: int,
+    *,
     delta: Optional[Fraction] = None,
 ) -> Fraction:
-    """The deviator's exact optimum over all adaptive deviations against `opponent`.
+    """The exact optimum over all adaptive deviations against `opponent`, from either seat.
 
-    `opponent_player` names the seat the opponent occupies (1 or 2); the value
-    returned is from the other seat's perspective.  The value is the
-    Bayes-greedy walk over the opponent's consistent sets, which is optimal
-    against two kinds of opponent: an oblivious one, whose future play does
-    not depend on the deviator's actions, and an adaptive one, which reads no
-    seed (`StrategySpec` rejects any other), so its single consistent seed
-    predicts every round and the deviator wins them all.
+    It is the Bayes-greedy walk over the opponent's consistent sets, optimal
+    against an oblivious opponent, whose future play does not depend on the
+    deviation, and against an adaptive one, which reads no seed
+    (`StrategySpec` rejects any other) and so loses every round.  Either seat
+    wins a round on exactly the seeds that play the posterior-majority
+    action, the matcher by copying it and the mismatcher by flipping it.
     """
-    if opponent_player not in (1, 2):
-        raise ValueError("opponent seat must be 1 or 2")
-    return exploiter.greedy_value(opponent, n, deviator=3 - opponent_player, delta=delta)
+    return exploiter.greedy_value(opponent, n, delta=delta)
 
 
 def certify_gap(
@@ -119,8 +116,8 @@ def certify_gap(
 ) -> GapReport:
     """Exact deviation gaps for both players at the profile (s1, s2)."""
     value = exact_value(s1, s2, n, delta=delta)
-    br1 = best_response_value(s2, n, opponent_player=2, delta=delta)
-    br2 = best_response_value(s1, n, opponent_player=1, delta=delta)
+    br1 = best_response_value(s2, n, delta=delta)
+    br2 = best_response_value(s1, n, delta=delta)
     gap_1 = br1 - value
     gap_2 = br2 - (-value)
     return GapReport(value, br1, br2, gap_1, gap_2, max(gap_1, gap_2))

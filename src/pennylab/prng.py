@@ -316,20 +316,30 @@ def _bm_iterates(perm: str, m: int, out_len: int) -> tuple[array, ...]:
     return tuple(rows)
 
 
-def round_bits(g: GeneratorSpec, t: int) -> bytes:
-    """Bit t of every seed's stream: byte v is seed_stream(g, v)[t - 1].
+def seed_bit_column(k: int, i: int) -> bytes:
+    """Byte v is big-endian bit i of the k-bit seed v: runs of 2**(k-1-i) zeros, then as many ones."""
+    width = 1 << (k - 1 - i)
+    return (bytes(width) + b"\1" * width) * (1 << i)
 
-    For Blum-Micali the seed is v = x << m | y and bit t is
-    ip(perm**(out_len-t+1)(x), y), so the table is one inner-product row per
-    x: no per-seed stream is computed.  Other families read each seed's
-    `seed_stream`.
+
+def round_bits(g: GeneratorSpec, t: int) -> bytes:
+    """Bit t of every seed's stream, byte v is seed_stream(g, v)[t - 1], with no per-seed stream.
+
+    Blum-Micali's seed is v = x << m | y and bit t is
+    ip(perm**(out_len-t+1)(x), y): one inner-product row per x.  In any other
+    family bit t is seed bit (t-1) mod seed_len, of the seed plus (t-1)//m for
+    a counter, whose column is therefore rotated left by that offset.
     """
     if t > g.out_len:
         raise ValueError("generator stream too short for this round")
     if g.kind == "blum-micali-ip":
         rows = _ip_rows(g.m)
         return b"".join([rows[c] for c in _bm_iterates(g.perm, g.m, g.out_len)[g.out_len - t]])
-    return bytes(seed_stream(g, value)[t - 1] for value in range(1 << g.seed_len))
+    column = seed_bit_column(g.seed_len, (t - 1) % g.seed_len)
+    if g.kind == "broken-counter":
+        offset = (t - 1) // g.m % len(column)
+        return column[offset:] + column[:offset]
+    return column
 
 
 def bitstream(g: GeneratorSpec, seed_bits: Union[str, Sequence[int]]) -> Bits:

@@ -14,7 +14,7 @@ from typing import Optional
 
 from .game import round_weights
 from .oracle import round_payoffs
-from .prng import GeneratorSpec, PREDICTORS, check_seed_space, prediction_hits
+from .prng import GeneratorSpec, check_seed_space, prediction_hits, resolve_predictor
 from .strategies import StrategySpec, generator_backed, round_plays
 
 
@@ -67,7 +67,7 @@ def predictor_accuracy(predictor: str, opponent: StrategySpec, n: int) -> Fracti
         raise ValueError("horizon must be positive")
     if not opponent.oblivious:
         raise ValueError("accuracy is defined against oblivious opponents")
-    fn = PREDICTORS[predictor]
+    fn = resolve_predictor(predictor)
     space = check_seed_space(opponent.seed_len)
     streams = zip(*(round_plays(opponent, t) for t in range(1, n + 1)))
     hits = prediction_hits(fn, streams, n)

@@ -25,6 +25,7 @@ from .prng import (
     parse_generator,
     parse_params,
     round_bits,
+    seed_bit_column,
 )
 
 
@@ -82,16 +83,19 @@ def as_seed(value: Union[Seed, str, Sequence[int], int], length: int) -> Seed:
 class StrategySpec:
     """A named, parameterized strategy with a declared seed length.
 
-    `oblivious` declares that the output ignores history entirely; it selects
-    the compiled `round_plays` tables in `split` and the factorized path of
-    `oracle.round_payoffs`, and the test suite checks it exhaustively at small
-    horizons.  An adaptive spec must read no seed (checked on construction).
+    `oblivious` (every kind but `predictor` and `exploiter`) says the output
+    ignores history; it selects the compiled `round_plays` tables in `split`
+    and the factorized path of `oracle.round_payoffs`.  An adaptive spec must
+    read no seed (checked on construction).
     """
 
     kind: str
     params: tuple[tuple[str, Any], ...]
     seed_len: int
-    oblivious: bool
+
+    @property
+    def oblivious(self) -> bool:
+        return self.kind not in ("predictor", "exploiter")
 
     def __post_init__(self) -> None:
         if self.seed_len and not self.oblivious:
@@ -116,16 +120,16 @@ def uniform_table(seed_len: int) -> StrategySpec:
     """
     if seed_len < 0:
         raise ValueError("seed length must be non-negative")
-    return StrategySpec("uniform-table", (), seed_len, True)
+    return StrategySpec("uniform-table", (), seed_len)
 
 
 def constant(play: Action) -> StrategySpec:
-    return StrategySpec("constant", (("play", play),), 0, True)
+    return StrategySpec("constant", (("play", play),), 0)
 
 
 def alternator(first: Action = Action.H) -> StrategySpec:
     """Alternate between the two actions, starting with `first` at round 1."""
-    return StrategySpec("alternator", (("first", first),), 0, True)
+    return StrategySpec("alternator", (("first", first),), 0)
 
 
 def prefix_tail(prefix_len: int, tail_kind: str, tail_start: Action = Action.H) -> StrategySpec:
@@ -139,12 +143,12 @@ def prefix_tail(prefix_len: int, tail_kind: str, tail_start: Action = Action.H) 
     if tail_kind not in ("constant", "alternator"):
         raise ValueError(f"unknown tail kind: {tail_kind!r}")
     params = (("prefix_len", prefix_len), ("tail_kind", tail_kind), ("tail_start", tail_start))
-    return StrategySpec("prefix-tail", params, prefix_len, True)
+    return StrategySpec("prefix-tail", params, prefix_len)
 
 
 def generator_backed(g: GeneratorSpec) -> StrategySpec:
     """Play the generator's output stream as actions (bit 1 is H)."""
-    return StrategySpec("generator", (("generator", g),), g.seed_len, True)
+    return StrategySpec("generator", (("generator", g),), g.seed_len)
 
 
 def predictor_backed(name: str, beat: bool = False) -> StrategySpec:
@@ -155,7 +159,7 @@ def predictor_backed(name: str, beat: bool = False) -> StrategySpec:
     """
     if name not in PREDICTORS:
         raise ValueError(f"unknown predictor: {name!r}")
-    return StrategySpec("predictor", (("predictor", name), ("beat", beat)), 0, False)
+    return StrategySpec("predictor", (("predictor", name), ("beat", beat)), 0)
 
 
 def exploiter_vs(opponent: StrategySpec, beat: bool = False) -> StrategySpec:
@@ -165,7 +169,7 @@ def exploiter_vs(opponent: StrategySpec, beat: bool = False) -> StrategySpec:
     discards seeds contradicted by observation.  beat=False matches the
     prediction (seat 1), beat=True plays its flip (seat 2).
     """
-    return StrategySpec("exploiter", (("opponent", opponent), ("beat", beat)), 0, False)
+    return StrategySpec("exploiter", (("opponent", opponent), ("beat", beat)), 0)
 
 
 def make_gamma_equilibrium(n: int, gamma: RationalLike) -> tuple[StrategySpec, StrategySpec]:
@@ -282,24 +286,20 @@ def round_plays(spec: StrategySpec, t: int) -> bytes:
     seed integer, with no `Seed` per seed:
 
     - a round that reads seed bit i (every `uniform-table` round with a
-      budget, `prefix-tail` rounds t <= prefix_len) is the periodic pattern
-      of big-endian bit i: runs of 2**(k-1-i) zeros, then as many ones;
-    - a `generator` round is `prng.round_bits`, bit t of every seed's stream
-      (Blum-Micali from one iterate chain per x, with no per-seed stream);
+      budget, `prefix-tail` rounds t <= prefix_len) is `prng.seed_bit_column`;
+    - a `generator` round is `prng.round_bits`, with no per-seed stream;
     - every other round reads no seed bit, so one `act` serves all seeds.
 
     The cache holds at most 128 tables of 2**seed_len bytes each: 128 MiB at
     the 2**20 enumeration cap.
     """
     k = spec.seed_len
-    space = 1 << k
     if (spec.kind == "uniform-table" and k) or (spec.kind == "prefix-tail" and t <= k):
-        width = 1 << (k - 1 - (t - 1) % k)
-        return (bytes(width) + b"\1" * width) * (space // (2 * width))
+        return seed_bit_column(k, (t - 1) % k)
     if spec.kind == "generator":
         return round_bits(spec.param("generator"), t)
     filler = ((Action.H, Action.H),) * (t - 1)
-    return bytes([act(spec, Seed.from_int(0, k), filler, t) is Action.H]) * space
+    return bytes([act(spec, Seed.from_int(0, k), filler, t) is Action.H]) * (1 << k)
 
 
 def split(

@@ -173,12 +173,12 @@ def test_criterion_6_oracle_self_consistency():
         population = oblivious_population(n, max_bits=4)
         population.append(("uniform-8", uniform_table(8)))
         for label, opponent in population:
+            fast = greedy_value(opponent, n)
             for deviator in (1, 2):
-                fast = greedy_value(opponent, n, deviator=deviator)
                 slow = reference_tree_best_response(opponent, n, deviator, None)
                 assert fast == slow, (label, deviator)
         for n_small in range(1, 9):
-            assert best_response_value(uniform_table(n_small), n_small, opponent_player=2) == 0
+            assert best_response_value(uniform_table(n_small), n_small) == 0
 
 
 def test_criterion_7_discounted_thresholds():

@@ -191,6 +191,14 @@ def test_discounted_exit_status_tracks_certification(tmp_path):
     assert json.loads(blob)["certified"] is False
 
 
+def test_discounted_default_horizon_is_at_least_one(tmp_path):
+    # delta 1/2 makes the threshold 0: round 1's tail gain 1 is already below 3.
+    status, blob = run_cli(["discounted", "--delta", "1/2", "--epsilon", "3"], tmp_path, "d0.json")
+    record = json.loads(blob)
+    assert status == 0
+    assert (record["n"], record["min_rounds"], record["certified"]) == (1, 0, True)
+
+
 def test_sweep_artifact_margins(tmp_path):
     status, blob = run_cli(["sweep", "--n", "10", "--k", "0..4"], tmp_path, "sweep.csv")
     assert status == 0

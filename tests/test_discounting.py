@@ -88,7 +88,7 @@ def test_uniform_prefix_gap_is_zero_even_when_measured():
     delta = Fraction(1, 2)
     spec = uniform_table(5)
     assert exact_value(spec, spec, 5, delta=delta) == 0
-    assert best_response_value(spec, 5, opponent_player=2, delta=delta) == 0
+    assert best_response_value(spec, 5, delta=delta) == 0
 
 
 def test_generator_prefix_certificate_hand_computed():

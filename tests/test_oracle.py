@@ -24,7 +24,7 @@ from pennylab import (
     simulate,
     uniform_table,
 )
-from pennylab.exploiter import greedy_value
+from pennylab.exploiter import greedy_value, guarantee
 from pennylab.game import cumulative_payoff, discounted_payoff, stage_payoff
 from pennylab.oracle import round_payoffs
 from pennylab.prng import PREDICTORS
@@ -97,10 +97,10 @@ def test_round_payoffs_acts_once_per_opponent_prefix(monkeypatch):
 
 
 def test_best_response_examples():
-    assert best_response_value(uniform_table(6), 6, opponent_player=2) == 0
+    assert best_response_value(uniform_table(6), 6) == 0
     _, p2 = make_gamma_equilibrium(8, Fraction(1, 2))
-    assert best_response_value(p2, 8, opponent_player=2) == Fraction(1, 2)
-    assert best_response_value(uniform_table(3), 6, opponent_player=2) == Fraction(1, 2)
+    assert best_response_value(p2, 8) == Fraction(1, 2)
+    assert best_response_value(uniform_table(3), 6) == Fraction(1, 2)
 
 
 def test_best_response_dominates_every_population_strategy():
@@ -110,18 +110,20 @@ def test_best_response_dominates_every_population_strategy():
         opponents = [spec for _, spec in oblivious_population(n, max_bits=3)]
         challengers = opponents + [spec for _, spec in adaptive_population()]
         for opponent in opponents:
-            br = best_response_value(opponent, n, opponent_player=2)
+            br = best_response_value(opponent, n)
             for challenger in challengers:
                 assert br >= exact_value(challenger, opponent, n)
 
 
 def test_greedy_equals_tree_search_for_oblivious_opponents():
+    # The walk takes no seat: its one value is the tree's optimum from both.
     n = 6
     for label, opponent in oblivious_population(n, max_bits=3):
-        for deviator in (1, 2):
-            fast = greedy_value(opponent, n, deviator=deviator)
-            slow = reference_tree_best_response(opponent, n, deviator, None)
-            assert fast == slow, label
+        for delta in (None, Fraction(2, 3)):
+            fast = greedy_value(opponent, n, delta=delta)
+            for deviator in (1, 2):
+                slow = reference_tree_best_response(opponent, n, deviator, delta)
+                assert fast == slow, (label, deviator, delta)
 
 
 def test_tree_search_handles_adaptive_opponents():
@@ -129,7 +131,7 @@ def test_tree_search_handles_adaptive_opponents():
     # predictions; the optimum is a win every round.
     opponent = exploiter_vs(uniform_table(2))
     assert reference_tree_best_response(opponent, 4, 2, None) == 1
-    assert best_response_value(opponent, 15, opponent_player=1) == 1
+    assert best_response_value(opponent, 15) == 1
 
 
 def test_best_response_equals_tree_search_for_adaptive_opponents():
@@ -142,17 +144,17 @@ def test_best_response_equals_tree_search_for_adaptive_opponents():
         opponents.append(parse_strategy("exploit:vs=gen:bm,perm=mulmod,m=3", n))
         opponents.append(parse_strategy("exploit:beat=1,vs=uniform:3", n))
         for opponent in opponents:
-            for seat in (1, 2):
-                for delta in (None, Fraction(2, 3)):
-                    fast = best_response_value(opponent, n, opponent_player=seat, delta=delta)
-                    slow = reference_tree_best_response(opponent, n, 3 - seat, delta)
-                    assert fast == slow, (opponent, n, seat, delta)
+            for delta in (None, Fraction(2, 3)):
+                fast = best_response_value(opponent, n, delta=delta)
+                for deviator in (1, 2):
+                    slow = reference_tree_best_response(opponent, n, deviator, delta)
+                    assert fast == slow, (opponent, n, deviator, delta)
 
 
 def test_exploiter_achieves_the_best_response_value():
     n = 6
     for label, opponent in oblivious_population(n, max_bits=3):
-        br = best_response_value(opponent, n, opponent_player=2)
+        br = best_response_value(opponent, n)
         achieved = exact_value(exploiter_vs(opponent), opponent, n)
         assert achieved == br, label
 
@@ -207,7 +209,7 @@ def test_seed_space_cap_enforced():
     with pytest.raises(ValueError, match="seed space too large"):
         exact_value(uniform_table(25), constant(H), 4)
     with pytest.raises(ValueError, match="seed space too large"):
-        best_response_value(uniform_table(25), 4, opponent_player=2)
+        best_response_value(uniform_table(25), 4)
 
 
 @pytest.mark.parametrize("n", [0, -1])
@@ -216,12 +218,13 @@ def test_seed_space_cap_enforced():
     [
         lambda n: round_payoffs(uniform_table(2), uniform_table(2), n),
         lambda n: exact_value(uniform_table(2), uniform_table(2), n),
-        lambda n: best_response_value(uniform_table(2), n, opponent_player=2),
+        lambda n: best_response_value(uniform_table(2), n),
         lambda n: certify_gap(uniform_table(2), uniform_table(2), n),
         lambda n: greedy_value(uniform_table(2), n),
         lambda n: expected_average_payoff(uniform_table(2), n),
         lambda n: payoff_to_distinguisher(uniform_table(2), blum_micali("add1", 2, 4), n),
         lambda n: predictor_accuracy("markov1", uniform_table(2), n),
+        lambda n: guarantee(n, 0),
     ],
     ids=[
         "round_payoffs",
@@ -232,6 +235,7 @@ def test_seed_space_cap_enforced():
         "expected_average_payoff",
         "payoff_to_distinguisher",
         "predictor_accuracy",
+        "guarantee",
     ],
 )
 def test_nonpositive_horizons_are_rejected(entry, n):

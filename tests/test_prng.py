@@ -25,6 +25,7 @@ from pennylab import (
     register_permutation,
     uniform_table,
 )
+from pennylab import prng
 from pennylab.prng import (
     PREDICTORS,
     _bm_stream,
@@ -136,6 +137,31 @@ def test_bm_round_bits_property(perm, m, out_len, data):
     g = blum_micali(perm, m, out_len)
     t = data.draw(st.integers(min_value=1, max_value=out_len))
     assert round_bits(g, t) == _per_seed_round(g, t)
+
+
+def _seed_bit_generators():
+    # Every family but Blum-Micali; a counter of out_len 40 wraps for m <= 5.
+    yield from (passthrough(n) for n in range(1, 11))
+    yield from (broken_repeat(n) for n in (1, 2, 7))
+    for m in range(1, 7):
+        yield from (broken_counter(m, out_len) for out_len in sorted({1, m, 3 * m + 1, 40}))
+
+
+def test_seed_bit_round_bits_match_per_seed_streams():
+    for g in _seed_bit_generators():
+        for t in range(1, g.out_len + 1):
+            assert round_bits(g, t) == _per_seed_round(g, t), (g, t)
+        with pytest.raises(ValueError, match="generator stream too short"):
+            round_bits(g, g.out_len + 1)
+
+
+def test_seed_bit_round_bits_compute_no_per_seed_stream(monkeypatch):
+    calls = []
+    monkeypatch.setattr(prng, "seed_stream", lambda g, value: calls.append(value))
+    for g in _seed_bit_generators():
+        for t in range(1, g.out_len + 1):
+            round_bits(g, t)
+    assert calls == []
 
 
 @pytest.mark.parametrize("predictor", PREDICTOR_NAMES)
@@ -279,8 +305,7 @@ def test_passthrough_is_exactly_unexploitable():
 
     for n in (4, 6, 8):
         opponent = generator_backed(passthrough(n))
-        assert best_response_value(opponent, n, opponent_player=2) == 0
-        assert best_response_value(opponent, n, opponent_player=1) == 0
+        assert best_response_value(opponent, n) == 0
 
 
 def test_distinguisher_finds_deterministic_round():
@@ -324,6 +349,11 @@ def test_perfect_and_chance_predictor_payoffs():
     for name in PREDICTOR_NAMES:
         assert predictor_accuracy(name, uniform_table(6), 6) == Fraction(1, 2)
         assert exact_value(predictor_backed(name), uniform_table(6), 6) == 0
+
+
+def test_predictor_accuracy_rejects_unknown_names():
+    with pytest.raises(ValueError, match="unknown predictor: 'bogus'"):
+        predictor_accuracy("bogus", uniform_table(2), 3)
 
 
 def test_frequency_wins_every_affected_round_against_repeat():

@@ -78,7 +78,7 @@ def test_act_rejects_wrong_seed_length():
 
 def test_adaptive_specs_read_no_seed():
     with pytest.raises(ValueError, match="adaptive strategies read no seed"):
-        StrategySpec("predictor", (("predictor", "markov1"), ("beat", False)), 2, False)
+        StrategySpec("predictor", (("predictor", "markov1"), ("beat", False)), 2)
 
 
 def test_act_rejects_history_round_mismatch():
