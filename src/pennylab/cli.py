@@ -380,25 +380,33 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config_file(path: str) -> dict[str, str]:
+def _load_config_file(path: str, keys: set[str]) -> dict[str, str]:
+    try:
+        with open(path) as handle:
+            lines = handle.readlines()
+    except OSError as e:
+        raise ValueError(f"{path}: cannot read config: {e.strerror}") from None
     values: dict[str, str] = {}
-    with open(path) as handle:
-        for lineno, raw in enumerate(handle, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key = value")
-            key, _, value = line.partition("=")
-            values[key.strip().replace("-", "_")] = value.strip()
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}:{lineno}: expected key = value")
+        key, _, value = line.partition("=")
+        key = key.strip().replace("-", "_")
+        if key not in keys:
+            raise ValueError(f"{path}:{lineno}: unknown config key: {key!r}")
+        values[key] = value.strip()
     return values
 
 
 def parse_config(argv: list[str]) -> ExperimentConfig:
     """Parse argv (plus any --config file) into a validated ExperimentConfig."""
     args = _build_parser().parse_args(argv)
-    filecfg = _load_config_file(args.config) if args.config else {}
     command = COMMANDS[args.command]
+    keys = {name for name, _, _ in command.fields} | {"out", "run_id"}
+    filecfg = _load_config_file(args.config, keys) if args.config else {}
     values: dict[str, Any] = {}
     for name, cast, default in command.fields:
         value = getattr(args, name)
@@ -412,10 +420,13 @@ def parse_config(argv: list[str]) -> ExperimentConfig:
     if values["n"] < 1:
         raise ValueError("horizon must be positive")
     command.inputs(values)
+    out = args.out or filecfg.get("out")
+    if out and not os.path.isdir(os.path.dirname(os.path.abspath(out))):
+        raise ValueError(f"output directory does not exist: {out}")
 
     canonical = args.command + ";" + ";".join(f"{k}={values[k]}" for k in sorted(values))
     run_id = args.run_id or filecfg.get("run_id") or hashlib.sha256(canonical.encode()).hexdigest()[:12]
-    return ExperimentConfig(args.command, values, run_id, args.out or filecfg.get("out"))
+    return ExperimentConfig(args.command, values, run_id, out)
 
 
 def run(cfg: ExperimentConfig) -> int:

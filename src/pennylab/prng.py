@@ -380,12 +380,10 @@ def register_predictor(name: str, fn: PredictorFn) -> None:
     PREDICTORS[name] = fn
 
 
-def resolve_predictor(p: Union[str, PredictorFn]) -> PredictorFn:
-    if callable(p):
-        return p
-    if p not in PREDICTORS:
-        raise ValueError(f"unknown predictor: {p!r}")
-    return PREDICTORS[p]
+def resolve_predictor(name: str) -> PredictorFn:
+    if name not in PREDICTORS:
+        raise ValueError(f"unknown predictor: {name!r}")
+    return PREDICTORS[name]
 
 
 def _const0(prefix: Bits) -> int:
@@ -491,12 +489,12 @@ class PredictorReport:
 
 def eval_next_bit_predictor(
     g: GeneratorSpec,
-    predictor: Union[str, PredictorFn],
+    predictor: str,
     mode: str = "exact",
     samples: int = 10_000,
     eval_seed: int = 0,
 ) -> PredictorReport:
-    """Per-position success of `predictor` on `g`'s output, exact or sampled.
+    """Per-position success of the predictor registered as `predictor` on `g`'s output.
 
     Exact mode enumerates every seed, under the enumeration cap.  Sampled
     mode draws seeds from an explicit `eval_seed`-keyed stream and reports a

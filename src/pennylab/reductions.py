@@ -59,7 +59,7 @@ def payoff_to_distinguisher(
 
 
 def predictor_accuracy(predictor: str, opponent: StrategySpec, n: int) -> Fraction:
-    """Exact per-round prediction accuracy of a predictor against an oblivious opponent.
+    """Exact per-round prediction accuracy of a registered predictor against an oblivious opponent.
 
     Averaged over the opponent's uniform seed and all n rounds.
     """

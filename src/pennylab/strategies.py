@@ -24,6 +24,7 @@ from .prng import (
     int_to_bits,
     parse_generator,
     parse_params,
+    resolve_predictor,
     round_bits,
     seed_bit_column,
 )
@@ -157,8 +158,7 @@ def predictor_backed(name: str, beat: bool = False) -> StrategySpec:
     With beat=False the strategy plays the predicted action itself (the
     matcher's winning reply); beat=True plays its flip (the mismatcher's).
     """
-    if name not in PREDICTORS:
-        raise ValueError(f"unknown predictor: {name!r}")
+    resolve_predictor(name)  # rejects an unregistered name
     return StrategySpec("predictor", (("predictor", name), ("beat", beat)), 0)
 
 

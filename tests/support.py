@@ -21,7 +21,7 @@ from pennylab import (
     uniform_table,
 )
 from pennylab.game import round_weights
-from pennylab.prng import check_seed_space, int_to_bits, prediction_hits, resolve_predictor, seed_stream
+from pennylab.prng import PREDICTORS, check_seed_space, int_to_bits, seed_stream
 from pennylab.strategies import mirror, split
 
 
@@ -124,37 +124,20 @@ def reference_round_plays(spec, t):
     )
 
 
-def reference_greedy_collect(opponent, n, deviator=1):
-    """Every `(t, p)` the majority walk visits, breadth-first, level by level.
-
-    The order-free reference for `exploiter.greedy_value`'s collector: each
-    level holds every node's history and seeds, partitioned by `reference_split`.
-    """
-    seen = []
-    level = [((), list(range(1 << opponent.seed_len)))]
-    for t in range(1, n + 1):
-        below = []
-        for history, alive in level:
-            heads, tails = reference_split(opponent, alive, history, t)
-            majority = Action.H if len(heads) >= len(tails) else Action.T
-            seen.append((t, Fraction(max(len(heads), len(tails)), len(alive))))
-            play = majority if deviator == 1 else majority.flip()
-            for branch, group in ((Action.H, heads), (Action.T, tails)):
-                if group:
-                    below.append((history + ((play, branch),), group))
-        level = below
-    return seen
-
-
 def reference_prediction_hits(g, predictor):
     """Exact per-position hit counts of `predictor` on `g`, one `seed_stream` per seed.
 
-    The per-seed path `prng.eval_next_bit_predictor`'s exact mode, which
-    reads compiled `round_bits` tables, is checked against.
+    The reference `prng.eval_next_bit_predictor`'s exact mode, which reads
+    compiled `round_bits` tables and memoizes guesses by prefix, is checked
+    against: one predictor call per seed and position, on that seed's prefix.
     """
-    space = check_seed_space(g.seed_len)
-    streams = (seed_stream(g, value) for value in range(space))
-    return prediction_hits(resolve_predictor(predictor), streams, g.out_len)
+    fn = PREDICTORS[predictor]
+    hits = [0] * g.out_len
+    for value in range(check_seed_space(g.seed_len)):
+        stream = seed_stream(g, value)
+        for i in range(g.out_len):
+            hits[i] += fn(stream[:i]) == stream[i]
+    return hits
 
 
 def reference_tree_best_response(opponent, n, deviator, delta):

@@ -36,7 +36,7 @@ from pennylab import (
     broken_repeat,
     eval_next_bit_predictor,
 )
-from pennylab.exploiter import expected_potential_step, greedy_value, guarantee
+from pennylab.exploiter import expected_potential_step, greedy_value, guarantee, play_match
 
 from support import generator_population, oblivious_population, opponents_with_budget, reference_tree_best_response
 
@@ -53,45 +53,41 @@ def criterion(num: int, name: str):
     print(f"[acceptance] criterion {num} ({name}): PASS")
 
 
-# Criterion 2 checks the potential at every round of the criterion 1 runs, so
-# the sweep runs once and both criteria read its results.
-_sweep_cache: dict = {}
-
-
-def _guarantee_sweep():
-    if _sweep_cache:
-        return _sweep_cache
-    collected: list[Fraction] = []
-    shortfalls = []
-    start = time.monotonic()
+# Criteria 1 and 2 range over the same opponents: every shipped oblivious
+# family whose budget is exactly k bits, for 4 <= n <= 12 and k <= min(n, 8).
+def _criterion_1_opponents():
     for n in range(4, 13):
         for k in range(0, min(n, 8) + 1):
-            bound = guarantee(n, k)
             for label, opponent in opponents_with_budget(n, k):
-                achieved = greedy_value(
-                    opponent, n, collect=lambda t, p: collected.append(p)
-                )
-                if achieved < bound:
-                    shortfalls.append((n, k, label, achieved, bound))
-    _sweep_cache["elapsed"] = time.monotonic() - start
-    _sweep_cache["p_values"] = collected
-    _sweep_cache["shortfalls"] = shortfalls
-    return _sweep_cache
+                yield n, k, label, opponent
 
 
 def test_criterion_1_exploiter_guarantee():
     with criterion(1, "exploiter payoff guarantee, exact"):
-        sweep = _guarantee_sweep()
-        assert sweep["shortfalls"] == []
-        assert sweep["elapsed"] < 10.0, f"guarantee sweep took {sweep['elapsed']:.1f}s"
+        shortfalls = []
+        start = time.monotonic()
+        for n, k, label, opponent in _criterion_1_opponents():
+            achieved = greedy_value(opponent, n)
+            if achieved < guarantee(n, k):
+                shortfalls.append((n, k, label, achieved))
+        elapsed = time.monotonic() - start
+        assert shortfalls == []
+        assert elapsed < 10.0, f"guarantee sweep took {elapsed:.1f}s"
 
 
 def test_criterion_2_potential_growth():
     with criterion(2, "potential increases by at least 1 per round"):
-        _collected_p = _guarantee_sweep()["p_values"]
-        for p in _collected_p:
-            assert expected_potential_step(p) >= 1.0 - 1e-9
-        seen = set(_collected_p)
+        seen = set()
+        for n, k, label, opponent in _criterion_1_opponents():
+            space = 1 << opponent.seed_len
+            steps = [0.0] * n
+            for seed in range(space):
+                for row in play_match(opponent, seed, n).rows:
+                    assert expected_potential_step(row.p) >= 1.0 - 1e-9, (n, k, label, seed, row)
+                    steps[row.round - 1] += row.delta_phi
+                    seen.add(row.p)
+            # The seeds are uniform, so their mean realized step is the expected one.
+            assert min(steps) / space >= 1.0 - 1e-9, (n, k, label)
         assert Fraction(1, 2) in seen  # equality case p = 1/2
         assert Fraction(1, 1) in seen  # equality case p = 1
         for i in range(10_001):

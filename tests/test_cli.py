@@ -110,6 +110,93 @@ def test_long_horizons_never_report_not_certified(tmp_path, args, field, value):
         assert f"# {field}={value}" in text.splitlines()
 
 
+def _one_line_error(capsys) -> dict:
+    """A status-2 exit prints exactly one line on stderr: a JSON {error, type} object."""
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1, lines
+    record = json.loads(lines[0])
+    assert sorted(record) == ["error", "type"]
+    return record
+
+
+_EXPLOIT = ["exploit", "--n", "4", "--opponent"]
+_PRNG = ["prng-test", "--gen", "repeat", "--n", "4", "--predictor", "const1"]
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (_EXPLOIT + ["const:X"], "malformed action"),
+        (_EXPLOIT + ["uniform:"], "uniform requires a seed length"),
+        (_EXPLOIT + ["uniform:-1"], "seed length must be non-negative"),
+        (_EXPLOIT + ["prefix-tail:tail=constant"], "prefix-tail requires gamma=... or prefix=..."),
+        (_EXPLOIT + ["prefix-tail:prefix=2,tail=zigzag"], "unknown tail kind"),
+        (["exploit", "--n", "8", "--opponent", "prefix-tail:n=6,gamma=1/2"], "horizon disagrees with --n"),
+        (_EXPLOIT + ["exploit:beat=1"], "exploit requires vs="),
+        (_EXPLOIT + ["gen:bm,m"], "malformed descriptor parameter"),
+        (_EXPLOIT + ["gen:bogus"], "unknown generator family"),
+        (_EXPLOIT + ["gen:counter"], "requires a width m"),
+        (_EXPLOIT + ["pred:markov1,beat=maybe"], "malformed boolean"),
+        (_EXPLOIT + ["uniform:2", "--opponent-seed", "-1"], "outside the declared seed space"),
+        (["verify-eq", "--n", "4", "--p1", "const:H"], "needs --gamma or both --p1 and --p2"),
+        (["discounted", "--delta", "1/2", "--epsilon", "1/2", "--prefix", "bogus"], "prefix must be uniform or gen:"),
+        (
+            ["discounted", "--delta", "1/2", "--epsilon", "1/2", "--n", "3", "--prefix", "gen:bm,m=2"],
+            "prefix budget exceeds the horizon",
+        ),
+        (_PRNG + ["--mode", "bogus"], "unknown mode"),
+        (_PRNG + ["--mode", "sampled", "--samples", "0"], "sample count must be positive"),
+    ],
+    ids=[
+        "const-X", "uniform-empty", "uniform-negative", "prefix-tail-no-prefix", "prefix-tail-bad-tail",
+        "prefix-tail-gamma-horizon", "exploit-no-vs", "gen-bare-key", "gen-bogus", "gen-counter-no-m",
+        "pred-bad-beat", "negative-opponent-seed", "verify-eq-p1-only", "discounted-bogus-prefix",
+        "discounted-short-prefix", "prng-bogus-mode", "prng-zero-samples",
+    ],
+)
+def test_bad_input_exits_2_with_one_json_line(capsys, args, message):
+    assert main(args) == 2
+    record = _one_line_error(capsys)
+    assert record["type"] == "ValueError" and message in record["error"]
+
+
+@pytest.mark.parametrize(
+    "path, text, message",
+    [
+        ("nonexistent.cfg", None, "cannot read config"),
+        (".", None, "cannot read config"),
+        ("run.cfg", "n = 4\nopponnent = uniform:2\n", "unknown config key: 'opponnent'"),
+        ("run.cfg", "n = 4\nopponent uniform:2\n", "expected key = value"),
+    ],
+    ids=["missing-file", "directory", "misspelled-key", "no-equals"],
+)
+def test_bad_config_file_exits_2_naming_the_path(tmp_path, monkeypatch, capsys, path, text, message):
+    monkeypatch.chdir(tmp_path)
+    if text is not None:
+        (tmp_path / path).write_text(text)
+    assert main(["exploit", "--n", "3", "--opponent", "uniform:2", "--config", path]) == 2
+    record = _one_line_error(capsys)
+    assert record["type"] == "ValueError"
+    assert record["error"].startswith(path) and message in record["error"]
+
+
+def test_config_file_accepts_out_and_run_id(tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_text(f"n = 3\nopponent = uniform:2\nout = {tmp_path / 'x.csv'}\nrun-id = fixed\n")
+    cfg = parse_config(["exploit", "--config", str(config)])
+    assert (cfg.out, cfg.run_id) == (str(tmp_path / "x.csv"), "fixed")
+
+
+def test_missing_out_directory_is_rejected_before_running(tmp_path, monkeypatch, capsys):
+    def crash(cfg, inputs):
+        raise AssertionError("the body ran")
+
+    monkeypatch.setitem(cli.COMMANDS, "exploit", cli.COMMANDS["exploit"]._replace(body=crash))
+    out = str(tmp_path / "missing" / "x.csv")
+    assert main(["exploit", "--n", "3", "--opponent", "uniform:2", "--out", out]) == 2
+    assert _one_line_error(capsys) == {"error": f"output directory does not exist: {out}", "type": "ValueError"}
+
+
 def test_internal_error_exits_3(monkeypatch, capsys):
     def crash(cfg, inputs):
         raise RuntimeError("boom")

@@ -23,6 +23,7 @@ from pennylab import (
     predictor_accuracy,
     predictor_backed,
     register_permutation,
+    register_predictor,
     uniform_table,
 )
 from pennylab import prng
@@ -354,6 +355,19 @@ def test_perfect_and_chance_predictor_payoffs():
 def test_predictor_accuracy_rejects_unknown_names():
     with pytest.raises(ValueError, match="unknown predictor: 'bogus'"):
         predictor_accuracy("bogus", uniform_table(2), 3)
+
+
+def test_predictor_entry_points_take_registered_names_only(monkeypatch):
+    const1 = PREDICTORS["const1"]
+    g = broken_repeat(4)
+    with pytest.raises(ValueError, match="unknown predictor"):
+        eval_next_bit_predictor(g, const1)
+    with pytest.raises(ValueError, match="unknown predictor"):
+        predictor_accuracy(const1, uniform_table(2), 3)
+    monkeypatch.setitem(PREDICTORS, "ones", None)  # teardown removes the registration
+    register_predictor("ones", const1)
+    assert eval_next_bit_predictor(g, "ones") == eval_next_bit_predictor(g, "const1")
+    assert predictor_accuracy("ones", constant(H), 3) == 1
 
 
 def test_frequency_wins_every_affected_round_against_repeat():
