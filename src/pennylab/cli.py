@@ -14,14 +14,11 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import os
 import sys
 import tempfile
-import traceback
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, NamedTuple, Optional
+from typing import Any, Callable, NamedTuple, NoReturn, Optional
 
 from .discounting import DiscountParams, certify_discounted_eq, min_rounds
 from .exploiter import expected_average_payoff, guarantee, play_match
@@ -31,8 +28,7 @@ from .prng import check_seed_space, eval_next_bit_predictor, make_generator, par
 from .strategies import as_seed, describe, make_gamma_equilibrium, parse_strategy, simulate, uniform_table
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(NamedTuple):
     """A fully resolved run: command, canonical field values, derived run id."""
 
     command: str
@@ -75,6 +71,8 @@ def emit(cfg: ExperimentConfig, text: str) -> None:
 
 
 def json_artifact(cfg: ExperimentConfig, payload: dict) -> str:
+    import json  # imported on use, like traceback in `main`: a CSV run never loads it
+
     record = {
         "command": cfg.command,
         "config": {k: str(v) for k, v in sorted(cfg.values.items()) if v is not None},
@@ -364,8 +362,16 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are bad input (exit 2, one JSON
+    line) rather than a usage block; subparsers inherit the class."""
+
+    def error(self, message: str) -> NoReturn:
+        raise ValueError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pennylab",
         description="Randomness-budgeted repeated Matching Pennies laboratory.",
     )
@@ -440,8 +446,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         return run(parse_config(argv))
     except Exception as e:
+        import json
+
         bad_input = isinstance(e, ValueError)
         if not bad_input:
+            import traceback
+
             traceback.print_exc()
         print(json.dumps({"error": str(e), "type": type(e).__name__}, sort_keys=True), file=sys.stderr)
         return 2 if bad_input else 3

@@ -9,9 +9,8 @@ deviation can collect from the deterministic tail.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .game import RationalLike, as_fraction
 from .oracle import certify_gap
@@ -19,30 +18,33 @@ from .prng import GeneratorSpec
 from .strategies import generator_backed
 
 
-@dataclass(frozen=True)
-class DiscountParams:
+class _DiscountFields(NamedTuple):
+    delta: Fraction
+    epsilon: Fraction
+
+
+class DiscountParams(_DiscountFields):
     """Discount factor and equilibrium slack for the infinite game.
 
     `delta` here is the time-discount factor, unrelated to any seed-length
     exponent elsewhere.
     """
 
-    delta: Fraction
-    epsilon: Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0 < self.delta < 1:
+    def __new__(cls, delta: Fraction, epsilon: Fraction) -> "DiscountParams":
+        if not 0 < delta < 1:
             raise ValueError("invalid discount factor")
-        if self.epsilon <= 0:
+        if epsilon <= 0:
             raise ValueError("epsilon must be positive")
+        return super().__new__(cls, delta, epsilon)
 
     @classmethod
     def of(cls, delta: RationalLike, epsilon: RationalLike) -> "DiscountParams":
         return cls(as_fraction(delta), as_fraction(epsilon))
 
 
-@dataclass(frozen=True)
-class DiscountedCertificate:
+class DiscountedCertificate(NamedTuple):
     """Result of certifying the prefix-plus-tails profile at horizon n.
 
     epsilon_prime = prefix_gap + tail; the profile is certified as an

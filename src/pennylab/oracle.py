@@ -9,9 +9,8 @@ over the consistent sets, `exploiter.greedy_value`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .game import Action, Transcript, round_weights
 from .prng import check_seed_space
@@ -19,8 +18,7 @@ from .strategies import Seed, StrategySpec, act, round_plays, split
 from . import exploiter
 
 
-@dataclass(frozen=True)
-class GapReport:
+class GapReport(NamedTuple):
     """Exact equilibrium-gap certificate for a strategy profile.
 
     `value` is player 1's expected average payoff at the profile; player 2's is

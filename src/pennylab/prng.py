@@ -11,10 +11,9 @@ import math
 import os
 import random
 from array import array
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 Bits = tuple[int, ...]
 PermFn = Callable[[int], int]
@@ -159,19 +158,25 @@ def permutation(name: str, m: int) -> PermFn:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GeneratorSpec:
-    """A deterministic seed-to-bit-stream map with a declared seed length."""
-
+class _GeneratorFields(NamedTuple):
     kind: str
     out_len: int
     seed_len: int
     m: int = 0
     perm: Optional[str] = None
 
-    def __post_init__(self) -> None:
-        if self.out_len < 1:
+
+class GeneratorSpec(_GeneratorFields):
+    """A deterministic seed-to-bit-stream map with a declared seed length."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls, kind: str, out_len: int, seed_len: int, m: int = 0, perm: Optional[str] = None
+    ) -> "GeneratorSpec":
+        if out_len < 1:
             raise ValueError("output length must be positive")
+        return super().__new__(cls, kind, out_len, seed_len, m, perm)
 
     def describe(self) -> str:
         if self.kind == "blum-micali-ip":
@@ -470,8 +475,7 @@ def prediction_hits(fn: PredictorFn, streams: Iterable[Bits], n: int) -> list[in
     return hits
 
 
-@dataclass(frozen=True)
-class PredictorReport:
+class PredictorReport(NamedTuple):
     """Measured next-bit prediction advantage for one generator/predictor pair.
 
     `advantage` is max over positions of |success probability - 1/2|;

@@ -12,9 +12,8 @@ one implementation of a reactive family serves either seat.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Any, Iterator, Sequence, Union
+from typing import Any, Iterator, NamedTuple, Sequence, Union
 
 from .game import Action, RationalLike, Transcript, as_fraction, bit_to_action
 from .prng import (
@@ -80,8 +79,13 @@ def as_seed(value: Union[Seed, str, Sequence[int], int], length: int) -> Seed:
     return Seed(value)
 
 
-@dataclass(frozen=True)
-class StrategySpec:
+class _StrategyFields(NamedTuple):
+    kind: str
+    params: tuple[tuple[str, Any], ...]
+    seed_len: int
+
+
+class StrategySpec(_StrategyFields):
     """A named, parameterized strategy with a declared seed length.
 
     `oblivious` (every kind but `predictor` and `exploiter`) says the output
@@ -90,17 +94,17 @@ class StrategySpec:
     read no seed (checked on construction).
     """
 
-    kind: str
-    params: tuple[tuple[str, Any], ...]
-    seed_len: int
+    __slots__ = ()
+
+    def __new__(cls, kind: str, params: tuple[tuple[str, Any], ...], seed_len: int) -> "StrategySpec":
+        self = super().__new__(cls, kind, params, seed_len)
+        if seed_len and not self.oblivious:
+            raise ValueError("adaptive strategies read no seed")
+        return self
 
     @property
     def oblivious(self) -> bool:
         return self.kind not in ("predictor", "exploiter")
-
-    def __post_init__(self) -> None:
-        if self.seed_len and not self.oblivious:
-            raise ValueError("adaptive strategies read no seed")
 
     def param(self, name: str) -> Any:
         for key, value in self.params:
@@ -162,13 +166,25 @@ def predictor_backed(name: str, beat: bool = False) -> StrategySpec:
     return StrategySpec("predictor", (("predictor", name), ("beat", beat)), 0)
 
 
+# The deepest chain of exploiters an exploiter spec may hold, itself included.
+# Describing, parsing and acting recurse once per level, so a bound far below
+# the interpreter's recursion limit keeps every valid spec total.
+MAX_NESTING = 32
+
+
 def exploiter_vs(opponent: StrategySpec, beat: bool = False) -> StrategySpec:
     """The consistent-set majority strategy against a known opponent spec.
 
     Enumerates the opponent's seeds, plays against the majority prediction, and
     discards seeds contradicted by observation.  beat=False matches the
-    prediction (seat 1), beat=True plays its flip (seat 2).
+    prediction (seat 1), beat=True plays its flip (seat 2).  Rejects a chain of
+    more than MAX_NESTING exploiters.
     """
+    depth, inner = 1, opponent
+    while inner.kind == "exploiter":
+        depth, inner = depth + 1, inner.param("opponent")
+    if depth > MAX_NESTING:
+        raise ValueError(f"exploiters nest more than {MAX_NESTING} deep")
     return StrategySpec("exploiter", (("opponent", opponent), ("beat", beat)), 0)
 
 
@@ -394,6 +410,12 @@ def parse_strategy(desc: str, n: int, player: int = 1) -> StrategySpec:
         params = parse_params(tail, ("beat",))
         return predictor_backed(name.strip(), beat=_parse_bool(params.get("beat", "0")))
     if head == "exploit":
+        # Count the levels before recursing, so a deep chain is bad input, not a RecursionError.
+        depth, inner = 0, desc
+        while depth <= MAX_NESTING and inner.partition(":")[0].strip() == "exploit":
+            depth, inner = depth + 1, inner.partition("vs=")[2]
+        if depth > MAX_NESTING:
+            raise ValueError(f"exploiters nest more than {MAX_NESTING} deep")
         before, marker, nested = rest.partition("vs=")
         if not marker:
             raise ValueError("exploit requires vs=<opponent descriptor>")

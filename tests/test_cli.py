@@ -9,7 +9,7 @@ import pytest
 from pennylab import cli
 from pennylab.cli import main, parse_config
 from pennylab.game import as_fraction
-from pennylab.strategies import parse_strategy
+from pennylab.strategies import MAX_NESTING, parse_strategy
 
 
 def run_cli(args, tmp_path, name):
@@ -146,12 +146,18 @@ _PRNG = ["prng-test", "--gen", "repeat", "--n", "4", "--predictor", "const1"]
         ),
         (_PRNG + ["--mode", "bogus"], "unknown mode"),
         (_PRNG + ["--mode", "sampled", "--samples", "0"], "sample count must be positive"),
+        (["exploit", "--n", "x", "--opponent", "uniform:2"], "argument --n: invalid int value: 'x'"),
+        (["bogus"], "invalid choice: 'bogus'"),
+        ([], "the following arguments are required: command"),
+        (["exploit", "--n", "3", "--gamma", "1"], "unrecognized arguments: --gamma 1"),
+        (_EXPLOIT + ["exploit:vs=" * 1000 + "uniform:1"], f"nest more than {MAX_NESTING} deep"),
     ],
     ids=[
         "const-X", "uniform-empty", "uniform-negative", "prefix-tail-no-prefix", "prefix-tail-bad-tail",
         "prefix-tail-gamma-horizon", "exploit-no-vs", "gen-bare-key", "gen-bogus", "gen-counter-no-m",
         "pred-bad-beat", "negative-opponent-seed", "verify-eq-p1-only", "discounted-bogus-prefix",
-        "discounted-short-prefix", "prng-bogus-mode", "prng-zero-samples",
+        "discounted-short-prefix", "prng-bogus-mode", "prng-zero-samples", "argparse-bad-int",
+        "argparse-unknown-command", "argparse-no-command", "argparse-unrecognized", "exploit-nested-1000",
     ],
 )
 def test_bad_input_exits_2_with_one_json_line(capsys, args, message):
@@ -205,6 +211,22 @@ def test_internal_error_exits_3(monkeypatch, capsys):
     assert main(["sweep", "--n", "4", "--k", "0"]) == 3
     record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert record == {"error": "boom", "type": "RuntimeError"}
+
+
+@pytest.mark.parametrize("args", [["--help"], ["exploit", "--help"]], ids=["top", "command"])
+def test_help_still_exits_0(capsys, args):
+    with pytest.raises(SystemExit) as exit_:
+        main(args)
+    assert exit_.value.code == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: pennylab") and err == ""
+
+
+def test_exploiters_nested_to_the_limit_run(tmp_path, capsys):
+    opponent = "exploit:vs=" * MAX_NESTING + "uniform:1"
+    status, artifact = run_cli(["exploit", "--n", "2", "--opponent", opponent], tmp_path, "deep.csv")
+    assert status == 0 and "# achieved=1/1" in artifact.decode()
+    assert capsys.readouterr().err == ""
 
 
 def test_cli_reports_errors_as_json(capsys):

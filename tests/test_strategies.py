@@ -26,7 +26,16 @@ from pennylab import (
     uniform_table,
 )
 from pennylab.prng import _bm_stream, seed_stream
-from pennylab.strategies import StrategySpec, as_seed, describe, parse_strategy, round_plays, seed_space, split
+from pennylab.strategies import (
+    MAX_NESTING,
+    StrategySpec,
+    as_seed,
+    describe,
+    parse_strategy,
+    round_plays,
+    seed_space,
+    split,
+)
 
 from support import (
     adaptive_population,
@@ -268,3 +277,14 @@ def test_describe_round_trips_through_cli_parser():
         nested = parse_strategy(f"exploit:beat=1,vs=prefix-tail:n={n},gamma=1/2", n, player=3 - player)
         assert nested == exploiter_vs(spec, beat=True)
         assert parse_strategy(describe(nested), n) == nested
+
+
+def test_exploiter_chains_stop_at_the_nesting_limit():
+    spec = constant(H)
+    for _ in range(MAX_NESTING):
+        spec = exploiter_vs(spec, beat=True)
+    assert parse_strategy(describe(spec), 4) == spec
+    with pytest.raises(ValueError, match=f"nest more than {MAX_NESTING} deep"):
+        exploiter_vs(spec)
+    with pytest.raises(ValueError, match=f"nest more than {MAX_NESTING} deep"):
+        parse_strategy("exploit:vs=" + describe(spec), 4)
