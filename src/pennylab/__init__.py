@@ -32,13 +32,9 @@ from .strategies import (
     uniform_table,
 )
 from .exploiter import (
-    ConsistentSet,
     MatchResult,
     expected_average_payoff,
     expected_potential_step,
-    filter_consistent,
-    init_consistent,
-    majority_action,
     play_match,
     potential_step,
 )

@@ -14,7 +14,7 @@ from typing import NamedTuple, Optional
 
 from .game import Action, Transcript, round_weights
 from .prng import check_seed_space
-from .strategies import Seed, StrategySpec, act, round_plays, split
+from .strategies import Seed, StrategySpec, act, play_words, round_plays, split
 from . import exploiter
 
 
@@ -40,7 +40,8 @@ def round_payoffs(s1: StrategySpec, s2: StrategySpec, n: int) -> list[Fraction]:
 
     Uniform over both seed spaces.  Two oblivious seats factor through their
     play tables; otherwise the adaptive seat (seat 1 if both are) acts once
-    per node of a depth-first walk over the other seat's consistent sets.
+    per node of a depth-first walk over the other seat's consistent sets,
+    ranges of its play words.
     """
     if n < 1:
         raise ValueError("horizon must be positive")
@@ -55,19 +56,22 @@ def round_payoffs(s1: StrategySpec, s2: StrategySpec, n: int) -> list[Fraction]:
             for t in range(1, n + 1)
         ]
     player, other, space = (s1, s2, space2) if not s1.oblivious else (s2, s1, space1)
+    pw = play_words(other, n)
+    below = pw.below
     sums = [0] * n
     # Histories are in the player's view; `split` mirrors them for `other`.
-    stack: list[tuple[int, Transcript, list[int]]] = [(1, (), list(range(space)))]
+    stack: list[tuple[int, Transcript, int, int]] = [(1, (), 0, len(pw.words))]
     while stack:
-        t, history, alive = stack.pop()
+        t, history, lo, hi = stack.pop()
         play = act(player, Seed(()), history, t)
-        heads, tails = split(other, alive, history, t)
+        mid = split(other, pw, lo, hi, history, t)
         # Seat 1 is paid on matches, so an H from either seat scores heads - tails.
-        sums[t - 1] += len(heads) - len(tails) if play is Action.H else len(tails) - len(heads)
+        heads_minus_tails = below[hi] + below[lo] - 2 * below[mid]
+        sums[t - 1] += heads_minus_tails if play is Action.H else -heads_minus_tails
         if t < n:
-            for branch, group in ((Action.T, tails), (Action.H, heads)):
-                if group:
-                    stack.append((t + 1, history + ((play, branch),), group))
+            for branch, a, b in ((Action.T, lo, mid), (Action.H, mid, hi)):
+                if a < b:
+                    stack.append((t + 1, history + ((play, branch),), a, b))
     return [Fraction(total, space) for total in sums]
 
 

@@ -10,10 +10,14 @@ from __future__ import annotations
 import math
 import os
 import random
+import sys
 from array import array
+from bisect import bisect_left
 from fractions import Fraction
-from functools import lru_cache
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
+from functools import lru_cache, partial
+from itertools import chain, compress, islice
+from operator import le, ne
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 Bits = tuple[int, ...]
 PermFn = Callable[[int], int]
@@ -36,16 +40,20 @@ def check_seed_space(seed_len: int) -> int:
     return space
 
 
+# Bit values 0 and 1 as bytes, to and from the digits "0" and "1".
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
+_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
 def int_to_bits(value: int, length: int) -> Bits:
-    """Big-endian bit tuple, so int_to_bits(5, 3) == (1, 0, 1)."""
-    return tuple((value >> (length - 1 - i)) & 1 for i in range(length))
+    """Big-endian bit tuple of value's low `length` bits, so int_to_bits(5, 3) == (1, 0, 1)."""
+    if length <= 0:
+        return ()
+    return tuple(format(value & ((1 << length) - 1), "0%db" % length).encode().translate(_BITS))
 
 
 def bits_to_int(bits: Sequence[int]) -> int:
-    value = 0
-    for b in bits:
-        value = (value << 1) | b
-    return value
+    return int(bytes(bits).translate(_DIGITS) or b"0", 2)
 
 
 def coerce_bits(value: Union[str, Sequence[int]]) -> Bits:
@@ -440,38 +448,113 @@ PREDICTORS.update(
 )
 
 
-# `prediction_hits` memoizes guesses for prefixes shorter than this many bits:
-# one byte per prefix, 1 MiB at most.
-_MEMO_BITS = 20
+# Typecodes by item size: play words up to 64 bits wide live in an `array`,
+# and seed counts (at most 2**20, or the sample count) in four bytes.
+_CODES = {array(code).itemsize: code for code in "BHILQ"}
 
 
-def prediction_hits(fn: PredictorFn, streams: Iterable[Bits], n: int) -> list[int]:
+def compile_words(table: Callable[[int], bytes], depth: int, space: int) -> tuple[Sequence[int], Sequence[int]]:
+    """The sorted distinct play words of `space` seeds over rounds 1..depth: `distinct_words`' pair.
+
+    table(t) is round t's plays, byte s 1 iff seed s plays H; bit depth - t of
+    seed s's word is that play.  Eight tables at a time are added into one
+    integer with a byte per seed, which fills one byte of every word, so the
+    build runs at C speed.  Words take the narrowest of 1, 2, 4 or 8 bytes
+    that fits, else Python ints.  Words that grow with the seed (uniform
+    tables, prefix-tails, passthrough) need no sort.  Others are sorted in
+    parts of about 2**16 seeds, bucketed by their first few plays, so the
+    sort holds no more than that many as Python ints at once.
+    """
+    size = -(-depth // 8)
+    width = next((w for w in (1, 2, 4, 8) if w >= size), size)
+    field = bytearray(width * space)
+    for b in range(size):  # byte b of a word holds rounds depth-8b-7..depth-8b
+        acc = 0
+        for t in range(max(1, depth - 8 * b - 7), depth - 8 * b + 1):
+            acc = (acc << 1) + int.from_bytes(table(t), "little")
+        field[b::width] = acc.to_bytes(space, "little")
+    if width in _CODES:
+        store = partial(array, _CODES[width])
+        words = store(field)
+        if sys.byteorder == "big":
+            words.byteswap()
+    else:
+        store = list
+        words = [int.from_bytes(field[i : i + width], "little") for i in range(0, len(field), width)]
+    del field  # the words hold it now
+    if all(map(le, words, islice(words, 1, None))):
+        return distinct_words(words)
+    parts = [words]
+    lead = min(depth, max(0, space.bit_length() - 17))
+    if lead:
+        group = 0
+        for t in range(1, lead + 1):
+            group = (group << 1) + int.from_bytes(table(t), "little")
+        parts = [store() for _ in range(1 << lead)]
+        for word, g in zip(words, group.to_bytes(space, "little")):
+            parts[g].append(word)
+    del words  # the parts hold them now
+    distinct, below, seen = store(), array(_CODES[4]), 0
+    for part in parts:
+        part_words, part_below = distinct_words(store(sorted(part)))
+        distinct.extend(part_words)
+        below.extend(map(seen.__add__, islice(part_below, len(part_below) - 1)))
+        seen += part_below[-1]
+    below.append(seen)
+    return distinct, below
+
+
+def distinct_words(words: Sequence[int]) -> tuple[Sequence[int], Sequence[int]]:
+    """The distinct words of the sorted `words`, and below[j], how many words lie below the j-th.
+
+    below ends with the total, so the words in a range [lo, hi) of the
+    distinct words number below[hi] - below[lo].
+    """
+    first = bytes(chain((1,), map(ne, islice(words, 1, None), words)))
+    below = array(_CODES[4], compress(range(len(words)), first))
+    below.append(len(words))
+    distinct = compress(words, first)
+    return (array(words.typecode, distinct) if isinstance(words, array) else list(distinct)), below
+
+
+def split_words(words: Sequence[int], lo: int, hi: int, shift: int) -> int:
+    """The first index of the sorted words[lo:hi], which agree above bit `shift`, with that bit set.
+
+    The words before it have the bit clear: one bisect splits a range of play
+    words by the next play.
+    """
+    return bisect_left(words, (words[lo] >> shift | 1) << shift, lo, hi)
+
+
+def prediction_hits(fn: PredictorFn, words: Sequence[int], below: Sequence[int], n: int) -> list[int]:
     """Per-position hit counts: hits[i] counts the streams whose bit i `fn` predicts from bits [:i].
 
-    A predictor is a function of the prefix alone that returns a bit, so `fn`
-    is called once per distinct prefix shorter than `_MEMO_BITS` bits.  Its
-    guesses are memoized for this call only, one byte per prefix, indexed by
-    the prefix read as a binary number after a leading 1: 2**min(n, 20)
-    bytes, so 1 MiB at most whatever the number of streams.  Longer prefixes
-    (n > 20 only) are each passed to `fn`.
+    The streams are the n-bit `words`, sorted and distinct, with counts from
+    `below` (see `distinct_words`).  A walk over the trie of their prefixes
+    calls `fn` once per distinct prefix; a range of one word finishes its
+    remaining positions one by one.
     """
     hits = [0] * n
-    unknown = 0xFF
-    guesses = bytearray([unknown]) * (1 << min(n, _MEMO_BITS))
-    size = len(guesses)
-    for stream in streams:
-        key = 1
-        for i in range(n):
-            bit = stream[i]
-            if key < size:
-                guess = guesses[key]
-                if guess == unknown:
-                    guess = guesses[key] = fn(stream[:i])
-                key = key << 1 | bit
-            else:
-                guess = fn(stream[:i])
-            if guess == bit:
-                hits[i] += 1
+    stack = [(0, 0, len(words), ())]
+    while stack:
+        i, lo, hi, prefix = stack.pop()
+        if hi - lo == 1:
+            stream, count = int_to_bits(words[lo], n), below[hi] - below[lo]
+            for j in range(i, n):
+                if fn(stream[:j]) == stream[j]:
+                    hits[j] += count
+            continue
+        mid = split_words(words, lo, hi, n - 1 - i)
+        guess = fn(prefix)
+        if guess == 1:
+            hits[i] += below[hi] - below[mid]
+        elif guess == 0:
+            hits[i] += below[mid] - below[lo]
+        if i + 1 < n:
+            if lo < mid:
+                stack.append((i + 1, lo, mid, prefix + (0,)))
+            if mid < hi:
+                stack.append((i + 1, mid, hi, prefix + (1,)))
     return hits
 
 
@@ -508,8 +591,7 @@ def eval_next_bit_predictor(
     n = g.out_len
     if mode == "exact":
         space = check_seed_space(g.seed_len)
-        streams = zip(*(round_bits(g, t) for t in range(1, n + 1)))
-        hits = prediction_hits(fn, streams, n)
+        hits = prediction_hits(fn, *compile_words(lambda t: round_bits(g, t), n, space), n)
         per_position = tuple(Fraction(h, space) - Fraction(1, 2) for h in hits)
         advantage = max(abs(p) for p in per_position)
         best = max(range(n), key=lambda i: (abs(per_position[i]), -i)) + 1
@@ -518,8 +600,8 @@ def eval_next_bit_predictor(
         if samples < 1:
             raise ValueError("sample count must be positive")
         rng = random.Random(eval_seed)
-        streams = (seed_stream(g, rng.randrange(1 << g.seed_len)) for _ in range(samples))
-        hits = prediction_hits(fn, streams, n)
+        words = [bits_to_int(seed_stream(g, rng.randrange(1 << g.seed_len))) for _ in range(samples)]
+        hits = prediction_hits(fn, *distinct_words(sorted(words)), n)
         per_position = tuple(h / samples - 0.5 for h in hits)
         advantage = max(abs(p) for p in per_position)
         best = max(range(n), key=lambda i: (abs(per_position[i]), -i)) + 1

@@ -14,7 +14,7 @@ from typing import Optional
 
 from .game import round_weights
 from .oracle import round_payoffs
-from .prng import GeneratorSpec, check_seed_space, prediction_hits, resolve_predictor
+from .prng import GeneratorSpec, check_seed_space, compile_words, prediction_hits, resolve_predictor
 from .strategies import StrategySpec, generator_backed, round_plays
 
 
@@ -69,6 +69,5 @@ def predictor_accuracy(predictor: str, opponent: StrategySpec, n: int) -> Fracti
         raise ValueError("accuracy is defined against oblivious opponents")
     fn = resolve_predictor(predictor)
     space = check_seed_space(opponent.seed_len)
-    streams = zip(*(round_plays(opponent, t) for t in range(1, n + 1)))
-    hits = prediction_hits(fn, streams, n)
-    return Fraction(sum(hits), space * n)
+    words, below = compile_words(lambda t: round_plays(opponent, t), n, space)
+    return Fraction(sum(prediction_hits(fn, words, below, n)), space * n)

@@ -20,12 +20,15 @@ from .prng import (
     GeneratorSpec,
     PREDICTORS,
     bitstream,
+    check_seed_space,
+    compile_words,
     int_to_bits,
     parse_generator,
     parse_params,
     resolve_predictor,
     round_bits,
     seed_bit_column,
+    split_words,
 )
 
 
@@ -89,8 +92,8 @@ class StrategySpec(_StrategyFields):
     """A named, parameterized strategy with a declared seed length.
 
     `oblivious` (every kind but `predictor` and `exploiter`) says the output
-    ignores history; it selects the compiled `round_plays` tables in `split`
-    and the factorized path of `oracle.round_payoffs`.  An adaptive spec must
+    ignores history; it selects the compiled play words in `split` and the
+    factorized path of `oracle.round_payoffs`.  An adaptive spec must
     read no seed (checked on construction).
     """
 
@@ -318,22 +321,80 @@ def round_plays(spec: StrategySpec, t: int) -> bytes:
     return bytes([act(spec, Seed.from_int(0, k), filler, t) is Action.H]) * (1 << k)
 
 
-def split(
-    opponent: StrategySpec, alive: Sequence[int], history: Transcript, t: int
-) -> tuple[list[int], list[int]]:
-    """Partition opponent seeds by the action each plays at round `t`: (H's, T's).
+def horizon(spec: StrategySpec) -> int:
+    """The round after which no later play tells two of the spec's seeds apart.
 
-    The one consistent-set partition: every walk over opponent seeds asks here
-    what they play next.  Oblivious opponents read `round_plays`; adaptive
-    ones read no seed, so their one seed acts on the mirror of `history`,
-    the other seat's view of the previous rounds.  Order within `alive` is kept.
+    A generator's stream length; otherwise the seed length: a uniform table
+    reveals one seed bit per round and then repeats them, a prefix-tail plays
+    a fixed tail after its prefix, and every other family reads no seed.
     """
-    if opponent.oblivious:
-        plays = round_plays(opponent, t)
-        return [s for s in alive if plays[s]], [s for s in alive if not plays[s]]
-    if alive and act(opponent, Seed(()), mirror(history), t) is Action.H:
-        return list(alive), []
-    return [], list(alive)
+    if spec.kind == "generator":
+        return spec.param("generator").out_len
+    return spec.seed_len
+
+
+class PlayWords(NamedTuple):
+    """An oblivious spec compiled to the sorted distinct play words of its seeds.
+
+    Bit depth - t of a word is its seeds' play at round t (1 is H), for rounds
+    1..depth.  below[j] counts the seeds whose word is below words[j], so the
+    seeds of a range [lo, hi) of words number below[hi] - below[lo].  Every
+    consistent set is such a range: the words agreeing with the plays seen.
+    A seedless adaptive spec compiles to one empty word held by its one seed.
+    """
+
+    words: Sequence[int]
+    below: Sequence[int]
+    depth: int
+
+
+_SEEDLESS = PlayWords((0,), (0, 1), 0)
+
+
+def play_words(spec: StrategySpec, n: int) -> PlayWords:
+    """The play words a walk of n rounds reads: rounds 1..min(n, horizon).
+
+    Checks the seed space against the cap on every call.  A generator
+    stream shorter than n rounds is rejected, as `round_plays` rejects it.
+    """
+    check_seed_space(spec.seed_len)
+    if not spec.oblivious:
+        return _SEEDLESS
+    depth = min(n, horizon(spec))
+    if spec.kind == "generator" and depth < n:
+        raise ValueError("generator stream too short for this round")
+    return _compile_words(spec, depth)
+
+
+@lru_cache(maxsize=4)
+def _compile_words(spec: StrategySpec, depth: int) -> PlayWords:
+    """`play_words` over `round_plays`' tables.
+
+    At the 2**20 cap an entry holds up to 8 MiB for at most 32 rounds and
+    12 MiB for at most 64; wider words are a list of Python ints.  The
+    tables are built uncached (`__wrapped__`): once packed into words they
+    are not read again, so they need not fill `round_plays`' cache.
+    """
+    return PlayWords(*compile_words(lambda t: round_plays.__wrapped__(spec, t), depth, 1 << spec.seed_len), depth)
+
+
+def split(opponent: StrategySpec, pw: PlayWords, lo: int, hi: int, history: Transcript, t: int) -> int:
+    """The one consistent-set partition: the first index of [lo, hi) whose seeds play H at round t.
+
+    The seeds of [lo, mid) play T.  An oblivious opponent's range is split
+    with one bisect of its play words; past their depth a non-empty range
+    holds one word, whose round-t play its table or, for a uniform table, its
+    own round (t-1) mod seed_len + 1 gives.  A seedless adaptive opponent's
+    one seed acts on the mirror of `history`, the other seat's view of the
+    previous rounds.
+    """
+    if not opponent.oblivious:
+        return lo if lo == hi or act(opponent, Seed(()), mirror(history), t) is Action.H else hi
+    if t > pw.depth and opponent.kind == "uniform-table" and opponent.seed_len:
+        t = (t - 1) % opponent.seed_len + 1
+    if t > pw.depth:
+        return lo if round_plays(opponent, t)[0] else hi
+    return lo if lo == hi else split_words(pw.words, lo, hi, pw.depth - t)
 
 
 def describe(spec: StrategySpec) -> str:

@@ -1,8 +1,10 @@
-"""Shared strategy/generator populations used across the test modules."""
+"""Shared populations, and the slow reference paths the fast ones are checked against."""
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from typing import NamedTuple
 
 from pennylab import (
     Action,
@@ -18,11 +20,14 @@ from pennylab import (
     passthrough,
     predictor_backed,
     prefix_tail,
+    simulate,
+    stage_payoff,
     uniform_table,
 )
+from pennylab.exploiter import potential_step
 from pennylab.game import round_weights
 from pennylab.prng import PREDICTORS, check_seed_space, int_to_bits, seed_stream
-from pennylab.strategies import mirror, split
+from pennylab.strategies import StrategySpec, mirror, round_plays
 
 
 def opponents_with_budget(n: int, k: int):
@@ -164,7 +169,7 @@ def reference_tree_best_response(opponent, n, deviator, delta):
         hit = memo.get(key)
         if hit is not None:
             return hit
-        heads, tails = split(opponent, alive, history, t)
+        heads, tails = list_split(opponent, alive, history, t)
         best = None
         for play in (Action.H, Action.T):
             acc = zero
@@ -184,3 +189,163 @@ def reference_tree_best_response(opponent, n, deviator, delta):
 
     result = value(1, (), list(range(space)))
     return result / n if delta is None else result
+
+
+class ConsistentSet(NamedTuple):
+    """Opponent seeds still consistent with observed play, at a given round."""
+
+    opponent: StrategySpec
+    alive: tuple[int, ...]
+    round: int
+
+
+def init_consistent(opponent):
+    """Start a match: every opponent seed is alive, round index 1."""
+    space = check_seed_space(opponent.seed_len)
+    return ConsistentSet(opponent, tuple(range(space)), 1)
+
+
+def potential(cs, accumulated_payoff):
+    """phi at the set's current round, given payoff accumulated so far."""
+    return accumulated_payoff - math.log2(len(cs.alive))
+
+
+def list_split(opponent, alive, history, t):
+    """Partition the seed list `alive` by the action each plays at round `t`: (H's, T's).
+
+    The seed-list partition the range-based `strategies.split` replaced, kept
+    as a reference: oblivious opponents read `round_plays`, and a seedless
+    adaptive one acts on the mirror of `history`.  Order within `alive` is kept.
+    """
+    if opponent.oblivious:
+        plays = round_plays(opponent, t)
+        return [s for s in alive if plays[s]], [s for s in alive if not plays[s]]
+    if alive and act(opponent, Seed(()), mirror(history), t) is Action.H:
+        return list(alive), []
+    return [], list(alive)
+
+
+def majority_action(cs, history):
+    """The opponent action the largest fraction of alive seeds implies, with that fraction.
+
+    Under the matcher convention the exploiter then plays the same action.
+    Ties predict H.
+    """
+    if not cs.alive:
+        raise ValueError("inconsistent observation")
+    heads, tails = list_split(cs.opponent, cs.alive, history, cs.round)
+    if len(heads) >= len(tails):
+        return Action.H, Fraction(len(heads), len(cs.alive))
+    return Action.T, Fraction(len(tails), len(cs.alive))
+
+
+def filter_consistent(cs, observed, history):
+    """Keep exactly the seeds that predicted `observed` this round; advance the round."""
+    heads, tails = list_split(cs.opponent, cs.alive, history, cs.round)
+    kept = heads if observed is Action.H else tails
+    if not kept:
+        raise ValueError("inconsistent observation")
+    return ConsistentSet(cs.opponent, tuple(kept), cs.round + 1)
+
+
+def reference_greedy_value(opponent, n, delta=None):
+    """The majority strategy's exact value by a walk over seed lists.
+
+    The reference `exploiter.greedy_value`'s play-word walk is checked
+    against: nodes are `(round, alive seeds)`, split with `list_split`, and a
+    node with one live seed wins every remaining round.
+    """
+    space = check_seed_space(opponent.seed_len)
+    wins = [0] * (n + 1)
+    lone = [0] * (n + 1)
+    stack = [(1, list(range(space)))]
+    while stack:
+        t, alive = stack.pop()
+        if len(alive) == 1:
+            lone[t] += 1
+            continue
+        heads, tails = list_split(opponent, alive, (), t)
+        wins[t] += abs(len(heads) - len(tails))
+        if t < n:
+            stack.extend((t + 1, group) for group in (tails, heads) if group)
+    running = 0
+    for t in range(1, n + 1):
+        running += lone[t]
+        wins[t] += running
+    if delta is None:
+        return Fraction(sum(wins), space * n)
+    return sum((w * d for w, d in zip(round_weights(delta, n)[1:], wins[1:])), Fraction(0)) / space
+
+
+def reference_play_rows(opponent, seed, n):
+    """`play_match`'s trace rows by seed lists: (round, p, alive size, payoff, phi, delta_phi) per round."""
+    alive = list(range(check_seed_space(opponent.seed_len)))
+    history, rows, accumulated = [], [], 0
+    seed = Seed(int_to_bits(seed, opponent.seed_len))
+    for t in range(1, n + 1):
+        heads, tails = list_split(opponent, alive, tuple(history), t)
+        predicted = Action.H if len(heads) >= len(tails) else Action.T
+        p = Fraction(max(len(heads), len(tails)), len(alive))
+        observed = act(opponent, seed, mirror(tuple(history)), t)
+        payoff = 1 if observed is predicted else -1
+        phi = accumulated - math.log2(len(alive))
+        rows.append((t, p, len(alive), payoff, phi, potential_step(p, observed is predicted)))
+        alive = heads if observed is Action.H else tails
+        history.append((predicted, observed))
+        accumulated += payoff
+    return rows
+
+
+def reference_exploiter_act(opponent, history, beat=False):
+    """The exploiter's play after `history` (its own view), by filtering the seed list round by round."""
+    alive = list(range(check_seed_space(opponent.seed_len)))
+    for t in range(1, len(history) + 1):
+        heads, tails = list_split(opponent, alive, history[: t - 1], t)
+        alive = heads if history[t - 1][1] is Action.H else tails
+    heads, tails = list_split(opponent, alive, history, len(history) + 1)
+    predicted = Action.H if len(heads) >= len(tails) else Action.T
+    return predicted.flip() if beat else predicted
+
+
+def reference_stream_hits(fn, streams, n):
+    """Per-position hit counts over explicit streams, one `fn` call per distinct short prefix.
+
+    The memoized stream loop `prng.prediction_hits`' trie walk replaced, kept
+    as a reference: guesses for prefixes under 20 bits are memoized by the
+    prefix read as a binary number after a leading 1; longer prefixes are
+    each passed to `fn`.
+    """
+    hits = [0] * n
+    unknown = 0xFF
+    guesses = bytearray([unknown]) * (1 << min(n, 20))
+    size = len(guesses)
+    for stream in streams:
+        key = 1
+        for i in range(n):
+            bit = stream[i]
+            if key < size:
+                guess = guesses[key]
+                if guess == unknown:
+                    guess = guesses[key] = fn(stream[:i])
+                key = key << 1 | bit
+            else:
+                guess = fn(stream[:i])
+            if guess == bit:
+                hits[i] += 1
+    return hits
+
+
+def reference_round_payoffs(s1, s2, n):
+    """Player 1's per-round expected payoff by simulating every seed pair."""
+    transcripts = [simulate(s1, v1, s2, v2, n) for v1 in range(1 << s1.seed_len) for v2 in range(1 << s2.seed_len)]
+    return [Fraction(sum(stage_payoff(*t[i]) for t in transcripts), len(transcripts)) for i in range(n)]
+
+
+def reference_accuracy(predictor, opponent, n):
+    """A predictor's exact accuracy against an oblivious opponent, one replayed stream per seed."""
+    fn = PREDICTORS[predictor]
+    streams = [
+        tuple(a is Action.H for a, _ in simulate(opponent, value, constant(Action.H), 0, n))
+        for value in range(1 << opponent.seed_len)
+    ]
+    return Fraction(sum(reference_stream_hits(fn, [tuple(map(int, s)) for s in streams], n)), len(streams) * n)

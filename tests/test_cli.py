@@ -1,15 +1,23 @@
 """CLI parsing, artifact schemas, exit statuses, and byte-level reproducibility."""
 
+import contextlib
 import csv
 import hashlib
+import io
 import json
+import os
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pennylab import cli
 from pennylab.cli import main, parse_config
 from pennylab.game import as_fraction
-from pennylab.strategies import MAX_NESTING, parse_strategy
+from pennylab.strategies import MAX_NESTING, describe, parse_strategy
+
+from support import PERMUTATION_NAMES, PREDICTOR_NAMES
 
 
 def run_cli(args, tmp_path, name):
@@ -387,3 +395,83 @@ def test_criterion_8_artifacts_match_golden_digests(tmp_path, command):
     status, blob = run_cli(command.split(), tmp_path, "artifact")
     assert status == 0
     assert hashlib.sha256(blob).hexdigest() == GOLDEN_DIGESTS[command]
+
+
+_LEAVES = st.one_of(
+    st.integers(0, 6).map("uniform:{}".format),
+    st.sampled_from(("const:H", "const:T", "alt:H", "alt:T")),
+    st.builds(
+        "prefix-tail:prefix={},tail={},start={}".format,
+        st.integers(0, 6),
+        st.sampled_from(("constant", "alternator")),
+        st.sampled_from("HT"),
+    ),
+    st.sampled_from(("gen:repeat", "gen:passthrough", "gen:counter,m=2", "gen:counter,m=7"))
+    | st.builds("gen:bm,perm={},m={}".format, st.sampled_from(PERMUTATION_NAMES), st.integers(1, 3)),
+    st.builds("pred:{}{}".format, st.sampled_from(PREDICTOR_NAMES), st.sampled_from(("", ",beat=1"))),
+)
+# Valid strategy descriptors, with exploiters wrapped around any family.
+_DESCRIPTORS = st.recursive(
+    _LEAVES, lambda inner: st.builds("exploit:{}vs={}".format, st.sampled_from(("", "beat=1,")), inner), max_leaves=3
+)
+
+
+@st.composite
+def _mutated(draw, text):
+    """`text` with one character dropped, inserted or replaced."""
+    at = draw(st.integers(0, len(text)))
+    junk = draw(st.sampled_from(list(":=,.-/HTx019") + ["99", ""]))
+    return text[:at] + junk + text[at + draw(st.integers(0, 1)) :]
+
+
+@st.composite
+def _fuzzed_argv(draw):
+    """One argv for a random command: small horizons, or long ones (past 64 rounds) for generators."""
+    long = draw(st.booleans())
+    n = draw(st.integers(65, 70)) if long else draw(st.integers(1, 6))
+    descriptor = st.sampled_from(("gen:repeat", "gen:counter,m=2", "gen:bm,m=1", "exploit:vs=gen:repeat")) if long else _DESCRIPTORS
+    d1, d2 = draw(descriptor), draw(descriptor)
+    command = draw(st.sampled_from(("simulate", "exploit", "verify-eq", "prng-test", "discounted", "sweep")))
+    if command == "simulate":
+        argv = ["--p1", d1, "--p2", d2]
+    elif command == "exploit":
+        argv = ["--opponent", d1, "--opponent-seed", str(draw(st.sampled_from((0, 0, 1, 3))))]
+    elif command == "verify-eq":
+        argv = ["--gamma", draw(st.sampled_from(("1/2", "0", "1", "1/3")))] if draw(st.booleans()) else ["--p1", d1, "--p2", d2]
+    elif command == "prng-test":
+        n = min(n, 12)
+        argv = [
+            "--gen", draw(st.sampled_from(("bm", "counter", "passthrough", "repeat"))),
+            "--m", str(draw(st.integers(0, 4))),
+            "--predictor", draw(st.sampled_from(PREDICTOR_NAMES)),
+            "--mode", draw(st.sampled_from(("exact", "sampled"))),
+            "--samples", str(draw(st.integers(0, 40))),
+        ]
+    elif command == "discounted":
+        argv = ["--delta", draw(st.sampled_from(("1/2", "2/3", "3/2"))), "--epsilon", draw(st.sampled_from(("1/2", "1/4", "0")))]
+        argv += ["--prefix", draw(st.sampled_from(("uniform", "gen:repeat", "gen:bm,m=1", "gen:counter,m=2")))]
+    else:
+        argv = ["--k", draw(st.sampled_from(("0", "0..3", "1,2", "2..1", "9")))]
+    if draw(st.booleans()):  # one mutated value
+        at = draw(st.integers(0, len(argv) // 2 - 1)) * 2 + 1
+        argv[at] = draw(_mutated(argv[at]))
+    return [command, "--n", str(n)] + argv, [d for d in (d1, d2) if d in argv]
+
+
+@settings(max_examples=120, deadline=None)
+@given(_fuzzed_argv())
+def test_fuzzed_commands_keep_the_exit_contract(case):
+    # PENNY_CAP=64 lowers the cap, so most seed spaces above 6 bits are bad input.
+    argv, valid = case
+    n = int(argv[2])
+    for descriptor in valid:
+        spec = parse_strategy(descriptor, n)
+        assert parse_strategy(describe(spec), n) == spec
+    err = io.StringIO()
+    with mock.patch.dict(os.environ, PENNY_CAP="64"), contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        status = main(argv)
+    assert status in (0, 1, 2), (argv, err.getvalue())
+    if status == 2:
+        lines = err.getvalue().strip().splitlines()
+        assert len(lines) == 1, (argv, lines)
+        assert sorted(json.loads(lines[0])) == ["error", "type"]

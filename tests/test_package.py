@@ -12,11 +12,13 @@ import pytest
 import pennylab
 from pennylab.cli import ExperimentConfig
 from pennylab.discounting import DiscountParams, certify_discounted_eq
-from pennylab.exploiter import init_consistent, play_match
+from pennylab.exploiter import play_match
 from pennylab.game import Action
 from pennylab.oracle import certify_gap
 from pennylab.prng import GeneratorSpec, broken_repeat, eval_next_bit_predictor, passthrough
 from pennylab.strategies import StrategySpec, constant, uniform_table
+
+from support import init_consistent
 
 PACKAGE = pathlib.Path(pennylab.__file__).parent
 

@@ -30,7 +30,9 @@ from pennylab import prng
 from pennylab.prng import (
     PREDICTORS,
     _bm_stream,
+    bits_to_int,
     bitstream,
+    distinct_words,
     int_to_bits,
     parse_generator,
     permutation,
@@ -258,15 +260,15 @@ def test_prediction_hits_calls_the_predictor_once_per_distinct_prefix():
 
     n = 4
     streams = [int_to_bits(value, n) for value in range(1 << n)] * 2
-    hits = prediction_hits(markov1, streams, n)
+    hits = prediction_hits(markov1, *distinct_words(sorted(map(bits_to_int, streams))), n)
     # Every prefix of length 0..n-1 occurs, each asked about once.
     assert sorted(calls) == sorted(int_to_bits(v, i) for i in range(n) for v in range(1 << i))
     expected = [sum(reference(s[:i]) == s[i] for s in streams) for i in range(n)]
     assert hits == expected
-    # Prefixes of 20 bits and more are not memoized, but still counted.
+    # Streams of 20 bits and more are counted the same way.
     long_streams = [tuple((v >> (i % 3)) & 1 for i in range(23)) for v in range(8)]
     expected = [sum(reference(s[:i]) == s[i] for s in long_streams) for i in range(23)]
-    assert prediction_hits(reference, long_streams, 23) == expected
+    assert prediction_hits(reference, *distinct_words(sorted(map(bits_to_int, long_streams))), 23) == expected
 
 
 def test_exact_mode_enforces_cap(monkeypatch):

@@ -32,6 +32,7 @@ from pennylab.strategies import (
     as_seed,
     describe,
     parse_strategy,
+    play_words,
     round_plays,
     seed_space,
     split,
@@ -145,12 +146,25 @@ SPLIT_POPULATION = oblivious_population(SPLIT_N) + adaptive_population()
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_split_matches_seed_by_seed_reference(spec, data):
-    alive = data.draw(st.lists(st.integers(0, (1 << spec.seed_len) - 1), unique=True), label="alive")
-    moves = st.tuples(st.sampled_from((H, T)), st.sampled_from((H, T)))
-    history = data.draw(st.lists(moves, min_size=SPLIT_N, max_size=SPLIT_N), label="history")
+    # Follow a drawn history, mostly along consistent plays, so ranges reach
+    # the last round, one word past the horizon, and the empty range.
+    pw = play_words(spec, SPLIT_N)
+    seeds = range(1 << spec.seed_len)
+    tables = [reference_round_plays(spec, t) for t in range(1, pw.depth + 1)] if spec.oblivious else []
+    word = [sum(table[s] << (pw.depth - t) for t, table in enumerate(tables, 1)) for s in seeds]
+    alive, lo, hi, history = list(seeds), 0, len(pw.words), ()
     for t in range(1, SPLIT_N + 1):
-        prefix = tuple(history[: t - 1])
-        assert split(spec, alive, prefix, t) == reference_split(spec, alive, prefix, t)
+        heads, tails = reference_split(spec, alive, history, t)
+        mid = split(spec, pw, lo, hi, history, t)
+        assert list(pw.words[lo:mid]) == sorted({word[s] for s in tails})
+        assert list(pw.words[mid:hi]) == sorted({word[s] for s in heads})
+        assert pw.below[mid] - pw.below[lo] == len(tails)
+        assert pw.below[hi] - pw.below[mid] == len(heads)
+        consistent = [a for a, group in ((H, heads), (T, tails)) if group]
+        seen = data.draw(st.sampled_from(consistent or [H, T]) | st.sampled_from((H, T)), label="seen")
+        history += ((data.draw(st.sampled_from((H, T)), label="own"), seen),)
+        alive = heads if seen is H else tails
+        lo, hi = (mid, hi) if seen is H else (lo, mid)
 
 
 # Above every seed length in the populations but passthrough's, so uniform
