@@ -13,12 +13,20 @@ line {"error", "type"} on stderr.
 from __future__ import annotations
 
 import argparse
-import hashlib
+import importlib
 import os
 import sys
 import tempfile
 from fractions import Fraction
 from typing import Any, Callable, NamedTuple, NoReturn, Optional
+
+# The run id's SHA-256 comes from the interpreter's built-in module, as
+# `random` takes its SHA-512, because `hashlib` would load OpenSSL at
+# start-up.  The module is `_sha2` from Python 3.12 and `_sha256` before.
+try:
+    sha256 = importlib.import_module("_sha2" if sys.version_info >= (3, 12) else "_sha256").sha256
+except ImportError:  # an interpreter built without it
+    from hashlib import sha256
 
 from .discounting import DiscountParams, certify_discounted_eq, min_rounds
 from .exploiter import expected_average_payoff, guarantee, play_match
@@ -431,7 +439,7 @@ def parse_config(argv: list[str]) -> ExperimentConfig:
         raise ValueError(f"output directory does not exist: {out}")
 
     canonical = args.command + ";" + ";".join(f"{k}={values[k]}" for k in sorted(values))
-    run_id = args.run_id or filecfg.get("run_id") or hashlib.sha256(canonical.encode()).hexdigest()[:12]
+    run_id = args.run_id or filecfg.get("run_id") or sha256(canonical.encode()).hexdigest()[:12]
     return ExperimentConfig(args.command, values, run_id, out)
 
 

@@ -12,9 +12,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .game import Action, Transcript, round_weights
+from .game import round_weights, stage_payoff
 from .prng import check_seed_space
-from .strategies import Seed, StrategySpec, act, play_words, round_plays, split
+from .strategies import StrategySpec, chooser, round_plays, simulate, word_hits
 from . import exploiter
 
 
@@ -39,9 +39,10 @@ def round_payoffs(s1: StrategySpec, s2: StrategySpec, n: int) -> list[Fraction]:
     """Player 1's exact expected stage payoff E[h_t] for each round t = 1..n.
 
     Uniform over both seed spaces.  Two oblivious seats factor through their
-    play tables; otherwise the adaptive seat (seat 1 if both are) acts once
-    per node of a depth-first walk over the other seat's consistent sets,
-    ranges of its play words.
+    play tables.  An adaptive seat against an oblivious one earns
+    2 * hits / space - 1 at each round, negated when it plays against its
+    guess: one `strategies.word_hits` walk over the other seat's play
+    words, which guesses once per node.  Two adaptive seats play one path.
     """
     if n < 1:
         raise ValueError("horizon must be positive")
@@ -55,24 +56,15 @@ def round_payoffs(s1: StrategySpec, s2: StrategySpec, n: int) -> list[Fraction]:
             * Fraction(2 * sum(round_plays(s2, t)) - space2, space2)
             for t in range(1, n + 1)
         ]
-    player, other, space = (s1, s2, space2) if not s1.oblivious else (s2, s1, space1)
-    pw = play_words(other, n)
-    below = pw.below
-    sums = [0] * n
-    # Histories are in the player's view; `split` mirrors them for `other`.
-    stack: list[tuple[int, Transcript, int, int]] = [(1, (), 0, len(pw.words))]
-    while stack:
-        t, history, lo, hi = stack.pop()
-        play = act(player, Seed(()), history, t)
-        mid = split(other, pw, lo, hi, history, t)
-        # Seat 1 is paid on matches, so an H from either seat scores heads - tails.
-        heads_minus_tails = below[hi] + below[lo] - 2 * below[mid]
-        sums[t - 1] += heads_minus_tails if play is Action.H else -heads_minus_tails
-        if t < n:
-            for branch, a, b in ((Action.T, lo, mid), (Action.H, mid, hi)):
-                if a < b:
-                    stack.append((t + 1, history + ((play, branch),), a, b))
-    return [Fraction(total, space) for total in sums]
+    if not (s1.oblivious or s2.oblivious):
+        # Two seedless seats play one path.
+        return [Fraction(stage_payoff(a, b)) for a, b in simulate(s1, 0, s2, 0, n)]
+    player, other = (s2, s1) if s1.oblivious else (s1, s2)
+    hits, space = word_hits(chooser(player), other, n)
+    # Either seat plays the opponent's guessed play (its flip when `beat`),
+    # and a match pays seat 1, so a guess that hits scores +1.
+    sign = -1 if player.param("beat") else 1
+    return [Fraction(sign * (2 * h - space), space) for h in hits]
 
 
 def exact_value(

@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import chain, compress, islice
 from operator import le, ne
-from typing import Callable, NamedTuple, Optional, Sequence, Union
+from typing import Any, Callable, NamedTuple, Optional, Sequence, Union
 
 Bits = tuple[int, ...]
 PermFn = Callable[[int], int]
@@ -448,6 +448,94 @@ PREDICTORS.update(
 )
 
 
+class Chooser(NamedTuple):
+    """A next-bit guesser that carries its state along a stream instead of rereading the prefix.
+
+    `guess(state)` is the bit it predicts next and `step(state, bit)` the
+    state once that bit is seen; `init` is the state before any bit.  Folding
+    `step` over a prefix and calling `guess` equals the predictor on that
+    prefix.  The state is an immutable value, so one state may be stepped
+    down both branches of a walk.
+    """
+
+    init: Any
+    guess: Callable[[Any], int]
+    step: Callable[[Any, int], Any]
+
+
+def _keep(state: Any, bit: int) -> Any:
+    return state
+
+
+def _extend(prefix: Bits, bit: int) -> Bits:
+    return prefix + (bit,)
+
+
+def _frequency_guess(state: tuple[int, int, int]) -> int:
+    # (length, ones at even positions, ones at odd positions): the target's
+    # class has length // 2 bits either way.
+    length, even, odd = state
+    return 1 if 2 * (odd if length & 1 else even) >= length // 2 else 0
+
+
+def _frequency_step(state: tuple[int, int, int], bit: int) -> tuple[int, int, int]:
+    length, even, odd = state
+    return (length + 1, even, odd + bit) if length & 1 else (length + 1, even + bit, odd)
+
+
+def _markov1_guess(state: tuple[int, int, int, int, int]) -> int:
+    # (last bit or -1, successors of a 0, ones among them, successors of a 1, ones among them)
+    last, after0, ones0, after1, ones1 = state
+    if last < 0:
+        return 1
+    return 1 if (2 * ones1 >= after1 if last else 2 * ones0 >= after0) else 0
+
+
+def _markov1_step(state: tuple[int, int, int, int, int], bit: int) -> tuple[int, int, int, int, int]:
+    last, after0, ones0, after1, ones1 = state
+    if last == 1:
+        return bit, after0, ones0, after1 + 1, ones1 + bit
+    if last == 0:
+        return bit, after0 + 1, ones0 + bit, after1, ones1
+    return bit, after0, ones0, after1, ones1
+
+
+def _periodicity_guess(state: tuple[int, int, int]) -> int:
+    # (length L, the prefix newest bit first, bit p set while period p is
+    # consistent): the smallest period p repeats the bit p - 1 back.
+    length, prefix, periods = state
+    if not length:
+        return 1
+    return prefix >> ((periods & -periods).bit_length() - 2) & 1
+
+
+def _periodicity_step(state: tuple[int, int, int], bit: int) -> tuple[int, int, int]:
+    # Period p survives when the new bit equals the one p back, bit p of the
+    # shifted prefix; period L + 1 holds vacuously.
+    length, prefix, periods = state
+    shifted = prefix << 1
+    return length + 1, shifted | bit, periods & (shifted if bit else ~shifted) | 1 << (length + 1)
+
+
+_CHOOSERS = {
+    _const0: Chooser((), _const0, _keep),
+    _const1: Chooser((), _const1, _keep),
+    _frequency: Chooser((0, 0, 0), _frequency_guess, _frequency_step),
+    _markov1: Chooser((-1, 0, 0, 0, 0), _markov1_guess, _markov1_step),
+    _periodicity: Chooser((0, 0, 0), _periodicity_guess, _periodicity_step),
+}
+
+
+def predictor_chooser(fn: PredictorFn) -> Chooser:
+    """The stepping form of a predictor function.
+
+    Each built-in predictor keeps O(1) state.  Any other function, such as a
+    custom `register_predictor` entry, steps the prefix tuple itself and is
+    called on it once per guess.
+    """
+    return _CHOOSERS.get(fn) or Chooser((), fn, _extend)
+
+
 # Typecodes by item size: play words up to 64 bits wide live in an `array`,
 # and seed counts (at most 2**20, or the sample count) in four bytes.
 _CODES = {array(code).itemsize: code for code in "BHILQ"}
@@ -526,35 +614,50 @@ def split_words(words: Sequence[int], lo: int, hi: int, shift: int) -> int:
     return bisect_left(words, (words[lo] >> shift | 1) << shift, lo, hi)
 
 
-def prediction_hits(fn: PredictorFn, words: Sequence[int], below: Sequence[int], n: int) -> list[int]:
-    """Per-position hit counts: hits[i] counts the streams whose bit i `fn` predicts from bits [:i].
+def prediction_hits(
+    chooser: Chooser,
+    words: Sequence[int],
+    below: Sequence[int],
+    n: int,
+    depth: Optional[int] = None,
+    tail: Optional[Callable[[int, int], int]] = None,
+) -> list[int]:
+    """Per-position hit counts: hits[i] counts the streams whose bit i the chooser guesses from bits [:i].
 
-    The streams are the n-bit `words`, sorted and distinct, with counts from
-    `below` (see `distinct_words`).  A walk over the trie of their prefixes
-    calls `fn` once per distinct prefix; a range of one word finishes its
-    remaining positions one by one.
+    The streams are the sorted distinct `words` of `depth` bits (n by
+    default), with counts from `below` (see `distinct_words`).  One walk over
+    the trie of their prefixes carries the chooser's state: `guess` once per
+    node, `step` once per edge.  A range of one word finishes its remaining
+    positions in a loop that guesses and steps once per position; past the
+    words' depth, `tail(index, t)` gives that word's round-t bit.
     """
+    init, guess, step = chooser
+    depth = n if depth is None else depth
     hits = [0] * n
-    stack = [(0, 0, len(words), ())]
+    stack = [(0, 0, len(words), init)]
     while stack:
-        i, lo, hi, prefix = stack.pop()
+        i, lo, hi, state = stack.pop()
         if hi - lo == 1:
-            stream, count = int_to_bits(words[lo], n), below[hi] - below[lo]
-            for j in range(i, n):
-                if fn(stream[:j]) == stream[j]:
+            count = below[hi] - below[lo]
+            bits = int_to_bits(words[lo], depth)[i:] + tuple(tail(lo, t) for t in range(max(i, depth) + 1, n + 1))
+            for j, bit in enumerate(bits, i):
+                if guess(state) == bit:
                     hits[j] += count
+                if j + 1 < n:
+                    state = step(state, bit)
             continue
-        mid = split_words(words, lo, hi, n - 1 - i)
-        guess = fn(prefix)
-        if guess == 1:
+        # Two words differ within the depth, so i < depth here.
+        mid = split_words(words, lo, hi, depth - 1 - i)
+        g = guess(state)
+        if g == 1:
             hits[i] += below[hi] - below[mid]
-        elif guess == 0:
+        elif g == 0:
             hits[i] += below[mid] - below[lo]
         if i + 1 < n:
             if lo < mid:
-                stack.append((i + 1, lo, mid, prefix + (0,)))
+                stack.append((i + 1, lo, mid, step(state, 0)))
             if mid < hi:
-                stack.append((i + 1, mid, hi, prefix + (1,)))
+                stack.append((i + 1, mid, hi, step(state, 1)))
     return hits
 
 
@@ -587,11 +690,11 @@ def eval_next_bit_predictor(
     mode draws seeds from an explicit `eval_seed`-keyed stream and reports a
     95% confidence half-width for the best position's estimate.
     """
-    fn = resolve_predictor(predictor)
+    chooser = predictor_chooser(resolve_predictor(predictor))
     n = g.out_len
     if mode == "exact":
         space = check_seed_space(g.seed_len)
-        hits = prediction_hits(fn, *compile_words(lambda t: round_bits(g, t), n, space), n)
+        hits = prediction_hits(chooser, *compile_words(lambda t: round_bits(g, t), n, space), n)
         per_position = tuple(Fraction(h, space) - Fraction(1, 2) for h in hits)
         advantage = max(abs(p) for p in per_position)
         best = max(range(n), key=lambda i: (abs(per_position[i]), -i)) + 1
@@ -601,7 +704,7 @@ def eval_next_bit_predictor(
             raise ValueError("sample count must be positive")
         rng = random.Random(eval_seed)
         words = [bits_to_int(seed_stream(g, rng.randrange(1 << g.seed_len))) for _ in range(samples)]
-        hits = prediction_hits(fn, *distinct_words(sorted(words)), n)
+        hits = prediction_hits(chooser, *distinct_words(sorted(words)), n)
         per_position = tuple(h / samples - 0.5 for h in hits)
         advantage = max(abs(p) for p in per_position)
         best = max(range(n), key=lambda i: (abs(per_position[i]), -i)) + 1

@@ -14,8 +14,8 @@ from typing import Optional
 
 from .game import round_weights
 from .oracle import round_payoffs
-from .prng import GeneratorSpec, check_seed_space, compile_words, prediction_hits, resolve_predictor
-from .strategies import StrategySpec, generator_backed, round_plays
+from .prng import GeneratorSpec, predictor_chooser, resolve_predictor
+from .strategies import StrategySpec, generator_backed, word_hits
 
 
 def per_round_payoffs(s: StrategySpec, g: GeneratorSpec, n: int) -> list[Fraction]:
@@ -67,7 +67,5 @@ def predictor_accuracy(predictor: str, opponent: StrategySpec, n: int) -> Fracti
         raise ValueError("horizon must be positive")
     if not opponent.oblivious:
         raise ValueError("accuracy is defined against oblivious opponents")
-    fn = resolve_predictor(predictor)
-    space = check_seed_space(opponent.seed_len)
-    words, below = compile_words(lambda t: round_plays(opponent, t), n, space)
-    return Fraction(sum(prediction_hits(fn, words, below, n)), space * n)
+    hits, space = word_hits(predictor_chooser(resolve_predictor(predictor)), opponent, n)
+    return Fraction(sum(hits), space * n)

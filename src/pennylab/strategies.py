@@ -17,6 +17,7 @@ from typing import Any, Iterator, NamedTuple, Sequence, Union
 
 from .game import Action, RationalLike, Transcript, as_fraction, bit_to_action
 from .prng import (
+    Chooser,
     GeneratorSpec,
     PREDICTORS,
     bitstream,
@@ -25,6 +26,8 @@ from .prng import (
     int_to_bits,
     parse_generator,
     parse_params,
+    prediction_hits,
+    predictor_chooser,
     resolve_predictor,
     round_bits,
     seed_bit_column,
@@ -271,6 +274,24 @@ def act(spec: StrategySpec, seed: Seed, history: Transcript, round: int) -> Acti
     raise ValueError(f"unknown strategy kind: {kind!r}")
 
 
+def chooser(spec: StrategySpec) -> Chooser:
+    """An adaptive spec's stepping form, which walks and matches carry along their paths.
+
+    `guess(state)` is the opponent's next play it predicts (1 is H): the
+    spec plays it, or its flip when `beat` is set.  `step(state, bit)`
+    follows one opponent play.  On any path where the spec made its own
+    plays, folding `step` over the opponent's and guessing gives what `act`
+    plays, without rereading the history.
+    """
+    if spec.kind == "predictor":
+        return predictor_chooser(PREDICTORS[spec.param("predictor")])
+    if spec.kind == "exploiter":
+        from . import exploiter
+
+        return exploiter.exploiter_chooser(spec)
+    raise ValueError("oblivious strategies have no chooser")
+
+
 def simulate(
     s1: StrategySpec,
     seed1: Union[Seed, str, Sequence[int], int],
@@ -281,20 +302,25 @@ def simulate(
     """Play the two strategies against each other for n rounds.
 
     Pure given its inputs: replaying with identical seeds yields an identical
-    transcript.
+    transcript.  An oblivious seat acts on its seed; an adaptive one steps
+    its chooser once per round.
     """
-    sd1 = as_seed(seed1, s1.seed_len)
-    sd2 = as_seed(seed2, s2.seed_len)
-    hist1: list[tuple[Action, Action]] = []
-    hist2: list[tuple[Action, Action]] = []
-    rounds: list[tuple[Action, Action]] = []
+    seats = ((s1, as_seed(seed1, s1.seed_len)), (s2, as_seed(seed2, s2.seed_len)))
+    if any(len(seed) != spec.seed_len for spec, seed in seats):
+        raise ValueError("budget violation")
+    choosers = [None if spec.oblivious else chooser(spec) for spec, _ in seats]
+    states = [c.init if c else None for c in choosers]
+    views: tuple[list[tuple[Action, Action]], ...] = ([], [])
     for t in range(1, n + 1):
-        a = act(s1, sd1, tuple(hist1), t)
-        b = act(s2, sd2, tuple(hist2), t)
-        rounds.append((a, b))
-        hist1.append((a, b))
-        hist2.append((b, a))
-    return tuple(rounds)
+        a, b = (
+            act(spec, seed, tuple(view), t) if c is None else bit_to_action(c.guess(state) ^ spec.param("beat"))
+            for (spec, seed), c, state, view in zip(seats, choosers, states, views)
+        )
+        views[0].append((a, b))
+        views[1].append((b, a))
+        if t < n:
+            states = [c.step(s, seen is Action.H) if c else None for c, s, seen in zip(choosers, states, (b, a))]
+    return tuple(views[0])
 
 
 @lru_cache(maxsize=128)
@@ -378,23 +404,36 @@ def _compile_words(spec: StrategySpec, depth: int) -> PlayWords:
     return PlayWords(*compile_words(lambda t: round_plays.__wrapped__(spec, t), depth, 1 << spec.seed_len), depth)
 
 
-def split(opponent: StrategySpec, pw: PlayWords, lo: int, hi: int, history: Transcript, t: int) -> int:
+def split(opponent: StrategySpec, pw: PlayWords, lo: int, hi: int, t: int) -> int:
     """The one consistent-set partition: the first index of [lo, hi) whose seeds play H at round t.
 
     The seeds of [lo, mid) play T.  An oblivious opponent's range is split
     with one bisect of its play words; past their depth a non-empty range
     holds one word, whose round-t play its table or, for a uniform table, its
-    own round (t-1) mod seed_len + 1 gives.  A seedless adaptive opponent's
-    one seed acts on the mirror of `history`, the other seat's view of the
-    previous rounds.
+    own round (t-1) mod seed_len + 1 gives.  An adaptive opponent has no
+    words to split: its play comes from its `chooser`.
     """
-    if not opponent.oblivious:
-        return lo if lo == hi or act(opponent, Seed(()), mirror(history), t) is Action.H else hi
     if t > pw.depth and opponent.kind == "uniform-table" and opponent.seed_len:
         t = (t - 1) % opponent.seed_len + 1
     if t > pw.depth:
         return lo if round_plays(opponent, t)[0] else hi
     return lo if lo == hi else split_words(pw.words, lo, hi, pw.depth - t)
+
+
+def word_hits(seat: Chooser, opponent: StrategySpec, n: int) -> tuple[list[int], int]:
+    """Per-round hits of an adaptive seat's guesses against an oblivious opponent, and its seed count.
+
+    hits[t-1] counts the opponent's seeds whose round-t play the seat's
+    chooser guesses, by one `prng.prediction_hits` walk over the trie of the
+    opponent's play words; past their depth a one-word range reads its plays
+    from `split`.
+    """
+    pw = play_words(opponent, n)
+
+    def tail(lo: int, t: int) -> int:
+        return 1 if split(opponent, pw, lo, lo + 1, t) == lo else 0
+
+    return prediction_hits(seat, pw.words, pw.below, n, pw.depth, tail), pw.below[-1]
 
 
 def describe(spec: StrategySpec) -> str:

@@ -335,9 +335,25 @@ def reference_stream_hits(fn, streams, n):
     return hits
 
 
+def reference_simulate(s1, seed1, s2, seed2, n):
+    """The transcript of two strategies by `act` on each seat's view of the whole history, every round.
+
+    The slow path `strategies.simulate`, which steps an adaptive seat's
+    chooser instead, is checked against: a predictor rereads the whole
+    prefix and an exploiter refilters its opponent's seeds each round.
+    """
+    sd1, sd2 = Seed(int_to_bits(seed1, s1.seed_len)), Seed(int_to_bits(seed2, s2.seed_len))
+    rounds = []
+    for t in range(1, n + 1):
+        rounds.append((act(s1, sd1, tuple(rounds), t), act(s2, sd2, mirror(tuple(rounds)), t)))
+    return tuple(rounds)
+
+
 def reference_round_payoffs(s1, s2, n):
-    """Player 1's per-round expected payoff by simulating every seed pair."""
-    transcripts = [simulate(s1, v1, s2, v2, n) for v1 in range(1 << s1.seed_len) for v2 in range(1 << s2.seed_len)]
+    """Player 1's per-round expected payoff by simulating every seed pair with `act`."""
+    transcripts = [
+        reference_simulate(s1, v1, s2, v2, n) for v1 in range(1 << s1.seed_len) for v2 in range(1 << s2.seed_len)
+    ]
     return [Fraction(sum(stage_payoff(*t[i]) for t in transcripts), len(transcripts)) for i in range(n)]
 
 

@@ -50,9 +50,10 @@ def test_package_never_imports_dataclasses():
 
 
 # Modules a CLI run should not pay for at start-up: dataclasses and what it
-# pulls in, traceback (only the exit-3 path prints one) and json (only JSON
-# artifacts and error lines write it).
-_HEAVY = ("dataclasses", "inspect", "ast", "dis", "tokenize", "traceback", "json")
+# pulls in, traceback (only the exit-3 path prints one), json (only JSON
+# artifacts and error lines write it) and hashlib, which loads OpenSSL (the
+# run id takes SHA-256 from the built-in module).
+_HEAVY = ("dataclasses", "inspect", "ast", "dis", "tokenize", "traceback", "json", "hashlib", "_hashlib")
 
 
 def test_cold_cli_import_loads_no_heavy_module():

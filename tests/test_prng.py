@@ -37,6 +37,7 @@ from pennylab.prng import (
     parse_generator,
     permutation,
     prediction_hits,
+    predictor_chooser,
     round_bits,
     seed_stream,
 )
@@ -260,7 +261,7 @@ def test_prediction_hits_calls_the_predictor_once_per_distinct_prefix():
 
     n = 4
     streams = [int_to_bits(value, n) for value in range(1 << n)] * 2
-    hits = prediction_hits(markov1, *distinct_words(sorted(map(bits_to_int, streams))), n)
+    hits = prediction_hits(predictor_chooser(markov1), *distinct_words(sorted(map(bits_to_int, streams))), n)
     # Every prefix of length 0..n-1 occurs, each asked about once.
     assert sorted(calls) == sorted(int_to_bits(v, i) for i in range(n) for v in range(1 << i))
     expected = [sum(reference(s[:i]) == s[i] for s in streams) for i in range(n)]
@@ -268,7 +269,8 @@ def test_prediction_hits_calls_the_predictor_once_per_distinct_prefix():
     # Streams of 20 bits and more are counted the same way.
     long_streams = [tuple((v >> (i % 3)) & 1 for i in range(23)) for v in range(8)]
     expected = [sum(reference(s[:i]) == s[i] for s in long_streams) for i in range(23)]
-    assert prediction_hits(reference, *distinct_words(sorted(map(bits_to_int, long_streams))), 23) == expected
+    words, below = distinct_words(sorted(map(bits_to_int, long_streams)))
+    assert prediction_hits(predictor_chooser(reference), words, below, 23) == expected
 
 
 def test_exact_mode_enforces_cap(monkeypatch):

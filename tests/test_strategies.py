@@ -25,6 +25,7 @@ from pennylab import (
     simulate,
     uniform_table,
 )
+from pennylab.exploiter import tracker
 from pennylab.prng import _bm_stream, seed_stream
 from pennylab.strategies import (
     MAX_NESTING,
@@ -32,10 +33,8 @@ from pennylab.strategies import (
     as_seed,
     describe,
     parse_strategy,
-    play_words,
     round_plays,
     seed_space,
-    split,
 )
 
 from support import (
@@ -147,15 +146,20 @@ SPLIT_POPULATION = oblivious_population(SPLIT_N) + adaptive_population()
 @given(data=st.data())
 def test_split_matches_seed_by_seed_reference(spec, data):
     # Follow a drawn history, mostly along consistent plays, so ranges reach
-    # the last round, one word past the horizon, and the empty range.
-    pw = play_words(spec, SPLIT_N)
+    # the last round, one word past the horizon, and the empty range.  The
+    # exploiter's tracker splits an oblivious spec with `split` and an
+    # adaptive one's single seed by its chooser, stepped with the drawn own
+    # plays.
+    pw, view, advance = tracker(spec, SPLIT_N)
     seeds = range(1 << spec.seed_len)
     tables = [reference_round_plays(spec, t) for t in range(1, pw.depth + 1)] if spec.oblivious else []
     word = [sum(table[s] << (pw.depth - t) for t, table in enumerate(tables, 1)) for s in seeds]
-    alive, lo, hi, history = list(seeds), 0, len(pw.words), ()
+    alive, history = list(seeds), ()
     for t in range(1, SPLIT_N + 1):
+        if history:
+            view = advance(view, history[-1][0] is H, history[-1][1] is H)
+        lo, mid, hi, _ = view
         heads, tails = reference_split(spec, alive, history, t)
-        mid = split(spec, pw, lo, hi, history, t)
         assert list(pw.words[lo:mid]) == sorted({word[s] for s in tails})
         assert list(pw.words[mid:hi]) == sorted({word[s] for s in heads})
         assert pw.below[mid] - pw.below[lo] == len(tails)
@@ -164,7 +168,6 @@ def test_split_matches_seed_by_seed_reference(spec, data):
         seen = data.draw(st.sampled_from(consistent or [H, T]) | st.sampled_from((H, T)), label="seen")
         history += ((data.draw(st.sampled_from((H, T)), label="own"), seen),)
         alive = heads if seen is H else tails
-        lo, hi = (mid, hi) if seen is H else (lo, mid)
 
 
 # Above every seed length in the populations but passthrough's, so uniform
