@@ -526,14 +526,17 @@ _CHOOSERS = {
 }
 
 
-def predictor_chooser(fn: PredictorFn) -> Chooser:
+def predictor_chooser(fn: PredictorFn, as_play: bool = False) -> Chooser:
     """The stepping form of a predictor function.
 
     Each built-in predictor keeps O(1) state.  Any other function, such as a
     custom `register_predictor` entry, steps the prefix tuple itself and is
-    called on it once per guess.
+    called on it once per guess.  Its guess is compared to the next bit as it
+    is, unless `as_play`: then any truthy guess is 1, as a match plays it.
     """
-    return _CHOOSERS.get(fn) or Chooser((), fn, _extend)
+    if fn in _CHOOSERS:
+        return _CHOOSERS[fn]
+    return Chooser((), (lambda prefix: 1 if fn(prefix) else 0) if as_play else fn, _extend)
 
 
 # Typecodes by item size: play words up to 64 bits wide live in an `array`,

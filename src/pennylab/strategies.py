@@ -284,7 +284,7 @@ def chooser(spec: StrategySpec) -> Chooser:
     plays, without rereading the history.
     """
     if spec.kind == "predictor":
-        return predictor_chooser(PREDICTORS[spec.param("predictor")])
+        return predictor_chooser(PREDICTORS[spec.param("predictor")], as_play=True)
     if spec.kind == "exploiter":
         from . import exploiter
 

@@ -85,6 +85,25 @@ def test_a_registered_predictor_steps_its_prefix(monkeypatch):
     assert round_payoffs(predictor_backed("markov1"), uniform_table(3), 7) == reference_round_payoffs(
         predictor_backed("parity"), uniform_table(3), 7
     )
+    # A guess of 2 is a miss for prng-test, which compares it to the bit, but
+    # plays H in a match, as `act` plays any truthy guess.
+    monkeypatch.setitem(PREDICTORS, "twos", None)
+    register_predictor("twos", lambda prefix: 2 * (sum(prefix) & 1))
+    assert eval_next_bit_predictor(g, "twos").per_position == tuple(
+        Fraction(h, 8) - Fraction(1, 2) for h in reference_prediction_hits(g, "twos")
+    )
+    assert predictor_accuracy("twos", uniform_table(3), 7) == reference_accuracy("twos", uniform_table(3), 7)
+    for beat in (False, True):
+        player = predictor_backed("twos", beat=beat)
+        for s1, s2 in ((uniform_table(3), player), (player, uniform_table(3))):
+            assert round_payoffs(s1, s2, 7) == reference_round_payoffs(s1, s2, 7)
+        assert simulate(player, 0, uniform_table(3), 5, 7) == reference_simulate(player, 0, uniform_table(3), 5, 7)
+        exploiter = parse_strategy("exploit:vs=pred:twos" + ",beat=1" * beat, 7)
+        assert simulate(exploiter, 0, player, 0, 7) == reference_simulate(exploiter, 0, player, 0, 7)
+        assert round_payoffs(exploiter, player, 7) == reference_round_payoffs(exploiter, player, 7)
+        assert round_payoffs(player, uniform_table(3), 7) == round_payoffs(
+            predictor_backed("parity", beat=beat), uniform_table(3), 7
+        )
 
 
 SEATS = (
