@@ -378,13 +378,16 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(only: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser with the subparser of command `only`, or of every command."""
     parser = _Parser(
         prog="pennylab",
         description="Randomness-budgeted repeated Matching Pennies laboratory.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in COMMANDS.items():
+        if only not in (None, name):
+            continue
         p = sub.add_parser(name, help=command.help)
         for field, cast, _ in command.fields:
             p.add_argument("--" + field.replace("_", "-"), dest=field, type=cast)
@@ -416,8 +419,13 @@ def _load_config_file(path: str, keys: set[str]) -> dict[str, str]:
 
 
 def parse_config(argv: list[str]) -> ExperimentConfig:
-    """Parse argv (plus any --config file) into a validated ExperimentConfig."""
-    args = _build_parser().parse_args(argv)
+    """Parse argv (plus any --config file) into a validated ExperimentConfig.
+
+    Only the subparser of the command argv[0] names is built; any other
+    argv (`--help`, an unknown command) gets every command, so the help
+    and the invalid-choice error list them all.
+    """
+    args = _build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
     command = COMMANDS[args.command]
     keys = {name for name, _, _ in command.fields} | {"out", "run_id"}
     filecfg = _load_config_file(args.config, keys) if args.config else {}

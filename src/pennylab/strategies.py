@@ -382,13 +382,21 @@ def play_words(spec: StrategySpec, n: int) -> PlayWords:
 
     Checks the seed space against the cap on every call.  A generator
     stream shorter than n rounds is rejected, as `round_plays` rejects it.
+    Where round t plays big-endian seed bit t-1 (uniform tables, prefix-tails
+    and passthrough generators, up to their depth), a seed's word is its top
+    `depth` bits, so the words are every depth-bit integer, each held by
+    2**(seed_len - depth) seeds: two ranges, with nothing compiled or cached.
     """
-    check_seed_space(spec.seed_len)
+    space = check_seed_space(spec.seed_len)
     if not spec.oblivious:
         return _SEEDLESS
     depth = min(n, horizon(spec))
     if spec.kind == "generator" and depth < n:
         raise ValueError("generator stream too short for this round")
+    if spec.kind in ("uniform-table", "prefix-tail") or (
+        spec.kind == "generator" and spec.param("generator").kind == "uniform-passthrough"
+    ):
+        return PlayWords(range(1 << depth), range(0, space + 1, space >> depth), depth)
     return _compile_words(spec, depth)
 
 

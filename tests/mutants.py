@@ -62,7 +62,7 @@ MUTANTS = [
         "exploiter.py",
         "wins[t] += abs(below[hi] + below[lo] - 2 * below[mid])",
         "wins[t] += abs(hi + lo - 2 * mid)",
-        "test_words.py",
+        "test_level_tables.py",
     ),
     Mutant(
         "greedy-one-word-counts-words-not-seeds",
@@ -119,6 +119,35 @@ MUTANTS = [
         "return lo if lo == hi else split_words(pw.words, lo, hi, pw.depth - t)",
         "return split_words(pw.words, lo, hi, pw.depth - t)",
         "test_strategies.py",
+    ),
+    # The level tables and identity play words.
+    Mutant(
+        "level-up-sums-the-two-halves",
+        "exploiter.py",
+        'h = array("I", map(add, islice(h, 0, None, 2), islice(h, 1, None, 2)))',
+        'h = array("I", map(add, islice(h, 0, len(h) // 2), islice(h, len(h) // 2, None)))',
+        "test_level_tables.py",
+    ),
+    Mutant(
+        "rounds-past-the-depth-not-credited",
+        "exploiter.py",
+        "lone[top + 1] = below[-1]",
+        "lone[top + 1] = 0",
+        "test_words.py",
+    ),
+    Mutant(
+        "identity-below-step-twice-too-wide",
+        "strategies.py",
+        "range(0, space + 1, space >> depth)",
+        "range(0, space + 1, space >> depth << 1)",
+        "test_level_tables.py",
+    ),
+    Mutant(
+        "walk-starts-a-level-below-the-tables",
+        "exploiter.py",
+        "stack = [(top + 1, lo, hi)] if lo < hi else []",
+        "stack = [(top + 2, lo, hi)] if lo < hi else []",
+        "test_level_tables.py",
     ),
     # The stepping choosers.
     Mutant(

@@ -26,8 +26,8 @@ from pennylab import (
 )
 from pennylab.exploiter import potential_step
 from pennylab.game import round_weights
-from pennylab.prng import PREDICTORS, check_seed_space, int_to_bits, seed_stream
-from pennylab.strategies import StrategySpec, mirror, round_plays
+from pennylab.prng import PREDICTORS, check_seed_space, int_to_bits, seed_stream, split_words
+from pennylab.strategies import StrategySpec, _compile_words, horizon, mirror, round_plays
 
 
 def opponents_with_budget(n: int, k: int):
@@ -272,6 +272,46 @@ def reference_greedy_value(opponent, n, delta=None):
     for t in range(1, n + 1):
         running += lone[t]
         wins[t] += running
+    if delta is None:
+        return Fraction(sum(wins), space * n)
+    return sum((w * d for w, d in zip(round_weights(delta, n)[1:], wins[1:])), Fraction(0)) / space
+
+
+def reference_range_wins(pw, n):
+    """`exploiter.majority_wins` by a walk over every node of the trie of the play words `pw`.
+
+    `greedy_value`'s walk before its level tables: depth-first off a stack
+    of `(round, lo, hi)` ranges of words, where a range of one word wins
+    every remaining round.
+    """
+    words, below, depth = pw
+    wins = [0] * (n + 1)
+    lone = [0] * (n + 1)
+    stack = [(1, 0, len(words))]
+    while stack:
+        t, lo, hi = stack.pop()
+        if hi - lo == 1:
+            lone[t] += below[hi] - below[lo]
+            continue
+        mid = split_words(words, lo, hi, depth - t)
+        wins[t] += abs(below[hi] + below[lo] - 2 * below[mid])
+        if t < n:
+            stack.extend((t + 1, a, b) for a, b in ((lo, mid), (mid, hi)) if a < b)
+    running = 0
+    for t in range(1, n + 1):
+        running += lone[t]
+        wins[t] += running
+    return wins
+
+
+def reference_range_greedy_value(opponent, n, delta=None):
+    """`greedy_value` by `reference_range_wins` over the words `_compile_words` builds, never the identity words."""
+    check_seed_space(opponent.seed_len)
+    depth = min(n, horizon(opponent))
+    if opponent.kind == "generator" and depth < n:
+        raise ValueError("generator stream too short for this round")
+    pw = _compile_words(opponent, depth)
+    space, wins = pw.below[-1], reference_range_wins(pw, n)
     if delta is None:
         return Fraction(sum(wins), space * n)
     return sum((w * d for w, d in zip(round_weights(delta, n)[1:], wins[1:])), Fraction(0)) / space

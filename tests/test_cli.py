@@ -230,6 +230,43 @@ def test_help_still_exits_0(capsys, args):
     assert out.startswith("usage: pennylab") and err == ""
 
 
+def test_help_lists_every_command(capsys):
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    out = capsys.readouterr().out
+    for name, command in cli.COMMANDS.items():
+        assert name in out and command.help in out
+
+
+def test_unknown_command_exits_2_naming_every_choice(capsys):
+    assert main(["bogus"]) == 2
+    error = _one_line_error(capsys)["error"]
+    assert "invalid choice: 'bogus'" in error
+    assert all(repr(name) in error for name in cli.COMMANDS)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["simulate", "--n", "3", "--p1", "uniform:3", "--p2", "alt:T", "--seed1", "101"],
+        ["exploit", "--n", "8", "--opponent", "gen:counter,m=3", "--opponent-seed", "2", "--run-id", "x"],
+        ["verify-eq", "--n", "8", "--p1", "uniform:4", "--p2", "pred:markov1"],
+        ["prng-test", "--gen", "bm", "--m", "3", "--n", "8", "--predictor", "markov1", "--mode", "sampled"],
+        ["discounted", "--delta", "1/2", "--epsilon", "1/2"],
+        ["sweep", "--n", "8", "--k", "0..3", "--out", "sweep.csv"],
+    ],
+    ids=list(cli.COMMANDS),
+)
+def test_one_subparser_parses_as_the_full_parser(monkeypatch, args):
+    built = []
+    build = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda only=None: built.append(only) or build(only))
+    one = parse_config(args)
+    monkeypatch.setattr(cli, "_build_parser", lambda only=None: build())
+    assert built == [args[0]]
+    assert parse_config(args) == one
+
+
 def test_exploiters_nested_to_the_limit_run(tmp_path, capsys):
     opponent = "exploit:vs=" * MAX_NESTING + "uniform:1"
     status, artifact = run_cli(["exploit", "--n", "2", "--opponent", opponent], tmp_path, "deep.csv")
