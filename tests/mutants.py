@@ -143,6 +143,13 @@ MUTANTS = [
         "test_level_tables.py",
     ),
     Mutant(
+        "identity-words-credited-from-the-depth",
+        "exploiter.py",
+        "return [0] * (depth + 1) + [below[-1]] * (n - depth)",
+        "return [0] * depth + [below[-1]] * (n - depth + 1)",
+        "test_level_tables.py",
+    ),
+    Mutant(
         "walk-starts-a-level-below-the-tables",
         "exploiter.py",
         "stack = [(top + 1, lo, hi)] if lo < hi else []",
