@@ -33,7 +33,6 @@ from .strategies import (
 )
 from .exploiter import (
     MatchResult,
-    expected_average_payoff,
     expected_potential_step,
     play_match,
     potential_step,

@@ -29,7 +29,7 @@ except ImportError:  # an interpreter built without it
     from hashlib import sha256
 
 from .discounting import DiscountParams, certify_discounted_eq, min_rounds
-from .exploiter import expected_average_payoff, guarantee, play_match
+from .exploiter import greedy_value, guarantee, play_match
 from .game import as_fraction, average_payoff, cumulative_payoff, format_transcript
 from .oracle import certify_gap
 from .prng import check_seed_space, eval_next_bit_predictor, make_generator, parse_generator
@@ -187,7 +187,7 @@ def _cmd_simulate(cfg: ExperimentConfig, specs) -> int:
 
 def _cmd_exploit(cfg: ExperimentConfig, opponent) -> int:
     n = cfg.values["n"]
-    achieved = expected_average_payoff(opponent, n)
+    achieved = greedy_value(opponent, n)
     bound = guarantee(n, opponent.seed_len)
     match = play_match(opponent, cfg.values["opponent_seed"], n)
     rows = [
@@ -290,7 +290,7 @@ def _cmd_sweep(cfg: ExperimentConfig, ks) -> int:
     rows = []
     all_ok = True
     for k in ks:
-        achieved = expected_average_payoff(uniform_table(k), n)
+        achieved = greedy_value(uniform_table(k), n)
         bound = guarantee(n, k)
         margin = achieved - bound
         all_ok = all_ok and margin >= 0

@@ -52,8 +52,8 @@ def round_payoffs(s1: StrategySpec, s2: StrategySpec, n: int) -> list[Fraction]:
         # Independent seeds: per-round expectations factor through the two
         # marginal H-frequencies, E[h_t] = (2*p1 - 1)(2*p2 - 1).
         return [
-            Fraction(2 * sum(round_plays(s1, t)) - space1, space1)
-            * Fraction(2 * sum(round_plays(s2, t)) - space2, space2)
+            Fraction(2 * round_plays(s1, t).count(1) - space1, space1)
+            * Fraction(2 * round_plays(s2, t).count(1) - space2, space2)
             for t in range(1, n + 1)
         ]
     if not (s1.oblivious or s2.oblivious):

@@ -623,7 +623,7 @@ def prediction_hits(
     below: Sequence[int],
     n: int,
     depth: Optional[int] = None,
-    tail: Optional[Callable[[int, int], int]] = None,
+    tail: Optional[Callable[[int], tuple[int, ...]]] = None,
 ) -> list[int]:
     """Per-position hit counts: hits[i] counts the streams whose bit i the chooser guesses from bits [:i].
 
@@ -632,7 +632,7 @@ def prediction_hits(
     the trie of their prefixes carries the chooser's state: `guess` once per
     node, `step` once per edge.  A range of one word finishes its remaining
     positions in a loop that guesses and steps once per position; past the
-    words' depth, `tail(index, t)` gives that word's round-t bit.
+    words' depth, `tail(index)` gives that word's bits at positions depth..n-1.
     """
     init, guess, step = chooser
     depth = n if depth is None else depth
@@ -642,7 +642,7 @@ def prediction_hits(
         i, lo, hi, state = stack.pop()
         if hi - lo == 1:
             count = below[hi] - below[lo]
-            bits = int_to_bits(words[lo], depth)[i:] + tuple(tail(lo, t) for t in range(max(i, depth) + 1, n + 1))
+            bits = int_to_bits(words[lo], depth)[i:] + (tail(lo) if depth < n else ())
             for j, bit in enumerate(bits, i):
                 if guess(state) == bit:
                     hits[j] += count

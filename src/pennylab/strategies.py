@@ -13,7 +13,7 @@ one implementation of a reactive family serves either seat.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Any, Iterator, NamedTuple, Sequence, Union
+from typing import Any, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .game import Action, RationalLike, Transcript, as_fraction, bit_to_action
 from .prng import (
@@ -224,6 +224,25 @@ def mirror(history: Transcript) -> Transcript:
     return tuple((b, a) for a, b in history)
 
 
+def fixed_play(spec: StrategySpec, t: int) -> Optional[Action]:
+    """Round t's play when it reads no seed bit, else None.
+
+    Every round of a `constant`, an `alternator` or a seedless uniform table
+    (constant H), and a `prefix-tail` round past its prefix, whose
+    alternating tail starts with `tail_start` on round prefix_len + 1.
+    """
+    if spec.kind == "constant":
+        return spec.param("play")
+    if spec.kind == "uniform-table" and not spec.seed_len:
+        return Action.H
+    if spec.kind == "alternator":
+        return spec.param("first") if t % 2 else spec.param("first").flip()
+    if spec.kind == "prefix-tail" and t > spec.seed_len:
+        start, offset = spec.param("tail_start"), t - spec.seed_len
+        return start if spec.param("tail_kind") == "constant" or offset % 2 else start.flip()
+    return None
+
+
 def act(spec: StrategySpec, seed: Seed, history: Transcript, round: int) -> Action:
     """The strategy's deterministic action for this round.
 
@@ -237,25 +256,12 @@ def act(spec: StrategySpec, seed: Seed, history: Transcript, round: int) -> Acti
     if len(history) != round - 1:
         raise ValueError("history length mismatch")
 
+    play = fixed_play(spec, round)
+    if play is not None:
+        return play
     kind = spec.kind
-    if kind == "uniform-table":
-        if spec.seed_len == 0:
-            return Action.H
+    if kind in ("uniform-table", "prefix-tail"):
         return bit_to_action(seed.bit((round - 1) % spec.seed_len))
-    if kind == "constant":
-        return spec.param("play")
-    if kind == "alternator":
-        first = spec.param("first")
-        return first if round % 2 == 1 else first.flip()
-    if kind == "prefix-tail":
-        prefix_len = spec.param("prefix_len")
-        if round <= prefix_len:
-            return bit_to_action(seed.bit(round - 1))
-        if spec.param("tail_kind") == "constant":
-            return spec.param("tail_start")
-        offset = round - prefix_len
-        start = spec.param("tail_start")
-        return start if offset % 2 == 1 else start.flip()
     if kind == "generator":
         g: GeneratorSpec = spec.param("generator")
         if round > g.out_len:
@@ -323,28 +329,23 @@ def simulate(
     return tuple(views[0])
 
 
-@lru_cache(maxsize=128)
 def round_plays(spec: StrategySpec, t: int) -> bytes:
     """An oblivious strategy's plays at round `t`: byte s is 1 iff seed s plays H.
 
-    Defined for oblivious specs only, and compiled family by family from the
-    seed integer, with no `Seed` per seed:
+    Defined for oblivious specs only, compiled family by family from the
+    seed integer, with no `Seed` per seed, and built afresh on every call:
 
-    - a round that reads seed bit i (every `uniform-table` round with a
-      budget, `prefix-tail` rounds t <= prefix_len) is `prng.seed_bit_column`;
+    - a round that reads no seed bit repeats its `fixed_play` for all seeds;
     - a `generator` round is `prng.round_bits`, with no per-seed stream;
-    - every other round reads no seed bit, so one `act` serves all seeds.
-
-    The cache holds at most 128 tables of 2**seed_len bytes each: 128 MiB at
-    the 2**20 enumeration cap.
+    - every other round reads seed bit (t-1) mod seed_len, a
+      `prng.seed_bit_column`.
     """
-    k = spec.seed_len
-    if (spec.kind == "uniform-table" and k) or (spec.kind == "prefix-tail" and t <= k):
-        return seed_bit_column(k, (t - 1) % k)
+    play = fixed_play(spec, t)
+    if play is not None:
+        return bytes([play is Action.H]) * (1 << spec.seed_len)
     if spec.kind == "generator":
         return round_bits(spec.param("generator"), t)
-    filler = ((Action.H, Action.H),) * (t - 1)
-    return bytes([act(spec, Seed.from_int(0, k), filler, t) is Action.H]) * (1 << k)
+    return seed_bit_column(spec.seed_len, (t - 1) % spec.seed_len)
 
 
 def horizon(spec: StrategySpec) -> int:
@@ -402,14 +403,12 @@ def play_words(spec: StrategySpec, n: int) -> PlayWords:
 
 @lru_cache(maxsize=4)
 def _compile_words(spec: StrategySpec, depth: int) -> PlayWords:
-    """`play_words` over `round_plays`' tables.
+    """`play_words` over `round_plays`' tables, which are packed into words and not kept.
 
     At the 2**20 cap an entry holds up to 8 MiB for at most 32 rounds and
-    12 MiB for at most 64; wider words are a list of Python ints.  The
-    tables are built uncached (`__wrapped__`): once packed into words they
-    are not read again, so they need not fill `round_plays`' cache.
+    12 MiB for at most 64; wider words are a list of Python ints.
     """
-    return PlayWords(*compile_words(lambda t: round_plays.__wrapped__(spec, t), depth, 1 << spec.seed_len), depth)
+    return PlayWords(*compile_words(lambda t: round_plays(spec, t), depth, 1 << spec.seed_len), depth)
 
 
 def split(opponent: StrategySpec, pw: PlayWords, lo: int, hi: int, t: int) -> int:
@@ -417,14 +416,17 @@ def split(opponent: StrategySpec, pw: PlayWords, lo: int, hi: int, t: int) -> in
 
     The seeds of [lo, mid) play T.  An oblivious opponent's range is split
     with one bisect of its play words; past their depth a non-empty range
-    holds one word, whose round-t play its table or, for a uniform table, its
-    own round (t-1) mod seed_len + 1 gives.  An adaptive opponent has no
+    holds one word, whose round-t play is its `fixed_play` or, for a uniform
+    table, its own round (t-1) mod seed_len + 1.  An adaptive opponent has no
     words to split: its play comes from its `chooser`.
     """
     if t > pw.depth and opponent.kind == "uniform-table" and opponent.seed_len:
         t = (t - 1) % opponent.seed_len + 1
     if t > pw.depth:
-        return lo if round_plays(opponent, t)[0] else hi
+        play = fixed_play(opponent, t)
+        if play is None:
+            raise ValueError("generator stream too short for this round")
+        return lo if play is Action.H else hi
     return lo if lo == hi else split_words(pw.words, lo, hi, pw.depth - t)
 
 
@@ -434,13 +436,17 @@ def word_hits(seat: Chooser, opponent: StrategySpec, n: int) -> tuple[list[int],
     hits[t-1] counts the opponent's seeds whose round-t play the seat's
     chooser guesses, by one `prng.prediction_hits` walk over the trie of the
     opponent's play words; past their depth a one-word range reads its plays
-    from `split`.
+    from `split`.  Only a uniform table's words play their own bits there;
+    every other spec's are its fixed plays, split once for all words.
     """
     pw = play_words(opponent, n)
 
-    def tail(lo: int, t: int) -> int:
-        return 1 if split(opponent, pw, lo, lo + 1, t) == lo else 0
+    def tail(lo: int) -> tuple[int, ...]:
+        return tuple(1 if split(opponent, pw, lo, lo + 1, t) == lo else 0 for t in range(pw.depth + 1, n + 1))
 
+    if not (opponent.kind == "uniform-table" and opponent.seed_len):
+        fixed = tail(0)
+        return prediction_hits(seat, pw.words, pw.below, n, pw.depth, lambda lo: fixed), pw.below[-1]
     return prediction_hits(seat, pw.words, pw.below, n, pw.depth, tail), pw.below[-1]
 
 

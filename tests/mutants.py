@@ -120,6 +120,28 @@ MUTANTS = [
         "return split_words(pw.words, lo, hi, pw.depth - t)",
         "test_strategies.py",
     ),
+    # The seedless rounds.
+    Mutant(
+        "fixed-play-alternator-tail-parity-flipped",
+        "strategies.py",
+        'return start if spec.param("tail_kind") == "constant" or offset % 2 else start.flip()',
+        'return start if spec.param("tail_kind") == "constant" or (offset + 1) % 2 else start.flip()',
+        "test_strategies.py",
+    ),
+    Mutant(
+        "split-past-depth-always-hi",
+        "strategies.py",
+        "return lo if play is Action.H else hi",
+        "return hi",
+        "test_words.py",
+    ),
+    Mutant(
+        "word-hits-shares-a-uniform-tables-tail",
+        "strategies.py",
+        'if not (opponent.kind == "uniform-table" and opponent.seed_len):',
+        "if True:",
+        "test_words.py",
+    ),
     # The level tables and identity play words.
     Mutant(
         "level-up-sums-the-two-halves",

@@ -12,7 +12,6 @@ from pennylab import (
     certify_gap,
     constant,
     exact_value,
-    expected_average_payoff,
     exploiter_vs,
     generator_backed,
     make_gamma_equilibrium,
@@ -221,7 +220,6 @@ def test_seed_space_cap_enforced():
         lambda n: best_response_value(uniform_table(2), n),
         lambda n: certify_gap(uniform_table(2), uniform_table(2), n),
         lambda n: greedy_value(uniform_table(2), n),
-        lambda n: expected_average_payoff(uniform_table(2), n),
         lambda n: payoff_to_distinguisher(uniform_table(2), blum_micali("add1", 2, 4), n),
         lambda n: predictor_accuracy("markov1", uniform_table(2), n),
         lambda n: guarantee(n, 0),
@@ -232,7 +230,6 @@ def test_seed_space_cap_enforced():
         "best_response_value",
         "certify_gap",
         "greedy_value",
-        "expected_average_payoff",
         "payoff_to_distinguisher",
         "predictor_accuracy",
         "guarantee",

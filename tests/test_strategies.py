@@ -20,21 +20,25 @@ from pennylab import (
     generator_backed,
     make_gamma_equilibrium,
     passthrough,
+    play_match,
     predictor_backed,
     prefix_tail,
     simulate,
     uniform_table,
 )
+from pennylab import strategies
 from pennylab.exploiter import tracker
-from pennylab.prng import _bm_stream, seed_stream
+from pennylab.prng import PREDICTORS, _bm_stream, predictor_chooser, seed_stream
 from pennylab.strategies import (
     MAX_NESTING,
     StrategySpec,
     as_seed,
     describe,
+    fixed_play,
     parse_strategy,
     round_plays,
     seed_space,
+    word_hits,
 )
 
 from support import (
@@ -198,12 +202,49 @@ def test_round_plays_matches_seed_by_seed_reference(spec):
         assert str(fast.value) == str(slow.value)
 
 
+def test_fixed_plays_of_seedless_rounds():
+    assert [fixed_play(constant(T), t) for t in (1, 2, 9)] == [T, T, T]
+    assert [fixed_play(alternator(T), t) for t in range(1, 5)] == [T, H, T, H]
+    assert fixed_play(uniform_table(0), 7) is H
+    for spec in (uniform_table(2), generator_backed(passthrough(4)), predictor_backed("markov1")):
+        assert [fixed_play(spec, t) for t in range(1, 5)] == [None] * 4
+
+
+def test_tail_plays_after_an_odd_and_an_even_prefix():
+    # Both tails start with tail_start on the first round past the prefix.
+    assert [fixed_play(prefix_tail(3, "alternator", T), t) for t in range(1, 8)] == [
+        None, None, None, T, H, T, H
+    ]
+    assert [fixed_play(prefix_tail(4, "alternator", T), t) for t in range(1, 9)] == [
+        None, None, None, None, T, H, T, H
+    ]
+    assert [fixed_play(prefix_tail(3, "constant", T), t) for t in range(1, 6)] == [None, None, None, T, T]
+    assert [fixed_play(prefix_tail(4, "constant", H), t) for t in range(1, 7)] == [None] * 4 + [H, H]
+    assert round_plays(prefix_tail(3, "alternator", T), 5) == b"\1" * 8
+    assert round_plays(prefix_tail(4, "alternator", T), 5) == b"\0" * 16
+
+
+def test_tail_rounds_build_no_play_table(monkeypatch):
+    calls = []
+    real_round_plays = strategies.round_plays
+
+    def counting_round_plays(spec, t):
+        calls.append(t)
+        return real_round_plays(spec, t)
+
+    monkeypatch.setattr(strategies, "round_plays", counting_round_plays)
+    opponent = prefix_tail(4, "alternator", H)
+    hits, space = word_hits(predictor_chooser(PREDICTORS["markov1"], as_play=True), opponent, 300)
+    assert (len(hits), space) == (300, 16)
+    assert play_match(opponent, 5, 300).cumulative > 0
+    assert calls == []
+
+
 def test_compiled_bm_tables_compute_no_per_seed_stream():
     n = 10
     spec = parse_strategy("gen:bm,m=9", n)
     before = _bm_stream.cache_info()
-    # Bypass round_plays' own cache so every table is really compiled.
-    tables = [round_plays.__wrapped__(spec, t) for t in range(1, n + 1)]
+    tables = [round_plays(spec, t) for t in range(1, n + 1)]
     assert _bm_stream.cache_info() == before
     g = spec.param("generator")
     for value in (0, 1, 511, 512, 77_777, (1 << 18) - 1):
