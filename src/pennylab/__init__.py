@@ -40,18 +40,18 @@ from .exploiter import (
 from .oracle import GapReport, best_response_value, certify_gap, exact_value
 from .prng import (
     GeneratorSpec,
-    PredictorReport,
     bitstream,
     blum_micali,
     broken_counter,
     broken_repeat,
-    eval_next_bit_predictor,
     inner_product_bit,
     passthrough,
     register_permutation,
     register_predictor,
 )
 from .reductions import (
+    PredictorReport,
+    eval_next_bit_predictor,
     payoff_to_distinguisher,
     per_round_payoffs,
     predictor_accuracy,

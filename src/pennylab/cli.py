@@ -32,7 +32,8 @@ from .discounting import DiscountParams, certify_discounted_eq, min_rounds
 from .exploiter import greedy_value, guarantee, play_match
 from .game import as_fraction, average_payoff, cumulative_payoff, format_transcript
 from .oracle import certify_gap
-from .prng import check_seed_space, eval_next_bit_predictor, make_generator, parse_generator
+from .prng import check_seed_space, make_generator, parse_generator
+from .reductions import eval_next_bit_predictor
 from .strategies import as_seed, describe, make_gamma_equilibrium, parse_strategy, simulate, uniform_table
 
 

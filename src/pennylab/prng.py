@@ -9,14 +9,8 @@ from __future__ import annotations
 
 import math
 import os
-import random
-import sys
 from array import array
-from bisect import bisect_left
-from fractions import Fraction
-from functools import lru_cache, partial
-from itertools import chain, compress, islice
-from operator import le, ne
+from functools import lru_cache
 from typing import Any, Callable, NamedTuple, Optional, Sequence, Union
 
 Bits = tuple[int, ...]
@@ -537,181 +531,3 @@ def predictor_chooser(fn: PredictorFn, as_play: bool = False) -> Chooser:
     if fn in _CHOOSERS:
         return _CHOOSERS[fn]
     return Chooser((), (lambda prefix: 1 if fn(prefix) else 0) if as_play else fn, _extend)
-
-
-# Typecodes by item size: play words up to 64 bits wide live in an `array`,
-# and seed counts (at most 2**20, or the sample count) in four bytes.
-_CODES = {array(code).itemsize: code for code in "BHILQ"}
-
-
-def compile_words(table: Callable[[int], bytes], depth: int, space: int) -> tuple[Sequence[int], Sequence[int]]:
-    """The sorted distinct play words of `space` seeds over rounds 1..depth: `distinct_words`' pair.
-
-    table(t) is round t's plays, byte s 1 iff seed s plays H; bit depth - t of
-    seed s's word is that play.  Eight tables at a time are added into one
-    integer with a byte per seed, which fills one byte of every word, so the
-    build runs at C speed.  Words take the narrowest of 1, 2, 4 or 8 bytes
-    that fits, else Python ints.  Words that grow with the seed (uniform
-    tables, prefix-tails, passthrough) need no sort.  Others are sorted in
-    parts of about 2**16 seeds, bucketed by their first few plays, so the
-    sort holds no more than that many as Python ints at once.
-    """
-    size = -(-depth // 8)
-    width = next((w for w in (1, 2, 4, 8) if w >= size), size)
-    field = bytearray(width * space)
-    for b in range(size):  # byte b of a word holds rounds depth-8b-7..depth-8b
-        acc = 0
-        for t in range(max(1, depth - 8 * b - 7), depth - 8 * b + 1):
-            acc = (acc << 1) + int.from_bytes(table(t), "little")
-        field[b::width] = acc.to_bytes(space, "little")
-    if width in _CODES:
-        store = partial(array, _CODES[width])
-        words = store(field)
-        if sys.byteorder == "big":
-            words.byteswap()
-    else:
-        store = list
-        words = [int.from_bytes(field[i : i + width], "little") for i in range(0, len(field), width)]
-    del field  # the words hold it now
-    if all(map(le, words, islice(words, 1, None))):
-        return distinct_words(words)
-    parts = [words]
-    lead = min(depth, max(0, space.bit_length() - 17))
-    if lead:
-        group = 0
-        for t in range(1, lead + 1):
-            group = (group << 1) + int.from_bytes(table(t), "little")
-        parts = [store() for _ in range(1 << lead)]
-        for word, g in zip(words, group.to_bytes(space, "little")):
-            parts[g].append(word)
-    del words  # the parts hold them now
-    distinct, below, seen = store(), array(_CODES[4]), 0
-    for part in parts:
-        part_words, part_below = distinct_words(store(sorted(part)))
-        distinct.extend(part_words)
-        below.extend(map(seen.__add__, islice(part_below, len(part_below) - 1)))
-        seen += part_below[-1]
-    below.append(seen)
-    return distinct, below
-
-
-def distinct_words(words: Sequence[int]) -> tuple[Sequence[int], Sequence[int]]:
-    """The distinct words of the sorted `words`, and below[j], how many words lie below the j-th.
-
-    below ends with the total, so the words in a range [lo, hi) of the
-    distinct words number below[hi] - below[lo].
-    """
-    first = bytes(chain((1,), map(ne, islice(words, 1, None), words)))
-    below = array(_CODES[4], compress(range(len(words)), first))
-    below.append(len(words))
-    distinct = compress(words, first)
-    return (array(words.typecode, distinct) if isinstance(words, array) else list(distinct)), below
-
-
-def split_words(words: Sequence[int], lo: int, hi: int, shift: int) -> int:
-    """The first index of the sorted words[lo:hi], which agree above bit `shift`, with that bit set.
-
-    The words before it have the bit clear: one bisect splits a range of play
-    words by the next play.
-    """
-    return bisect_left(words, (words[lo] >> shift | 1) << shift, lo, hi)
-
-
-def prediction_hits(
-    chooser: Chooser,
-    words: Sequence[int],
-    below: Sequence[int],
-    n: int,
-    depth: Optional[int] = None,
-    tail: Optional[Callable[[int], tuple[int, ...]]] = None,
-) -> list[int]:
-    """Per-position hit counts: hits[i] counts the streams whose bit i the chooser guesses from bits [:i].
-
-    The streams are the sorted distinct `words` of `depth` bits (n by
-    default), with counts from `below` (see `distinct_words`).  One walk over
-    the trie of their prefixes carries the chooser's state: `guess` once per
-    node, `step` once per edge.  A range of one word finishes its remaining
-    positions in a loop that guesses and steps once per position; past the
-    words' depth, `tail(index)` gives that word's bits at positions depth..n-1.
-    """
-    init, guess, step = chooser
-    depth = n if depth is None else depth
-    hits = [0] * n
-    stack = [(0, 0, len(words), init)]
-    while stack:
-        i, lo, hi, state = stack.pop()
-        if hi - lo == 1:
-            count = below[hi] - below[lo]
-            bits = int_to_bits(words[lo], depth)[i:] + (tail(lo) if depth < n else ())
-            for j, bit in enumerate(bits, i):
-                if guess(state) == bit:
-                    hits[j] += count
-                if j + 1 < n:
-                    state = step(state, bit)
-            continue
-        # Two words differ within the depth, so i < depth here.
-        mid = split_words(words, lo, hi, depth - 1 - i)
-        g = guess(state)
-        if g == 1:
-            hits[i] += below[hi] - below[mid]
-        elif g == 0:
-            hits[i] += below[mid] - below[lo]
-        if i + 1 < n:
-            if lo < mid:
-                stack.append((i + 1, lo, mid, step(state, 0)))
-            if mid < hi:
-                stack.append((i + 1, mid, hi, step(state, 1)))
-    return hits
-
-
-class PredictorReport(NamedTuple):
-    """Measured next-bit prediction advantage for one generator/predictor pair.
-
-    `advantage` is max over positions of |success probability - 1/2|;
-    `per_position` keeps the signed per-position values.  Exact reports carry
-    rationals computed by full seed enumeration.
-    """
-
-    advantage: Union[Fraction, float]
-    samples: int
-    per_position: tuple
-    exact: bool
-    best_position: int
-    half_width: Optional[float] = None
-
-
-def eval_next_bit_predictor(
-    g: GeneratorSpec,
-    predictor: str,
-    mode: str = "exact",
-    samples: int = 10_000,
-    eval_seed: int = 0,
-) -> PredictorReport:
-    """Per-position success of the predictor registered as `predictor` on `g`'s output.
-
-    Exact mode enumerates every seed, under the enumeration cap.  Sampled
-    mode draws seeds from an explicit `eval_seed`-keyed stream and reports a
-    95% confidence half-width for the best position's estimate.
-    """
-    chooser = predictor_chooser(resolve_predictor(predictor))
-    n = g.out_len
-    if mode == "exact":
-        space = check_seed_space(g.seed_len)
-        hits = prediction_hits(chooser, *compile_words(lambda t: round_bits(g, t), n, space), n)
-        per_position = tuple(Fraction(h, space) - Fraction(1, 2) for h in hits)
-        advantage = max(abs(p) for p in per_position)
-        best = max(range(n), key=lambda i: (abs(per_position[i]), -i)) + 1
-        return PredictorReport(advantage, space, per_position, True, best)
-    if mode == "sampled":
-        if samples < 1:
-            raise ValueError("sample count must be positive")
-        rng = random.Random(eval_seed)
-        words = [bits_to_int(seed_stream(g, rng.randrange(1 << g.seed_len))) for _ in range(samples)]
-        hits = prediction_hits(chooser, *distinct_words(sorted(words)), n)
-        per_position = tuple(h / samples - 0.5 for h in hits)
-        advantage = max(abs(p) for p in per_position)
-        best = max(range(n), key=lambda i: (abs(per_position[i]), -i)) + 1
-        rate = hits[best - 1] / samples
-        half_width = 1.96 * math.sqrt(rate * (1.0 - rate) / samples)
-        return PredictorReport(advantage, samples, per_position, False, best, half_width)
-    raise ValueError(f"unknown mode: {mode!r}")

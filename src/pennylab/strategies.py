@@ -22,17 +22,15 @@ from .prng import (
     PREDICTORS,
     bitstream,
     check_seed_space,
-    compile_words,
     int_to_bits,
     parse_generator,
     parse_params,
-    prediction_hits,
     predictor_chooser,
     resolve_predictor,
     round_bits,
     seed_bit_column,
-    split_words,
 )
+from .words import PlayWords, compile_words, identity_words, prediction_hits, split_words
 
 
 class Seed:
@@ -360,21 +358,6 @@ def horizon(spec: StrategySpec) -> int:
     return spec.seed_len
 
 
-class PlayWords(NamedTuple):
-    """An oblivious spec compiled to the sorted distinct play words of its seeds.
-
-    Bit depth - t of a word is its seeds' play at round t (1 is H), for rounds
-    1..depth.  below[j] counts the seeds whose word is below words[j], so the
-    seeds of a range [lo, hi) of words number below[hi] - below[lo].  Every
-    consistent set is such a range: the words agreeing with the plays seen.
-    A seedless adaptive spec compiles to one empty word held by its one seed.
-    """
-
-    words: Sequence[int]
-    below: Sequence[int]
-    depth: int
-
-
 _SEEDLESS = PlayWords((0,), (0, 1), 0)
 
 
@@ -386,7 +369,8 @@ def play_words(spec: StrategySpec, n: int) -> PlayWords:
     Where round t plays big-endian seed bit t-1 (uniform tables, prefix-tails
     and passthrough generators, up to their depth), a seed's word is its top
     `depth` bits, so the words are every depth-bit integer, each held by
-    2**(seed_len - depth) seeds: two ranges, with nothing compiled or cached.
+    2**(seed_len - depth) seeds: `identity_words`, two ranges, with nothing
+    compiled or cached.
     """
     space = check_seed_space(spec.seed_len)
     if not spec.oblivious:
@@ -397,7 +381,7 @@ def play_words(spec: StrategySpec, n: int) -> PlayWords:
     if spec.kind in ("uniform-table", "prefix-tail") or (
         spec.kind == "generator" and spec.param("generator").kind == "uniform-passthrough"
     ):
-        return PlayWords(range(1 << depth), range(0, space + 1, space >> depth), depth)
+        return identity_words(depth, space)
     return _compile_words(spec, depth)
 
 
@@ -434,7 +418,7 @@ def word_hits(seat: Chooser, opponent: StrategySpec, n: int) -> tuple[list[int],
     """Per-round hits of an adaptive seat's guesses against an oblivious opponent, and its seed count.
 
     hits[t-1] counts the opponent's seeds whose round-t play the seat's
-    chooser guesses, by one `prng.prediction_hits` walk over the trie of the
+    chooser guesses, by one `words.prediction_hits` walk over the trie of the
     opponent's play words; past their depth a one-word range reads its plays
     from `split`.  Only a uniform table's words play their own bits there;
     every other spec's are its fixed plays, split once for all words.

@@ -38,35 +38,35 @@ MUTANTS = [
     # The play-word walks.
     Mutant(
         "split-words-key-off-by-one",
-        "prng.py",
+        "words.py",
         "bisect_left(words, (words[lo] >> shift | 1) << shift, lo, hi)",
         "bisect_left(words, ((words[lo] >> shift | 1) << shift) + 1, lo, hi)",
         "test_words.py",
     ),
     Mutant(
         "greedy-one-word-shortcut-a-round-late",
-        "exploiter.py",
+        "words.py",
         "lone[t] += below[hi] - below[lo]",
         "lone[min(t + 1, n)] += below[hi] - below[lo]",
         "test_words.py",
     ),
     Mutant(
         "hits-one-word-range-a-position-late",
-        "prng.py",
+        "words.py",
         "for j, bit in enumerate(bits, i):",
         "for j, bit in enumerate(bits[1:], i + 1):",
         "test_words.py",
     ),
     Mutant(
         "greedy-split-counts-words-not-seeds",
-        "exploiter.py",
+        "words.py",
         "wins[t] += abs(below[hi] + below[lo] - 2 * below[mid])",
         "wins[t] += abs(hi + lo - 2 * mid)",
         "test_level_tables.py",
     ),
     Mutant(
         "greedy-one-word-counts-words-not-seeds",
-        "exploiter.py",
+        "words.py",
         "lone[t] += below[hi] - below[lo]",
         "lone[t] += hi - lo",
         "test_exploiter.py",
@@ -87,7 +87,7 @@ MUTANTS = [
     ),
     Mutant(
         "hits-count-words-not-seeds",
-        "prng.py",
+        "words.py",
         "count = below[hi] - below[lo]",
         "count = hi - lo",
         "test_words.py",
@@ -101,14 +101,14 @@ MUTANTS = [
     ),
     Mutant(
         "sort-buckets-swapped",
-        "prng.py",
+        "words.py",
         "parts[g].append(word)",
         "parts[g ^ 1].append(word)",
         "test_words.py",
     ),
     Mutant(
         "last-sort-bucket-dropped",
-        "prng.py",
+        "words.py",
         "for part in parts:",
         "for part in parts[:-1]:",
         "test_words.py",
@@ -145,35 +145,42 @@ MUTANTS = [
     # The level tables and identity play words.
     Mutant(
         "level-up-sums-the-two-halves",
-        "exploiter.py",
+        "words.py",
         'h = array("I", map(add, islice(h, 0, None, 2), islice(h, 1, None, 2)))',
         'h = array("I", map(add, islice(h, 0, len(h) // 2), islice(h, len(h) // 2, None)))',
         "test_level_tables.py",
     ),
     Mutant(
         "rounds-past-the-depth-not-credited",
-        "exploiter.py",
+        "words.py",
         "lone[top + 1] = below[-1]",
         "lone[top + 1] = 0",
         "test_words.py",
     ),
     Mutant(
         "identity-below-step-twice-too-wide",
-        "strategies.py",
+        "words.py",
         "range(0, space + 1, space >> depth)",
         "range(0, space + 1, space >> depth << 1)",
         "test_level_tables.py",
     ),
     Mutant(
         "identity-words-credited-from-the-depth",
-        "exploiter.py",
+        "words.py",
         "return [0] * (depth + 1) + [below[-1]] * (n - depth)",
         "return [0] * depth + [below[-1]] * (n - depth + 1)",
         "test_level_tables.py",
     ),
     Mutant(
+        "identity-test-without-range-check",
+        "words.py",
+        "return isinstance(pw.below, range) and len(pw.words) == 1 << pw.depth",
+        "return len(pw.words) == 1 << pw.depth",
+        "test_level_tables.py",
+    ),
+    Mutant(
         "walk-starts-a-level-below-the-tables",
-        "exploiter.py",
+        "words.py",
         "stack = [(top + 1, lo, hi)] if lo < hi else []",
         "stack = [(top + 2, lo, hi)] if lo < hi else []",
         "test_level_tables.py",
@@ -181,7 +188,7 @@ MUTANTS = [
     # The stepping choosers.
     Mutant(
         "chooser-stepped-one-edge-late",
-        "prng.py",
+        "words.py",
         "state = step(state, bit)",
         "state = step(state, bits[j - i - 1]) if j > i else state",
         "test_choosers.py",

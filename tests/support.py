@@ -26,8 +26,9 @@ from pennylab import (
 )
 from pennylab.exploiter import potential_step
 from pennylab.game import round_weights
-from pennylab.prng import PREDICTORS, check_seed_space, int_to_bits, seed_stream, split_words
+from pennylab.prng import PREDICTORS, check_seed_space, int_to_bits, seed_stream
 from pennylab.strategies import StrategySpec, _compile_words, horizon, mirror, round_plays
+from pennylab.words import split_words
 
 
 def opponents_with_budget(n: int, k: int):
@@ -132,7 +133,7 @@ def reference_round_plays(spec, t):
 def reference_prediction_hits(g, predictor):
     """Exact per-position hit counts of `predictor` on `g`, one `seed_stream` per seed.
 
-    The reference `prng.eval_next_bit_predictor`'s exact mode, which reads
+    The reference `reductions.eval_next_bit_predictor`'s exact mode, which reads
     compiled `round_bits` tables and memoizes guesses by prefix, is checked
     against: one predictor call per seed and position, on that seed's prefix.
     """
@@ -278,7 +279,7 @@ def reference_greedy_value(opponent, n, delta=None):
 
 
 def reference_range_wins(pw, n):
-    """`exploiter.majority_wins` by a walk over every node of the trie of the play words `pw`.
+    """`words.majority_wins` by a walk over every node of the trie of the play words `pw`.
 
     `greedy_value`'s walk before its level tables: depth-first off a stack
     of `(round, lo, hi)` ranges of words, where a range of one word wins
@@ -350,7 +351,7 @@ def reference_exploiter_act(opponent, history, beat=False):
 def reference_stream_hits(fn, streams, n):
     """Per-position hit counts over explicit streams, one `fn` call per distinct short prefix.
 
-    The memoized stream loop `prng.prediction_hits`' trie walk replaced, kept
+    The memoized stream loop `words.prediction_hits`' trie walk replaced, kept
     as a reference: guesses for prefixes under 20 bits are memoized by the
     prefix read as a binary number after a leading 1; longer prefixes are
     each passed to `fn`.

@@ -18,8 +18,9 @@ from pennylab import (
     prefix_tail,
     uniform_table,
 )
-from pennylab.exploiter import _DENSE, greedy_value, majority_wins
-from pennylab.strategies import PlayWords, _compile_words, horizon, parse_strategy, play_words
+from pennylab.exploiter import greedy_value
+from pennylab.strategies import _compile_words, horizon, parse_strategy, play_words
+from pennylab.words import _DENSE, PlayWords, majority_wins
 
 from support import PERMUTATION_NAMES, reference_greedy_value, reference_range_greedy_value, reference_range_wins
 

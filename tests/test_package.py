@@ -15,7 +15,8 @@ from pennylab.discounting import DiscountParams, certify_discounted_eq
 from pennylab.exploiter import play_match
 from pennylab.game import Action
 from pennylab.oracle import certify_gap
-from pennylab.prng import GeneratorSpec, broken_repeat, eval_next_bit_predictor, passthrough
+from pennylab.prng import GeneratorSpec, broken_repeat, passthrough
+from pennylab.reductions import eval_next_bit_predictor
 from pennylab.strategies import StrategySpec, constant, uniform_table
 
 from support import init_consistent
@@ -23,8 +24,12 @@ from support import init_consistent
 PACKAGE = pathlib.Path(pennylab.__file__).parent
 
 
-def _imported_modules() -> list[tuple[str, str]]:
-    """(file name, absolute module name) for every absolute import in the package."""
+def _imports() -> list[tuple[str, str]]:
+    """(file name, module name) for every import in the package, function-level ones included.
+
+    A relative import keeps its leading dots: `from . import exploiter` is
+    ".exploiter" and `from .prng import Chooser` is ".prng".
+    """
     modules = sorted(PACKAGE.rglob("*.py"))
     assert modules
     found = []
@@ -32,10 +37,23 @@ def _imported_modules() -> list[tuple[str, str]]:
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Import):
                 found += [(path.name, alias.name) for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                found.append((path.name, node.module))
-            # relative imports stay inside the package
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module] if node.module else [alias.name for alias in node.names]
+                found += [(path.name, "." * node.level + name) for name in names]
     return found
+
+
+def _imported_modules() -> list[tuple[str, str]]:
+    """(file name, absolute module name) for every absolute import; relative ones stay inside the package."""
+    return [(file, name) for file, name in _imports() if not name.startswith(".")]
+
+
+def test_play_words_sit_on_the_leaf_module_alone():
+    # prng <- words <- strategies: prng imports no pennylab module, and words
+    # only prng, so neither can join an import cycle.
+    relative = [(file, name) for file, name in _imports() if name.startswith(".")]
+    assert [name for file, name in relative if file == "prng.py"] == []
+    assert {name for file, name in relative if file == "words.py"} == {".prng"}
 
 
 def test_package_imports_only_the_standard_library():

@@ -32,15 +32,14 @@ from pennylab.prng import (
     _bm_stream,
     bits_to_int,
     bitstream,
-    distinct_words,
     int_to_bits,
     parse_generator,
     permutation,
-    prediction_hits,
     predictor_chooser,
     round_bits,
     seed_stream,
 )
+from pennylab.words import distinct_words, prediction_hits
 
 from support import (
     PERMUTATION_NAMES,

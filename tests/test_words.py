@@ -27,14 +27,17 @@ from pennylab import (
     prefix_tail,
     uniform_table,
 )
+from pennylab import strategies
 from pennylab.exploiter import greedy_value
 from pennylab.oracle import round_payoffs
-from pennylab.prng import PREDICTORS, bits_to_int, compile_words, round_bits, seed_stream
-from pennylab.strategies import horizon, play_words
+from pennylab.prng import PREDICTORS, bits_to_int, round_bits, seed_stream
+from pennylab.strategies import _compile_words, horizon, play_words
+from pennylab.words import compile_words
 
 from support import (
     PERMUTATION_NAMES,
     PREDICTOR_NAMES,
+    generator_population,
     reference_accuracy,
     reference_exploiter_act,
     reference_greedy_value,
@@ -154,6 +157,28 @@ def test_exact_hits_match_the_stream_loop(case, predictor):
         assert eval_next_bit_predictor(g, predictor).per_position == tuple(
             Fraction(h, space) - Fraction(1, 2) for h in hits
         )
+
+
+@pytest.mark.parametrize("predictor", PREDICTOR_NAMES)
+def test_exact_passthrough_reports_compile_nothing(predictor, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("compile_words called")
+
+    monkeypatch.setattr(strategies, "compile_words", refuse)
+    g = passthrough(12)
+    before = _compile_words.cache_info()
+    report = eval_next_bit_predictor(g, predictor)
+    assert _compile_words.cache_info() == before
+    hits = reference_prediction_hits(g, predictor)
+    assert report.per_position == tuple(Fraction(h, 1 << 12) - Fraction(1, 2) for h in hits)
+
+
+@pytest.mark.parametrize("predictor", PREDICTOR_NAMES)
+def test_exact_reports_average_to_the_predictor_accuracy(predictor):
+    for label, g in generator_population(9):
+        report = eval_next_bit_predictor(g, predictor)
+        accuracy = predictor_accuracy(predictor, generator_backed(g), g.out_len)
+        assert sum(report.per_position) / g.out_len + Fraction(1, 2) == accuracy, label
 
 
 def _sampled_reference(g, predictor, samples, eval_seed):
