@@ -17,9 +17,8 @@ from .game import (
     stage_payoff,
 )
 from .strategies import (
-    Seed,
+    Seed,  # no pennylab code builds one; see its docstring
     StrategySpec,
-    act,
     alternator,
     constant,
     exploiter_vs,
@@ -27,7 +26,7 @@ from .strategies import (
     make_gamma_equilibrium,
     predictor_backed,
     prefix_tail,
-    seed_space,
+    seed_plays,
     simulate,
     uniform_table,
 )
@@ -40,11 +39,9 @@ from .exploiter import (
 from .oracle import GapReport, best_response_value, certify_gap, exact_value
 from .prng import (
     GeneratorSpec,
-    bitstream,
     blum_micali,
     broken_counter,
     broken_repeat,
-    inner_product_bit,
     passthrough,
     register_permutation,
     register_predictor,
@@ -55,7 +52,6 @@ from .reductions import (
     payoff_to_distinguisher,
     per_round_payoffs,
     predictor_accuracy,
-    round_win_probabilities,
 )
 from .discounting import (
     DiscountParams,

@@ -34,7 +34,7 @@ from .game import as_fraction, average_payoff, cumulative_payoff, format_transcr
 from .oracle import certify_gap
 from .prng import check_seed_space, make_generator, parse_generator
 from .reductions import eval_next_bit_predictor
-from .strategies import as_seed, describe, make_gamma_equilibrium, parse_strategy, simulate, uniform_table
+from .strategies import describe, make_gamma_equilibrium, parse_strategy, simulate, uniform_table
 
 
 class ExperimentConfig(NamedTuple):
@@ -111,8 +111,18 @@ def csv_artifact(cfg: ExperimentConfig, header: list[str], rows: list[list[str]]
 # --------------------------------------------------------------------------
 
 
+def _seed_bits(text: str, seed_len: int) -> int:
+    """A `--seed1`/`--seed2` bit string as the seed integer; empty means all zeros."""
+    if any(c not in "01" for c in text):
+        raise ValueError(f"malformed bit string: {text!r}")
+    if text and len(text) != seed_len:
+        raise ValueError("budget violation")
+    return int(text or "0", 2)
+
+
 def _simulate_inputs(v: dict):
-    return parse_strategy(v["p1"], v["n"], player=1), parse_strategy(v["p2"], v["n"], player=2)
+    s1, s2 = parse_strategy(v["p1"], v["n"], player=1), parse_strategy(v["p2"], v["n"], player=2)
+    return s1, _seed_bits(v["seed1"], s1.seed_len), s2, _seed_bits(v["seed2"], s2.seed_len)
 
 
 def _exploit_inputs(v: dict):
@@ -125,6 +135,8 @@ def _exploit_inputs(v: dict):
 
 def _verify_eq_inputs(v: dict):
     n = v["n"]
+    if v["gamma"] is not None and (v["p1"] or v["p2"]):
+        raise ValueError("verify-eq takes --gamma or --p1 and --p2, not both")
     if v["gamma"] is not None:
         pair = make_gamma_equilibrium(n, v["gamma"])
     elif not (v["p1"] and v["p2"]):
@@ -170,11 +182,8 @@ def _sweep_inputs(v: dict) -> list[int]:
 # --------------------------------------------------------------------------
 
 
-def _cmd_simulate(cfg: ExperimentConfig, specs) -> int:
-    s1, s2 = specs
-    seed1 = as_seed(cfg.values["seed1"] or "0" * s1.seed_len, s1.seed_len)
-    seed2 = as_seed(cfg.values["seed2"] or "0" * s2.seed_len, s2.seed_len)
-    transcript = simulate(s1, seed1, s2, seed2, cfg.values["n"])
+def _cmd_simulate(cfg: ExperimentConfig, seats) -> int:
+    transcript = simulate(*seats, cfg.values["n"])
     avg = average_payoff(transcript)
     payload = {
         "transcript": format_transcript(transcript),

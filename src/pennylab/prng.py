@@ -11,7 +11,7 @@ import math
 import os
 from array import array
 from functools import lru_cache
-from typing import Any, Callable, NamedTuple, Optional, Sequence, Union
+from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 Bits = tuple[int, ...]
 PermFn = Callable[[int], int]
@@ -48,26 +48,6 @@ def int_to_bits(value: int, length: int) -> Bits:
 
 def bits_to_int(bits: Sequence[int]) -> int:
     return int(bytes(bits).translate(_DIGITS) or b"0", 2)
-
-
-def coerce_bits(value: Union[str, Sequence[int]]) -> Bits:
-    if isinstance(value, str):
-        if any(c not in "01" for c in value):
-            raise ValueError(f"malformed bit string: {value!r}")
-        return tuple(int(c) for c in value)
-    return tuple(int(b) for b in value)
-
-
-def inner_product_bit(x: Union[str, Sequence[int]], y: Union[str, Sequence[int]]) -> int:
-    """Parity of the bitwise AND of two equal-length bit strings."""
-    xb, yb = coerce_bits(x), coerce_bits(y)
-    if len(xb) != len(yb):
-        raise ValueError("length mismatch")
-    return sum(a & b for a, b in zip(xb, yb)) & 1
-
-
-def _ip_int(a: int, b: int) -> int:
-    return (a & b).bit_count() & 1
 
 
 # --------------------------------------------------------------------------
@@ -267,15 +247,11 @@ def broken_counter(m: int, out_len: int) -> GeneratorSpec:
     return spec
 
 
-@lru_cache(maxsize=2)
 def _bm_stream(perm: str, m: int, out_len: int, x: int, y: int) -> Bits:
     """One Blum-Micali stream for the seed (x, y).
 
-    The per-seed path: it serves `act`, simulation and sampled predictor
-    runs.  Compiled round tables come from `round_bits` and never call it.
-    The cache keeps two streams, one per seat: its only hits are repeated
-    reads of the same seed within one `simulate` or `play_match`, and sampled
-    runs draw fresh seeds that never hit.
+    The per-seed path: it serves `seed_plays` and sampled predictor runs.
+    Compiled round tables come from `round_bits` and never call it.
     """
     fn = permutation(perm, m)
     # One forward pass over the iterate chain, emitted in reverse: bit 1 uses
@@ -285,7 +261,7 @@ def _bm_stream(perm: str, m: int, out_len: int, x: int, y: int) -> Bits:
     for _ in range(out_len):
         cur = fn(cur)
         chain.append(cur)
-    return tuple(_ip_int(chain[out_len - i], y) for i in range(1, out_len + 1))
+    return tuple((chain[out_len - i] & y).bit_count() & 1 for i in range(1, out_len + 1))
 
 
 # Swaps the bytes 0 and 1: flips a table of bits.
@@ -349,19 +325,10 @@ def round_bits(g: GeneratorSpec, t: int) -> bytes:
     return column
 
 
-def bitstream(g: GeneratorSpec, seed_bits: Union[str, Sequence[int]]) -> Bits:
-    """The generator's full output for one seed, as a bit tuple of length out_len."""
-    bits = coerce_bits(seed_bits)
-    if len(bits) != g.seed_len:
-        raise ValueError("seed length mismatch")
-    return seed_stream(g, bits_to_int(bits))
-
-
 def seed_stream(g: GeneratorSpec, value: int) -> Bits:
-    """`bitstream` for the seed whose big-endian bits read `value`, in [0, 2**seed_len).
+    """The generator's full output for the seed whose big-endian bits read `value`, in [0, 2**seed_len).
 
-    Works on the integer directly: no seed bit tuple is built or re-parsed,
-    and Blum-Micali streams come from `_bm_stream`, which keeps the last two.
+    A bit tuple of length out_len, computed from the integer directly.
     """
     if g.kind == "uniform-passthrough":
         return int_to_bits(value, g.out_len)

@@ -35,11 +35,6 @@ def per_round_payoffs(s: StrategySpec, g: GeneratorSpec, n: int) -> list[Fractio
     return round_payoffs(generator_backed(g), s, n)
 
 
-def round_win_probabilities(s: StrategySpec, g: GeneratorSpec, n: int) -> list[Fraction]:
-    """Per-round probabilities that the generator-backed player wins: (E[A_i] + 1)/2."""
-    return [(e + 1) / 2 for e in per_round_payoffs(s, g, n)]
-
-
 def payoff_to_distinguisher(
     s: StrategySpec,
     g: GeneratorSpec,

@@ -1,26 +1,23 @@
 """Strategy families with declared randomness budgets, plus head-to-head simulation.
 
-Every strategy is a deterministic map (seed, history, round) -> action.  The
-seed carries the whole randomness budget: `seed_len` declares how many bits the
-family may read, and `Seed` records which bits were actually touched so budget
-honesty is testable.
-
-`act` always sees the history seat-normalized: each entry is
-(own play, opponent play).  `simulate` mirrors the transcript for player 2, so
-one implementation of a reactive family serves either seat.
+An oblivious strategy's play at round t depends only on its seed and on t.
+The seed is an integer in [0, 2**seed_len), read big-endian, and `seed_len`
+declares how many bits the family may read.  `seed_plays` gives one seed's
+plays and `round_plays` one round's play for every seed.  An adaptive
+strategy (a predictor or an exploiter) reads no seed: its `chooser` follows
+the opponent's plays, and `simulate` steps it once per round.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Any, Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Any, NamedTuple, Optional, Sequence, Union
 
 from .game import Action, RationalLike, Transcript, as_fraction, bit_to_action
 from .prng import (
     Chooser,
     GeneratorSpec,
     PREDICTORS,
-    bitstream,
     check_seed_space,
     int_to_bits,
     parse_generator,
@@ -29,6 +26,7 @@ from .prng import (
     resolve_predictor,
     round_bits,
     seed_bit_column,
+    seed_stream,
 )
 from .words import PlayWords, compile_words, identity_words, prediction_hits, split_words
 
@@ -37,7 +35,10 @@ class Seed:
     """A fixed bit string a strategy draws from, with read tracking.
 
     Bits are indexed from 0; `reads` accumulates every index handed out, which
-    is what the budget-honesty tests count.
+    is what the tests' per-round reference player counts.  No pennylab code
+    builds one: strategies play from the seed integer.  It stays here and in
+    the package exports because `bench/tracer.py` wraps `Seed.__init__`, and
+    the tracer fails on a class target it cannot find.
     """
 
     __slots__ = ("bits", "reads")
@@ -67,20 +68,6 @@ class Seed:
 
     def __repr__(self) -> str:
         return "Seed(%s)" % "".join(str(b) for b in self.bits)
-
-
-def seed_space(length: int) -> Iterator[Seed]:
-    """All 2**length seeds, in increasing numeric order."""
-    for value in range(1 << length):
-        yield Seed.from_int(value, length)
-
-
-def as_seed(value: Union[Seed, str, Sequence[int], int], length: int) -> Seed:
-    if isinstance(value, Seed):
-        return value
-    if isinstance(value, int):
-        return Seed.from_int(value, length)
-    return Seed(value)
 
 
 class _StrategyFields(NamedTuple):
@@ -217,11 +204,6 @@ def make_gamma_equilibrium(n: int, gamma: RationalLike) -> tuple[StrategySpec, S
 # --------------------------------------------------------------------------
 
 
-def mirror(history: Transcript) -> Transcript:
-    """Swap the two columns, converting one seat's view into the other's."""
-    return tuple((b, a) for a, b in history)
-
-
 def fixed_play(spec: StrategySpec, t: int) -> Optional[Action]:
     """Round t's play when it reads no seed bit, else None.
 
@@ -241,41 +223,32 @@ def fixed_play(spec: StrategySpec, t: int) -> Optional[Action]:
     return None
 
 
-def act(spec: StrategySpec, seed: Seed, history: Transcript, round: int) -> Action:
-    """The strategy's deterministic action for this round.
-
-    `history` must hold the previous round-1 entries as (own, opponent) pairs.
-    Raises "budget violation" if the seed length does not match the spec.
-    """
-    if len(seed) != spec.seed_len:
+def _check_seed(spec: StrategySpec, seed: int) -> None:
+    if not 0 <= seed < 1 << spec.seed_len:
         raise ValueError("budget violation")
-    if round < 1:
-        raise ValueError("rounds are indexed from 1")
-    if len(history) != round - 1:
-        raise ValueError("history length mismatch")
 
-    play = fixed_play(spec, round)
-    if play is not None:
-        return play
-    kind = spec.kind
-    if kind in ("uniform-table", "prefix-tail"):
-        return bit_to_action(seed.bit((round - 1) % spec.seed_len))
-    if kind == "generator":
+
+def seed_plays(spec: StrategySpec, seed: int, n: int) -> tuple[Action, ...]:
+    """An oblivious strategy's plays at rounds 1..n for one seed.
+
+    Round t's play is byte `seed` of `round_plays(spec, t)`: its
+    `fixed_play`, a generator's stream bit t (`prng.seed_stream`), or else
+    seed bit (t-1) mod seed_len.  Raises "budget violation" for a seed
+    outside [0, 2**seed_len).
+    """
+    _check_seed(spec, seed)
+    if not spec.oblivious:
+        raise ValueError("adaptive strategies play from their chooser")
+    if spec.kind == "generator":
         g: GeneratorSpec = spec.param("generator")
-        if round > g.out_len:
+        if n > g.out_len:
             raise ValueError("generator stream too short for this round")
-        stream = bitstream(g, seed.all_bits())
-        return bit_to_action(stream[round - 1])
-    if kind == "predictor":
-        fn = PREDICTORS[spec.param("predictor")]
-        prefix = tuple(1 if opp is Action.H else 0 for _, opp in history)
-        guess = bit_to_action(fn(prefix))
-        return guess.flip() if spec.param("beat") else guess
-    if kind == "exploiter":
-        from . import exploiter
-
-        return exploiter.exploiter_act(spec, history)
-    raise ValueError(f"unknown strategy kind: {kind!r}")
+        return tuple(map(bit_to_action, seed_stream(g, seed)[:n]))
+    k, plays = spec.seed_len, []
+    for t in range(1, n + 1):
+        play = fixed_play(spec, t)
+        plays.append(bit_to_action(seed >> (k - 1 - (t - 1) % k) & 1) if play is None else play)
+    return tuple(plays)
 
 
 def chooser(spec: StrategySpec) -> Chooser:
@@ -283,9 +256,7 @@ def chooser(spec: StrategySpec) -> Chooser:
 
     `guess(state)` is the opponent's next play it predicts (1 is H): the
     spec plays it, or its flip when `beat` is set.  `step(state, bit)`
-    follows one opponent play.  On any path where the spec made its own
-    plays, folding `step` over the opponent's and guessing gives what `act`
-    plays, without rereading the history.
+    follows one opponent play, so the spec never rereads the history.
     """
     if spec.kind == "predictor":
         return predictor_chooser(PREDICTORS[spec.param("predictor")], as_play=True)
@@ -296,42 +267,36 @@ def chooser(spec: StrategySpec) -> Chooser:
     raise ValueError("oblivious strategies have no chooser")
 
 
-def simulate(
-    s1: StrategySpec,
-    seed1: Union[Seed, str, Sequence[int], int],
-    s2: StrategySpec,
-    seed2: Union[Seed, str, Sequence[int], int],
-    n: int,
-) -> Transcript:
+def simulate(s1: StrategySpec, seed1: int, s2: StrategySpec, seed2: int, n: int) -> Transcript:
     """Play the two strategies against each other for n rounds.
 
     Pure given its inputs: replaying with identical seeds yields an identical
-    transcript.  An oblivious seat acts on its seed; an adaptive one steps
-    its chooser once per round.
+    transcript.  An oblivious seat plays its `seed_plays`; an adaptive one,
+    whose only seed is 0, steps its chooser once per round.
     """
-    seats = ((s1, as_seed(seed1, s1.seed_len)), (s2, as_seed(seed2, s2.seed_len)))
-    if any(len(seed) != spec.seed_len for spec, seed in seats):
-        raise ValueError("budget violation")
+    seats = ((s1, seed1), (s2, seed2))
+    for spec, seed in seats:
+        _check_seed(spec, seed)
+    plays = [seed_plays(spec, seed, n) if spec.oblivious else None for spec, seed in seats]
     choosers = [None if spec.oblivious else chooser(spec) for spec, _ in seats]
     states = [c.init if c else None for c in choosers]
-    views: tuple[list[tuple[Action, Action]], ...] = ([], [])
-    for t in range(1, n + 1):
+    rounds = []
+    for t in range(n):
         a, b = (
-            act(spec, seed, tuple(view), t) if c is None else bit_to_action(c.guess(state) ^ spec.param("beat"))
-            for (spec, seed), c, state, view in zip(seats, choosers, states, views)
+            bit_to_action(c.guess(state) ^ spec.param("beat")) if c else own[t]
+            for (spec, _), own, c, state in zip(seats, plays, choosers, states)
         )
-        views[0].append((a, b))
-        views[1].append((b, a))
-        if t < n:
+        rounds.append((a, b))
+        if t + 1 < n:
             states = [c.step(s, seen is Action.H) if c else None for c, s, seen in zip(choosers, states, (b, a))]
-    return tuple(views[0])
+    return tuple(rounds)
 
 
 def round_plays(spec: StrategySpec, t: int) -> bytes:
     """An oblivious strategy's plays at round `t`: byte s is 1 iff seed s plays H.
 
     Defined for oblivious specs only, compiled family by family from the
-    seed integer, with no `Seed` per seed, and built afresh on every call:
+    seed integer, with no per-seed stream, and built afresh on every call:
 
     - a round that reads no seed bit repeats its `fixed_play` for all seeds;
     - a `generator` round is `prng.round_bits`, with no per-seed stream;

@@ -120,6 +120,21 @@ MUTANTS = [
         "return split_words(pw.words, lo, hi, pw.depth - t)",
         "test_strategies.py",
     ),
+    # One seed's plays.
+    Mutant(
+        "seed-plays-reads-a-bit-late",
+        "strategies.py",
+        "seed >> (k - 1 - (t - 1) % k)",
+        "seed >> (k - 1 - t % k)",
+        "test_strategies.py",
+    ),
+    Mutant(
+        "play-match-reads-the-next-round",
+        "exploiter.py",
+        "plays[t - 1]",
+        "plays[min(t, n - 1)]",
+        "test_words.py",
+    ),
     # The seedless rounds.
     Mutant(
         "fixed-play-alternator-tail-parity-flipped",

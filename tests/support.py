@@ -9,7 +9,6 @@ from typing import NamedTuple
 from pennylab import (
     Action,
     Seed,
-    act,
     alternator,
     blum_micali,
     broken_counter,
@@ -25,10 +24,83 @@ from pennylab import (
     uniform_table,
 )
 from pennylab.exploiter import potential_step
-from pennylab.game import round_weights
-from pennylab.prng import PREDICTORS, check_seed_space, int_to_bits, seed_stream
-from pennylab.strategies import StrategySpec, _compile_words, horizon, mirror, round_plays
+from pennylab.game import bit_to_action, round_weights
+from pennylab.prng import PREDICTORS, bits_to_int, check_seed_space, int_to_bits, permutation, seed_stream
+from pennylab.strategies import StrategySpec, _compile_words, chooser, fixed_play, horizon, round_plays
 from pennylab.words import split_words
+
+
+def mirror(history):
+    """Swap the two columns, converting one seat's view into the other's."""
+    return tuple((b, a) for a, b in history)
+
+
+def inner_product_bit(x, y):
+    """Parity of the bitwise AND of two equal-length bit tuples."""
+    if len(x) != len(y):
+        raise ValueError("length mismatch")
+    return sum(a & b for a, b in zip(x, y)) & 1
+
+
+def reference_stream(g, bits):
+    """A generator's output for the seed bit tuple `bits`, from each family's definition.
+
+    The reference `prng.seed_stream`, which works on the seed integer, is
+    checked against.  Blum-Micali bit i is perm**(n-i+1)(x) ip y, by
+    `inner_product_bit` on the bit tuples of the two halves.
+    """
+    n = g.out_len
+    if g.kind == "uniform-passthrough":
+        return tuple(bits)
+    if g.kind == "broken-repeat":
+        return tuple(bits[i % 2] for i in range(n))
+    if g.kind == "broken-counter":
+        return sum((int_to_bits(bits_to_int(bits) + j, g.m) for j in range((n + g.m - 1) // g.m)), ())[:n]
+    fn, x, y = permutation(g.perm, g.m), bits_to_int(bits[: g.m]), bits[g.m :]
+    chain = [x]
+    for _ in range(n):
+        chain.append(fn(chain[-1]))
+    return tuple(inner_product_bit(int_to_bits(chain[n - i + 1], g.m), y) for i in range(1, n + 1))
+
+
+def reference_act(spec, seed, history, round):
+    """A strategy's play at `round` in the paper's (seed, history, round) form.
+
+    `seed` is a `Seed`, so its reads are tracked, and `history` holds the
+    previous round - 1 entries as (own, opponent) pairs.  An oblivious spec
+    reads only the seed; a predictor rereads the opponent's whole column, and
+    an exploiter refilters its opponent's seed list with
+    `reference_exploiter_act`.
+    """
+    if len(seed) != spec.seed_len:
+        raise ValueError("budget violation")
+    if round < 1:
+        raise ValueError("rounds are indexed from 1")
+    if len(history) != round - 1:
+        raise ValueError("history length mismatch")
+    play = fixed_play(spec, round)
+    if play is not None:
+        return play
+    if spec.kind in ("uniform-table", "prefix-tail"):
+        return bit_to_action(seed.bit((round - 1) % spec.seed_len))
+    if spec.kind == "generator":
+        g = spec.param("generator")
+        if round > g.out_len:
+            raise ValueError("generator stream too short for this round")
+        return bit_to_action(reference_stream(g, seed.all_bits())[round - 1])
+    if spec.kind == "predictor":
+        guess = bit_to_action(PREDICTORS[spec.param("predictor")](tuple(int(opp is Action.H) for _, opp in history)))
+        return guess.flip() if spec.param("beat") else guess
+    return reference_exploiter_act(spec.param("opponent"), history, spec.param("beat"))
+
+
+def chooser_play(spec, history):
+    """An adaptive spec's play after `history` (its own view), by folding its chooser over the opponent's column."""
+    c = chooser(spec)
+    state = c.init
+    for _, seen in history:
+        state = c.step(state, seen is Action.H)
+    return bit_to_action(c.guess(state) ^ spec.param("beat"))
 
 
 def opponents_with_budget(n: int, k: int):
@@ -109,10 +181,10 @@ def reference_split(opponent, alive, history, t):
         if opponent.oblivious:
             seq = []
             for r in range(1, t + 1):
-                seq.append(act(opponent, seed, tuple((a, Action.H) for a in seq), r))
+                seq.append(reference_act(opponent, seed, tuple((a, Action.H) for a in seq), r))
             action = seq[-1]
         else:
-            action = act(opponent, seed, mirror(history), t)
+            action = reference_act(opponent, seed, mirror(history), t)
         (heads if action is Action.H else tails).append(value)
     return heads, tails
 
@@ -121,11 +193,12 @@ def reference_round_plays(spec, t):
     """Seed-by-seed play table of an oblivious spec at round t: byte s is 1 iff seed s plays H.
 
     The slow path `strategies.round_plays` is checked against: one `Seed` and
-    one `act` per seed, on a filler history an oblivious family never reads.
+    one `reference_act` per seed, on a filler history an oblivious family
+    never reads.
     """
     filler = ((Action.H, Action.H),) * (t - 1)
     return bytes(
-        act(spec, Seed(int_to_bits(value, spec.seed_len)), filler, t) is Action.H
+        reference_act(spec, Seed(int_to_bits(value, spec.seed_len)), filler, t) is Action.H
         for value in range(1 << spec.seed_len)
     )
 
@@ -221,7 +294,7 @@ def list_split(opponent, alive, history, t):
     if opponent.oblivious:
         plays = round_plays(opponent, t)
         return [s for s in alive if plays[s]], [s for s in alive if not plays[s]]
-    if alive and act(opponent, Seed(()), mirror(history), t) is Action.H:
+    if alive and reference_act(opponent, Seed(()), mirror(history), t) is Action.H:
         return list(alive), []
     return [], list(alive)
 
@@ -327,7 +400,7 @@ def reference_play_rows(opponent, seed, n):
         heads, tails = list_split(opponent, alive, tuple(history), t)
         predicted = Action.H if len(heads) >= len(tails) else Action.T
         p = Fraction(max(len(heads), len(tails)), len(alive))
-        observed = act(opponent, seed, mirror(tuple(history)), t)
+        observed = reference_act(opponent, seed, mirror(tuple(history)), t)
         payoff = 1 if observed is predicted else -1
         phi = accumulated - math.log2(len(alive))
         rows.append((t, p, len(alive), payoff, phi, potential_step(p, observed is predicted)))
@@ -377,7 +450,7 @@ def reference_stream_hits(fn, streams, n):
 
 
 def reference_simulate(s1, seed1, s2, seed2, n):
-    """The transcript of two strategies by `act` on each seat's view of the whole history, every round.
+    """The transcript of two strategies by `reference_act` on each seat's view of the whole history, every round.
 
     The slow path `strategies.simulate`, which steps an adaptive seat's
     chooser instead, is checked against: a predictor rereads the whole
@@ -386,12 +459,12 @@ def reference_simulate(s1, seed1, s2, seed2, n):
     sd1, sd2 = Seed(int_to_bits(seed1, s1.seed_len)), Seed(int_to_bits(seed2, s2.seed_len))
     rounds = []
     for t in range(1, n + 1):
-        rounds.append((act(s1, sd1, tuple(rounds), t), act(s2, sd2, mirror(tuple(rounds)), t)))
+        rounds.append((reference_act(s1, sd1, tuple(rounds), t), reference_act(s2, sd2, mirror(tuple(rounds)), t)))
     return tuple(rounds)
 
 
 def reference_round_payoffs(s1, s2, n):
-    """Player 1's per-round expected payoff by simulating every seed pair with `act`."""
+    """Player 1's per-round expected payoff by simulating every seed pair with `reference_act`."""
     transcripts = [
         reference_simulate(s1, v1, s2, v2, n) for v1 in range(1 << s1.seed_len) for v2 in range(1 << s2.seed_len)
     ]

@@ -159,7 +159,7 @@ def test_criterion_5_predictor_payoff_identity():
 
         repeat_player = generator_backed(broken_repeat(n))
         for seed_value in range(4):
-            transcript = simulate(predictor_backed("frequency"), "", repeat_player, seed_value, n)
+            transcript = simulate(predictor_backed("frequency"), 0, repeat_player, seed_value, n)
             assert all(stage_payoff(a, b) == 1 for a, b in transcript[2:])
 
 

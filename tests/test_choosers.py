@@ -1,4 +1,4 @@
-"""Stepping choosers: each against the prefix function or `act` it stands in for along a walk."""
+"""Stepping choosers: each against the prefix function or per-round reference player it stands in for along a walk."""
 
 from fractions import Fraction
 
@@ -86,7 +86,7 @@ def test_a_registered_predictor_steps_its_prefix(monkeypatch):
         predictor_backed("parity"), uniform_table(3), 7
     )
     # A guess of 2 is a miss for prng-test, which compares it to the bit, but
-    # plays H in a match, as `act` plays any truthy guess.
+    # plays H in a match, as `reference_act` plays any truthy guess.
     monkeypatch.setitem(PREDICTORS, "twos", None)
     register_predictor("twos", lambda prefix: 2 * (sum(prefix) & 1))
     assert eval_next_bit_predictor(g, "twos").per_position == tuple(

@@ -129,6 +129,7 @@ def _one_line_error(capsys) -> dict:
 
 _EXPLOIT = ["exploit", "--n", "4", "--opponent"]
 _PRNG = ["prng-test", "--gen", "repeat", "--n", "4", "--predictor", "const1"]
+_SIMULATE = ["simulate", "--n", "2", "--p1", "uniform:3", "--p2", "const:H"]
 
 
 @pytest.mark.parametrize(
@@ -147,6 +148,13 @@ _PRNG = ["prng-test", "--gen", "repeat", "--n", "4", "--predictor", "const1"]
         (_EXPLOIT + ["pred:markov1,beat=maybe"], "malformed boolean"),
         (_EXPLOIT + ["uniform:2", "--opponent-seed", "-1"], "outside the declared seed space"),
         (["verify-eq", "--n", "4", "--p1", "const:H"], "needs --gamma or both --p1 and --p2"),
+        (
+            ["verify-eq", "--n", "4", "--gamma", "1/2", "--p1", "const:H", "--p2", "const:T"],
+            "verify-eq takes --gamma or --p1 and --p2, not both",
+        ),
+        (_SIMULATE + ["--seed1", "012"], "malformed bit string: '012'"),
+        (_SIMULATE + ["--seed1", "10"], "budget violation"),
+        (_SIMULATE + ["--seed1", "101", "--seed2", "0"], "budget violation"),
         (["discounted", "--delta", "1/2", "--epsilon", "1/2", "--prefix", "bogus"], "prefix must be uniform or gen:"),
         (
             ["discounted", "--delta", "1/2", "--epsilon", "1/2", "--n", "3", "--prefix", "gen:bm,m=2"],
@@ -163,7 +171,8 @@ _PRNG = ["prng-test", "--gen", "repeat", "--n", "4", "--predictor", "const1"]
     ids=[
         "const-X", "uniform-empty", "uniform-negative", "prefix-tail-no-prefix", "prefix-tail-bad-tail",
         "prefix-tail-gamma-horizon", "exploit-no-vs", "gen-bare-key", "gen-bogus", "gen-counter-no-m",
-        "pred-bad-beat", "negative-opponent-seed", "verify-eq-p1-only", "discounted-bogus-prefix",
+        "pred-bad-beat", "negative-opponent-seed", "verify-eq-p1-only", "verify-eq-gamma-and-profile",
+        "simulate-malformed-seed", "simulate-short-seed", "simulate-seed-for-a-seedless-seat", "discounted-bogus-prefix",
         "discounted-short-prefix", "prng-bogus-mode", "prng-zero-samples", "argparse-bad-int",
         "argparse-unknown-command", "argparse-no-command", "argparse-unrecognized", "exploit-nested-1000",
     ],
@@ -172,6 +181,13 @@ def test_bad_input_exits_2_with_one_json_line(capsys, args, message):
     assert main(args) == 2
     record = _one_line_error(capsys)
     assert record["type"] == "ValueError" and message in record["error"]
+
+
+def test_simulate_seeds_are_parsed_before_anything_runs():
+    cfg = parse_config(_SIMULATE + ["--seed1", "101"])
+    assert cli.COMMANDS["simulate"].inputs(cfg.values)[1::2] == (0b101, 0)
+    with pytest.raises(ValueError, match="budget violation"):
+        parse_config(_SIMULATE + ["--seed1", "1010"])
 
 
 @pytest.mark.parametrize(
@@ -471,10 +487,17 @@ def _fuzzed_argv(draw):
     command = draw(st.sampled_from(("simulate", "exploit", "verify-eq", "prng-test", "discounted", "sweep")))
     if command == "simulate":
         argv = ["--p1", d1, "--p2", d2]
+        for flag, descriptor in (("--seed1", d1), ("--seed2", d2)):
+            if draw(st.booleans()):  # a seed of the right length, the wrong length, or with a non-binary digit
+                width = parse_strategy(descriptor, n).seed_len
+                width = draw(st.sampled_from((width, width, width + 1, max(width - 1, 0))))
+                seed = "".join(draw(st.lists(st.sampled_from("01"), min_size=width, max_size=width)))
+                argv += [flag, draw(st.sampled_from((seed, seed, seed + "2", "x" + seed)))]
     elif command == "exploit":
         argv = ["--opponent", d1, "--opponent-seed", str(draw(st.sampled_from((0, 0, 1, 3))))]
     elif command == "verify-eq":
-        argv = ["--gamma", draw(st.sampled_from(("1/2", "0", "1", "1/3")))] if draw(st.booleans()) else ["--p1", d1, "--p2", d2]
+        gamma = ["--gamma", draw(st.sampled_from(("1/2", "0", "1", "1/3")))]
+        argv = draw(st.sampled_from((gamma, ["--p1", d1, "--p2", d2], gamma + ["--p1", d1, "--p2", d2])))
     elif command == "prng-test":
         n = min(n, 12)
         argv = [

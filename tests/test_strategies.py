@@ -1,6 +1,5 @@
 """Strategy families: determinism, budgets, obliviousness, and the equilibrium pair."""
 
-import itertools
 from fractions import Fraction
 
 import pytest
@@ -10,7 +9,6 @@ from hypothesis import strategies as st
 from pennylab import (
     Action,
     Seed,
-    act,
     alternator,
     blum_micali,
     broken_counter,
@@ -23,21 +21,20 @@ from pennylab import (
     play_match,
     predictor_backed,
     prefix_tail,
+    seed_plays,
     simulate,
     uniform_table,
 )
-from pennylab import strategies
+from pennylab import prng, strategies
 from pennylab.exploiter import tracker
-from pennylab.prng import PREDICTORS, _bm_stream, predictor_chooser, seed_stream
+from pennylab.prng import PREDICTORS, predictor_chooser, seed_stream
 from pennylab.strategies import (
     MAX_NESTING,
     StrategySpec,
-    as_seed,
     describe,
     fixed_play,
     parse_strategy,
     round_plays,
-    seed_space,
     word_hits,
 )
 
@@ -45,6 +42,7 @@ from support import (
     adaptive_population,
     generator_population,
     oblivious_population,
+    reference_act,
     reference_round_plays,
     reference_split,
 )
@@ -53,40 +51,37 @@ H, T = Action.H, Action.T
 
 
 def test_constant_ignores_everything():
-    spec = constant(H)
-    assert act(spec, Seed(""), ((H, T), (T, T)), 3) is H
+    assert seed_plays(constant(H), 0, 3)[2] is H
 
 
 def test_alternator_round_four_is_t():
     spec = alternator(H)
-    history = (((H, H),) * 3)
-    assert act(spec, Seed(""), history, 4) is T
-    assert act(spec, Seed(""), (), 1) is H
+    assert seed_plays(spec, 0, 4)[3] is T
+    assert seed_plays(spec, 0, 1)[0] is H
 
 
 def test_uniform_table_reads_round_indexed_bit():
     spec = uniform_table(3)
+    assert seed_plays(spec, 0b101, 2) == (H, T)  # bit 2 of the seed is 0
     seed = Seed("101")
-    assert act(spec, seed, ((H, H),), 2) is T  # bit 2 of the seed is 0
-    assert act(spec, seed, (), 1) is H
+    assert reference_act(spec, seed, ((H, H),), 2) is T
+    assert reference_act(spec, seed, (), 1) is H
     assert seed.reads == {0, 1}
 
 
 def test_uniform_table_cycles_its_bits():
     spec = uniform_table(2)
-    seed = Seed("10")
-    seq = [a for a, _ in simulate(spec, seed, constant(H), "", 5)]
+    seq = [a for a, _ in simulate(spec, 0b10, constant(H), 0, 5)]
     assert seq == [H, T, H, T, H]
 
 
 def test_zero_bit_uniform_table_is_constant_h():
-    spec = uniform_table(0)
-    assert act(spec, Seed(""), (), 1) is H
+    assert seed_plays(uniform_table(0), 0, 1) == (H,)
 
 
 def test_act_rejects_wrong_seed_length():
     with pytest.raises(ValueError, match="budget violation"):
-        act(uniform_table(3), Seed("10"), (), 1)
+        reference_act(uniform_table(3), Seed("10"), (), 1)
 
 
 def test_adaptive_specs_read_no_seed():
@@ -96,12 +91,29 @@ def test_adaptive_specs_read_no_seed():
 
 def test_act_rejects_history_round_mismatch():
     with pytest.raises(ValueError, match="history length mismatch"):
-        act(constant(H), Seed(""), ((H, H),), 1)
+        reference_act(constant(H), Seed(""), ((H, H),), 1)
+
+
+@pytest.mark.parametrize(
+    "spec, seed",
+    [(uniform_table(3), -1), (uniform_table(3), 8), (uniform_table(3), 9), (predictor_backed("markov1"), 1)],
+    ids=["negative", "2**k", "2**k+1", "seedless-adaptive"],
+)
+def test_seeds_outside_the_declared_space_are_budget_violations(spec, seed):
+    # Nothing wraps a seed into the space: each entry point rejects it.
+    for call in (
+        lambda: seed_plays(spec, seed, 3),
+        lambda: simulate(spec, seed, constant(H), 0, 3),
+        lambda: simulate(constant(H), 0, spec, seed, 3),
+        lambda: play_match(spec, seed, 3),
+    ):
+        with pytest.raises(ValueError, match="budget violation"):
+            call()
 
 
 def test_budget_honesty_reads_exactly_declared_bits():
     # Over a full game of n >= seed_len rounds, every shipped family touches
-    # exactly the bits it declared and no others.
+    # exactly the bits it declared and no others, in the per-round reference.
     n = 8
     specs = [
         uniform_table(4),
@@ -117,26 +129,41 @@ def test_budget_honesty_reads_exactly_declared_bits():
     specs.append(generator_backed(broken_repeat(n)))
     specs.append(generator_backed(broken_counter(3, n)))
     for spec in specs:
-        seed = Seed("0" * spec.seed_len)
-        opponent_seed = Seed("1" * n)
-        simulate(spec, seed, uniform_table(n), opponent_seed, n)
+        seed, history = Seed("0" * spec.seed_len), ()
+        for t in range(1, n + 1):
+            history += ((reference_act(spec, seed, history, t), H),)
         assert seed.reads == set(range(spec.seed_len)), spec.kind
 
 
-def test_declared_oblivious_strategies_ignore_history_exhaustively():
-    # Quantified over every possible history at n <= 6.
-    n = 6
-    for label, spec in oblivious_population(n, max_bits=2):
-        for seed_value in range(min(4, 1 << spec.seed_len)):
-            seed = Seed.from_int(seed_value, spec.seed_len)
-            for t in range(1, n + 1):
-                pairs = list(itertools.product([H, T], repeat=2))
-                reference = None
-                for hist in itertools.product(pairs, repeat=t - 1):
-                    out = act(spec, seed, tuple(hist), t)
-                    if reference is None:
-                        reference = out
-                    assert out is reference, label
+SEED_PLAYS_N = 6
+SEED_PLAYS_POPULATION = oblivious_population(SEED_PLAYS_N) + [
+    ("gen-" + name, generator_backed(g)) for name, g in generator_population(SEED_PLAYS_N)
+]
+
+
+@pytest.mark.parametrize(
+    "spec", [spec for _, spec in SEED_PLAYS_POPULATION], ids=[name for name, _ in SEED_PLAYS_POPULATION]
+)
+def test_seed_plays_read_the_compiled_round_tables(spec):
+    n = SEED_PLAYS_N
+    tables = [round_plays(spec, t) for t in range(1, n + 1)]
+    for value in range(1 << spec.seed_len):
+        plays = seed_plays(spec, value, n)
+        assert [play is H for play in plays] == [table[value] == 1 for table in tables], value
+
+
+@pytest.mark.parametrize(
+    "spec", [spec for _, spec in SEED_PLAYS_POPULATION], ids=[name for name, _ in SEED_PLAYS_POPULATION]
+)
+def test_budget_honesty_of_the_compiled_form(spec):
+    # Every table covers exactly the declared seed space, and each declared
+    # bit changes some seed's plays.  Some seeds hide a bit: Blum-Micali's
+    # y = 0 plays T whatever x is, so no single seed stands for all.
+    n = SEED_PLAYS_N
+    space = 1 << spec.seed_len
+    assert all(len(round_plays(spec, t)) == space for t in range(1, n + 1))
+    for i in range(spec.seed_len):
+        assert any(seed_plays(spec, v, n) != seed_plays(spec, v ^ 1 << i, n) for v in range(space)), i
 
 
 SPLIT_N = 5
@@ -240,25 +267,29 @@ def test_tail_rounds_build_no_play_table(monkeypatch):
     assert calls == []
 
 
-def test_compiled_bm_tables_compute_no_per_seed_stream():
+def test_compiled_bm_tables_compute_no_per_seed_stream(monkeypatch):
     n = 10
     spec = parse_strategy("gen:bm,m=9", n)
-    before = _bm_stream.cache_info()
-    tables = [round_plays(spec, t) for t in range(1, n + 1)]
-    assert _bm_stream.cache_info() == before
+
+    def no_stream(*args):
+        raise AssertionError("a compiled table computed a per-seed stream")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(prng, "_bm_stream", no_stream)
+        tables = [round_plays(spec, t) for t in range(1, n + 1)]
     g = spec.param("generator")
     for value in (0, 1, 511, 512, 77_777, (1 << 18) - 1):
         assert bytes(table[value] for table in tables) == bytes(seed_stream(g, value)), value
 
 
 def test_simulate_examples():
-    assert simulate(constant(H), "", constant(T), "", 2) == ((H, T), (H, T))
-    assert simulate(constant(H), "", alternator(H), "", 2) == ((H, H), (H, T))
+    assert simulate(constant(H), 0, constant(T), 0, 2) == ((H, T), (H, T))
+    assert simulate(constant(H), 0, alternator(H), 0, 2) == ((H, H), (H, T))
 
 
 def test_simulate_exploiter_vs_uniform_seed_11():
     opponent = uniform_table(2)
-    transcript = simulate(exploiter_vs(opponent), "", opponent, "11", 2)
+    transcript = simulate(exploiter_vs(opponent), 0, opponent, 0b11, 2)
     assert [b for _, b in transcript] == [H, H]
     assert transcript == ((H, H), (H, H))
 
@@ -266,27 +297,17 @@ def test_simulate_exploiter_vs_uniform_seed_11():
 def test_simulate_is_replay_stable():
     s1 = generator_backed(passthrough(4))
     s2 = uniform_table(3)
-    first = simulate(s1, "1010", s2, "011", 4)
-    second = simulate(s1, "1010", s2, "011", 4)
+    first = simulate(s1, 0b1010, s2, 0b011, 4)
+    second = simulate(s1, 0b1010, s2, 0b011, 4)
     assert first == second
-
-
-def test_seed_space_enumerates_in_numeric_order():
-    seeds = [s.bits for s in seed_space(2)]
-    assert seeds == [(0, 0), (0, 1), (1, 0), (1, 1)]
-
-
-def test_as_seed_accepts_ints_and_strings():
-    assert as_seed(5, 3).bits == (1, 0, 1)
-    assert as_seed("101", 3).bits == (1, 0, 1)
 
 
 def test_gamma_equilibrium_half():
     p1, p2 = make_gamma_equilibrium(8, Fraction(1, 2))
     assert p1.seed_len == p2.seed_len == 4
     assert p1.oblivious and p2.oblivious
-    tail1 = [a for a, _ in simulate(p1, "0000", constant(H), "", 8)[4:]]
-    tail2 = [a for a, _ in simulate(p2, "0000", constant(H), "", 8)[4:]]
+    tail1 = [a for a, _ in simulate(p1, 0b0000, constant(H), 0, 8)[4:]]
+    tail2 = [a for a, _ in simulate(p2, 0b0000, constant(H), 0, 8)[4:]]
     assert tail1 == [H, H, H, H]
     assert tail2 == [H, T, H, T]
 

@@ -10,8 +10,6 @@ from hypothesis import strategies as st
 
 from pennylab import (
     Action,
-    Seed,
-    act,
     alternator,
     blum_micali,
     broken_counter,
@@ -25,6 +23,7 @@ from pennylab import (
     predictor_backed,
     predictor_accuracy,
     prefix_tail,
+    seed_plays,
     uniform_table,
 )
 from pennylab import strategies
@@ -37,6 +36,7 @@ from pennylab.words import compile_words
 from support import (
     PERMUTATION_NAMES,
     PREDICTOR_NAMES,
+    chooser_play,
     generator_population,
     reference_accuracy,
     reference_exploiter_act,
@@ -48,7 +48,6 @@ from support import (
 )
 
 H, T = Action.H, Action.T
-NO_SEED = Seed(())
 actions = st.sampled_from((H, T))
 
 
@@ -115,7 +114,7 @@ def test_exploiter_act_matches_the_seed_list_filter(case, data):
     refuted = data.draw(st.lists(actions, min_size=n, max_size=n), label="refuted")
     # The seed's own plays keep the history consistent; the drawn column may refute it.
     rounds = min(n, horizon(spec)) if spec.kind == "generator" else n
-    plays = [act(spec, Seed.from_int(seed, spec.seed_len), ((H, H),) * (t - 1), t) for t in range(1, rounds + 1)]
+    plays = seed_plays(spec, seed, rounds)
     for column in (plays, refuted):
         for length in range(len(column) + 1):
             history = tuple(zip(own[:length], column[:length]))
@@ -125,9 +124,9 @@ def test_exploiter_act_matches_the_seed_list_filter(case, data):
                     expected = reference_exploiter_act(spec, history, beat)
                 except ValueError as error:
                     with pytest.raises(ValueError, match=str(error)):
-                        act(player, NO_SEED, history, length + 1)
+                        chooser_play(player, history)
                     continue
-                assert act(player, NO_SEED, history, length + 1) is expected
+                assert chooser_play(player, history) is expected
 
 
 @settings(max_examples=40, deadline=None)
@@ -208,11 +207,9 @@ def test_words_wider_than_64_bits_take_the_same_walk():
         assert [tuple(row) for row in play_match(spec, seed, n).rows] == reference_play_rows(spec, seed, n)
         history = play_match(spec, seed, n).transcript[:40]
         for beat in (False, True):
-            assert act(exploiter_vs(spec, beat=beat), NO_SEED, history, 41) is reference_exploiter_act(
-                spec, history, beat
-            )
+            assert chooser_play(exploiter_vs(spec, beat=beat), history) is reference_exploiter_act(spec, history, beat)
     refuted = tuple((H, H) for _ in range(40))
-    assert act(exploiter_vs(spec), NO_SEED, refuted, 41) is reference_exploiter_act(spec, refuted)
+    assert chooser_play(exploiter_vs(spec), refuted) is reference_exploiter_act(spec, refuted)
     for predictor in PREDICTOR_NAMES:
         assert predictor_accuracy(predictor, spec, n) == reference_accuracy(predictor, spec, n)
         g = spec.param("generator")
