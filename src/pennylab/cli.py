@@ -12,13 +12,11 @@ line {"error", "type"} on stderr.
 
 from __future__ import annotations
 
-import argparse
 import importlib
 import os
 import sys
-import tempfile
 from fractions import Fraction
-from typing import Any, Callable, NamedTuple, NoReturn, Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 # The run id's SHA-256 comes from the interpreter's built-in module, as
 # `random` takes its SHA-512, because `hashlib` would load OpenSSL at
@@ -60,6 +58,7 @@ def dec_str(x) -> str:
 
 
 def _atomic_write(path: str, data: str) -> None:
+    import tempfile  # imported on use, like json: only an --out run needs it
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".pennylab-")
     try:
@@ -380,85 +379,94 @@ COMMANDS = {
 }
 
 
-class _Parser(argparse.ArgumentParser):
-    """An argument parser whose usage errors are bad input (exit 2, one JSON
-    line) rather than a usage block; subparsers inherit the class."""
-
-    def error(self, message: str) -> NoReturn:
-        raise ValueError(message)
-
-
-def _build_parser(only: Optional[str] = None) -> argparse.ArgumentParser:
-    """The parser with the subparser of command `only`, or of every command."""
-    parser = _Parser(
-        prog="pennylab",
-        description="Randomness-budgeted repeated Matching Pennies laboratory.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, command in COMMANDS.items():
-        if only not in (None, name):
-            continue
-        p = sub.add_parser(name, help=command.help)
-        for field, cast, _ in command.fields:
-            p.add_argument("--" + field.replace("_", "-"), dest=field, type=cast)
-        p.add_argument("--config", help="flat key = value config file")
-        p.add_argument("--out", help="artifact path (stdout if omitted)")
-        p.add_argument("--run-id", dest="run_id", help="override the derived run id")
-    return parser
+def _help(name: Optional[str]) -> None:
+    """Print the usage of every command, or of command `name`, with its help and flags, and exit 0."""
+    sys.stdout.write(f"usage: pennylab {name or 'COMMAND'} [--KEY VALUE ...]\n\n{__doc__ or ''}")
+    for command in COMMANDS if name is None else [name]:
+        flags = "".join(f" --{key.replace('_', '-')}" for key, _, _ in COMMANDS[command].fields)
+        sys.stdout.write(f"\n  {command:<12}{COMMANDS[command].help}\n  {'':<11}{flags} --config --out --run-id\n")
+    raise SystemExit(0)
 
 
-def _load_config_file(path: str, keys: set[str]) -> dict[str, str]:
-    try:
-        with open(path) as handle:
-            lines = handle.readlines()
-    except OSError as e:
-        raise ValueError(f"{path}: cannot read config: {e.strerror}") from None
-    values: dict[str, str] = {}
-    for lineno, raw in enumerate(lines, 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"{path}:{lineno}: expected key = value")
-        key, _, value = line.partition("=")
-        key = key.strip().replace("-", "_")
-        if key not in keys:
-            raise ValueError(f"{path}:{lineno}: unknown config key: {key!r}")
-        values[key] = value.strip()
-    return values
+def _is_value(token: str) -> bool:
+    """argparse's test: a token that starts with "-" is a flag, not a value,
+    unless it is "-" itself, a negative number ("-1", "-.5") or holds a space."""
+    number = token[1:].replace(".", "", 1).isdecimal() and not token.endswith(".")
+    return not token.startswith("-") or token == "-" or number or " " in token
 
 
 def parse_config(argv: list[str]) -> ExperimentConfig:
     """Parse argv (plus any --config file) into a validated ExperimentConfig.
 
-    Only the subparser of the command argv[0] names is built; any other
-    argv (`--help`, an unknown command) gets every command, so the help
-    and the invalid-choice error list them all.
+    argv is a command, then `--key value` or `--key=value` tokens, each key
+    spelled in full; a flag overrides the file, which overrides the default.
     """
-    args = _build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
-    command = COMMANDS[args.command]
-    keys = {name for name, _, _ in command.fields} | {"out", "run_id"}
-    filecfg = _load_config_file(args.config, keys) if args.config else {}
+    name = argv[0] if argv else None
+    if name in ("-h", "--help"):
+        _help(None)
+    if name is None or not _is_value(name):
+        raise ValueError("the following arguments are required: command")
+    if name not in COMMANDS:
+        raise ValueError(f"argument command: invalid choice: {name!r} (choose from {', '.join(map(repr, COMMANDS))})")
+    command = COMMANDS[name]
+    keys = [key for key, _, _ in command.fields] + ["out", "run_id"]
+    spelled = {"--" + key.replace("_", "-"): key for key in keys + ["config"]}
+    flags: dict[Optional[str], list[str]] = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token in ("-h", "--help"):
+            _help(name)
+        flag, eq, text = token.partition("=")
+        key = spelled.get(flag)  # None gathers the unrecognized tokens
+        if key and not eq and not _is_value(text := next(tokens, "--")):  # argv's end reads as "--"
+            raise ValueError(f"argument {flag}: expected one argument")
+        flags.setdefault(key, []).append(text if key else token)
+    if None in flags:
+        raise ValueError("unrecognized arguments: " + " ".join(flags[None]))
+    config = flags.get("config", [""])[-1]
+    filed: dict[str, list[str]] = {}
+    if config:
+        try:
+            with open(config) as handle:
+                lines = handle.readlines()
+        except OSError as e:
+            raise ValueError(f"{config}: cannot read config: {e.strerror}") from None
+        for lineno, raw in enumerate(lines, 1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line:
+                raise ValueError(f"{config}:{lineno}: expected key = value")
+            key, _, value = line.partition("=")
+            key = key.strip().replace("-", "_")
+            if key not in keys:
+                raise ValueError(f"{config}:{lineno}: unknown config key: {key!r}")
+            filed[key] = [value.strip()]
     values: dict[str, Any] = {}
-    for name, cast, default in command.fields:
-        value = getattr(args, name)
-        if value is None and name in filecfg:
-            value = cast(filecfg[name])
-        elif value is None and default is REQUIRED:
-            raise ValueError(f"missing required field: {name}")
-        elif value is None:
-            value = default(values) if callable(default) else default
-        values[name] = value
+    for key, cast, default in command.fields:
+        sources = ((f"{config}: {key}", filed.get(key, [])), (f"argument --{key.replace('_', '-')}", flags.get(key, [])))
+        for where, texts in sources:  # every text is cast; the last, a flag's if any, wins
+            for text in texts:
+                try:
+                    values[key] = cast(text)
+                except ValueError:
+                    raise ValueError(f"{where}: invalid {cast.__name__} value: {text!r}") from None
+        if key not in values:
+            if default is REQUIRED:
+                raise ValueError(f"missing required field: {key}")
+            values[key] = default(values) if callable(default) else default
     if values["n"] < 1:
         raise ValueError("horizon must be positive")
     command.inputs(values)
-    out = args.out or filecfg.get("out")
+    out = flags.get("out", [""])[-1] or filed.get("out", [None])[0]
+    if out and os.path.isdir(out):
+        raise ValueError(f"output path is a directory: {out}")
     if out and not os.path.isdir(os.path.dirname(os.path.abspath(out))):
         raise ValueError(f"output directory does not exist: {out}")
 
-    canonical = args.command + ";" + ";".join(f"{k}={values[k]}" for k in sorted(values))
-    run_id = args.run_id or filecfg.get("run_id") or sha256(canonical.encode()).hexdigest()[:12]
-    return ExperimentConfig(args.command, values, run_id, out)
+    canonical = name + ";" + ";".join(f"{k}={values[k]}" for k in sorted(values))
+    run_id = flags.get("run_id", [""])[-1] or filed.get("run_id", [None])[0] or sha256(canonical.encode()).hexdigest()[:12]
+    return ExperimentConfig(name, values, run_id, out)
 
 
 def run(cfg: ExperimentConfig) -> int:

@@ -236,6 +236,21 @@ MUTANTS = [
         "for h in hits[1:] + hits[:1]]",
         "test_choosers.py",
     ),
+    # The command-line reader.
+    Mutant(
+        "config-file-overrides-flag",
+        "cli.py",
+        "for where, texts in sources:",
+        "for where, texts in reversed(sources):",
+        "test_cli.py",
+    ),
+    Mutant(
+        "equals-form-dropped",
+        "cli.py",
+        'flag, eq, text = token.partition("=")',
+        'flag, eq, text = token, "", ""',
+        "test_cli.py",
+    ),
 ]
 
 

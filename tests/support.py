@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import argparse
 import math
+import os
 from fractions import Fraction
 from typing import NamedTuple
 
+from pennylab import cli
 from pennylab import (
     Action,
     Seed,
@@ -479,3 +482,82 @@ def reference_accuracy(predictor, opponent, n):
         for value in range(1 << opponent.seed_len)
     ]
     return Fraction(sum(reference_stream_hits(fn, [tuple(map(int, s)) for s in streams], n)), len(streams) * n)
+
+
+def reference_parser() -> argparse.ArgumentParser:
+    """The argparse parser `cli.parse_config`'s reader replaced, with every command.
+
+    Abbreviated flags are off, as the reader has none, and a usage error
+    raises `ValueError` with argparse's message instead of exiting.
+    """
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):
+            raise ValueError(message)
+
+    parser = Parser(prog="pennylab", allow_abbrev=False)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, command in cli.COMMANDS.items():
+        p = sub.add_parser(name, help=command.help, allow_abbrev=False)
+        for field, cast, _ in command.fields:
+            p.add_argument("--" + field.replace("_", "-"), dest=field, type=cast)
+        p.add_argument("--config")
+        p.add_argument("--out")
+        p.add_argument("--run-id", dest="run_id")
+    return parser
+
+
+def reference_config_file(path, keys):
+    """A config file's `key = value` lines as a dict, by the loop `cli.parse_config` had before its reader."""
+    try:
+        with open(path) as handle:
+            lines = handle.readlines()
+    except OSError as e:
+        raise ValueError(f"{path}: cannot read config: {e.strerror}") from None
+    values = {}
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}:{lineno}: expected key = value")
+        key, _, value = line.partition("=")
+        key = key.strip().replace("-", "_")
+        if key not in keys:
+            raise ValueError(f"{path}:{lineno}: unknown config key: {key!r}")
+        values[key] = value.strip()
+    return values
+
+
+def reference_parse_config(argv):
+    """`cli.parse_config` by `reference_parser` and `reference_config_file`.
+
+    It keeps the reader's two rules argparse had no part in: a config-file
+    value is cast even when a flag overrides it, and an `--out` that names a
+    directory is bad input.
+    """
+    args = reference_parser().parse_args(argv)
+    command = cli.COMMANDS[args.command]
+    keys = {name for name, _, _ in command.fields} | {"out", "run_id"}
+    filecfg = reference_config_file(args.config, keys) if args.config else {}
+    values = {}
+    for name, cast, default in command.fields:
+        value = getattr(args, name)
+        if name in filecfg:
+            cast(filecfg[name])
+        if value is None and name in filecfg:
+            value = cast(filecfg[name])
+        elif value is None and default is cli.REQUIRED:
+            raise ValueError(f"missing required field: {name}")
+        elif value is None:
+            value = default(values) if callable(default) else default
+        values[name] = value
+    if values["n"] < 1:
+        raise ValueError("horizon must be positive")
+    command.inputs(values)
+    out = args.out or filecfg.get("out")
+    if out and (os.path.isdir(out) or not os.path.isdir(os.path.dirname(os.path.abspath(out)))):
+        raise ValueError(f"bad output path: {out}")
+    canonical = args.command + ";" + ";".join(f"{k}={values[k]}" for k in sorted(values))
+    run_id = args.run_id or filecfg.get("run_id") or cli.sha256(canonical.encode()).hexdigest()[:12]
+    return cli.ExperimentConfig(args.command, values, run_id, out)

@@ -17,7 +17,7 @@ from pennylab.cli import main, parse_config
 from pennylab.game import as_fraction
 from pennylab.strategies import MAX_NESTING, describe, parse_strategy
 
-from support import PERMUTATION_NAMES, PREDICTOR_NAMES
+from support import PERMUTATION_NAMES, PREDICTOR_NAMES, reference_parse_config
 
 
 def run_cli(args, tmp_path, name):
@@ -167,6 +167,9 @@ _SIMULATE = ["simulate", "--n", "2", "--p1", "uniform:3", "--p2", "const:H"]
         ([], "the following arguments are required: command"),
         (["exploit", "--n", "3", "--gamma", "1"], "unrecognized arguments: --gamma 1"),
         (_EXPLOIT + ["exploit:vs=" * 1000 + "uniform:1"], f"nest more than {MAX_NESTING} deep"),
+        (_EXPLOIT + ["uniform:2", "--opponent-s", "1"], "unrecognized arguments: --opponent-s 1"),
+        (_EXPLOIT + ["uniform:2", "--out"], "argument --out: expected one argument"),
+        (["exploit", "--out", "--n", "3", "--opponent", "uniform:2"], "argument --out: expected one argument"),
     ],
     ids=[
         "const-X", "uniform-empty", "uniform-negative", "prefix-tail-no-prefix", "prefix-tail-bad-tail",
@@ -175,6 +178,7 @@ _SIMULATE = ["simulate", "--n", "2", "--p1", "uniform:3", "--p2", "const:H"]
         "simulate-malformed-seed", "simulate-short-seed", "simulate-seed-for-a-seedless-seat", "discounted-bogus-prefix",
         "discounted-short-prefix", "prng-bogus-mode", "prng-zero-samples", "argparse-bad-int",
         "argparse-unknown-command", "argparse-no-command", "argparse-unrecognized", "exploit-nested-1000",
+        "abbreviated-flag", "flag-at-the-end", "flag-before-a-flag",
     ],
 )
 def test_bad_input_exits_2_with_one_json_line(capsys, args, message):
@@ -197,8 +201,9 @@ def test_simulate_seeds_are_parsed_before_anything_runs():
         (".", None, "cannot read config"),
         ("run.cfg", "n = 4\nopponnent = uniform:2\n", "unknown config key: 'opponnent'"),
         ("run.cfg", "n = 4\nopponent uniform:2\n", "expected key = value"),
+        ("run.cfg", "n = x\nopponent = uniform:2\n", "n: invalid int value: 'x'"),
     ],
-    ids=["missing-file", "directory", "misspelled-key", "no-equals"],
+    ids=["missing-file", "directory", "misspelled-key", "no-equals", "bad-value"],
 )
 def test_bad_config_file_exits_2_naming_the_path(tmp_path, monkeypatch, capsys, path, text, message):
     monkeypatch.chdir(tmp_path)
@@ -217,14 +222,26 @@ def test_config_file_accepts_out_and_run_id(tmp_path):
     assert (cfg.out, cfg.run_id) == (str(tmp_path / "x.csv"), "fixed")
 
 
-def test_missing_out_directory_is_rejected_before_running(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize(
+    "out, message",
+    [
+        (os.path.join("missing", "x.csv"), "output directory does not exist"),
+        (".", "output path is a directory"),
+        ("existing", "output path is a directory"),
+    ],
+    ids=["missing-directory", "dot", "existing-directory"],
+)
+def test_missing_out_directory_is_rejected_before_running(tmp_path, monkeypatch, capsys, out, message):
     def crash(cfg, inputs):
         raise AssertionError("the body ran")
 
     monkeypatch.setitem(cli.COMMANDS, "exploit", cli.COMMANDS["exploit"]._replace(body=crash))
-    out = str(tmp_path / "missing" / "x.csv")
-    assert main(["exploit", "--n", "3", "--opponent", "uniform:2", "--out", out]) == 2
-    assert _one_line_error(capsys) == {"error": f"output directory does not exist: {out}", "type": "ValueError"}
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "existing").mkdir()
+    (tmp_path / "run.cfg").write_text(f"out = {out}\n")
+    for via in (["--out", out], ["--config", "run.cfg"]):
+        assert main(["exploit", "--n", "3", "--opponent", "uniform:2", *via]) == 2
+        assert _one_line_error(capsys) == {"error": f"{message}: {out}", "type": "ValueError"}
 
 
 def test_internal_error_exits_3(monkeypatch, capsys):
@@ -254,33 +271,20 @@ def test_help_lists_every_command(capsys):
         assert name in out and command.help in out
 
 
+def test_command_help_lists_its_flags(capsys):
+    with pytest.raises(SystemExit):
+        main(["prng-test", "--n", "4", "--help"])
+    out = capsys.readouterr().out
+    assert "usage: pennylab prng-test" in out and "exploit" not in out
+    flags = ["--n", "--gen", "--perm", "--m", "--predictor", "--mode", "--samples", "--eval-seed", "--config", "--out", "--run-id"]
+    assert [flag for flag in flags if flag not in out.split()] == []
+
+
 def test_unknown_command_exits_2_naming_every_choice(capsys):
     assert main(["bogus"]) == 2
     error = _one_line_error(capsys)["error"]
     assert "invalid choice: 'bogus'" in error
     assert all(repr(name) in error for name in cli.COMMANDS)
-
-
-@pytest.mark.parametrize(
-    "args",
-    [
-        ["simulate", "--n", "3", "--p1", "uniform:3", "--p2", "alt:T", "--seed1", "101"],
-        ["exploit", "--n", "8", "--opponent", "gen:counter,m=3", "--opponent-seed", "2", "--run-id", "x"],
-        ["verify-eq", "--n", "8", "--p1", "uniform:4", "--p2", "pred:markov1"],
-        ["prng-test", "--gen", "bm", "--m", "3", "--n", "8", "--predictor", "markov1", "--mode", "sampled"],
-        ["discounted", "--delta", "1/2", "--epsilon", "1/2"],
-        ["sweep", "--n", "8", "--k", "0..3", "--out", "sweep.csv"],
-    ],
-    ids=list(cli.COMMANDS),
-)
-def test_one_subparser_parses_as_the_full_parser(monkeypatch, args):
-    built = []
-    build = cli._build_parser
-    monkeypatch.setattr(cli, "_build_parser", lambda only=None: built.append(only) or build(only))
-    one = parse_config(args)
-    monkeypatch.setattr(cli, "_build_parser", lambda only=None: build())
-    assert built == [args[0]]
-    assert parse_config(args) == one
 
 
 def test_exploiters_nested_to_the_limit_run(tmp_path, capsys):
@@ -535,3 +539,89 @@ def test_fuzzed_commands_keep_the_exit_contract(case):
         lines = err.getvalue().strip().splitlines()
         assert len(lines) == 1, (argv, lines)
         assert sorted(json.loads(lines[0])) == ["error", "type"]
+
+
+# Texts a field's flag or config-file key may take: (ones its cast accepts,
+# ones it rejects).  None starts with "-" except a negative integer.
+_FIELD_TEXTS = {
+    "n": (("1", "3", "6", "0", "-1"), ("x", "", "2.5")),
+    "opponent": (("uniform:2", "const:H", "gen:counter,m=2", "bogus:1"), ()),
+    "opponent_seed": (("0", "1", "3", "-1"), ("x",)),
+    "p1": (("uniform:2", "const:H", "pred:markov1", "bogus:1"), ()),
+    "p2": (("uniform:1", "alt:T", "exploit:vs=uniform:1"), ()),
+    "seed1": (("", "0", "01", "2"), ()),
+    "seed2": (("", "1", "10"), ()),
+    "gamma": (("1/2", "1/4", "0"), ("x", "1/0")),
+    "gen": (("bm", "repeat", "counter", "passthrough", "bogus"), ()),
+    "perm": (("mulmod", "add1", "bogus"), ()),
+    "m": (("0", "2", "3"), ("x",)),
+    "predictor": (("markov1", "const1", "bogus"), ()),
+    "mode": (("exact", "sampled", "bogus"), ()),
+    "samples": (("10", "0"), ("x",)),
+    "eval_seed": (("0", "3"), ("x",)),
+    "delta": (("1/2", "9/10", "3/2"), ("x",)),
+    "epsilon": (("1/2", "1/10", "0"), ("x",)),
+    "seed_len": (("0", "2"), ("x",)),
+    "prefix": (("uniform", "gen:repeat", "bogus"), ()),
+    "k": (("0", "0..3", "1,2", "9"), ()),
+    "run_id": (("fixed", ""), ()),
+}
+
+
+@st.composite
+def _reader_case(draw, root):
+    """An argv for the reader, and the text of the config file `root/run.cfg` it may name.
+
+    Every field of a random command, most of them present, then `--config`,
+    `--out` and `--run-id`, some repeated, in any order and each as `--key
+    value` or `--key=value`; sometimes one unknown or abbreviated flag, stray
+    positional or flag without a value goes in at a random place.
+    """
+    command = draw(st.sampled_from(list(cli.COMMANDS)))
+    fields = [key for key, _, _ in cli.COMMANDS[command].fields]
+    paths = {
+        "out": (str(root / "a.csv"), str(root / "missing" / "a.csv"), str(root), ""),
+        "config": (str(root / "run.cfg"), str(root / "run.cfg"), str(root / "absent.cfg"), ""),
+    }
+
+    def rarely(k):  # true one time in k + 1; Hypothesis leans to the low end of a range
+        return draw(st.integers(0, k)) == k
+
+    def text(key):
+        if key in paths:
+            return draw(st.sampled_from(paths[key]))
+        good, bad = _FIELD_TEXTS[key]
+        return draw(st.sampled_from(bad if bad and rarely(7) else good))
+
+    keys = [key for key in fields if not rarely(7)] + [key for key in paths if draw(st.booleans())]
+    keys += draw(st.lists(st.sampled_from(fields + ["out", "run_id"]), max_size=2))
+    argv = [command]
+    for key in draw(st.permutations(keys)):
+        flag = "--" + key.replace("_", "-")
+        argv += [f"{flag}={text(key)}"] if draw(st.booleans()) else [flag, text(key)]
+    if rarely(3):
+        stray = ("--bogus", "--" + fields[-1].replace("_", "-")[:-1], "stray", "--" + fields[0].replace("_", "-"))
+        argv.insert(draw(st.integers(1, len(argv))), draw(st.sampled_from(stray)))
+    lines = ["# a comment", "bogus = 1" if rarely(7) else ""]
+    for key in draw(st.lists(st.sampled_from(fields + ["out", "run_id"]), max_size=4)):
+        lines.append(f"{key.replace('_', draw(st.sampled_from('_-')))} = {text(key)}")
+    return argv, "\n".join(lines)
+
+
+@pytest.fixture(scope="module")
+def reader_root(tmp_path_factory):
+    return tmp_path_factory.mktemp("reader")
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_reader_agrees_with_the_argparse_reference(reader_root, data):
+    argv, config_text = data.draw(_reader_case(reader_root))
+    (reader_root / "run.cfg").write_text(config_text)
+    outcomes = []
+    for parse in (parse_config, reference_parse_config):
+        try:
+            outcomes.append(parse(argv))
+        except ValueError:
+            outcomes.append(ValueError)
+    assert outcomes[0] == outcomes[1], argv

@@ -69,14 +69,20 @@ def test_package_never_imports_dataclasses():
 
 # Modules a CLI run should not pay for at start-up: dataclasses and what it
 # pulls in, traceback (only the exit-3 path prints one), json (only JSON
-# artifacts and error lines write it) and hashlib, which loads OpenSSL (the
-# run id takes SHA-256 from the built-in module).
-_HEAVY = ("dataclasses", "inspect", "ast", "dis", "tokenize", "traceback", "json", "hashlib", "_hashlib")
+# artifacts and error lines write it), hashlib, which loads OpenSSL (the
+# run id takes SHA-256 from the built-in module), argparse and the gettext
+# and locale lookups it makes (the command table has its own reader), and
+# tempfile (only --out writes through it).
+_HEAVY = (
+    "dataclasses", "inspect", "ast", "dis", "tokenize", "traceback", "json", "hashlib", "_hashlib",
+    "argparse", "gettext", "locale", "tempfile",
+)
 
 
 def test_cold_cli_import_loads_no_heavy_module():
     code = (
         f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); import pennylab.cli; "
+        "pennylab.cli.parse_config(['exploit', '--n', '3', '--opponent', 'uniform:2']); "
         f"print(pennylab.cli.__file__); print(sorted(m for m in {_HEAVY!r} if m in sys.modules))"
     )
     out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True).stdout
