@@ -11,9 +11,7 @@ from .game import (
     Transcript,
     average_payoff,
     cumulative_payoff,
-    discounted_payoff,
     format_transcript,
-    parse_transcript,
     stage_payoff,
 )
 from .strategies import (
@@ -32,7 +30,6 @@ from .strategies import (
 )
 from .exploiter import (
     MatchResult,
-    expected_potential_step,
     play_match,
     potential_step,
 )

@@ -50,7 +50,21 @@ class ExperimentConfig(NamedTuple):
 
 
 def frac_str(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
+    """x as "p/q", exact at any length.
+
+    CPython (3.10.7 and later) refuses to print an int of more than 4,300
+    digits by default; the limit is lifted only while this prints, and an
+    interpreter without it has nothing to lift.
+    """
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    if get_limit is None:
+        return f"{x.numerator}/{x.denominator}"
+    limit = get_limit()
+    sys.set_int_max_str_digits(0)
+    try:
+        return f"{x.numerator}/{x.denominator}"
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def dec_str(x) -> str:

@@ -73,32 +73,5 @@ def average_payoff(t: Transcript) -> Fraction:
     return Fraction(cumulative_payoff(t), len(t))
 
 
-def discounted_payoff(t: Transcript, delta: RationalLike) -> Fraction:
-    """Sum of delta**round * stage payoff, with round 1 weighted delta**1.
-
-    `delta` must be a rational in (0, 1); pass a Fraction or a 'p/q' string to
-    keep the result exact.
-    """
-    d = as_fraction(delta)
-    if not 0 < d < 1:
-        raise ValueError("invalid discount factor")
-    weights = round_weights(d, len(t))
-    return sum((w * stage_payoff(a, b) for w, (a, b) in zip(weights[1:], t)), Fraction(0))
-
-
-def parse_transcript(text: str) -> Transcript:
-    """Parse "HH,HT,TT" (player 1's symbol first in each pair)."""
-    text = text.strip()
-    if not text:
-        return ()
-    rounds = []
-    for token in text.split(","):
-        token = token.strip()
-        if len(token) != 2 or any(c not in "HT" for c in token):
-            raise ValueError(f"malformed transcript round: {token!r}")
-        rounds.append((Action(token[0]), Action(token[1])))
-    return tuple(rounds)
-
-
 def format_transcript(t: Transcript) -> str:
     return ",".join(a.value + b.value for a, b in t)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import os
 from array import array
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 Bits = tuple[int, ...]
@@ -347,67 +347,6 @@ def seed_stream(g: GeneratorSpec, value: int) -> Bits:
 # Next-bit predictors
 # --------------------------------------------------------------------------
 
-PREDICTORS: dict[str, PredictorFn] = {}
-
-
-def register_predictor(name: str, fn: PredictorFn) -> None:
-    PREDICTORS[name] = fn
-
-
-def resolve_predictor(name: str) -> PredictorFn:
-    if name not in PREDICTORS:
-        raise ValueError(f"unknown predictor: {name!r}")
-    return PREDICTORS[name]
-
-
-def _const0(prefix: Bits) -> int:
-    return 0
-
-
-def _const1(prefix: Bits) -> int:
-    return 1
-
-
-def _frequency(prefix: Bits) -> int:
-    # Majority vote among previously seen bits in the same parity class as the
-    # target position; ties and empty classes guess 1.  The parity split is
-    # what lets the predictor lock onto period-2 structure.
-    same = prefix[len(prefix) % 2 :: 2]
-    ones = sum(same)
-    return 1 if 2 * ones >= len(same) else 0
-
-
-def _markov1(prefix: Bits) -> int:
-    if not prefix:
-        return 1
-    prev = prefix[-1]
-    successors = [prefix[j + 1] for j in range(len(prefix) - 1) if prefix[j] == prev]
-    ones = sum(successors)
-    return 1 if 2 * ones >= len(successors) else 0
-
-
-def _periodicity(prefix: Bits) -> int:
-    # Smallest period consistent with the whole prefix; the prefix-length
-    # period is vacuously consistent, so this always resolves.
-    length = len(prefix)
-    if length == 0:
-        return 1
-    for p in range(1, length + 1):
-        if all(prefix[j] == prefix[j - p] for j in range(p, length)):
-            return prefix[length - p]
-    raise AssertionError("unreachable")
-
-
-PREDICTORS.update(
-    {
-        "const0": _const0,
-        "const1": _const1,
-        "frequency": _frequency,
-        "markov1": _markov1,
-        "periodicity": _periodicity,
-    }
-)
-
 
 class Chooser(NamedTuple):
     """A next-bit guesser that carries its state along a stream instead of rereading the prefix.
@@ -432,7 +371,18 @@ def _extend(prefix: Bits, bit: int) -> Bits:
     return prefix + (bit,)
 
 
+def _zero(state: Any) -> int:
+    return 0
+
+
+def _one(state: Any) -> int:
+    return 1
+
+
 def _frequency_guess(state: tuple[int, int, int]) -> int:
+    # Majority vote among the earlier bits in the same parity class as the
+    # target position; ties and empty classes guess 1.  The parity split is
+    # what lets the predictor lock onto period-2 structure.  The state is
     # (length, ones at even positions, ones at odd positions): the target's
     # class has length // 2 bits either way.
     length, even, odd = state
@@ -445,7 +395,9 @@ def _frequency_step(state: tuple[int, int, int], bit: int) -> tuple[int, int, in
 
 
 def _markov1_guess(state: tuple[int, int, int, int, int]) -> int:
-    # (last bit or -1, successors of a 0, ones among them, successors of a 1, ones among them)
+    # Majority vote among the bits that followed earlier occurrences of the
+    # last bit; ties, no such bits and the empty prefix guess 1.  The state is
+    # (last bit or -1, successors of a 0, ones among them, successors of a 1, ones among them).
     last, after0, ones0, after1, ones1 = state
     if last < 0:
         return 1
@@ -462,8 +414,11 @@ def _markov1_step(state: tuple[int, int, int, int, int], bit: int) -> tuple[int,
 
 
 def _periodicity_guess(state: tuple[int, int, int]) -> int:
-    # (length L, the prefix newest bit first, bit p set while period p is
-    # consistent): the smallest period p repeats the bit p - 1 back.
+    # Guess the bit one period back, for the smallest period consistent with
+    # the whole prefix; the prefix-length period is vacuously consistent, so
+    # one always is, and the empty prefix guesses 1.  The state is (length L,
+    # the prefix newest bit first, bit p set while period p is consistent):
+    # the smallest period p repeats the bit p - 1 back.
     length, prefix, periods = state
     if not length:
         return 1
@@ -478,22 +433,45 @@ def _periodicity_step(state: tuple[int, int, int], bit: int) -> tuple[int, int, 
     return length + 1, shifted | bit, periods & (shifted if bit else ~shifted) | 1 << (length + 1)
 
 
-_CHOOSERS = {
-    _const0: Chooser((), _const0, _keep),
-    _const1: Chooser((), _const1, _keep),
-    _frequency: Chooser((0, 0, 0), _frequency_guess, _frequency_step),
-    _markov1: Chooser((-1, 0, 0, 0, 0), _markov1_guess, _markov1_step),
-    _periodicity: Chooser((0, 0, 0), _periodicity_guess, _periodicity_step),
+def _fold(c: Chooser) -> PredictorFn:
+    """The prefix function a chooser stands for: step over the prefix from `init`, then guess."""
+    return lambda prefix: c.guess(reduce(c.step, prefix, c.init))
+
+
+# The built-in predictors, each defined once, by its chooser.
+_BUILTINS = {
+    "const0": Chooser((), _zero, _keep),
+    "const1": Chooser((), _one, _keep),
+    "frequency": Chooser((0, 0, 0), _frequency_guess, _frequency_step),
+    "markov1": Chooser((-1, 0, 0, 0, 0), _markov1_guess, _markov1_step),
+    "periodicity": Chooser((0, 0, 0), _periodicity_guess, _periodicity_step),
 }
+
+# Predictor names to prefix functions; a built-in's entry is its chooser's fold.
+PREDICTORS: dict[str, PredictorFn] = {name: _fold(c) for name, c in _BUILTINS.items()}
+
+# Each built-in entry back to its chooser.
+_CHOOSERS = {PREDICTORS[name]: c for name, c in _BUILTINS.items()}
+
+
+def register_predictor(name: str, fn: PredictorFn) -> None:
+    PREDICTORS[name] = fn
+
+
+def resolve_predictor(name: str) -> PredictorFn:
+    if name not in PREDICTORS:
+        raise ValueError(f"unknown predictor: {name!r}")
+    return PREDICTORS[name]
 
 
 def predictor_chooser(fn: PredictorFn, as_play: bool = False) -> Chooser:
     """The stepping form of a predictor function.
 
-    Each built-in predictor keeps O(1) state.  Any other function, such as a
-    custom `register_predictor` entry, steps the prefix tuple itself and is
-    called on it once per guess.  Its guess is compared to the next bit as it
-    is, unless `as_play`: then any truthy guess is 1, as a match plays it.
+    A built-in predictor's entry gives back the chooser it was folded from,
+    which keeps O(1) state.  Any other function, such as a custom
+    `register_predictor` entry, steps the prefix tuple itself and is called
+    on it once per guess.  Its guess is compared to the next bit as it is,
+    unless `as_play`: then any truthy guess is 1, as a match plays it.
     """
     if fn in _CHOOSERS:
         return _CHOOSERS[fn]

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .game import round_weights
 from .oracle import round_payoffs
@@ -54,8 +54,14 @@ def payoff_to_distinguisher(
     per_round = per_round_payoffs(s, g, n)
     if delta is not None:
         per_round = [w * e for w, e in zip(round_weights(delta, n)[1:], per_round)]
-    best = max(range(n), key=lambda i: (abs(per_round[i]), -i))
-    return best + 1, abs(per_round[best]) / 2
+    best, top = _best_position(per_round)
+    return best, top / 2
+
+
+def _best_position(values: Sequence[Union[Fraction, float]]) -> tuple[int, Union[Fraction, float]]:
+    """The largest |value| and the 1-based position where it first occurs, as (position, |value|)."""
+    best = max(range(len(values)), key=lambda i: (abs(values[i]), -i))
+    return best + 1, abs(values[best])
 
 
 def predictor_accuracy(predictor: str, opponent: StrategySpec, n: int) -> Fraction:
@@ -106,8 +112,7 @@ def eval_next_bit_predictor(
     if mode == "exact":
         hits, space = word_hits(chooser, generator_backed(g), n)
         per_position = tuple(Fraction(h, space) - Fraction(1, 2) for h in hits)
-        advantage = max(abs(p) for p in per_position)
-        best = max(range(n), key=lambda i: (abs(per_position[i]), -i)) + 1
+        best, advantage = _best_position(per_position)
         return PredictorReport(advantage, space, per_position, True, best)
     if mode == "sampled":
         if samples < 1:
@@ -116,8 +121,7 @@ def eval_next_bit_predictor(
         words = [bits_to_int(seed_stream(g, rng.randrange(1 << g.seed_len))) for _ in range(samples)]
         hits = prediction_hits(chooser, *distinct_words(sorted(words)), n)
         per_position = tuple(h / samples - 0.5 for h in hits)
-        advantage = max(abs(p) for p in per_position)
-        best = max(range(n), key=lambda i: (abs(per_position[i]), -i)) + 1
+        best, advantage = _best_position(per_position)
         rate = hits[best - 1] / samples
         half_width = 1.96 * math.sqrt(rate * (1.0 - rate) / samples)
         return PredictorReport(advantage, samples, per_position, False, best, half_width)

@@ -384,19 +384,25 @@ def word_hits(seat: Chooser, opponent: StrategySpec, n: int) -> tuple[list[int],
 
     hits[t-1] counts the opponent's seeds whose round-t play the seat's
     chooser guesses, by one `words.prediction_hits` walk over the trie of the
-    opponent's play words; past their depth a one-word range reads its plays
-    from `split`.  Only a uniform table's words play their own bits there;
-    every other spec's are its fixed plays, split once for all words.
+    opponent's play words.  Past their depth a one-word range plays on with
+    no split: a uniform table's word is its seed, whose bits it cycles, so
+    round t plays bit (t-1) % seed_len; every other spec's plays there are
+    its `fixed_play`s, computed once for all words.
     """
     pw = play_words(opponent, n)
+    depth, k = pw.depth, opponent.seed_len
+    if opponent.kind == "uniform-table" and k:
 
-    def tail(lo: int) -> tuple[int, ...]:
-        return tuple(1 if split(opponent, pw, lo, lo + 1, t) == lo else 0 for t in range(pw.depth + 1, n + 1))
+        def tail(lo: int) -> tuple[int, ...]:
+            return (int_to_bits(pw.words[lo], k) * (n // k + 1))[depth:n]
 
-    if not (opponent.kind == "uniform-table" and opponent.seed_len):
-        fixed = tail(0)
-        return prediction_hits(seat, pw.words, pw.below, n, pw.depth, lambda lo: fixed), pw.below[-1]
-    return prediction_hits(seat, pw.words, pw.below, n, pw.depth, tail), pw.below[-1]
+    else:
+        fixed = tuple(1 if fixed_play(opponent, t) is Action.H else 0 for t in range(depth + 1, n + 1))
+
+        def tail(lo: int) -> tuple[int, ...]:
+            return fixed
+
+    return prediction_hits(seat, pw.words, pw.below, n, depth, tail), pw.below[-1]
 
 
 def describe(spec: StrategySpec) -> str:

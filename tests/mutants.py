@@ -153,8 +153,15 @@ MUTANTS = [
     Mutant(
         "word-hits-shares-a-uniform-tables-tail",
         "strategies.py",
-        'if not (opponent.kind == "uniform-table" and opponent.seed_len):',
-        "if True:",
+        'if opponent.kind == "uniform-table" and k:',
+        "if False:",
+        "test_words.py",
+    ),
+    Mutant(
+        "word-hits-uniform-tail-a-round-late",
+        "strategies.py",
+        "(int_to_bits(pw.words[lo], k) * (n // k + 1))[depth:n]",
+        "(int_to_bits(pw.words[lo], k) * (n // k + 1))[depth + 1 : n + 1]",
         "test_words.py",
     ),
     # The level tables and identity play words.
@@ -213,6 +220,13 @@ MUTANTS = [
         "prng.py",
         "periods & (shifted if bit else ~shifted) | 1 << (length + 1)",
         "periods & (shifted if bit else ~shifted)",
+        "test_choosers.py",
+    ),
+    Mutant(
+        "registry-fold-drops-the-last-bit",
+        "prng.py",
+        "c.guess(reduce(c.step, prefix, c.init))",
+        "c.guess(reduce(c.step, prefix[:-1], c.init))",
         "test_choosers.py",
     ),
     Mutant(

@@ -27,10 +27,105 @@ from pennylab import (
     uniform_table,
 )
 from pennylab.exploiter import potential_step
-from pennylab.game import bit_to_action, round_weights
+from pennylab.game import RationalLike, Transcript, as_fraction, bit_to_action, round_weights
 from pennylab.prng import PREDICTORS, bits_to_int, check_seed_space, int_to_bits, permutation, seed_stream
 from pennylab.strategies import StrategySpec, _compile_words, chooser, fixed_play, horizon, round_plays
 from pennylab.words import split_words
+
+
+def _const0(prefix):
+    return 0
+
+
+def _const1(prefix):
+    return 1
+
+
+def _frequency(prefix):
+    # Majority vote among previously seen bits in the same parity class as the
+    # target position; ties and empty classes guess 1.  The parity split is
+    # what lets the predictor lock onto period-2 structure.
+    same = prefix[len(prefix) % 2 :: 2]
+    ones = sum(same)
+    return 1 if 2 * ones >= len(same) else 0
+
+
+def _markov1(prefix):
+    if not prefix:
+        return 1
+    prev = prefix[-1]
+    successors = [prefix[j + 1] for j in range(len(prefix) - 1) if prefix[j] == prev]
+    ones = sum(successors)
+    return 1 if 2 * ones >= len(successors) else 0
+
+
+def _periodicity(prefix):
+    # Smallest period consistent with the whole prefix; the prefix-length
+    # period is vacuously consistent, so this always resolves.
+    length = len(prefix)
+    if length == 0:
+        return 1
+    for p in range(1, length + 1):
+        if all(prefix[j] == prefix[j - p] for j in range(p, length)):
+            return prefix[length - p]
+    raise AssertionError("unreachable")
+
+
+# The built-in predictors as prefix functions, written independently of the
+# choosers that define them in `pennylab.prng`.
+REFERENCE_PREDICTORS = {
+    "const0": _const0,
+    "const1": _const1,
+    "frequency": _frequency,
+    "markov1": _markov1,
+    "periodicity": _periodicity,
+}
+
+def reference_predictor(name):
+    """The prefix function a predictor name stands for: a built-in's reference body above, else the function a test registered."""
+    return REFERENCE_PREDICTORS[name] if name in REFERENCE_PREDICTORS else PREDICTORS[name]
+
+
+def discounted_payoff(t: Transcript, delta: RationalLike) -> Fraction:
+    """Sum of delta**round * stage payoff, with round 1 weighted delta**1.
+
+    `delta` must be a rational in (0, 1); pass a Fraction or a 'p/q' string to
+    keep the result exact.
+    """
+    d = as_fraction(delta)
+    if not 0 < d < 1:
+        raise ValueError("invalid discount factor")
+    weights = round_weights(d, len(t))
+    return sum((w * stage_payoff(a, b) for w, (a, b) in zip(weights[1:], t)), Fraction(0))
+
+
+def parse_transcript(text: str) -> Transcript:
+    """Parse "HH,HT,TT" (player 1's symbol first in each pair)."""
+    text = text.strip()
+    if not text:
+        return ()
+    rounds = []
+    for token in text.split(","):
+        token = token.strip()
+        if len(token) != 2 or any(c not in "HT" for c in token):
+            raise ValueError(f"malformed transcript round: {token!r}")
+        rounds.append((Action(token[0]), Action(token[1])))
+    return tuple(rounds)
+
+
+def expected_potential_step(p: Fraction | float) -> float:
+    """Closed-form expected per-round potential increase 2p - 1 + H(p).
+
+    At least 1 on the whole domain [1/2, 1], with equality exactly at the
+    endpoints.
+    """
+    p = float(p)
+    if not 0.5 <= p <= 1.0:
+        raise ValueError("majority fraction must lie in [1/2, 1]")
+    entropy = 0.0
+    if 0.0 < p < 1.0:
+        entropy = -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
+    return 2.0 * p - 1.0 + entropy
 
 
 def mirror(history):
@@ -92,7 +187,8 @@ def reference_act(spec, seed, history, round):
             raise ValueError("generator stream too short for this round")
         return bit_to_action(reference_stream(g, seed.all_bits())[round - 1])
     if spec.kind == "predictor":
-        guess = bit_to_action(PREDICTORS[spec.param("predictor")](tuple(int(opp is Action.H) for _, opp in history)))
+        column = tuple(int(opp is Action.H) for _, opp in history)
+        guess = bit_to_action(reference_predictor(spec.param("predictor"))(column))
         return guess.flip() if spec.param("beat") else guess
     return reference_exploiter_act(spec.param("opponent"), history, spec.param("beat"))
 
@@ -167,7 +263,7 @@ def adaptive_population():
     ]
 
 
-PREDICTOR_NAMES = ("const0", "const1", "frequency", "markov1", "periodicity")
+PREDICTOR_NAMES = tuple(REFERENCE_PREDICTORS)
 PERMUTATION_NAMES = ("identity", "add1", "mulodd", "mulmod")
 
 
@@ -213,7 +309,7 @@ def reference_prediction_hits(g, predictor):
     compiled `round_bits` tables and memoizes guesses by prefix, is checked
     against: one predictor call per seed and position, on that seed's prefix.
     """
-    fn = PREDICTORS[predictor]
+    fn = reference_predictor(predictor)
     hits = [0] * g.out_len
     for value in range(check_seed_space(g.seed_len)):
         stream = seed_stream(g, value)
@@ -476,7 +572,7 @@ def reference_round_payoffs(s1, s2, n):
 
 def reference_accuracy(predictor, opponent, n):
     """A predictor's exact accuracy against an oblivious opponent, one replayed stream per seed."""
-    fn = PREDICTORS[predictor]
+    fn = reference_predictor(predictor)
     streams = [
         tuple(a is Action.H for a, _ in simulate(opponent, value, constant(Action.H), 0, n))
         for value in range(1 << opponent.seed_len)

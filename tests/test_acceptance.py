@@ -36,9 +36,9 @@ from pennylab import (
     broken_repeat,
     eval_next_bit_predictor,
 )
-from pennylab.exploiter import expected_potential_step, greedy_value, guarantee, play_match
+from pennylab.exploiter import greedy_value, guarantee, play_match
 
-from support import generator_population, oblivious_population, opponents_with_budget, reference_tree_best_response
+from support import expected_potential_step, generator_population, oblivious_population, opponents_with_budget, reference_tree_best_response
 
 H, T = Action.H, Action.T
 

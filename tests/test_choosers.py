@@ -1,4 +1,8 @@
-"""Stepping choosers: each against the prefix function or per-round reference player it stands in for along a walk."""
+"""Stepping choosers: each against the prefix function or per-round reference player it stands in for along a walk.
+
+The built-in predictors are defined by their choosers; the prefix functions
+they are checked against are the independent bodies in `support`.
+"""
 
 from fractions import Fraction
 
@@ -25,6 +29,7 @@ from pennylab.strategies import horizon, parse_strategy
 
 from support import (
     PREDICTOR_NAMES,
+    REFERENCE_PREDICTORS,
     adaptive_population,
     reference_accuracy,
     reference_play_rows,
@@ -53,13 +58,14 @@ def prefixes(draw):
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(PREDICTOR_NAMES), prefixes())
 def test_each_builtin_chooser_folds_to_its_prefix_function(name, prefix):
-    fn = PREDICTORS[name]
-    init, guess, step = predictor_chooser(fn)
+    fn = REFERENCE_PREDICTORS[name]
+    entry = PREDICTORS[name]
+    init, guess, step = predictor_chooser(entry)
     state = init
     for j, bit in enumerate(prefix):
-        assert guess(state) == fn(tuple(prefix[:j]))
+        assert guess(state) == fn(tuple(prefix[:j])) == entry(tuple(prefix[:j]))
         state = step(state, bit)
-    assert guess(state) == fn(tuple(prefix))
+    assert guess(state) == fn(tuple(prefix)) == entry(tuple(prefix))
 
 
 def test_a_registered_predictor_steps_its_prefix(monkeypatch):

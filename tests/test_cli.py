@@ -6,6 +6,8 @@ import hashlib
 import io
 import json
 import os
+import sys
+from fractions import Fraction
 from unittest import mock
 
 import pytest
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 
 from pennylab import cli
 from pennylab.cli import main, parse_config
+from pennylab.discounting import tail_gain
 from pennylab.game import as_fraction
 from pennylab.strategies import MAX_NESTING, describe, parse_strategy
 
@@ -371,6 +374,25 @@ def test_discounted_default_horizon_is_at_least_one(tmp_path):
     record = json.loads(blob)
     assert status == 0
     assert (record["n"], record["min_rounds"], record["certified"]) == (1, 0, True)
+
+
+def test_discounted_prints_exact_fractions_of_any_length(tmp_path):
+    # At delta 999/1000 the threshold is 7,598 rounds, and the tail gain's
+    # numerator and denominator run past CPython's 4,300-digit print limit.
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    limit = get_limit() if get_limit else None
+    status, blob = run_cli(["discounted", "--delta", "999/1000", "--epsilon", "1/2"], tmp_path, "long.json")
+    assert status == 0
+    assert (get_limit() if get_limit else None) == limit  # restored after printing
+    record = json.loads(blob)
+    assert record["certified"] is True and len(record["tail_gain"]) > 4300
+    if get_limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        assert Fraction(record["tail_gain"]) == tail_gain(Fraction(999, 1000), record["n"])
+    finally:
+        if get_limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def test_sweep_artifact_margins(tmp_path):

@@ -6,15 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pennylab.game import (
-    Action,
-    average_payoff,
-    cumulative_payoff,
-    discounted_payoff,
-    format_transcript,
-    parse_transcript,
-    stage_payoff,
-)
+from pennylab.game import Action, average_payoff, cumulative_payoff, format_transcript, stage_payoff
+
+from support import discounted_payoff, parse_transcript
 
 H, T = Action.H, Action.T
 

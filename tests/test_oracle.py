@@ -24,12 +24,19 @@ from pennylab import (
     uniform_table,
 )
 from pennylab.exploiter import greedy_value, guarantee
-from pennylab.game import cumulative_payoff, discounted_payoff, stage_payoff
+from pennylab.game import cumulative_payoff, stage_payoff
 from pennylab.oracle import round_payoffs
 from pennylab.prng import PREDICTORS
 from pennylab.strategies import parse_strategy
 
-from support import PREDICTOR_NAMES, adaptive_population, oblivious_population, reference_tree_best_response
+from support import (
+    PREDICTOR_NAMES,
+    REFERENCE_PREDICTORS,
+    adaptive_population,
+    discounted_payoff,
+    oblivious_population,
+    reference_tree_best_response,
+)
 
 H, T = Action.H, Action.T
 
@@ -86,7 +93,7 @@ def test_round_payoffs_acts_once_per_opponent_prefix(monkeypatch):
     # uniform:4 over 6 rounds has 1 + 2 + 4 + 8 + 16 + 16 = 47 distinct
     # prefixes; the adaptive seat predicts once at each, from either seat.
     calls = []
-    markov1 = PREDICTORS["markov1"]
+    markov1 = REFERENCE_PREDICTORS["markov1"]
     monkeypatch.setitem(PREDICTORS, "markov1", lambda prefix: calls.append(prefix) or markov1(prefix))
     round_payoffs(predictor_backed("markov1"), uniform_table(4), 6)
     assert len(calls) == 47

@@ -41,6 +41,7 @@ from pennylab.words import distinct_words, prediction_hits
 from support import (
     PERMUTATION_NAMES,
     PREDICTOR_NAMES,
+    REFERENCE_PREDICTORS,
     generator_population,
     inner_product_bit,
     oblivious_population,
@@ -247,7 +248,7 @@ def test_sampled_mode_is_reproducible_and_reports_half_width():
 
 def test_prediction_hits_calls_the_predictor_once_per_distinct_prefix():
     calls = []
-    reference = PREDICTORS["markov1"]
+    reference = REFERENCE_PREDICTORS["markov1"]
 
     def markov1(prefix):
         calls.append(prefix)

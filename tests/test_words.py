@@ -29,7 +29,7 @@ from pennylab import (
 from pennylab import strategies
 from pennylab.exploiter import greedy_value
 from pennylab.oracle import round_payoffs
-from pennylab.prng import PREDICTORS, bits_to_int, round_bits, seed_stream
+from pennylab.prng import bits_to_int, round_bits, seed_stream
 from pennylab.strategies import _compile_words, horizon, play_words
 from pennylab.words import compile_words
 
@@ -43,6 +43,7 @@ from support import (
     reference_greedy_value,
     reference_play_rows,
     reference_prediction_hits,
+    reference_predictor,
     reference_round_payoffs,
     reference_stream_hits,
 )
@@ -183,7 +184,7 @@ def test_exact_reports_average_to_the_predictor_accuracy(predictor):
 def _sampled_reference(g, predictor, samples, eval_seed):
     rng = random.Random(eval_seed)
     streams = [seed_stream(g, rng.randrange(1 << g.seed_len)) for _ in range(samples)]
-    return tuple(h / samples - 0.5 for h in reference_stream_hits(PREDICTORS[predictor], streams, g.out_len))
+    return tuple(h / samples - 0.5 for h in reference_stream_hits(reference_predictor(predictor), streams, g.out_len))
 
 
 @settings(max_examples=30, deadline=None)
