@@ -30,7 +30,7 @@ from .discounting import DiscountParams, certify_discounted_eq, min_rounds
 from .exploiter import greedy_value, guarantee, play_match
 from .game import as_fraction, average_payoff, cumulative_payoff, format_transcript
 from .oracle import certify_gap
-from .prng import check_seed_space, make_generator, parse_generator
+from .prng import check_seed_space, make_generator, parse_generator, resolve_predictor
 from .reductions import eval_next_bit_predictor
 from .strategies import describe, make_gamma_equilibrium, parse_strategy, simulate, uniform_table
 
@@ -163,8 +163,13 @@ def _verify_eq_inputs(v: dict):
 
 def _prng_test_inputs(v: dict):
     generator = make_generator(v["gen"], v["n"], v["m"], v["perm"])
+    resolve_predictor(v["predictor"])
     if v["mode"] == "exact":
         check_seed_space(generator.seed_len)
+    elif v["mode"] != "sampled":
+        raise ValueError(f"unknown mode: {v['mode']!r}")
+    elif v["samples"] < 1:
+        raise ValueError("sample count must be positive")
     return generator
 
 

@@ -40,9 +40,10 @@ def round_payoffs(s1: StrategySpec, s2: StrategySpec, n: int) -> list[Fraction]:
 
     Uniform over both seed spaces.  Two oblivious seats factor through their
     play tables.  An adaptive seat against an oblivious one earns
-    2 * hits / space - 1 at each round, negated when it plays against its
-    guess: one `strategies.word_hits` walk over the other seat's play
-    words, which guesses once per node.  Two adaptive seats play one path.
+    2 * hits / space - 1 at each round, a hit being a seed of the other seat
+    whose play its own matches: one `strategies.word_hits` walk over the
+    other seat's play words, which guesses once per node.  Two adaptive
+    seats play one path.
     """
     if n < 1:
         raise ValueError("horizon must be positive")
@@ -60,11 +61,9 @@ def round_payoffs(s1: StrategySpec, s2: StrategySpec, n: int) -> list[Fraction]:
         # Two seedless seats play one path.
         return [Fraction(stage_payoff(a, b)) for a, b in simulate(s1, 0, s2, 0, n)]
     player, other = (s2, s1) if s1.oblivious else (s1, s2)
+    # A match pays seat 1, whichever seat the adaptive player sits in.
     hits, space = word_hits(chooser(player), other, n)
-    # Either seat plays the opponent's guessed play (its flip when `beat`),
-    # and a match pays seat 1, so a guess that hits scores +1.
-    sign = -1 if player.param("beat") else 1
-    return [Fraction(sign * (2 * h - space), space) for h in hits]
+    return [Fraction(2 * h - space, space) for h in hits]
 
 
 def exact_value(

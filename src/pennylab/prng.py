@@ -328,19 +328,19 @@ def round_bits(g: GeneratorSpec, t: int) -> bytes:
 def seed_stream(g: GeneratorSpec, value: int) -> Bits:
     """The generator's full output for the seed whose big-endian bits read `value`, in [0, 2**seed_len).
 
-    A bit tuple of length out_len, computed from the integer directly.
+    A bit tuple of length out_len, computed from the integer directly.  In
+    every family but Blum-Micali, bit i is big-endian bit i mod k of
+    (value + i // k) mod 2**k for a counter and of value itself otherwise,
+    k the seed length: the rule `round_bits` tabulates.  So the stream is
+    k-bit words written out in turn.
     """
-    if g.kind == "uniform-passthrough":
-        return int_to_bits(value, g.out_len)
-    if g.kind == "broken-repeat":
-        pair = (value >> 1, value & 1)
-        return tuple(pair[i % 2] for i in range(g.out_len))
-    if g.kind == "broken-counter":
-        m, mask = g.m, (1 << g.m) - 1
-        return tuple((((value + i // m) & mask) >> (m - 1 - i % m)) & 1 for i in range(g.out_len))
     if g.kind == "blum-micali-ip":
         return _bm_stream(g.perm, g.m, g.out_len, value >> g.m, value & ((1 << g.m) - 1))
-    raise ValueError(f"unknown generator kind: {g.kind!r}")
+    if g.kind not in ("uniform-passthrough", "broken-repeat", "broken-counter"):
+        raise ValueError(f"unknown generator kind: {g.kind!r}")
+    k, count, width = g.seed_len, g.kind == "broken-counter", "0%db" % g.seed_len
+    words = "".join([format((value + count * j) % (1 << k), width) for j in range(-(-g.out_len // k))])
+    return tuple(words[: g.out_len].encode().translate(_BITS))
 
 
 # --------------------------------------------------------------------------

@@ -254,17 +254,64 @@ def seed_plays(spec: StrategySpec, seed: int, n: int) -> tuple[Action, ...]:
 def chooser(spec: StrategySpec) -> Chooser:
     """An adaptive spec's stepping form, which walks and matches carry along their paths.
 
-    `guess(state)` is the opponent's next play it predicts (1 is H): the
-    spec plays it, or its flip when `beat` is set.  `step(state, bit)`
-    follows one opponent play, so the spec never rereads the history.
+    `guess(state)` is the spec's own next play (1 is H): the opponent play
+    it predicts, or its flip when `beat` is set.  `step(state, bit)` follows
+    one opponent play, so the spec never rereads the history.
     """
     if spec.kind == "predictor":
-        return predictor_chooser(PREDICTORS[spec.param("predictor")], as_play=True)
+        c = predictor_chooser(PREDICTORS[spec.param("predictor")], as_play=True)
+        return Chooser(c.init, lambda state: c.guess(state) ^ 1, c.step) if spec.param("beat") else c
     if spec.kind == "exploiter":
-        from . import exploiter
-
-        return exploiter.exploiter_chooser(spec)
+        opponent = spec.param("opponent")
+        return majority_chooser(opponent, spec.param("beat"), horizon(opponent))
     raise ValueError("oblivious strategies have no chooser")
+
+
+def majority_chooser(opponent: StrategySpec, beat: bool, n: int) -> Chooser:
+    """The consistent-set majority exploiter against `opponent`: it plays its prediction, or the flip when `beat`.
+
+    Its state is its view of the opponent at round t, (lo, mid, hi, aux):
+    the opponent's seeds still consistent with what it played are the words
+    [lo, hi) of `play_words(opponent, n)`, and of those the seeds that play
+    H at round t are [mid, hi).  aux is t for an oblivious opponent, whose
+    range each step splits once.  A seedless adaptive opponent has one
+    word, and aux is its own chooser's state, which steps with the
+    exploiter's plays; once refuted, its range stays empty.  The prediction
+    is the play more of the range's seeds make; ties predict H.
+
+    `chooser` reads the words up to the opponent's horizon, and a match of
+    n rounds no further.  The chooser must not step past round n, since a
+    generator's words end there.
+    """
+    pw = play_words(opponent, n)
+    below = pw.below
+
+    def guess(view: tuple) -> int:
+        lo, mid, hi, _ = view
+        return (1 if below[hi] - below[mid] >= below[mid] - below[lo] else 0) ^ beat
+
+    if opponent.oblivious:
+
+        def at(lo: int, hi: int, t: int) -> tuple:
+            return lo, split(opponent, pw, lo, hi, t), hi, t
+
+        def step(view: tuple, seen: int) -> tuple:
+            lo, mid, hi, t = view
+            return at(mid, hi, t + 1) if seen else at(lo, mid, t + 1)
+
+        return Chooser(at(0, len(below) - 1, 1), guess, step)
+    inner = chooser(opponent)
+
+    def at_state(lo: int, hi: int, state: Any) -> tuple:
+        return lo, lo if lo < hi and inner.guess(state) else hi, hi, state
+
+    def respond(view: tuple, seen: int) -> tuple:
+        lo, mid, hi, state = view
+        own = guess(view)
+        lo, hi = (mid, hi) if seen else (lo, mid)
+        return at_state(lo, hi, inner.step(state, own) if lo < hi else state)
+
+    return Chooser(at_state(0, 1, inner.init), guess, respond)
 
 
 def simulate(s1: StrategySpec, seed1: int, s2: StrategySpec, seed2: int, n: int) -> Transcript:
@@ -274,6 +321,8 @@ def simulate(s1: StrategySpec, seed1: int, s2: StrategySpec, seed2: int, n: int)
     transcript.  An oblivious seat plays its `seed_plays`; an adaptive one,
     whose only seed is 0, steps its chooser once per round.
     """
+    if n < 1:
+        raise ValueError("horizon must be positive")
     seats = ((s1, seed1), (s2, seed2))
     for spec, seed in seats:
         _check_seed(spec, seed)
@@ -282,10 +331,7 @@ def simulate(s1: StrategySpec, seed1: int, s2: StrategySpec, seed2: int, n: int)
     states = [c.init if c else None for c in choosers]
     rounds = []
     for t in range(n):
-        a, b = (
-            bit_to_action(c.guess(state) ^ spec.param("beat")) if c else own[t]
-            for (spec, _), own, c, state in zip(seats, plays, choosers, states)
-        )
+        a, b = (bit_to_action(c.guess(state)) if c else own[t] for own, c, state in zip(plays, choosers, states))
         rounds.append((a, b))
         if t + 1 < n:
             states = [c.step(s, seen is Action.H) if c else None for c, s, seen in zip(choosers, states, (b, a))]

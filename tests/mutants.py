@@ -80,9 +80,9 @@ MUTANTS = [
     ),
     Mutant(
         "exploiter-majority-counts-words-not-seeds",
-        "exploiter.py",
-        "return 1 if below[hi] - below[mid] >= below[mid] - below[lo] else 0",
-        "return 1 if hi - mid >= mid - lo else 0",
+        "strategies.py",
+        "1 if below[hi] - below[mid] >= below[mid] - below[lo] else 0",
+        "1 if hi - mid >= mid - lo else 0",
         "test_words.py",
     ),
     Mutant(
@@ -238,10 +238,24 @@ MUTANTS = [
     ),
     Mutant(
         "exploiter-kept-on-the-wrong-side",
-        "exploiter.py",
+        "strategies.py",
         "return at(mid, hi, t + 1) if seen else at(lo, mid, t + 1)",
         "return at(lo, mid, t + 1) if seen else at(mid, hi, t + 1)",
         "test_choosers.py",
+    ),
+    Mutant(
+        "predictor-seat-beat-not-flipped",
+        "strategies.py",
+        "lambda state: c.guess(state) ^ 1",
+        "lambda state: c.guess(state)",
+        "test_choosers.py",
+    ),
+    Mutant(
+        "modeled-adaptive-opponent-steps-with-the-exploiters-flip",
+        "strategies.py",
+        "own = guess(view)",
+        "own = guess(view) ^ 1",
+        "test_strategies.py",
     ),
     Mutant(
         "round-payoffs-hits-one-round-off",

@@ -199,7 +199,7 @@ def chooser_play(spec, history):
     state = c.init
     for _, seen in history:
         state = c.step(state, seen is Action.H)
-    return bit_to_action(c.guess(state) ^ spec.param("beat"))
+    return bit_to_action(c.guess(state))
 
 
 def opponents_with_budget(n: int, k: int):

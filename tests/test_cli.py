@@ -56,6 +56,25 @@ def test_parse_config_rejects_unknown_strategy():
             parse_config(["simulate", "--n", "4", "--p1", p1, "--p2", "const:H"])
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--predictor", "bogus"], "unknown predictor: 'bogus'"),
+        (["--predictor", "markov1", "--mode", "bogus"], "unknown mode: 'bogus'"),
+        (["--predictor", "markov1", "--mode", "sampled", "--samples", "0"], "sample count must be positive"),
+    ],
+    ids=["predictor", "mode", "samples"],
+)
+def test_parse_config_rejects_bad_prng_test_input(args, message):
+    with pytest.raises(ValueError, match=message):
+        parse_config(["prng-test", "--gen", "repeat", "--n", "4"] + args)
+
+
+def test_parse_config_reads_samples_in_sampled_mode_only():
+    cfg = parse_config(["prng-test", "--gen", "repeat", "--n", "4", "--predictor", "const1", "--samples", "0"])
+    assert cfg.values["mode"] == "exact" and cfg.values["samples"] == 0
+
+
 def test_parse_config_sweep_range():
     cfg = parse_config(["sweep", "--n", "10", "--k", "0..8"])
     assert cfg.values["k"] == "0..8"

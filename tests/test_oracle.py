@@ -17,6 +17,7 @@ from pennylab import (
     make_gamma_equilibrium,
     payoff_to_distinguisher,
     per_round_payoffs,
+    play_match,
     predictor_accuracy,
     predictor_backed,
     prefix_tail,
@@ -230,6 +231,10 @@ def test_seed_space_cap_enforced():
         lambda n: payoff_to_distinguisher(uniform_table(2), blum_micali("add1", 2, 4), n),
         lambda n: predictor_accuracy("markov1", uniform_table(2), n),
         lambda n: guarantee(n, 0),
+        lambda n: play_match(uniform_table(3), 0, n),
+        lambda n: play_match(constant(H), 0, n),
+        lambda n: play_match(predictor_backed("markov1"), 0, n),
+        lambda n: simulate(uniform_table(2), 0, constant(H), 0, n),
     ],
     ids=[
         "round_payoffs",
@@ -240,6 +245,10 @@ def test_seed_space_cap_enforced():
         "payoff_to_distinguisher",
         "predictor_accuracy",
         "guarantee",
+        "play_match",
+        "play_match-seedless",
+        "play_match-adaptive",
+        "simulate",
     ],
 )
 def test_nonpositive_horizons_are_rejected(entry, n):

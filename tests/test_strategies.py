@@ -26,14 +26,17 @@ from pennylab import (
     uniform_table,
 )
 from pennylab import prng, strategies
-from pennylab.exploiter import tracker
+from pennylab.game import bit_to_action
 from pennylab.prng import PREDICTORS, predictor_chooser, seed_stream
 from pennylab.strategies import (
     MAX_NESTING,
     StrategySpec,
+    chooser,
     describe,
     fixed_play,
+    horizon,
     parse_strategy,
+    play_words,
     round_plays,
     word_hits,
 )
@@ -178,17 +181,18 @@ SPLIT_POPULATION = oblivious_population(SPLIT_N) + adaptive_population()
 def test_split_matches_seed_by_seed_reference(spec, data):
     # Follow a drawn history, mostly along consistent plays, so ranges reach
     # the last round, one word past the horizon, and the empty range.  The
-    # exploiter's tracker splits an oblivious spec with `split` and an
-    # adaptive one's single seed by its chooser, stepped with the drawn own
-    # plays.
-    pw, view, advance = tracker(spec, SPLIT_N)
+    # exploiter's chooser splits an oblivious spec with `split` and an
+    # adaptive one's single seed by that spec's chooser, stepped with the
+    # exploiter's own plays, which are its guesses.
+    init, guess, step = chooser(exploiter_vs(spec, data.draw(st.booleans(), label="beat")))
+    pw, view = play_words(spec, horizon(spec)), init
     seeds = range(1 << spec.seed_len)
     tables = [reference_round_plays(spec, t) for t in range(1, pw.depth + 1)] if spec.oblivious else []
     word = [sum(table[s] << (pw.depth - t) for t, table in enumerate(tables, 1)) for s in seeds]
     alive, history = list(seeds), ()
     for t in range(1, SPLIT_N + 1):
         if history:
-            view = advance(view, history[-1][0] is H, history[-1][1] is H)
+            view = step(view, history[-1][1] is H)
         lo, mid, hi, _ = view
         heads, tails = reference_split(spec, alive, history, t)
         assert list(pw.words[lo:mid]) == sorted({word[s] for s in tails})
@@ -197,7 +201,7 @@ def test_split_matches_seed_by_seed_reference(spec, data):
         assert pw.below[hi] - pw.below[mid] == len(heads)
         consistent = [a for a, group in ((H, heads), (T, tails)) if group]
         seen = data.draw(st.sampled_from(consistent or [H, T]) | st.sampled_from((H, T)), label="seen")
-        history += ((data.draw(st.sampled_from((H, T)), label="own"), seen),)
+        history += ((bit_to_action(guess(view)), seen),)
         alive = heads if seen is H else tails
 
 
