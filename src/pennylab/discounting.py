@@ -75,17 +75,22 @@ def tail_gain(delta: RationalLike, n: int) -> Fraction:
 def min_rounds(p: DiscountParams) -> int:
     """Least n with tail_gain(delta, n) strictly below epsilon.
 
-    The boundary is resolved by exact rational comparison, not by comparing
-    floating-point logarithms.
+    That is the least n with delta**n < epsilon * (1 - delta).  The boundary
+    is resolved by exact rational comparison, not by comparing floating-point
+    logarithms; each probe steps delta**n by one multiplication or division.
     """
+    bound = p.epsilon * (1 - p.delta)
     # Float logs only pick the starting point for the exact walk.
-    target = float(p.epsilon) * (1.0 - float(p.delta))
+    target = float(bound)
     candidate = 0
     if 0.0 < target < 1.0:
         candidate = max(0, int(math.log(target) / math.log(float(p.delta))) - 2)
-    while tail_gain(p.delta, candidate) >= p.epsilon:
+    power = p.delta**candidate
+    while power >= bound:
+        power *= p.delta
         candidate += 1
-    while candidate > 0 and tail_gain(p.delta, candidate - 1) < p.epsilon:
+    while candidate > 0 and power / p.delta < bound:
+        power /= p.delta
         candidate -= 1
     return candidate
 

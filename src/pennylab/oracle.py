@@ -110,7 +110,8 @@ def certify_gap(
     """Exact deviation gaps for both players at the profile (s1, s2)."""
     value = exact_value(s1, s2, n, delta=delta)
     br1 = best_response_value(s2, n, delta=delta)
-    br2 = best_response_value(s1, n, delta=delta)
+    # Equal seats face the same opponent, so they share one best response.
+    br2 = br1 if s1 == s2 else best_response_value(s1, n, delta=delta)
     gap_1 = br1 - value
     gap_2 = br2 - (-value)
     return GapReport(value, br1, br2, gap_1, gap_2, max(gap_1, gap_2))

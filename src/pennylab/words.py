@@ -11,7 +11,7 @@ from array import array
 from bisect import bisect_left
 from collections import deque
 from functools import partial
-from itertools import chain, compress, islice, repeat
+from itertools import chain, compress, islice
 from operator import add, le, ne, sub
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -167,7 +167,8 @@ def prediction_hits(
     return hits
 
 
-# How much larger than the number of play words a level table may be: see `majority_wins`.
+# How much larger than the number of play words a level table may be; a sparser
+# trie is walked from its root instead (see `majority_wins`).
 _DENSE = 8
 
 
@@ -186,18 +187,16 @@ def majority_wins(pw: PlayWords, n: int) -> list[int]:
 
     Round t's wins are the sum, over the prefixes of rounds 1..t-1 of the
     words, of |heads - tails|: the prefix's seeds that play the majority
-    action at round t minus the rest.  Where the trie of the words is dense,
-    they come from level tables: h[p] is the seed count of the level-L
-    prefix p, round L wins the sum of |h[2p+1] - h[2p]|, and level L-1 sums
-    each pair, all at C speed with no Python code per node.  The tables
-    reach the words' depth when 2**depth is at most _DENSE times the word
-    count; each prefix there is one word, whose seeds win every later round.
-    Otherwise they stop at a level `top` with 2**top at most the word count
-    over _DENSE, and each prefix there is handed to a depth-first walk off a
-    stack of `(round, lo, hi)` ranges of words, which adds |heads - tails|
-    per node; a range of one word wins every later round with all its seeds.
-    Identity words (`identity_words`) need no table: no round up to their
-    depth has a majority.
+    action at round t minus the rest.  When 2**depth is at most _DENSE
+    times the word count, they come from level tables down to the words'
+    depth: h[p] is the seed count of the level-L prefix p, round L wins the
+    sum of |h[2p+1] - h[2p]|, and level L-1 sums each pair, all at C speed
+    with no Python code per node; each depth-level prefix is one word, whose
+    seeds win every later round.  Any sparser trie is walked depth-first from
+    its root off a stack of `(round, lo, hi)` ranges of words, adding
+    |heads - tails| per node; a range of one word wins every later round
+    with all its seeds.  Identity words (`identity_words`) need no table:
+    no round up to their depth has a majority.
     """
     words, below, depth = pw
     if is_identity(pw):
@@ -208,20 +207,14 @@ def majority_wins(pw: PlayWords, n: int) -> list[int]:
     # lone[t]: seeds of one-word nodes at round t; each wins every round t..n.
     lone = [0] * (n + 2)
     if 1 << depth <= _DENSE * len(words):
-        # Every depth-level prefix is one word, so no range is left to walk.
-        top, h, roots = depth, _word_table(words, below, depth), ()
-        lone[top + 1] = below[-1]
+        h = _word_table(words, below, depth)
+        for t in range(depth, 0, -1):
+            wins[t] = sum(map(abs, map(sub, islice(h, 1, None, 2), islice(h, 0, None, 2))))
+            h = array("I", map(add, islice(h, 0, None, 2), islice(h, 1, None, 2)))
+        # Every depth-level prefix is one word, whose seeds win every later round.
+        lone[depth + 1] = below[-1]
     else:
-        top = max(0, (len(words) // _DENSE).bit_length() - 1)
-        # starts[p]: the first word whose top-level prefix is p or more.
-        starts = array("I", map(bisect_left, repeat(words), range(0, (1 << depth) + 1, 1 << (depth - top))))
-        h = array("I", map(sub, map(below.__getitem__, islice(starts, 1, None)), map(below.__getitem__, starts)))
-        roots = zip(starts, islice(starts, 1, None))
-    for t in range(top, 0, -1):
-        wins[t] = sum(map(abs, map(sub, islice(h, 1, None, 2), islice(h, 0, None, 2))))
-        h = array("I", map(add, islice(h, 0, None, 2), islice(h, 1, None, 2)))
-    for lo, hi in roots:
-        stack = [(top + 1, lo, hi)] if lo < hi else []
+        stack = [(1, 0, len(words))]
         while stack:
             t, lo, hi = stack.pop()
             if hi - lo == 1:

@@ -175,8 +175,8 @@ MUTANTS = [
     Mutant(
         "rounds-past-the-depth-not-credited",
         "words.py",
-        "lone[top + 1] = below[-1]",
-        "lone[top + 1] = 0",
+        "lone[depth + 1] = below[-1]",
+        "lone[depth + 1] = 0",
         "test_words.py",
     ),
     Mutant(
@@ -203,8 +203,8 @@ MUTANTS = [
     Mutant(
         "walk-starts-a-level-below-the-tables",
         "words.py",
-        "stack = [(top + 1, lo, hi)] if lo < hi else []",
-        "stack = [(top + 2, lo, hi)] if lo < hi else []",
+        "stack = [(1, 0, len(words))]",
+        "stack = [(2, 0, len(words))]",
         "test_level_tables.py",
     ),
     # The stepping choosers.
@@ -263,6 +263,21 @@ MUTANTS = [
         "for h in hits]",
         "for h in hits[1:] + hits[:1]]",
         "test_choosers.py",
+    ),
+    # Certification.
+    Mutant(
+        "best-response-shared-when-only-the-kind-matches",
+        "oracle.py",
+        "br1 if s1 == s2 else",
+        "br1 if s1.kind == s2.kind else",
+        "test_oracle.py",
+    ),
+    Mutant(
+        "discount-threshold-bound-not-strict",
+        "discounting.py",
+        "while power >= bound:",
+        "while power > bound:",
+        "test_discounting.py",
     ),
     # The command-line reader.
     Mutant(

@@ -101,7 +101,7 @@ def test_level_tables_match_both_walks(case):
     "desc, n, dense",
     [
         ("gen:bm,perm=mulmod,m=6", 14, True),  # 2,423 words of 14 rounds: tables to the depth
-        ("gen:bm,perm=mulmod,m=5", 12, False),  # 32 words of 12 rounds: tables to level 2, then the walk
+        ("gen:bm,perm=mulmod,m=5", 12, False),  # 32 words of 12 rounds: the walk from the root
         ("gen:repeat", 8, False),  # four words, fewer than _DENSE: the walk from the root
         ("gen:bm,perm=mulmod,m=4", 16, False),
         ("gen:counter,m=6", 20, False),
@@ -121,8 +121,9 @@ def test_specs_on_both_sides_of_the_table_switch(desc, n, dense):
 @pytest.mark.parametrize(
     "desc, n", [("gen:bm,perm=mulmod,m=8", 24), ("gen:bm,perm=mulmod,m=8", 40), ("gen:counter,m=15", 30)]
 )
-def test_sparse_tries_hand_many_prefixes_to_the_walk(desc, n):
-    # 2**16 and 2**15 seeds: tables down to level 12, and thousands of ranges walked below it.
+def test_large_sparse_tries_are_walked_from_the_root(desc, n):
+    # 2**16 and 2**15 seeds, 32,768 to 56,970 words of 24 to 40 rounds: far too
+    # sparse for tables, so one walk from the root visits every split.
     spec = parse_strategy(desc, n)
     assert not _dense(spec, n)
     assert greedy_value(spec, n) == reference_range_greedy_value(spec, n)

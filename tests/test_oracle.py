@@ -212,6 +212,23 @@ def test_asymmetric_budgets_certify_without_claimed_bound():
     assert report.gap_2 == 0
 
 
+@pytest.mark.parametrize("p2, calls", [("uniform:5", 1), ("uniform:6", 2)])
+def test_equal_seats_share_one_best_response(monkeypatch, p2, calls):
+    n = 6
+    s1, s2 = parse_strategy("uniform:5", n), parse_strategy(p2, n)
+    seen = []
+
+    def spy(opponent, n, **kw):
+        seen.append(opponent)
+        return greedy_value(opponent, n, **kw)
+
+    monkeypatch.setattr("pennylab.exploiter.greedy_value", spy)
+    report = certify_gap(s1, s2, n)
+    assert len(seen) == calls
+    assert report.best_response_1 == greedy_value(s2, n)
+    assert report.best_response_2 == greedy_value(s1, n)
+
+
 def test_seed_space_cap_enforced():
     with pytest.raises(ValueError, match="seed space too large"):
         exact_value(uniform_table(25), constant(H), 4)
