@@ -6,8 +6,9 @@ hash of the canonical config, so re-running an identical config reproduces
 byte-identical output.
 
 Exit status: 0 ran (and certified, where the command certifies), 1 not
-certified, 2 bad input, 3 internal error.  Statuses 2 and 3 print one JSON
-line {"error", "type"} on stderr.
+certified, 2 bad input, refused before any work, 3 any exception after the
+config is validated, an internal error.  Statuses 2 and 3 print one JSON line
+{"error", "type"} on stderr.
 """
 
 from __future__ import annotations
@@ -26,13 +27,13 @@ try:
 except ImportError:  # an interpreter built without it
     from hashlib import sha256
 
-from .discounting import DiscountParams, certify_discounted_eq, min_rounds
+from .discounting import DiscountParams, certify_discounted_eq, check_prefix, min_rounds
 from .exploiter import greedy_value, guarantee, play_match
 from .game import as_fraction, average_payoff, cumulative_payoff, format_transcript
 from .oracle import certify_gap
 from .prng import check_seed_space, make_generator, parse_generator, resolve_predictor
 from .reductions import eval_next_bit_predictor
-from .strategies import describe, make_gamma_equilibrium, parse_strategy, simulate, uniform_table
+from .strategies import check_seed_spaces, describe, make_gamma_equilibrium, parse_strategy, simulate, uniform_table
 
 
 class ExperimentConfig(NamedTuple):
@@ -135,12 +136,15 @@ def _seed_bits(text: str, seed_len: int) -> int:
 
 def _simulate_inputs(v: dict):
     s1, s2 = parse_strategy(v["p1"], v["n"], player=1), parse_strategy(v["p2"], v["n"], player=2)
+    for spec in (s1, s2):
+        if spec.kind == "exploiter":  # an oblivious seat plays one seed, so only a model's seeds are enumerated
+            check_seed_spaces(spec)
     return s1, _seed_bits(v["seed1"], s1.seed_len), s2, _seed_bits(v["seed2"], s2.seed_len)
 
 
 def _exploit_inputs(v: dict):
     spec = parse_strategy(v["opponent"], v["n"], player=2)
-    check_seed_space(spec.seed_len)
+    check_seed_spaces(spec)
     if not 0 <= v["opponent_seed"] < (1 << spec.seed_len):
         raise ValueError("opponent seed outside the declared seed space")
     return spec
@@ -157,7 +161,7 @@ def _verify_eq_inputs(v: dict):
     else:
         pair = parse_strategy(v["p1"], n, player=1), parse_strategy(v["p2"], n, player=2)
     for spec in pair:
-        check_seed_space(spec.seed_len)
+        check_seed_spaces(spec)
     return pair
 
 
@@ -176,11 +180,11 @@ def _prng_test_inputs(v: dict):
 def _discounted_inputs(v: dict):
     params = DiscountParams.of(v["delta"], v["epsilon"])
     prefix = v["prefix"]
-    if prefix == "uniform":
-        return params, None
-    if not prefix.startswith("gen:"):
+    if prefix != "uniform" and not prefix.startswith("gen:"):
         raise ValueError("prefix must be uniform or gen:<descriptor>")
-    return params, parse_generator(prefix[len("gen:") :], v["n"])
+    generator = None if prefix == "uniform" else parse_generator(prefix[len("gen:") :], v["n"])
+    check_prefix(v["n"], v["seed_len"], generator)
+    return params, generator
 
 
 def _sweep_inputs(v: dict) -> list[int]:
@@ -192,6 +196,7 @@ def _sweep_inputs(v: dict) -> list[int]:
         ks = [int(part) for part in text.split(",")]
     if not ks or any(k < 0 or k > v["n"] for k in ks):
         raise ValueError("k values must lie in [0, n]")
+    check_seed_space(max(ks))
     return ks
 
 
@@ -496,12 +501,14 @@ def run(cfg: ExperimentConfig) -> int:
 
 def main(argv: Optional[list[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
+    cfg = None
     try:
-        return run(parse_config(argv))
+        cfg = parse_config(argv)
+        return run(cfg)
     except Exception as e:
         import json
 
-        bad_input = isinstance(e, ValueError)
+        bad_input = cfg is None and isinstance(e, ValueError)
         if not bad_input:
             import traceback
 

@@ -14,7 +14,7 @@ from typing import NamedTuple, Optional
 
 from .game import RationalLike, as_fraction
 from .oracle import certify_gap
-from .prng import GeneratorSpec
+from .prng import GeneratorSpec, check_seed_space
 from .strategies import generator_backed
 
 
@@ -95,6 +95,26 @@ def min_rounds(p: DiscountParams) -> int:
     return candidate
 
 
+def check_prefix(n: int, seed_len: Optional[int], generator: Optional[GeneratorSpec]) -> None:
+    """The input checks of `certify_discounted_eq`, which the CLI also runs before any work.
+
+    They include the cap on the generator's seed space, which the prefix gap enumerates.
+    """
+    if n < 1:
+        raise ValueError("horizon must be positive")
+    if generator is None:
+        if seed_len is not None and seed_len != n:
+            raise ValueError("uniform prefix consumes exactly n bits")
+        return
+    if generator.out_len < n:
+        raise ValueError("generator stream too short for this horizon")
+    if seed_len is not None and seed_len != generator.seed_len:
+        raise ValueError("seed length disagrees with the generator")
+    if generator.seed_len > n:
+        raise ValueError("prefix budget exceeds the horizon")
+    check_seed_space(generator.seed_len)
+
+
 def certify_discounted_eq(
     n: int,
     p: DiscountParams,
@@ -109,22 +129,11 @@ def certify_discounted_eq(
     generator, both players play its output for the prefix and the gap is
     computed exactly by the discounted oracle.
     """
-    if n < 1:
-        raise ValueError("horizon must be positive")
-    if generator is None:
-        if seed_len is not None and seed_len != n:
-            raise ValueError("uniform prefix consumes exactly n bits")
-        prefix_gap = Fraction(0)
-    else:
-        if generator.out_len < n:
-            raise ValueError("generator stream too short for this horizon")
-        if seed_len is not None and seed_len != generator.seed_len:
-            raise ValueError("seed length disagrees with the generator")
-        if generator.seed_len > n:
-            raise ValueError("prefix budget exceeds the horizon")
+    check_prefix(n, seed_len, generator)
+    prefix_gap = Fraction(0)
+    if generator is not None:
         spec = generator_backed(generator)
-        report = certify_gap(spec, spec, n, delta=p.delta)
-        prefix_gap = report.certified_epsilon
+        prefix_gap = certify_gap(spec, spec, n, delta=p.delta).certified_epsilon
     tail = tail_gain(p.delta, n)
     epsilon_prime = prefix_gap + tail
     return DiscountedCertificate(

@@ -161,13 +161,10 @@ class GeneratorSpec(_GeneratorFields):
         return super().__new__(cls, kind, out_len, seed_len, m, perm)
 
     def describe(self) -> str:
-        if self.kind == "blum-micali-ip":
-            return f"bm,perm={self.perm},m={self.m}"
-        if self.kind == "uniform-passthrough":
-            return "passthrough"
-        if self.kind == "broken-repeat":
-            return "repeat"
-        return f"counter,m={self.m}"
+        for name, (kind, keys, _) in _GENERATORS.items():
+            if kind == self.kind:
+                return ",".join([name] + [f"{key}={getattr(self, key)}" for key in keys])
+        raise ValueError(f"unknown generator kind: {self.kind!r}")
 
 
 def parse_params(text: str, allowed: Sequence[str]) -> dict[str, str]:
@@ -189,34 +186,30 @@ def parse_params(text: str, allowed: Sequence[str]) -> dict[str, str]:
     return params
 
 
-# Descriptor family -> the parameters it accepts.
-_GENERATOR_PARAMS = {"bm": ("perm", "m"), "counter": ("m",), "passthrough": (), "repeat": ()}
-
-
 def parse_generator(text: str, n: int) -> GeneratorSpec:
     """Parse a generator descriptor like "bm,perm=add1,m=3" with output length n.
 
     The inverse of `GeneratorSpec.describe`.
     """
-    kind, _, rest = text.partition(",")
-    kind = kind.strip()
-    if kind not in _GENERATOR_PARAMS:
-        raise ValueError(f"unknown generator family: {kind!r}")
-    params = parse_params(rest, _GENERATOR_PARAMS[kind])
-    return make_generator(kind, n, int(params.get("m", "0")), params.get("perm", "mulmod"))
+    name, _, rest = text.partition(",")
+    name = name.strip()
+    params = parse_params(rest, _generator_row(name)[1])
+    return make_generator(name, n, int(params.get("m", "0")), params.get("perm", "mulmod"))
 
 
-def make_generator(kind: str, n: int, m: int = 0, perm: str = "mulmod") -> GeneratorSpec:
-    """The generator a descriptor family names, with output length n; m = 0 means unset."""
-    if kind == "passthrough":
-        return passthrough(n)
-    if kind == "repeat":
-        return broken_repeat(n)
-    if kind not in ("bm", "counter"):
-        raise ValueError(f"unknown generator family: {kind!r}")
-    if not m:
-        raise ValueError(f"generator {kind} requires a width m")
-    return blum_micali(perm, m, n) if kind == "bm" else broken_counter(m, n)
+def _generator_row(name: str) -> tuple:
+    """The `_GENERATORS` row of family `name`."""
+    if name not in _GENERATORS:
+        raise ValueError(f"unknown generator family: {name!r}")
+    return _GENERATORS[name]
+
+
+def make_generator(name: str, n: int, m: int = 0, perm: str = "mulmod") -> GeneratorSpec:
+    """The generator of family `name` with output length n; m = 0 means unset, and keys it does not take are ignored."""
+    _, keys, make = _generator_row(name)
+    if "m" in keys and not m:
+        raise ValueError(f"generator {name} requires a width m")
+    return make(n, m, perm)
 
 
 def blum_micali(perm: str, m: int, out_len: int) -> GeneratorSpec:
@@ -245,6 +238,16 @@ def broken_counter(m: int, out_len: int) -> GeneratorSpec:
     if m < 1:
         raise ValueError("counter width must be positive")
     return spec
+
+
+# Descriptor family -> (spec kind, the keys its descriptor takes, in order,
+# constructor from (n, m, perm)).
+_GENERATORS = {
+    "bm": ("blum-micali-ip", ("perm", "m"), lambda n, m, perm: blum_micali(perm, m, n)),
+    "counter": ("broken-counter", ("m",), lambda n, m, perm: broken_counter(m, n)),
+    "passthrough": ("uniform-passthrough", (), lambda n, m, perm: passthrough(n)),
+    "repeat": ("broken-repeat", (), lambda n, m, perm: broken_repeat(n)),
+}
 
 
 def _bm_stream(perm: str, m: int, out_len: int, x: int, y: int) -> Bits:

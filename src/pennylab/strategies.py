@@ -10,7 +10,7 @@ the opponent's plays, and `simulate` steps it once per round.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Any, NamedTuple, Optional, Sequence, Union
 
 from .game import Action, RationalLike, Transcript, as_fraction, bit_to_action
@@ -177,6 +177,14 @@ def exploiter_vs(opponent: StrategySpec, beat: bool = False) -> StrategySpec:
     if depth > MAX_NESTING:
         raise ValueError(f"exploiters nest more than {MAX_NESTING} deep")
     return StrategySpec("exploiter", (("opponent", opponent), ("beat", beat)), 0)
+
+
+def check_seed_spaces(spec: StrategySpec) -> None:
+    """`check_seed_space` for the spec and each model down its exploiter chain, whose seeds an exploiter enumerates."""
+    check_seed_space(spec.seed_len)
+    while spec.kind == "exploiter":
+        spec = spec.param("opponent")
+        check_seed_space(spec.seed_len)
 
 
 def make_gamma_equilibrium(n: int, gamma: RationalLike) -> tuple[StrategySpec, StrategySpec]:
@@ -451,31 +459,6 @@ def word_hits(seat: Chooser, opponent: StrategySpec, n: int) -> tuple[list[int],
     return prediction_hits(seat, pw.words, pw.below, n, depth, tail), pw.below[-1]
 
 
-def describe(spec: StrategySpec) -> str:
-    """Round-trippable descriptor string, e.g. "uniform:8" or "exploit:vs=const:H"."""
-    kind = spec.kind
-    if kind == "uniform-table":
-        return f"uniform:{spec.seed_len}"
-    if kind == "constant":
-        return f"const:{spec.param('play').value}"
-    if kind == "alternator":
-        return f"alt:{spec.param('first').value}"
-    if kind == "prefix-tail":
-        return (
-            f"prefix-tail:prefix={spec.param('prefix_len')},"
-            f"tail={spec.param('tail_kind')},start={spec.param('tail_start').value}"
-        )
-    if kind == "generator":
-        return f"gen:{spec.param('generator').describe()}"
-    if kind == "predictor":
-        suffix = ",beat=1" if spec.param("beat") else ""
-        return f"pred:{spec.param('predictor')}{suffix}"
-    if kind == "exploiter":
-        prefix = "exploit:beat=1,vs=" if spec.param("beat") else "exploit:vs="
-        return prefix + describe(spec.param("opponent"))
-    raise ValueError(f"unknown strategy kind: {kind!r}")
-
-
 def _parse_action(text: str) -> Action:
     if text not in ("H", "T"):
         raise ValueError(f"malformed action: {text!r}")
@@ -489,6 +472,54 @@ def _parse_bool(text: str) -> bool:
     return word in ("1", "true", "yes")
 
 
+def _parse_count(missing: str, text: str) -> int:
+    """`int`, except that an empty text, as a missing field reads, raises `missing`."""
+    if not text:
+        raise ValueError(missing)
+    return int(text)
+
+
+# Head -> (spec kind, constructor, fields) for each family with flat
+# parameters.  A field is (key, parse, default text), in the constructor's
+# parameter order; key "" is the bare value after the head, up to the first
+# "," when keyed fields follow.  A uniform table's one field is its seed
+# length, every other field a spec parameter.  `describe` omits unset flags.
+_FLAT = {
+    "uniform": ("uniform-table", uniform_table, (
+        ("", partial(_parse_count, "uniform requires a seed length, e.g. uniform:8"), ""),)),
+    "const": ("constant", constant, (("", _parse_action, ""),)),
+    "alt": ("alternator", alternator, (("", _parse_action, "H"),)),
+    "prefix-tail": ("prefix-tail", prefix_tail, (
+        ("prefix", partial(_parse_count, "prefix-tail requires gamma=... or prefix=..."), ""),
+        ("tail", str, "constant"), ("start", _parse_action, "H"))),
+    "pred": ("predictor", predictor_backed, (("", str.strip, ""), ("beat", _parse_bool, "0"))),
+}
+
+
+def describe(spec: StrategySpec) -> str:
+    """Round-trippable descriptor string, e.g. "uniform:8" or "exploit:vs=const:H"."""
+    if spec.kind == "generator":
+        return "gen:" + spec.param("generator").describe()
+    if spec.kind == "exploiter":
+        prefix = "exploit:beat=1,vs=" if spec.param("beat") else "exploit:vs="
+        return prefix + describe(spec.param("opponent"))
+    for head, (kind, _, fields) in _FLAT.items():
+        if kind != spec.kind:
+            continue
+        values = [spec.seed_len] if kind == "uniform-table" else [value for _, value in spec.params]
+        texts = []
+        for (key, _, _), value in zip(fields, values):
+            if isinstance(value, Action):
+                value = value.value
+            elif isinstance(value, bool):  # a flag: written as 1 when set, left out when unset
+                if not value:
+                    continue
+                value = 1
+            texts.append(f"{key}={value}" if key else str(value))
+        return head + ":" + ",".join(texts)
+    raise ValueError(f"unknown strategy kind: {spec.kind!r}")
+
+
 def parse_strategy(desc: str, n: int, player: int = 1) -> StrategySpec:
     """Parse a descriptor such as "uniform:8", "const:H" or "exploit:vs=alt:H"; inverts `describe`.
 
@@ -497,33 +528,8 @@ def parse_strategy(desc: str, n: int, player: int = 1) -> StrategySpec:
     """
     head, _, rest = desc.partition(":")
     head = head.strip()
-    if head == "uniform":
-        if not rest:
-            raise ValueError("uniform requires a seed length, e.g. uniform:8")
-        return uniform_table(int(rest))
-    if head == "const":
-        return constant(_parse_action(rest))
-    if head == "alt":
-        return alternator(_parse_action(rest or "H"))
-    if head == "prefix-tail":
-        params = parse_params(rest, ("n", "gamma", "prefix", "tail", "start"))
-        if "gamma" in params:
-            if int(params.get("n", n)) != n:
-                raise ValueError("prefix-tail horizon disagrees with --n")
-            return make_gamma_equilibrium(n, as_fraction(params["gamma"]))[player - 1]
-        if "prefix" in params:
-            return prefix_tail(
-                int(params["prefix"]),
-                params.get("tail", "constant"),
-                _parse_action(params.get("start", "H")),
-            )
-        raise ValueError("prefix-tail requires gamma=... or prefix=...")
     if head == "gen":
         return generator_backed(parse_generator(rest, n))
-    if head == "pred":
-        name, _, tail = rest.partition(",")
-        params = parse_params(tail, ("beat",))
-        return predictor_backed(name.strip(), beat=_parse_bool(params.get("beat", "0")))
     if head == "exploit":
         # Count the levels before recursing, so a deep chain is bad input, not a RecursionError.
         depth, inner = 0, desc
@@ -537,4 +543,23 @@ def parse_strategy(desc: str, n: int, player: int = 1) -> StrategySpec:
         params = parse_params(before, ("beat",))
         opponent = parse_strategy(nested, n, player=3 - player)
         return exploiter_vs(opponent, beat=_parse_bool(params.get("beat", "0")))
-    raise ValueError(f"unknown strategy family: {head!r}")
+    if head not in _FLAT:
+        raise ValueError(f"unknown strategy family: {head!r}")
+    _, make, fields = _FLAT[head]
+    keys = [key for key, _, _ in fields if key]
+    if head == "prefix-tail":  # the seat-dependent gamma= form and the n= it checks, which only parsing knows
+        params = parse_params(rest, keys + ["n", "gamma"])
+        if "gamma" in params:
+            if int(params.get("n", n)) != n:
+                raise ValueError("prefix-tail horizon disagrees with --n")
+            return make_gamma_equilibrium(n, as_fraction(params["gamma"]))[player - 1]
+        keys.append("n")  # accepted, and unread, beside prefix=
+    bare, tail = "", rest
+    if not fields[0][0]:  # a bare value: all of rest, or up to the first "," when keyed fields follow
+        bare, tail = rest, ""
+        if keys:
+            bare, _, tail = rest.partition(",")
+    params = parse_params(tail, keys)
+    if bare:
+        params[""] = bare
+    return make(*(parse(params.get(key, default)) for key, parse, default in fields))

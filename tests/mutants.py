@@ -279,6 +279,43 @@ MUTANTS = [
         "while power > bound:",
         "test_discounting.py",
     ),
+    # The descriptor tables.
+    Mutant(
+        "flat-field-parse-and-format-disagree",
+        "strategies.py",
+        '("tail", str, "constant"), ("start", _parse_action, "H")',
+        '("start", str, "constant"), ("tail", _parse_action, "H")',
+        "test_cli.py",
+    ),
+    Mutant(
+        "counter-row-drops-m",
+        "prng.py",
+        '"counter": ("broken-counter", ("m",),',
+        '"counter": ("broken-counter", (),',
+        "test_prng.py",
+    ),
+    # Bad input refused before any work.
+    Mutant(
+        "sweep-inputs-skip-the-cap",
+        "cli.py",
+        "check_seed_space(max(ks))",
+        "max(ks)",
+        "test_cli.py",
+    ),
+    Mutant(
+        "discounted-prefix-skips-the-cap",
+        "discounting.py",
+        "    check_seed_space(generator.seed_len)\n",
+        "",
+        "test_cli.py",
+    ),
+    Mutant(
+        "seed-space-walk-stops-at-the-first-exploiter",
+        "strategies.py",
+        'while spec.kind == "exploiter":',
+        'if spec.kind == "exploiter":',
+        "test_cli.py",
+    ),
     # The command-line reader.
     Mutant(
         "config-file-overrides-flag",

@@ -276,6 +276,50 @@ def test_internal_error_exits_3(monkeypatch, capsys):
     assert record == {"error": "boom", "type": "RuntimeError"}
 
 
+def test_value_error_after_validation_exits_3(monkeypatch, capsys):
+    # Bad input is refused before the body runs, so a ValueError from the body is an internal error.
+    def crash(cfg, inputs):
+        raise ValueError("inconsistent observation")
+
+    monkeypatch.setitem(cli.COMMANDS, "sweep", cli.COMMANDS["sweep"]._replace(body=crash))
+    assert main(["sweep", "--n", "4", "--k", "0"]) == 3
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert lines[0].startswith("Traceback")
+    assert json.loads(lines[-1]) == {"error": "inconsistent observation", "type": "ValueError"}
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["sweep", "--n", "8", "--k", "0..7"], "seed space too large"),
+        (["simulate", "--n", "3", "--p1", "exploit:vs=exploit:vs=uniform:7", "--p2", "const:H"], "seed space too large"),
+        (["exploit", "--n", "3", "--opponent", "exploit:beat=1,vs=exploit:vs=uniform:7"], "seed space too large"),
+        (["verify-eq", "--n", "3", "--p1", "uniform:2", "--p2", "exploit:vs=exploit:vs=gen:counter,m=7"], "seed space too large"),
+        (["discounted", "--delta", "1/2", "--epsilon", "1/2", "--n", "4", "--seed-len", "3"], "uniform prefix consumes exactly n bits"),
+        (
+            ["discounted", "--delta", "1/2", "--epsilon", "1/2", "--n", "4", "--seed-len", "3", "--prefix", "gen:repeat"],
+            "seed length disagrees with the generator",
+        ),
+        (["discounted", "--delta", "1/2", "--epsilon", "1/2", "--n", "8", "--prefix", "gen:counter,m=7"], "seed space too large"),
+    ],
+    ids=["sweep-cap", "simulate-nested-exploiter", "exploit-nested-exploiter", "verify-eq-nested-exploiter",
+         "discounted-uniform-seed-len", "discounted-generator-seed-len", "discounted-generator-cap"],
+)
+def test_bad_input_is_refused_before_the_body_runs(monkeypatch, capsys, args, message):
+    def crash(cfg, inputs):
+        raise AssertionError("the body ran")
+
+    monkeypatch.setenv("PENNY_CAP", "64")
+    monkeypatch.setitem(cli.COMMANDS, args[0], cli.COMMANDS[args[0]]._replace(body=crash))
+    assert main(args) == 2
+    assert _one_line_error(capsys) == {"error": message, "type": "ValueError"}
+
+
+def test_a_simulated_oblivious_seat_plays_one_seed_under_any_cap(monkeypatch):
+    monkeypatch.setenv("PENNY_CAP", "64")
+    assert parse_config(["simulate", "--n", "3", "--p1", "uniform:21", "--p2", "exploit:vs=uniform:6"])
+
+
 @pytest.mark.parametrize("args", [["--help"], ["exploit", "--help"]], ids=["top", "command"])
 def test_help_still_exits_0(capsys, args):
     with pytest.raises(SystemExit) as exit_:
@@ -572,6 +616,8 @@ def test_fuzzed_commands_keep_the_exit_contract(case):
     for descriptor in valid:
         spec = parse_strategy(descriptor, n)
         assert parse_strategy(describe(spec), n) == spec
+        if n <= 64:  # drawn from _DESCRIPTORS, whose every descriptor is canonical
+            assert describe(spec) == descriptor
     err = io.StringIO()
     with mock.patch.dict(os.environ, PENNY_CAP="64"), contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         status = main(argv)

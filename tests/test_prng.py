@@ -28,6 +28,7 @@ from pennylab import (
 from pennylab import prng
 from pennylab.prng import (
     PREDICTORS,
+    GeneratorSpec,
     bits_to_int,
     int_to_bits,
     parse_generator,
@@ -382,3 +383,8 @@ def test_describe_round_trips_through_parse_generator():
     n = 8
     for g in (blum_micali("add1", 3, n), broken_counter(4, n), broken_repeat(n), passthrough(n)):
         assert parse_generator(g.describe(), n) == g
+
+
+def test_describe_rejects_an_unknown_generator_kind():
+    with pytest.raises(ValueError, match="unknown generator kind: 'bogus'"):
+        GeneratorSpec("bogus", 4, 2).describe()
