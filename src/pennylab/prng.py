@@ -143,22 +143,32 @@ def permutation(name: str, m: int) -> PermFn:
 class _GeneratorFields(NamedTuple):
     kind: str
     out_len: int
-    seed_len: int
     m: int = 0
     perm: Optional[str] = None
 
 
 class GeneratorSpec(_GeneratorFields):
-    """A deterministic seed-to-bit-stream map with a declared seed length."""
+    """A deterministic seed-to-bit-stream map, whose seed length is derived from its family and width."""
 
     __slots__ = ()
 
-    def __new__(
-        cls, kind: str, out_len: int, seed_len: int, m: int = 0, perm: Optional[str] = None
-    ) -> "GeneratorSpec":
+    def __new__(cls, kind: str, out_len: int, m: int = 0, perm: Optional[str] = None) -> "GeneratorSpec":
         if out_len < 1:
             raise ValueError("output length must be positive")
-        return super().__new__(cls, kind, out_len, seed_len, m, perm)
+        return super().__new__(cls, kind, out_len, m, perm)
+
+    @property
+    def seed_len(self) -> int:
+        """The bits it reads: 2m for Blum-Micali, m for a counter, 2 for a repeat, out_len for a passthrough."""
+        if self.kind == "blum-micali-ip":
+            return 2 * self.m
+        if self.kind == "broken-counter":
+            return self.m
+        if self.kind == "broken-repeat":
+            return 2
+        if self.kind == "uniform-passthrough":
+            return self.out_len
+        raise ValueError(f"unknown generator kind: {self.kind!r}")
 
     def describe(self) -> str:
         for name, (kind, keys, _) in _GENERATORS.items():
@@ -205,8 +215,11 @@ def _generator_row(name: str) -> tuple:
 
 
 def make_generator(name: str, n: int, m: int = 0, perm: str = "mulmod") -> GeneratorSpec:
-    """The generator of family `name` with output length n; m = 0 means unset, and keys it does not take are ignored."""
+    """Family `name`'s generator of output length n; m = 0 and perm = "mulmod" are unset, as keys it lacks must be."""
     _, keys, make = _generator_row(name)
+    for key, value, unset in (("m", m, 0), ("perm", perm, "mulmod")):
+        if key not in keys and value != unset:
+            raise ValueError(f"unknown descriptor parameter: {key!r}")
     if "m" in keys and not m:
         raise ValueError(f"generator {name} requires a width m")
     return make(n, m, perm)
@@ -217,24 +230,24 @@ def blum_micali(perm: str, m: int, out_len: int) -> GeneratorSpec:
 
     The seed is the pair (x, y), each m bits wide.
     """
-    spec = GeneratorSpec("blum-micali-ip", out_len, seed_len=2 * m, m=m, perm=perm)
+    spec = GeneratorSpec("blum-micali-ip", out_len, m, perm)
     permutation(perm, m)  # verify the bijection up front
     return spec
 
 
 def passthrough(out_len: int) -> GeneratorSpec:
     """Degenerate control: the output is the seed itself."""
-    return GeneratorSpec("uniform-passthrough", out_len, seed_len=out_len)
+    return GeneratorSpec("uniform-passthrough", out_len)
 
 
 def broken_repeat(out_len: int) -> GeneratorSpec:
     """Two seed bits repeated forever: bit i equals bit i-2 for every i >= 3."""
-    return GeneratorSpec("broken-repeat", out_len, seed_len=2)
+    return GeneratorSpec("broken-repeat", out_len)
 
 
 def broken_counter(m: int, out_len: int) -> GeneratorSpec:
     """Successive m-bit counter words starting from the seed value."""
-    spec = GeneratorSpec("broken-counter", out_len, seed_len=m, m=m)
+    spec = GeneratorSpec("broken-counter", out_len, m)
     if m < 1:
         raise ValueError("counter width must be positive")
     return spec
@@ -339,8 +352,6 @@ def seed_stream(g: GeneratorSpec, value: int) -> Bits:
     """
     if g.kind == "blum-micali-ip":
         return _bm_stream(g.perm, g.m, g.out_len, value >> g.m, value & ((1 << g.m) - 1))
-    if g.kind not in ("uniform-passthrough", "broken-repeat", "broken-counter"):
-        raise ValueError(f"unknown generator kind: {g.kind!r}")
     k, count, width = g.seed_len, g.kind == "broken-counter", "0%db" % g.seed_len
     words = "".join([format((value + count * j) % (1 << k), width) for j in range(-(-g.out_len // k))])
     return tuple(words[: g.out_len].encode().translate(_BITS))

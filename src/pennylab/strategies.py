@@ -1,11 +1,11 @@
-"""Strategy families with declared randomness budgets, plus head-to-head simulation.
+"""Strategy families with derived randomness budgets, plus head-to-head simulation.
 
 An oblivious strategy's play at round t depends only on its seed and on t.
-The seed is an integer in [0, 2**seed_len), read big-endian, and `seed_len`
-declares how many bits the family may read.  `seed_plays` gives one seed's
-plays and `round_plays` one round's play for every seed.  An adaptive
-strategy (a predictor or an exploiter) reads no seed: its `chooser` follows
-the opponent's plays, and `simulate` steps it once per round.
+The seed is an integer in [0, 2**seed_len), read big-endian; `seed_len`
+is the bits the family reads, derived from its parameters.  `seed_plays`
+gives one seed's plays and `round_plays` one round's play for every seed.
+An adaptive strategy (a predictor or an exploiter) reads no seed: its
+`chooser` follows the opponent's plays, and `simulate` steps it each round.
 """
 
 from __future__ import annotations
@@ -70,28 +70,23 @@ class Seed:
         return "Seed(%s)" % "".join(str(b) for b in self.bits)
 
 
-class _StrategyFields(NamedTuple):
-    kind: str
-    params: tuple[tuple[str, Any], ...]
-    seed_len: int
-
-
-class StrategySpec(_StrategyFields):
-    """A named, parameterized strategy with a declared seed length.
+class StrategySpec(NamedTuple):
+    """A named, parameterized strategy, whose seed length is derived from its parameters.
 
     `oblivious` (every kind but `predictor` and `exploiter`) says the output
     ignores history; it selects the compiled play words in `split` and the
-    factorized path of `oracle.round_payoffs`.  An adaptive spec must
-    read no seed (checked on construction).
+    factorized path of `oracle.round_payoffs`.
     """
 
-    __slots__ = ()
+    kind: str
+    params: tuple[tuple[str, Any], ...]
 
-    def __new__(cls, kind: str, params: tuple[tuple[str, Any], ...], seed_len: int) -> "StrategySpec":
-        self = super().__new__(cls, kind, params, seed_len)
-        if seed_len and not self.oblivious:
-            raise ValueError("adaptive strategies read no seed")
-        return self
+    @property
+    def seed_len(self) -> int:
+        """The bits it reads: a uniform table's or prefix-tail's first parameter, a generator's, or 0."""
+        if self.kind in ("uniform-table", "prefix-tail"):
+            return self.params[0][1]
+        return self.params[0][1].seed_len if self.kind == "generator" else 0
 
     @property
     def oblivious(self) -> bool:
@@ -116,16 +111,16 @@ def uniform_table(seed_len: int) -> StrategySpec:
     """
     if seed_len < 0:
         raise ValueError("seed length must be non-negative")
-    return StrategySpec("uniform-table", (), seed_len)
+    return StrategySpec("uniform-table", (("seed_len", seed_len),))
 
 
 def constant(play: Action) -> StrategySpec:
-    return StrategySpec("constant", (("play", play),), 0)
+    return StrategySpec("constant", (("play", play),))
 
 
 def alternator(first: Action = Action.H) -> StrategySpec:
     """Alternate between the two actions, starting with `first` at round 1."""
-    return StrategySpec("alternator", (("first", first),), 0)
+    return StrategySpec("alternator", (("first", first),))
 
 
 def prefix_tail(prefix_len: int, tail_kind: str, tail_start: Action = Action.H) -> StrategySpec:
@@ -139,12 +134,12 @@ def prefix_tail(prefix_len: int, tail_kind: str, tail_start: Action = Action.H) 
     if tail_kind not in ("constant", "alternator"):
         raise ValueError(f"unknown tail kind: {tail_kind!r}")
     params = (("prefix_len", prefix_len), ("tail_kind", tail_kind), ("tail_start", tail_start))
-    return StrategySpec("prefix-tail", params, prefix_len)
+    return StrategySpec("prefix-tail", params)
 
 
 def generator_backed(g: GeneratorSpec) -> StrategySpec:
     """Play the generator's output stream as actions (bit 1 is H)."""
-    return StrategySpec("generator", (("generator", g),), g.seed_len)
+    return StrategySpec("generator", (("generator", g),))
 
 
 def predictor_backed(name: str, beat: bool = False) -> StrategySpec:
@@ -154,7 +149,7 @@ def predictor_backed(name: str, beat: bool = False) -> StrategySpec:
     matcher's winning reply); beat=True plays its flip (the mismatcher's).
     """
     resolve_predictor(name)  # rejects an unregistered name
-    return StrategySpec("predictor", (("predictor", name), ("beat", beat)), 0)
+    return StrategySpec("predictor", (("predictor", name), ("beat", beat)))
 
 
 # The deepest chain of exploiters an exploiter spec may hold, itself included.
@@ -176,7 +171,7 @@ def exploiter_vs(opponent: StrategySpec, beat: bool = False) -> StrategySpec:
         depth, inner = depth + 1, inner.param("opponent")
     if depth > MAX_NESTING:
         raise ValueError(f"exploiters nest more than {MAX_NESTING} deep")
-    return StrategySpec("exploiter", (("opponent", opponent), ("beat", beat)), 0)
+    return StrategySpec("exploiter", (("opponent", opponent), ("beat", beat)))
 
 
 def check_seed_spaces(spec: StrategySpec) -> None:
@@ -199,12 +194,9 @@ def make_gamma_equilibrium(n: int, gamma: RationalLike) -> tuple[StrategySpec, S
     gn = g * n
     if not 0 <= g <= 1 or gn.denominator != 1 or gn.numerator % 2 != 0:
         raise ValueError("inadmissible gamma")
-    prefix_len = n - int(gn)
-    if int(gn) == 0:
+    if not gn:
         return uniform_table(n), uniform_table(n)
-    p1 = prefix_tail(prefix_len, "constant", Action.H)
-    p2 = prefix_tail(prefix_len, "alternator", Action.H)
-    return p1, p2
+    return prefix_tail(n - int(gn), "constant"), prefix_tail(n - int(gn), "alternator")
 
 
 # --------------------------------------------------------------------------
@@ -481,9 +473,9 @@ def _parse_count(missing: str, text: str) -> int:
 
 # Head -> (spec kind, constructor, fields) for each family with flat
 # parameters.  A field is (key, parse, default text), in the constructor's
-# parameter order; key "" is the bare value after the head, up to the first
-# "," when keyed fields follow.  A uniform table's one field is its seed
-# length, every other field a spec parameter.  `describe` omits unset flags.
+# parameter order, each the spec parameter at its place; key "" is the bare
+# value after the head, up to the first "," when keyed fields follow.
+# `describe` omits unset flags.
 _FLAT = {
     "uniform": ("uniform-table", uniform_table, (
         ("", partial(_parse_count, "uniform requires a seed length, e.g. uniform:8"), ""),)),
@@ -492,7 +484,7 @@ _FLAT = {
     "prefix-tail": ("prefix-tail", prefix_tail, (
         ("prefix", partial(_parse_count, "prefix-tail requires gamma=... or prefix=..."), ""),
         ("tail", str, "constant"), ("start", _parse_action, "H"))),
-    "pred": ("predictor", predictor_backed, (("", str.strip, ""), ("beat", _parse_bool, "0"))),
+    "pred": ("predictor", predictor_backed, (("", str, ""), ("beat", _parse_bool, "0"))),
 }
 
 
@@ -506,9 +498,8 @@ def describe(spec: StrategySpec) -> str:
     for head, (kind, _, fields) in _FLAT.items():
         if kind != spec.kind:
             continue
-        values = [spec.seed_len] if kind == "uniform-table" else [value for _, value in spec.params]
         texts = []
-        for (key, _, _), value in zip(fields, values):
+        for (key, _, _), (_, value) in zip(fields, spec.params):
             if isinstance(value, Action):
                 value = value.value
             elif isinstance(value, bool):  # a flag: written as 1 when set, left out when unset
@@ -547,19 +538,16 @@ def parse_strategy(desc: str, n: int, player: int = 1) -> StrategySpec:
         raise ValueError(f"unknown strategy family: {head!r}")
     _, make, fields = _FLAT[head]
     keys = [key for key, _, _ in fields if key]
-    if head == "prefix-tail":  # the seat-dependent gamma= form and the n= it checks, which only parsing knows
-        params = parse_params(rest, keys + ["n", "gamma"])
-        if "gamma" in params:
-            if int(params.get("n", n)) != n:
-                raise ValueError("prefix-tail horizon disagrees with --n")
-            return make_gamma_equilibrium(n, as_fraction(params["gamma"]))[player - 1]
-        keys.append("n")  # accepted, and unread, beside prefix=
     bare, tail = "", rest
     if not fields[0][0]:  # a bare value: all of rest, or up to the first "," when keyed fields follow
-        bare, tail = rest, ""
-        if keys:
-            bare, _, tail = rest.partition(",")
+        bare, _, tail = rest.partition(",") if keys else (rest, "", "")
+    if head == "prefix-tail":  # the horizon n= both forms check, and the seat-dependent gamma= form
+        keys += ["n", "gamma"]
     params = parse_params(tail, keys)
-    if bare:
-        params[""] = bare
+    if int(params.get("n", n)) != n:
+        raise ValueError("prefix-tail horizon disagrees with --n")
+    if "gamma" in params:
+        return make_gamma_equilibrium(n, as_fraction(params["gamma"]))[player - 1]
+    if bare.strip():
+        params[""] = bare.strip()
     return make(*(parse(params.get(key, default)) for key, parse, default in fields))

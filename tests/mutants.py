@@ -316,6 +316,36 @@ MUTANTS = [
         'if spec.kind == "exploiter":',
         "test_cli.py",
     ),
+    # Seed lengths derived from each family's parameters.
+    Mutant(
+        "blum-micali-budget-read-as-m",
+        "prng.py",
+        "return 2 * self.m",
+        "return self.m",
+        "test_strategies.py",
+    ),
+    Mutant(
+        "prefix-tail-budget-read-as-zero",
+        "strategies.py",
+        'if self.kind in ("uniform-table", "prefix-tail"):',
+        'if self.kind in ("uniform-table",):',
+        "test_strategies.py",
+    ),
+    # The descriptor grammar's key and space rules.
+    Mutant(
+        "make-generator-takes-any-key",
+        "prng.py",
+        "if key not in keys and value != unset:",
+        "if False:",
+        "test_cli.py",
+    ),
+    Mutant(
+        "bare-value-left-unstripped",
+        "strategies.py",
+        'params[""] = bare.strip()',
+        'params[""] = bare',
+        "test_cli.py",
+    ),
     # The command-line reader.
     Mutant(
         "config-file-overrides-flag",

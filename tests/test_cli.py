@@ -163,6 +163,8 @@ _SIMULATE = ["simulate", "--n", "2", "--p1", "uniform:3", "--p2", "const:H"]
         (_EXPLOIT + ["prefix-tail:tail=constant"], "prefix-tail requires gamma=... or prefix=..."),
         (_EXPLOIT + ["prefix-tail:prefix=2,tail=zigzag"], "unknown tail kind"),
         (["exploit", "--n", "8", "--opponent", "prefix-tail:n=6,gamma=1/2"], "horizon disagrees with --n"),
+        (_EXPLOIT + ["prefix-tail:prefix=2,n=5"], "horizon disagrees with --n"),
+        (_EXPLOIT + ["prefix-tail:prefix=2,n=abc"], "invalid literal for int()"),
         (_EXPLOIT + ["exploit:beat=1"], "exploit requires vs="),
         (_EXPLOIT + ["gen:bm,m"], "malformed descriptor parameter"),
         (_EXPLOIT + ["gen:bogus"], "unknown generator family"),
@@ -184,6 +186,14 @@ _SIMULATE = ["simulate", "--n", "2", "--p1", "uniform:3", "--p2", "const:H"]
         ),
         (_PRNG + ["--mode", "bogus"], "unknown mode"),
         (_PRNG + ["--mode", "sampled", "--samples", "0"], "sample count must be positive"),
+        (
+            ["prng-test", "--gen", "passthrough", "--m", "3", "--n", "4", "--predictor", "const1"],
+            "unknown descriptor parameter: 'm'",
+        ),
+        (
+            ["prng-test", "--gen", "counter", "--perm", "bogus", "--m", "2", "--n", "4", "--predictor", "const1"],
+            "unknown descriptor parameter: 'perm'",
+        ),
         (["exploit", "--n", "x", "--opponent", "uniform:2"], "argument --n: invalid int value: 'x'"),
         (["bogus"], "invalid choice: 'bogus'"),
         ([], "the following arguments are required: command"),
@@ -195,10 +205,11 @@ _SIMULATE = ["simulate", "--n", "2", "--p1", "uniform:3", "--p2", "const:H"]
     ],
     ids=[
         "const-X", "uniform-empty", "uniform-negative", "prefix-tail-no-prefix", "prefix-tail-bad-tail",
-        "prefix-tail-gamma-horizon", "exploit-no-vs", "gen-bare-key", "gen-bogus", "gen-counter-no-m",
+        "prefix-tail-gamma-horizon", "prefix-tail-prefix-horizon", "prefix-tail-non-integer-horizon", "exploit-no-vs", "gen-bare-key", "gen-bogus", "gen-counter-no-m",
         "pred-bad-beat", "negative-opponent-seed", "verify-eq-p1-only", "verify-eq-gamma-and-profile",
         "simulate-malformed-seed", "simulate-short-seed", "simulate-seed-for-a-seedless-seat", "discounted-bogus-prefix",
-        "discounted-short-prefix", "prng-bogus-mode", "prng-zero-samples", "argparse-bad-int",
+        "discounted-short-prefix", "prng-bogus-mode", "prng-zero-samples", "prng-passthrough-m", "prng-counter-perm",
+        "argparse-bad-int",
         "argparse-unknown-command", "argparse-no-command", "argparse-unrecognized", "exploit-nested-1000",
         "abbreviated-flag", "flag-at-the-end", "flag-before-a-flag",
     ],
@@ -556,6 +567,19 @@ _LEAVES = st.one_of(
 _DESCRIPTORS = st.recursive(
     _LEAVES, lambda inner: st.builds("exploit:{}vs={}".format, st.sampled_from(("", "beat=1,")), inner), max_leaves=3
 )
+
+
+@settings(max_examples=100, deadline=None)
+@given(_LEAVES, st.data())
+def test_spaces_after_separators_are_ignored(descriptor, data):
+    # A bare value is stripped as a keyed one is: "const: H" is "const:H", "prefix-tail:prefix= 2, tail= constant" ...
+    spaced = "".join(c + " " * data.draw(st.integers(1, 2)) if c in ":,=" else c for c in descriptor)
+    assert parse_strategy(spaced, 6) == parse_strategy(descriptor, 6)
+
+
+def test_a_spaced_bare_action_simulates(capsys):
+    assert main(["simulate", "--n", "4", "--p1", "const: H", "--p2", "const:H"]) == 0
+    assert json.loads(capsys.readouterr().out)["transcript"] == "HH,HH,HH,HH"
 
 
 @st.composite

@@ -17,7 +17,7 @@ from pennylab.game import Action
 from pennylab.oracle import certify_gap
 from pennylab.prng import GeneratorSpec, broken_repeat, passthrough
 from pennylab.reductions import eval_next_bit_predictor
-from pennylab.strategies import StrategySpec, constant, uniform_table
+from pennylab.strategies import constant, uniform_table
 
 from support import init_consistent
 
@@ -129,7 +129,7 @@ RECORDS = {
     "ConsistentSet": (
         lambda: init_consistent(uniform_table(1)),
         "alive",
-        "ConsistentSet(opponent=StrategySpec(kind='uniform-table', params=(), seed_len=1), alive=(0, 1), round=1)",
+        "ConsistentSet(opponent=StrategySpec(kind='uniform-table', params=(('seed_len', 1),)), alive=(0, 1), round=1)",
     ),
     "TraceRow": (
         lambda: play_match(constant(_H), 0, 1).rows[0],
@@ -151,7 +151,7 @@ RECORDS = {
     "GeneratorSpec": (
         lambda: passthrough(3),
         "out_len",
-        "GeneratorSpec(kind='uniform-passthrough', out_len=3, seed_len=3, m=0, perm=None)",
+        "GeneratorSpec(kind='uniform-passthrough', out_len=3, m=0, perm=None)",
     ),
     "PredictorReport": (
         lambda: eval_next_bit_predictor(broken_repeat(3), "const1"),
@@ -162,7 +162,7 @@ RECORDS = {
     "StrategySpec": (
         lambda: uniform_table(3),
         "seed_len",
-        "StrategySpec(kind='uniform-table', params=(), seed_len=3)",
+        "StrategySpec(kind='uniform-table', params=(('seed_len', 3),))",
     ),
 }
 
@@ -187,14 +187,13 @@ def test_records_are_frozen_values_with_pinned_reprs(name):
 @pytest.mark.parametrize(
     "construct, message",
     [
-        (lambda: StrategySpec("exploiter", (("opponent", constant(_H)), ("beat", False)), 1), "read no seed"),
-        (lambda: GeneratorSpec("uniform-passthrough", 0, 0), "output length must be positive"),
-        (lambda: GeneratorSpec(kind="broken-counter", out_len=0, seed_len=2, m=2), "output length must be positive"),
+        (lambda: GeneratorSpec("uniform-passthrough", 0), "output length must be positive"),
+        (lambda: GeneratorSpec(kind="broken-counter", out_len=0, m=2), "output length must be positive"),
         (lambda: DiscountParams(Fraction(1), Fraction(1, 2)), "invalid discount factor"),
         (lambda: DiscountParams(Fraction(0), Fraction(1, 2)), "invalid discount factor"),
         (lambda: DiscountParams(Fraction(1, 2), Fraction(0)), "epsilon must be positive"),
     ],
-    ids=["adaptive-seeded", "generator-empty", "generator-empty-keywords", "delta-1", "delta-0", "epsilon-0"],
+    ids=["generator-empty", "generator-empty-keywords", "delta-1", "delta-0", "epsilon-0"],
 )
 def test_validated_records_reject_bad_fields_when_built_directly(construct, message):
     with pytest.raises(ValueError, match=message):

@@ -27,7 +27,7 @@ from pennylab import (
 )
 from pennylab import prng, strategies
 from pennylab.game import bit_to_action
-from pennylab.prng import PREDICTORS, predictor_chooser, seed_stream
+from pennylab.prng import PREDICTORS, GeneratorSpec, predictor_chooser, seed_stream
 from pennylab.strategies import (
     MAX_NESTING,
     StrategySpec,
@@ -87,9 +87,67 @@ def test_act_rejects_wrong_seed_length():
         reference_act(uniform_table(3), Seed("10"), (), 1)
 
 
-def test_adaptive_specs_read_no_seed():
-    with pytest.raises(ValueError, match="adaptive strategies read no seed"):
-        StrategySpec("predictor", (("predictor", "markov1"), ("beat", False)), 2)
+@pytest.mark.parametrize(
+    "construct",
+    [
+        lambda: StrategySpec("predictor", (("predictor", "markov1"), ("beat", False)), 2),
+        lambda: StrategySpec("prefix-tail", (("prefix_len", 5), ("tail_kind", "constant"), ("tail_start", H)), 3),
+        lambda: StrategySpec("uniform-table", (("seed_len", 3),), seed_len=3),
+        lambda: GeneratorSpec("blum-micali-ip", 6, seed_len=3, m=3, perm="mulmod"),
+        lambda: GeneratorSpec("uniform-passthrough", 4, 0, None, 4),
+    ],
+    ids=["adaptive", "prefix-tail", "uniform-keyword", "blum-micali-keyword", "passthrough-extra-field"],
+)
+def test_specs_take_no_seed_length(construct):
+    # A seed length is derived from the family's parameters, so no spec can claim another.
+    with pytest.raises(TypeError):
+        construct()
+
+
+@pytest.mark.parametrize(
+    "spec, bits",
+    [
+        (uniform_table(0), 0),
+        (uniform_table(3), 3),
+        (constant(T), 0),
+        (alternator(H), 0),
+        (prefix_tail(0, "constant"), 0),
+        (prefix_tail(3, "alternator", T), 3),
+        (generator_backed(blum_micali("mulmod", 2, 5)), 4),
+        (generator_backed(blum_micali("add1", 3, 5)), 6),
+        (generator_backed(broken_counter(3, 5)), 3),
+        (generator_backed(broken_repeat(5)), 2),
+        (generator_backed(passthrough(5)), 5),
+    ],
+    ids=lambda x: describe(x) if isinstance(x, StrategySpec) else str(x),
+)
+def test_each_constructors_seed_len_is_the_bits_it_reads(spec, bits):
+    assert spec.seed_len == bits
+    assert len(seed_plays(spec, (1 << bits) - 1, 5)) == 5
+    with pytest.raises(ValueError, match="budget violation"):
+        seed_plays(spec, 1 << bits, 5)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        StrategySpec("uniform-table", (("seed_len", 3),)),
+        StrategySpec("constant", (("play", T),)),
+        StrategySpec("alternator", (("first", H),)),
+        StrategySpec("prefix-tail", (("prefix_len", 5), ("tail_kind", "constant"), ("tail_start", H))),
+        StrategySpec("prefix-tail", (("prefix_len", 2), ("tail_kind", "alternator"), ("tail_start", T))),
+        StrategySpec("generator", (("generator", GeneratorSpec("blum-micali-ip", 8, 3, "mulmod")),)),
+        StrategySpec("generator", (("generator", GeneratorSpec("broken-counter", 8, 2)),)),
+        StrategySpec("generator", (("generator", GeneratorSpec("broken-repeat", 8)),)),
+        StrategySpec("generator", (("generator", GeneratorSpec("uniform-passthrough", 8)),)),
+        StrategySpec("predictor", (("predictor", "markov1"), ("beat", True))),
+        StrategySpec("exploiter", (("opponent", StrategySpec("constant", (("play", H),))), ("beat", False))),
+    ],
+    ids=describe,
+)
+def test_specs_built_directly_round_trip(spec):
+    again = parse_strategy(describe(spec), 8)
+    assert again == spec and again.seed_len == spec.seed_len
 
 
 def test_act_rejects_history_round_mismatch():
