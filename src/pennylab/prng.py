@@ -28,8 +28,11 @@ def check_seed_space(seed_len: int) -> int:
     variable, which is read on every call.
     """
     space = 1 << seed_len
-    env = os.environ.get("PENNY_CAP")
-    if space > DEFAULT_CAP or (env and space > int(env)):
+    try:
+        cap = min(DEFAULT_CAP, int(os.environ.get("PENNY_CAP") or DEFAULT_CAP))
+    except ValueError:
+        raise ValueError("PENNY_CAP must be an integer") from None
+    if space > cap:
         raise ValueError("seed space too large")
     return space
 
@@ -58,13 +61,14 @@ _PERM_FACTORIES: dict[str, Callable[[int], PermFn]] = {}
 
 
 def register_permutation(name: str, factory: Callable[[int], PermFn]) -> None:
-    """Register a permutation family; `factory(m)` must return a bijection on [0, 2**m).
+    """Register a permutation family under a new name; `factory(m)` must return a bijection on [0, 2**m).
 
     The bijection is verified exhaustively the first time `permutation(name, m)`
-    is looked up.
+    is looked up.  A name binds once, as tables built from it are cached.
     """
+    if name in _PERM_FACTORIES:
+        raise ValueError(f"permutation already registered: {name!r}")
     _PERM_FACTORIES[name] = factory
-    permutation.cache_clear()
 
 
 def _largest_prime_at_most(limit: int) -> int:
@@ -148,33 +152,33 @@ class _GeneratorFields(NamedTuple):
 
 
 class GeneratorSpec(_GeneratorFields):
-    """A deterministic seed-to-bit-stream map, whose seed length is derived from its family and width."""
+    """A deterministic seed-to-bit-stream map, checked when built against its family's `_GENERATORS` row."""
 
     __slots__ = ()
 
     def __new__(cls, kind: str, out_len: int, m: int = 0, perm: Optional[str] = None) -> "GeneratorSpec":
+        if kind not in _GENERATORS:
+            raise ValueError(f"unknown generator kind: {kind!r}")
+        name, keys, _ = _GENERATORS[kind]
+        for key, value, unset in (("m", m, 0), ("perm", perm, None)):
+            if key not in keys and value != unset:
+                raise ValueError(f"unknown descriptor parameter: {key!r}")
+        if "m" in keys and m < 1:
+            raise ValueError(f"generator {name} requires a width m")
         if out_len < 1:
             raise ValueError("output length must be positive")
+        if "perm" in keys:
+            permutation(perm, m)  # verify the bijection up front
         return super().__new__(cls, kind, out_len, m, perm)
 
     @property
     def seed_len(self) -> int:
         """The bits it reads: 2m for Blum-Micali, m for a counter, 2 for a repeat, out_len for a passthrough."""
-        if self.kind == "blum-micali-ip":
-            return 2 * self.m
-        if self.kind == "broken-counter":
-            return self.m
-        if self.kind == "broken-repeat":
-            return 2
-        if self.kind == "uniform-passthrough":
-            return self.out_len
-        raise ValueError(f"unknown generator kind: {self.kind!r}")
+        return _GENERATORS[self.kind][2](self.out_len, self.m)
 
     def describe(self) -> str:
-        for name, (kind, keys, _) in _GENERATORS.items():
-            if kind == self.kind:
-                return ",".join([name] + [f"{key}={getattr(self, key)}" for key in keys])
-        raise ValueError(f"unknown generator kind: {self.kind!r}")
+        name, keys, _ = _GENERATORS[self.kind]
+        return ",".join([name] + [f"{key}={getattr(self, key)}" for key in keys])
 
 
 def parse_params(text: str, allowed: Sequence[str]) -> dict[str, str]:
@@ -203,26 +207,22 @@ def parse_generator(text: str, n: int) -> GeneratorSpec:
     """
     name, _, rest = text.partition(",")
     name = name.strip()
-    params = parse_params(rest, _generator_row(name)[1])
+    params = parse_params(rest, _GENERATORS[_generator_kind(name)][1])
     return make_generator(name, n, int(params.get("m", "0")), params.get("perm", "mulmod"))
 
 
-def _generator_row(name: str) -> tuple:
-    """The `_GENERATORS` row of family `name`."""
-    if name not in _GENERATORS:
-        raise ValueError(f"unknown generator family: {name!r}")
-    return _GENERATORS[name]
+def _generator_kind(name: str) -> str:
+    """The spec kind of descriptor family `name`."""
+    for kind, (family, _, _) in _GENERATORS.items():
+        if family == name:
+            return kind
+    raise ValueError(f"unknown generator family: {name!r}")
 
 
 def make_generator(name: str, n: int, m: int = 0, perm: str = "mulmod") -> GeneratorSpec:
-    """Family `name`'s generator of output length n; m = 0 and perm = "mulmod" are unset, as keys it lacks must be."""
-    _, keys, make = _generator_row(name)
-    for key, value, unset in (("m", m, 0), ("perm", perm, "mulmod")):
-        if key not in keys and value != unset:
-            raise ValueError(f"unknown descriptor parameter: {key!r}")
-    if "m" in keys and not m:
-        raise ValueError(f"generator {name} requires a width m")
-    return make(n, m, perm)
+    """Family `name`'s length-n generator from `prng-test`'s flags; perm "mulmod" is unset for a family without perm."""
+    kind = _generator_kind(name)
+    return blum_micali(perm, m, n) if name == "bm" else GeneratorSpec(kind, n, m, None if perm == "mulmod" else perm)
 
 
 def blum_micali(perm: str, m: int, out_len: int) -> GeneratorSpec:
@@ -230,9 +230,7 @@ def blum_micali(perm: str, m: int, out_len: int) -> GeneratorSpec:
 
     The seed is the pair (x, y), each m bits wide.
     """
-    spec = GeneratorSpec("blum-micali-ip", out_len, m, perm)
-    permutation(perm, m)  # verify the bijection up front
-    return spec
+    return GeneratorSpec("blum-micali-ip", out_len, m, perm)
 
 
 def passthrough(out_len: int) -> GeneratorSpec:
@@ -247,19 +245,16 @@ def broken_repeat(out_len: int) -> GeneratorSpec:
 
 def broken_counter(m: int, out_len: int) -> GeneratorSpec:
     """Successive m-bit counter words starting from the seed value."""
-    spec = GeneratorSpec("broken-counter", out_len, m)
-    if m < 1:
-        raise ValueError("counter width must be positive")
-    return spec
+    return GeneratorSpec("broken-counter", out_len, m)
 
 
-# Descriptor family -> (spec kind, the keys its descriptor takes, in order,
-# constructor from (n, m, perm)).
+# Spec kind -> (descriptor family, the keys its descriptor takes, in order,
+# seed length from (out_len, m)).
 _GENERATORS = {
-    "bm": ("blum-micali-ip", ("perm", "m"), lambda n, m, perm: blum_micali(perm, m, n)),
-    "counter": ("broken-counter", ("m",), lambda n, m, perm: broken_counter(m, n)),
-    "passthrough": ("uniform-passthrough", (), lambda n, m, perm: passthrough(n)),
-    "repeat": ("broken-repeat", (), lambda n, m, perm: broken_repeat(n)),
+    "blum-micali-ip": ("bm", ("perm", "m"), lambda out_len, m: 2 * m),
+    "broken-counter": ("counter", ("m",), lambda out_len, m: m),
+    "uniform-passthrough": ("passthrough", (), lambda out_len, m: out_len),
+    "broken-repeat": ("repeat", (), lambda out_len, m: 2),
 }
 
 

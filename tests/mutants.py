@@ -290,8 +290,8 @@ MUTANTS = [
     Mutant(
         "counter-row-drops-m",
         "prng.py",
-        '"counter": ("broken-counter", ("m",),',
-        '"counter": ("broken-counter", (),',
+        '"broken-counter": ("counter", ("m",),',
+        '"broken-counter": ("counter", (),',
         "test_prng.py",
     ),
     # Bad input refused before any work.
@@ -320,8 +320,8 @@ MUTANTS = [
     Mutant(
         "blum-micali-budget-read-as-m",
         "prng.py",
-        "return 2 * self.m",
-        "return self.m",
+        "lambda out_len, m: 2 * m",
+        "lambda out_len, m: m",
         "test_strategies.py",
     ),
     Mutant(
@@ -331,14 +331,36 @@ MUTANTS = [
         'if self.kind in ("uniform-table",):',
         "test_strategies.py",
     ),
-    # The descriptor grammar's key and space rules.
+    # A generator spec checked against its family's row when built.
     Mutant(
-        "make-generator-takes-any-key",
+        "generator-spec-takes-any-key",
         "prng.py",
         "if key not in keys and value != unset:",
         "if False:",
         "test_cli.py",
     ),
+    Mutant(
+        "generator-spec-takes-a-stray-m",
+        "prng.py",
+        '(("m", m, 0), ("perm", perm, None))',
+        '(("perm", perm, None),)',
+        "test_prng.py",
+    ),
+    Mutant(
+        "generator-spec-skips-the-width-check",
+        "prng.py",
+        '        if "m" in keys and m < 1:\n            raise ValueError(f"generator {name} requires a width m")\n',
+        "",
+        "test_package.py",
+    ),
+    Mutant(
+        "permutation-name-rebound",
+        "prng.py",
+        '    if name in _PERM_FACTORIES:\n        raise ValueError(f"permutation already registered: {name!r}")\n',
+        "",
+        "test_prng.py",
+    ),
+    # The descriptor grammar's space rules.
     Mutant(
         "bare-value-left-unstripped",
         "strategies.py",

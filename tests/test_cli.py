@@ -194,6 +194,7 @@ _SIMULATE = ["simulate", "--n", "2", "--p1", "uniform:3", "--p2", "const:H"]
             ["prng-test", "--gen", "counter", "--perm", "bogus", "--m", "2", "--n", "4", "--predictor", "const1"],
             "unknown descriptor parameter: 'perm'",
         ),
+        (["prng-test", "--gen", "bm", "--m", "0", "--n", "4", "--predictor", "const1"], "generator bm requires a width m"),
         (["exploit", "--n", "x", "--opponent", "uniform:2"], "argument --n: invalid int value: 'x'"),
         (["bogus"], "invalid choice: 'bogus'"),
         ([], "the following arguments are required: command"),
@@ -208,7 +209,7 @@ _SIMULATE = ["simulate", "--n", "2", "--p1", "uniform:3", "--p2", "const:H"]
         "prefix-tail-gamma-horizon", "prefix-tail-prefix-horizon", "prefix-tail-non-integer-horizon", "exploit-no-vs", "gen-bare-key", "gen-bogus", "gen-counter-no-m",
         "pred-bad-beat", "negative-opponent-seed", "verify-eq-p1-only", "verify-eq-gamma-and-profile",
         "simulate-malformed-seed", "simulate-short-seed", "simulate-seed-for-a-seedless-seat", "discounted-bogus-prefix",
-        "discounted-short-prefix", "prng-bogus-mode", "prng-zero-samples", "prng-passthrough-m", "prng-counter-perm",
+        "discounted-short-prefix", "prng-bogus-mode", "prng-zero-samples", "prng-passthrough-m", "prng-counter-perm", "prng-bm-no-width",
         "argparse-bad-int",
         "argparse-unknown-command", "argparse-no-command", "argparse-unrecognized", "exploit-nested-1000",
         "abbreviated-flag", "flag-at-the-end", "flag-before-a-flag",
@@ -501,6 +502,13 @@ def test_penny_cap_env_rejects_large_spaces(tmp_path, monkeypatch):
         ["exploit", "--n", "6", "--opponent", "uniform:5", "--out", str(tmp_path / "x.csv")]
     )
     assert status == 2
+
+
+@pytest.mark.parametrize("cap", ["abc", "1/2"])
+def test_a_malformed_penny_cap_is_named(monkeypatch, capsys, cap):
+    monkeypatch.setenv("PENNY_CAP", cap)
+    assert main(["sweep", "--n", "4", "--k", "0..2"]) == 2
+    assert _one_line_error(capsys) == {"error": "PENNY_CAP must be an integer", "type": "ValueError"}
 
 
 def test_penny_cap_env_bounds_the_exploiter_seat(monkeypatch, capsys):

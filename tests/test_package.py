@@ -189,11 +189,20 @@ def test_records_are_frozen_values_with_pinned_reprs(name):
     [
         (lambda: GeneratorSpec("uniform-passthrough", 0), "output length must be positive"),
         (lambda: GeneratorSpec(kind="broken-counter", out_len=0, m=2), "output length must be positive"),
+        (lambda: GeneratorSpec("broken-counter", 4), "generator counter requires a width m"),
+        (lambda: GeneratorSpec("blum-micali-ip", 4), "generator bm requires a width m"),
+        (lambda: GeneratorSpec("broken-repeat", 4, 3, "add1"), "unknown descriptor parameter: 'm'"),
+        (lambda: GeneratorSpec("uniform-passthrough", 4, perm="mulmod"), "unknown descriptor parameter: 'perm'"),
+        (lambda: GeneratorSpec("blum-micali-ip", 4, 2), "unknown permutation: None"),
+        (lambda: GeneratorSpec("blum-micali", 4, 2, "mulmod"), "unknown generator kind: 'blum-micali'"),
         (lambda: DiscountParams(Fraction(1), Fraction(1, 2)), "invalid discount factor"),
         (lambda: DiscountParams(Fraction(0), Fraction(1, 2)), "invalid discount factor"),
         (lambda: DiscountParams(Fraction(1, 2), Fraction(0)), "epsilon must be positive"),
     ],
-    ids=["generator-empty", "generator-empty-keywords", "delta-1", "delta-0", "epsilon-0"],
+    ids=[
+        "generator-empty", "generator-empty-keywords", "counter-no-width", "bm-no-width", "repeat-stray-keys",
+        "passthrough-stray-perm", "bm-no-perm", "generator-unknown-kind", "delta-1", "delta-0", "epsilon-0",
+    ],
 )
 def test_validated_records_reject_bad_fields_when_built_directly(construct, message):
     with pytest.raises(ValueError, match=message):

@@ -37,6 +37,7 @@ from pennylab.prng import (
     round_bits,
     seed_stream,
 )
+from pennylab.strategies import play_words
 from pennylab.words import distinct_words, prediction_hits
 
 from support import (
@@ -178,6 +179,16 @@ def test_registry_rejects_non_bijections():
     register_permutation("squash", lambda m: lambda x: x & ~1)
     with pytest.raises(ValueError, match="not a bijection"):
         permutation("squash", 3)
+
+
+def test_registry_binds_each_name_once():
+    # Tables built from a permutation are cached under its name, so rebinding one would leave them stale.
+    with pytest.raises(ValueError, match="permutation already registered: 'mulodd'"):
+        register_permutation("mulodd", lambda m: lambda x: (x + 1) & ((1 << m) - 1))
+    assert permutation("mulodd", 3)(1) == 5
+    g = blum_micali("mulodd", 3, 6)
+    for t in range(1, 7):
+        assert round_bits(g, t) == _per_seed_round(g, t)
 
 
 def test_registry_rejects_unknown_and_oversized_widths():
@@ -383,6 +394,25 @@ def test_describe_round_trips_through_parse_generator():
     n = 8
     for g in (blum_micali("add1", 3, n), broken_counter(4, n), broken_repeat(n), passthrough(n)):
         assert parse_generator(g.describe(), n) == g
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(("blum-micali-ip", "broken-counter", "broken-repeat", "uniform-passthrough", "bm", "")),
+    st.integers(min_value=-1, max_value=9),
+    st.integers(min_value=-1, max_value=5),
+    st.sampled_from((None, "mulmod", "add1", "identity", "nope", "")),
+)
+def test_every_generator_spec_that_builds_is_whole(kind, out_len, m, perm):
+    # Bad kinds, widths, perms and stray keys are refused when the spec is built, never later.
+    try:
+        g = GeneratorSpec(kind, out_len, m, perm)
+    except ValueError:
+        return
+    assert parse_generator(g.describe(), g.out_len) == g
+    for t in range(1, g.out_len + 1):
+        assert round_bits(g, t) == _per_seed_round(g, t), t
+    play_words(generator_backed(g), g.out_len)
 
 
 def test_describe_rejects_an_unknown_generator_kind():
