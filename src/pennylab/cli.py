@@ -31,7 +31,7 @@ from .discounting import DiscountParams, certify_discounted_eq, check_prefix, mi
 from .exploiter import greedy_value, guarantee, play_match
 from .game import as_fraction, average_payoff, cumulative_payoff, format_transcript
 from .oracle import certify_gap
-from .prng import check_seed_space, make_generator, parse_generator, resolve_predictor
+from .prng import check_seed_space, make_generator, parse_generator, predictor_chooser
 from .reductions import eval_next_bit_predictor
 from .strategies import check_seed_spaces, describe, make_gamma_equilibrium, parse_strategy, simulate, uniform_table
 
@@ -167,7 +167,7 @@ def _verify_eq_inputs(v: dict):
 
 def _prng_test_inputs(v: dict):
     generator = make_generator(v["gen"], v["n"], v["m"], v["perm"])
-    resolve_predictor(v["predictor"])
+    predictor_chooser(v["predictor"])
     if v["mode"] == "exact":
         check_seed_space(generator.seed_len)
     elif v["mode"] != "sampled":
@@ -189,15 +189,13 @@ def _discounted_inputs(v: dict):
 
 def _sweep_inputs(v: dict) -> list[int]:
     text = v["k"]
-    if ".." in text:
-        lo, _, hi = text.partition("..")
-        ks = list(range(int(lo), int(hi) + 1))
-    else:
-        ks = [int(part) for part in text.split(",")]
-    if not ks or any(k < 0 or k > v["n"] for k in ks):
+    lo, dots, hi = text.partition("..")
+    # A range is checked by its two ends, before its list is built.
+    ks = [int(lo), int(hi)] if dots else [int(part) for part in text.split(",")]
+    if min(ks) < 0 or max(ks) > v["n"] or (dots and ks[0] > ks[1]):
         raise ValueError("k values must lie in [0, n]")
     check_seed_space(max(ks))
-    return ks
+    return list(range(ks[0], ks[1] + 1)) if dots else ks
 
 
 # --------------------------------------------------------------------------

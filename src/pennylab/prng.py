@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import os
 from array import array
-from functools import lru_cache, reduce
+from functools import lru_cache
 from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 Bits = tuple[int, ...]
@@ -442,11 +442,6 @@ def _periodicity_step(state: tuple[int, int, int], bit: int) -> tuple[int, int, 
     return length + 1, shifted | bit, periods & (shifted if bit else ~shifted) | 1 << (length + 1)
 
 
-def _fold(c: Chooser) -> PredictorFn:
-    """The prefix function a chooser stands for: step over the prefix from `init`, then guess."""
-    return lambda prefix: c.guess(reduce(c.step, prefix, c.init))
-
-
 # The built-in predictors, each defined once, by its chooser.
 _BUILTINS = {
     "const0": Chooser((), _zero, _keep),
@@ -456,32 +451,25 @@ _BUILTINS = {
     "periodicity": Chooser((0, 0, 0), _periodicity_guess, _periodicity_step),
 }
 
-# Predictor names to prefix functions; a built-in's entry is its chooser's fold.
-PREDICTORS: dict[str, PredictorFn] = {name: _fold(c) for name, c in _BUILTINS.items()}
-
-# Each built-in entry back to its chooser.
-_CHOOSERS = {PREDICTORS[name]: c for name, c in _BUILTINS.items()}
+# The prefix functions passed to `register_predictor`, by name; empty at import.
+PREDICTORS: dict[str, PredictorFn] = {}
 
 
 def register_predictor(name: str, fn: PredictorFn) -> None:
     PREDICTORS[name] = fn
 
 
-def resolve_predictor(name: str) -> PredictorFn:
-    if name not in PREDICTORS:
-        raise ValueError(f"unknown predictor: {name!r}")
-    return PREDICTORS[name]
+def predictor_chooser(name: str, as_play: bool = False) -> Chooser:
+    """The stepping form of the predictor named `name`.
 
-
-def predictor_chooser(fn: PredictorFn, as_play: bool = False) -> Chooser:
-    """The stepping form of a predictor function.
-
-    A built-in predictor's entry gives back the chooser it was folded from,
-    which keeps O(1) state.  Any other function, such as a custom
-    `register_predictor` entry, steps the prefix tuple itself and is called
-    on it once per guess.  Its guess is compared to the next bit as it is,
-    unless `as_play`: then any truthy guess is 1, as a match plays it.
+    A registered function, which shadows a built-in of the same name, steps
+    the prefix tuple itself and is called on it once per guess.  Its guess is
+    compared to the next bit as it is, unless `as_play`: then any truthy
+    guess is 1, as a match plays it.  A built-in keeps O(1) state.
     """
-    if fn in _CHOOSERS:
-        return _CHOOSERS[fn]
-    return Chooser((), (lambda prefix: 1 if fn(prefix) else 0) if as_play else fn, _extend)
+    fn = PREDICTORS.get(name)
+    if fn is not None:
+        return Chooser((), (lambda prefix: 1 if fn(prefix) else 0) if as_play else fn, _extend)
+    if name not in _BUILTINS:
+        raise ValueError(f"unknown predictor: {name!r}")
+    return _BUILTINS[name]

@@ -18,7 +18,7 @@ from typing import NamedTuple, Optional, Sequence, Union
 
 from .game import round_weights
 from .oracle import round_payoffs
-from .prng import GeneratorSpec, bits_to_int, predictor_chooser, resolve_predictor, seed_stream
+from .prng import GeneratorSpec, bits_to_int, predictor_chooser, seed_stream
 from .strategies import StrategySpec, generator_backed, word_hits
 from .words import distinct_words, prediction_hits
 
@@ -65,7 +65,7 @@ def _best_position(values: Sequence[Union[Fraction, float]]) -> tuple[int, Union
 
 
 def predictor_accuracy(predictor: str, opponent: StrategySpec, n: int) -> Fraction:
-    """Exact per-round prediction accuracy of a registered predictor against an oblivious opponent.
+    """Exact per-round prediction accuracy of the named predictor against an oblivious opponent.
 
     Averaged over the opponent's uniform seed and all n rounds.
     """
@@ -73,7 +73,7 @@ def predictor_accuracy(predictor: str, opponent: StrategySpec, n: int) -> Fracti
         raise ValueError("horizon must be positive")
     if not opponent.oblivious:
         raise ValueError("accuracy is defined against oblivious opponents")
-    hits, space = word_hits(predictor_chooser(resolve_predictor(predictor)), opponent, n)
+    hits, space = word_hits(predictor_chooser(predictor), opponent, n)
     return Fraction(sum(hits), space * n)
 
 
@@ -100,14 +100,14 @@ def eval_next_bit_predictor(
     samples: int = 10_000,
     eval_seed: int = 0,
 ) -> PredictorReport:
-    """Per-position success of the predictor registered as `predictor` on `g`'s output.
+    """Per-position success of the predictor named `predictor` on `g`'s output.
 
     Exact mode enumerates every seed, under the enumeration cap, by one
     `word_hits` walk over the play words of `g`'s stream.  Sampled mode draws
     seeds from an explicit `eval_seed`-keyed stream and reports a 95%
     confidence half-width for the best position's estimate.
     """
-    chooser = predictor_chooser(resolve_predictor(predictor))
+    chooser = predictor_chooser(predictor)
     n = g.out_len
     if mode == "exact":
         hits, space = word_hits(chooser, generator_backed(g), n)

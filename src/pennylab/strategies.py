@@ -17,13 +17,11 @@ from .game import Action, RationalLike, Transcript, as_fraction, bit_to_action
 from .prng import (
     Chooser,
     GeneratorSpec,
-    PREDICTORS,
     check_seed_space,
     int_to_bits,
     parse_generator,
     parse_params,
     predictor_chooser,
-    resolve_predictor,
     round_bits,
     seed_bit_column,
     seed_stream,
@@ -148,7 +146,7 @@ def predictor_backed(name: str, beat: bool = False) -> StrategySpec:
     With beat=False the strategy plays the predicted action itself (the
     matcher's winning reply); beat=True plays its flip (the mismatcher's).
     """
-    resolve_predictor(name)  # rejects an unregistered name
+    predictor_chooser(name)  # rejects an unknown name
     return StrategySpec("predictor", (("predictor", name), ("beat", beat)))
 
 
@@ -259,7 +257,7 @@ def chooser(spec: StrategySpec) -> Chooser:
     one opponent play, so the spec never rereads the history.
     """
     if spec.kind == "predictor":
-        c = predictor_chooser(PREDICTORS[spec.param("predictor")], as_play=True)
+        c = predictor_chooser(spec.param("predictor"), as_play=True)
         return Chooser(c.init, lambda state: c.guess(state) ^ 1, c.step) if spec.param("beat") else c
     if spec.kind == "exploiter":
         opponent = spec.param("opponent")

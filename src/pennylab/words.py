@@ -54,10 +54,13 @@ def compile_words(table: Callable[[int], bytes], depth: int, space: int) -> tupl
     seed s's word is that play.  Eight tables at a time are added into one
     integer with a byte per seed, which fills one byte of every word, so the
     build runs at C speed.  Words take the narrowest of 1, 2, 4 or 8 bytes
-    that fits, else Python ints.  Words that grow with the seed (uniform
-    tables, prefix-tails, passthrough) need no sort.  Others are sorted in
-    parts of about 2**16 seeds, bucketed by their first few plays, so the
-    sort holds no more than that many as Python ints at once.
+    that fits, else Python ints.  Words that grow with the seed need no
+    sort: counter and repeat generators, whose first plays are the seed's
+    bits, and constant and alternator players, which have one seed.  (Uniform
+    tables, prefix-tails and passthrough generators get `identity_words` and
+    never come here.)  Others are sorted in parts of about 2**16 seeds,
+    bucketed by their first few plays, so the sort holds no more than that
+    many as Python ints at once.
     """
     size = -(-depth // 8)
     width = next((w for w in (1, 2, 4, 8) if w >= size), size)

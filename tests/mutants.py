@@ -223,10 +223,17 @@ MUTANTS = [
         "test_choosers.py",
     ),
     Mutant(
-        "registry-fold-drops-the-last-bit",
+        "builtin-shadows-a-registered-name",
         "prng.py",
-        "c.guess(reduce(c.step, prefix, c.init))",
-        "c.guess(reduce(c.step, prefix[:-1], c.init))",
+        "fn = PREDICTORS.get(name)",
+        "fn = None if name in _BUILTINS else PREDICTORS.get(name)",
+        "test_choosers.py",
+    ),
+    Mutant(
+        "registered-guess-played-unnormalized",
+        "prng.py",
+        "(lambda prefix: 1 if fn(prefix) else 0) if as_play else fn",
+        "fn",
         "test_choosers.py",
     ),
     Mutant(
@@ -374,6 +381,13 @@ MUTANTS = [
         "cli.py",
         "for where, texts in sources:",
         "for where, texts in reversed(sources):",
+        "test_cli.py",
+    ),
+    Mutant(
+        "sweep-range-built-before-its-check",
+        "cli.py",
+        "if min(ks) < 0",
+        "if not list(range(ks[0], ks[-1] + 1)) and dots or min(ks) < 0",
         "test_cli.py",
     ),
     Mutant(

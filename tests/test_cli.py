@@ -171,6 +171,7 @@ _SIMULATE = ["simulate", "--n", "2", "--p1", "uniform:3", "--p2", "const:H"]
         (_EXPLOIT + ["gen:counter"], "requires a width m"),
         (_EXPLOIT + ["pred:markov1,beat=maybe"], "malformed boolean"),
         (_EXPLOIT + ["uniform:2", "--opponent-seed", "-1"], "outside the declared seed space"),
+        (["sweep", "--n", "4", "--k", "0..1000000000000000000000"], "k values must lie in [0, n]"),
         (["verify-eq", "--n", "4", "--p1", "const:H"], "needs --gamma or both --p1 and --p2"),
         (
             ["verify-eq", "--n", "4", "--gamma", "1/2", "--p1", "const:H", "--p2", "const:T"],
@@ -207,7 +208,7 @@ _SIMULATE = ["simulate", "--n", "2", "--p1", "uniform:3", "--p2", "const:H"]
     ids=[
         "const-X", "uniform-empty", "uniform-negative", "prefix-tail-no-prefix", "prefix-tail-bad-tail",
         "prefix-tail-gamma-horizon", "prefix-tail-prefix-horizon", "prefix-tail-non-integer-horizon", "exploit-no-vs", "gen-bare-key", "gen-bogus", "gen-counter-no-m",
-        "pred-bad-beat", "negative-opponent-seed", "verify-eq-p1-only", "verify-eq-gamma-and-profile",
+        "pred-bad-beat", "negative-opponent-seed", "sweep-k-huge-range", "verify-eq-p1-only", "verify-eq-gamma-and-profile",
         "simulate-malformed-seed", "simulate-short-seed", "simulate-seed-for-a-seedless-seat", "discounted-bogus-prefix",
         "discounted-short-prefix", "prng-bogus-mode", "prng-zero-samples", "prng-passthrough-m", "prng-counter-perm", "prng-bm-no-width",
         "argparse-bad-int",

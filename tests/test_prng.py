@@ -258,7 +258,7 @@ def test_sampled_mode_is_reproducible_and_reports_half_width():
     assert abs(a.advantage - 0.5) <= 0.1
 
 
-def test_prediction_hits_calls_the_predictor_once_per_distinct_prefix():
+def test_prediction_hits_calls_the_predictor_once_per_distinct_prefix(monkeypatch):
     calls = []
     reference = REFERENCE_PREDICTORS["markov1"]
 
@@ -266,9 +266,11 @@ def test_prediction_hits_calls_the_predictor_once_per_distinct_prefix():
         calls.append(prefix)
         return reference(prefix)
 
+    monkeypatch.setitem(PREDICTORS, "counted-markov1", markov1)  # teardown removes the registrations
+    monkeypatch.setitem(PREDICTORS, "reference-markov1", reference)
     n = 4
     streams = [int_to_bits(value, n) for value in range(1 << n)] * 2
-    hits = prediction_hits(predictor_chooser(markov1), *distinct_words(sorted(map(bits_to_int, streams))), n)
+    hits = prediction_hits(predictor_chooser("counted-markov1"), *distinct_words(sorted(map(bits_to_int, streams))), n)
     # Every prefix of length 0..n-1 occurs, each asked about once.
     assert sorted(calls) == sorted(int_to_bits(v, i) for i in range(n) for v in range(1 << i))
     expected = [sum(reference(s[:i]) == s[i] for s in streams) for i in range(n)]
@@ -277,7 +279,7 @@ def test_prediction_hits_calls_the_predictor_once_per_distinct_prefix():
     long_streams = [tuple((v >> (i % 3)) & 1 for i in range(23)) for v in range(8)]
     expected = [sum(reference(s[:i]) == s[i] for s in long_streams) for i in range(23)]
     words, below = distinct_words(sorted(map(bits_to_int, long_streams)))
-    assert prediction_hits(predictor_chooser(reference), words, below, 23) == expected
+    assert prediction_hits(predictor_chooser("reference-markov1"), words, below, 23) == expected
 
 
 def test_exact_mode_enforces_cap(monkeypatch):
@@ -364,7 +366,7 @@ def test_predictor_accuracy_rejects_unknown_names():
 
 
 def test_predictor_entry_points_take_registered_names_only(monkeypatch):
-    const1 = PREDICTORS["const1"]
+    const1 = lambda prefix: 1
     g = broken_repeat(4)
     with pytest.raises(ValueError, match="unknown predictor"):
         eval_next_bit_predictor(g, const1)

@@ -27,7 +27,7 @@ from pennylab import (
 )
 from pennylab import prng, strategies
 from pennylab.game import bit_to_action
-from pennylab.prng import PREDICTORS, GeneratorSpec, predictor_chooser, seed_stream
+from pennylab.prng import GeneratorSpec, predictor_chooser, seed_stream
 from pennylab.strategies import (
     MAX_NESTING,
     StrategySpec,
@@ -323,7 +323,7 @@ def test_tail_rounds_build_no_play_table(monkeypatch):
 
     monkeypatch.setattr(strategies, "round_plays", counting_round_plays)
     opponent = prefix_tail(4, "alternator", H)
-    hits, space = word_hits(predictor_chooser(PREDICTORS["markov1"], as_play=True), opponent, 300)
+    hits, space = word_hits(predictor_chooser("markov1", as_play=True), opponent, 300)
     assert (len(hits), space) == (300, 16)
     assert play_match(opponent, 5, 300).cumulative > 0
     assert calls == []
