@@ -86,13 +86,6 @@ def _atomic_write(path: str, data: str) -> None:
         raise
 
 
-def emit(cfg: ExperimentConfig, text: str) -> None:
-    if cfg.out:
-        _atomic_write(cfg.out, text)
-    else:
-        sys.stdout.write(text)
-
-
 def json_artifact(cfg: ExperimentConfig, payload: dict) -> str:
     import json  # imported on use, like traceback in `main`: a CSV run never loads it
 
@@ -199,11 +192,11 @@ def _sweep_inputs(v: dict) -> list[int]:
 
 
 # --------------------------------------------------------------------------
-# Command bodies
+# Command bodies: each returns (artifact text, exit status); `run` writes it.
 # --------------------------------------------------------------------------
 
 
-def _cmd_simulate(cfg: ExperimentConfig, seats) -> int:
+def _cmd_simulate(cfg: ExperimentConfig, seats) -> tuple[str, int]:
     transcript = simulate(*seats, cfg.values["n"])
     avg = average_payoff(transcript)
     payload = {
@@ -212,11 +205,10 @@ def _cmd_simulate(cfg: ExperimentConfig, seats) -> int:
         "average": frac_str(avg),
         "average_dec": dec_str(avg),
     }
-    emit(cfg, json_artifact(cfg, payload))
-    return 0
+    return json_artifact(cfg, payload), 0
 
 
-def _cmd_exploit(cfg: ExperimentConfig, opponent) -> int:
+def _cmd_exploit(cfg: ExperimentConfig, opponent) -> tuple[str, int]:
     n = cfg.values["n"]
     achieved = greedy_value(opponent, n)
     bound = guarantee(n, opponent.seed_len)
@@ -235,11 +227,10 @@ def _cmd_exploit(cfg: ExperimentConfig, opponent) -> int:
         "traced_cumulative": str(match.cumulative),
     }
     header = ["round", "p_t", "alive_size", "payoff", "phi", "delta_phi"]
-    emit(cfg, csv_artifact(cfg, header, rows, extra))
-    return 0 if achieved >= bound else 1
+    return csv_artifact(cfg, header, rows, extra), 0 if achieved >= bound else 1
 
 
-def _cmd_verify_eq(cfg: ExperimentConfig, pair) -> int:
+def _cmd_verify_eq(cfg: ExperimentConfig, pair) -> tuple[str, int]:
     n = cfg.values["n"]
     gamma = cfg.values["gamma"]
     s1, s2 = pair
@@ -263,11 +254,10 @@ def _cmd_verify_eq(cfg: ExperimentConfig, pair) -> int:
         payload["gamma"] = frac_str(gamma)
         payload["certified"] = certified
         status = 0 if certified else 1
-    emit(cfg, json_artifact(cfg, payload))
-    return status
+    return json_artifact(cfg, payload), status
 
 
-def _cmd_prng_test(cfg: ExperimentConfig, generator) -> int:
+def _cmd_prng_test(cfg: ExperimentConfig, generator) -> tuple[str, int]:
     report = eval_next_bit_predictor(
         generator,
         cfg.values["predictor"],
@@ -291,11 +281,10 @@ def _cmd_prng_test(cfg: ExperimentConfig, generator) -> int:
         "exact": report.exact,
         "half_width": None if report.half_width is None else dec_str(report.half_width),
     }
-    emit(cfg, json_artifact(cfg, payload))
-    return 0
+    return json_artifact(cfg, payload), 0
 
 
-def _cmd_discounted(cfg: ExperimentConfig, inputs) -> int:
+def _cmd_discounted(cfg: ExperimentConfig, inputs) -> tuple[str, int]:
     params, generator = inputs
     n = cfg.values["n"]
     cert = certify_discounted_eq(n, params, seed_len=cfg.values["seed_len"], generator=generator)
@@ -312,11 +301,10 @@ def _cmd_discounted(cfg: ExperimentConfig, inputs) -> int:
         "epsilon_prime_dec": dec_str(cert.epsilon_prime),
         "certified": cert.certified,
     }
-    emit(cfg, json_artifact(cfg, payload))
-    return 0 if cert.certified else 1
+    return json_artifact(cfg, payload), 0 if cert.certified else 1
 
 
-def _cmd_sweep(cfg: ExperimentConfig, ks) -> int:
+def _cmd_sweep(cfg: ExperimentConfig, ks) -> tuple[str, int]:
     n = cfg.values["n"]
     rows = []
     all_ok = True
@@ -328,8 +316,7 @@ def _cmd_sweep(cfg: ExperimentConfig, ks) -> int:
         exact = (bound, achieved, margin)
         rows.append([str(k), str(n), *map(frac_str, exact), *map(dec_str, exact)])
     header = ["k", "n", "guaranteed", "achieved", "margin", "guaranteed_dec", "achieved_dec", "margin_dec"]
-    emit(cfg, csv_artifact(cfg, header, rows, {"opponent_family": "uniform-table"}))
-    return 0 if all_ok else 1
+    return csv_artifact(cfg, header, rows, {"opponent_family": "uniform-table"}), 0 if all_ok else 1
 
 
 # --------------------------------------------------------------------------
@@ -352,7 +339,7 @@ class Command(NamedTuple):
     help: str
     fields: tuple[tuple[str, Callable[[str], Any], Any], ...]
     inputs: Callable[[dict], Any]
-    body: Callable[[ExperimentConfig, Any], int]
+    body: Callable[[ExperimentConfig, Any], tuple[str, int]]
 
 
 COMMANDS = {
@@ -481,8 +468,8 @@ def parse_config(argv: list[str]) -> ExperimentConfig:
         raise ValueError("horizon must be positive")
     command.inputs(values)
     out = flags.get("out", [""])[-1] or filed.get("out", [None])[0]
-    if out and os.path.isdir(out):
-        raise ValueError(f"output path is a directory: {out}")
+    if out and os.path.exists(out) and not os.path.isfile(out):  # the write would replace a device or FIFO
+        raise ValueError(f"output path is {'a directory' if os.path.isdir(out) else 'not a regular file'}: {out}")
     if out and not os.path.isdir(os.path.dirname(os.path.abspath(out))):
         raise ValueError(f"output directory does not exist: {out}")
 
@@ -492,9 +479,14 @@ def parse_config(argv: list[str]) -> ExperimentConfig:
 
 
 def run(cfg: ExperimentConfig) -> int:
-    """Execute a resolved config; returns the process exit status."""
+    """Execute a resolved config and write its artifact (to --out, else stdout); returns the exit status."""
     command = COMMANDS[cfg.command]
-    return command.body(cfg, command.inputs(cfg.values))
+    text, status = command.body(cfg, command.inputs(cfg.values))
+    if cfg.out:
+        _atomic_write(cfg.out, text)
+    else:
+        sys.stdout.write(text)
+    return status
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -504,14 +496,17 @@ def main(argv: Optional[list[str]] = None) -> int:
         cfg = parse_config(argv)
         return run(cfg)
     except Exception as e:
-        import json
-
         bad_input = cfg is None and isinstance(e, ValueError)
-        if not bad_input:
-            import traceback
+        try:  # a failure while reporting drops the report, never the status
+            import json
 
-            traceback.print_exc()
-        print(json.dumps({"error": str(e), "type": type(e).__name__}, sort_keys=True), file=sys.stderr)
+            if not bad_input:
+                import traceback
+
+                traceback.print_exc()
+            print(json.dumps({"error": str(e), "type": type(e).__name__}, sort_keys=True), file=sys.stderr)
+        except Exception:
+            pass
         return 2 if bad_input else 3
 
 

@@ -397,6 +397,35 @@ MUTANTS = [
         'flag, eq, text = token, "", ""',
         "test_cli.py",
     ),
+    # The one writer and the error report.
+    Mutant(
+        "out-may-name-a-fifo",
+        "cli.py",
+        "if out and os.path.exists(out) and not os.path.isfile(out):",
+        "if out and os.path.isdir(out):",
+        "test_cli.py",
+    ),
+    Mutant(
+        "error-report-unguarded",
+        "cli.py",
+        "        except Exception:\n            pass\n",
+        "        except ArithmeticError:\n            pass\n",
+        "test_cli.py",
+    ),
+    Mutant(
+        "run-drops-the-body-status",
+        "cli.py",
+        "        sys.stdout.write(text)\n    return status\n",
+        "        sys.stdout.write(text)\n    return 0\n",
+        "test_cli.py",
+    ),
+    Mutant(
+        "run-ignores-out",
+        "cli.py",
+        "    if cfg.out:\n",
+        "    if False:\n",
+        "test_cli.py",
+    ),
 ]
 
 

@@ -6,7 +6,9 @@ import hashlib
 import io
 import json
 import os
+import stat
 import sys
+import traceback
 from fractions import Fraction
 from unittest import mock
 
@@ -263,8 +265,9 @@ def test_config_file_accepts_out_and_run_id(tmp_path):
         (os.path.join("missing", "x.csv"), "output directory does not exist"),
         (".", "output path is a directory"),
         ("existing", "output path is a directory"),
+        ("fifo", "output path is not a regular file"),
     ],
-    ids=["missing-directory", "dot", "existing-directory"],
+    ids=["missing-directory", "dot", "existing-directory", "fifo"],
 )
 def test_missing_out_directory_is_rejected_before_running(tmp_path, monkeypatch, capsys, out, message):
     def crash(cfg, inputs):
@@ -273,10 +276,12 @@ def test_missing_out_directory_is_rejected_before_running(tmp_path, monkeypatch,
     monkeypatch.setitem(cli.COMMANDS, "exploit", cli.COMMANDS["exploit"]._replace(body=crash))
     monkeypatch.chdir(tmp_path)
     (tmp_path / "existing").mkdir()
+    os.mkfifo(tmp_path / "fifo")  # stands in for a device: writing it must never replace it
     (tmp_path / "run.cfg").write_text(f"out = {out}\n")
     for via in (["--out", out], ["--config", "run.cfg"]):
         assert main(["exploit", "--n", "3", "--opponent", "uniform:2", *via]) == 2
         assert _one_line_error(capsys) == {"error": f"{message}: {out}", "type": "ValueError"}
+    assert stat.S_ISFIFO(os.stat(tmp_path / "fifo").st_mode)
 
 
 def test_internal_error_exits_3(monkeypatch, capsys):
@@ -287,6 +292,23 @@ def test_internal_error_exits_3(monkeypatch, capsys):
     assert main(["sweep", "--n", "4", "--k", "0"]) == 3
     record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert record == {"error": "boom", "type": "RuntimeError"}
+
+
+@pytest.mark.parametrize(
+    "k, broken, status",
+    [("9", (json, "dumps"), 2), ("0", (traceback, "print_exc"), 3)],
+    ids=["bad-input", "internal-error"],
+)
+def test_a_failing_error_report_keeps_the_status(monkeypatch, capsys, k, broken, status):
+    def crash(cfg, inputs):
+        raise RuntimeError("boom")
+
+    def fail(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setitem(cli.COMMANDS, "sweep", cli.COMMANDS["sweep"]._replace(body=crash))
+    monkeypatch.setattr(*broken, fail)
+    assert main(["sweep", "--n", "4", "--k", k]) == status
 
 
 def test_value_error_after_validation_exits_3(monkeypatch, capsys):
