@@ -171,7 +171,7 @@ def _prng_test_inputs(v: dict):
 
 
 def _discounted_inputs(v: dict):
-    params = DiscountParams.of(v["delta"], v["epsilon"])
+    params = DiscountParams(v["delta"], v["epsilon"])
     prefix = v["prefix"]
     if prefix != "uniform" and not prefix.startswith("gen:"):
         raise ValueError("prefix must be uniform or gen:<descriptor>")
@@ -287,7 +287,7 @@ def _cmd_prng_test(cfg: ExperimentConfig, generator) -> tuple[str, int]:
 def _cmd_discounted(cfg: ExperimentConfig, inputs) -> tuple[str, int]:
     params, generator = inputs
     n = cfg.values["n"]
-    cert = certify_discounted_eq(n, params, seed_len=cfg.values["seed_len"], generator=generator)
+    cert = certify_discounted_eq(n, params, generator)
     payload = {
         "n": cert.n,
         "delta": frac_str(cert.delta),
@@ -327,7 +327,7 @@ REQUIRED = object()
 
 
 def _default_rounds(values: dict) -> int:
-    return max(1, min_rounds(DiscountParams.of(values["delta"], values["epsilon"])))
+    return max(1, min_rounds(DiscountParams(values["delta"], values["epsilon"])))
 
 
 class Command(NamedTuple):

@@ -32,16 +32,13 @@ class DiscountParams(_DiscountFields):
 
     __slots__ = ()
 
-    def __new__(cls, delta: Fraction, epsilon: Fraction) -> "DiscountParams":
+    def __new__(cls, delta: RationalLike, epsilon: RationalLike) -> "DiscountParams":
+        delta, epsilon = as_fraction(delta), as_fraction(epsilon)
         if not 0 < delta < 1:
             raise ValueError("invalid discount factor")
         if epsilon <= 0:
             raise ValueError("epsilon must be positive")
         return super().__new__(cls, delta, epsilon)
-
-    @classmethod
-    def of(cls, delta: RationalLike, epsilon: RationalLike) -> "DiscountParams":
-        return cls(as_fraction(delta), as_fraction(epsilon))
 
 
 class DiscountedCertificate(NamedTuple):
@@ -80,11 +77,10 @@ def min_rounds(p: DiscountParams) -> int:
     logarithms; each probe steps delta**n by one multiplication or division.
     """
     bound = p.epsilon * (1 - p.delta)
-    # Float logs only pick the starting point for the exact walk.
-    target = float(bound)
     candidate = 0
-    if 0.0 < target < 1.0:
-        candidate = max(0, int(math.log(target) / math.log(float(p.delta))) - 2)
+    if bound < 1:  # logs of the exact terms, never of a float, only pick where the walk starts
+        log_bound, log_delta = (math.log(q.numerator) - math.log(q.denominator) for q in (bound, p.delta))
+        candidate = max(0, int(log_bound / log_delta) - 2)
     power = p.delta**candidate
     while power >= bound:
         power *= p.delta
@@ -99,6 +95,7 @@ def check_prefix(n: int, seed_len: Optional[int], generator: Optional[GeneratorS
     """The input checks of `certify_discounted_eq`, which the CLI also runs before any work.
 
     They include the cap on the generator's seed space, which the prefix gap enumerates.
+    A `seed_len` (the CLI's --seed-len) may only confirm the prefix's own seed length.
     """
     if n < 1:
         raise ValueError("horizon must be positive")
@@ -116,20 +113,17 @@ def check_prefix(n: int, seed_len: Optional[int], generator: Optional[GeneratorS
 
 
 def certify_discounted_eq(
-    n: int,
-    p: DiscountParams,
-    seed_len: Optional[int] = None,
-    generator: Optional[GeneratorSpec] = None,
+    n: int, p: DiscountParams, generator: Optional[GeneratorSpec] = None
 ) -> DiscountedCertificate:
     """Certify the profile (n-round prefix, then constant-H vs alternator tails).
 
-    With no generator the prefix is full-entropy uniform play (seed_len must be
-    n if given): round-wise uniform play is unexploitable at any discounting,
-    so the prefix gap is exactly 0 and no enumeration is needed.  With a
-    generator, both players play its output for the prefix and the gap is
-    computed exactly by the discounted oracle.
+    With no generator the prefix is full-entropy uniform play: round-wise
+    uniform play is unexploitable at any discounting, so the prefix gap is
+    exactly 0 and no enumeration is needed.  With a generator, both players
+    play its output for the prefix and the gap is computed exactly by the
+    discounted oracle.
     """
-    check_prefix(n, seed_len, generator)
+    check_prefix(n, None, generator)
     prefix_gap = Fraction(0)
     if generator is not None:
         spec = generator_backed(generator)

@@ -6,6 +6,7 @@ equilibrium-gap comparisons downstream never need a float tolerance.
 
 from __future__ import annotations
 
+import sys
 from enum import Enum
 from fractions import Fraction
 from typing import Union
@@ -36,13 +37,18 @@ def bit_to_action(bit: int) -> Action:
 
 
 def as_fraction(x: RationalLike) -> Fraction:
-    """Coerce ints, 'p/q' strings, or Fractions to an exact rational."""
+    """Coerce ints, 'p/q' strings, or Fractions to an exact rational whose terms fit the int digit limit."""
     if isinstance(x, Fraction):
         return x
-    try:
-        return Fraction(x)
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0 where there is no limit
+    try:  # Fraction expands an exponent unchecked; past 2 * limit no term could fit, so it is never built
+        huge = limit and abs(int(str(x).lower().partition("e")[2] or 0)) > 2 * limit
+        value = Fraction(0 if huge else x)
     except (ValueError, ZeroDivisionError) as e:
         raise ValueError(f"malformed fraction: {x!r}") from e
+    if huge or limit and max(abs(value.numerator), value.denominator) >= 10**limit:
+        raise ValueError(f"fraction outgrows the {limit}-digit int limit: {x!r}")
+    return value
 
 
 def round_weights(delta: Fraction, n: int) -> list[Fraction]:

@@ -286,6 +286,28 @@ MUTANTS = [
         "while power > bound:",
         "test_discounting.py",
     ),
+    Mutant(
+        "discount-params-take-raw-text",
+        "discounting.py",
+        "        delta, epsilon = as_fraction(delta), as_fraction(epsilon)\n",
+        "",
+        "test_package.py",
+    ),
+    Mutant(
+        "uniform-prefix-takes-any-seed-len",
+        "discounting.py",
+        '        if seed_len is not None and seed_len != n:\n            raise ValueError("uniform prefix consumes exactly n bits")\n',
+        "",
+        "test_discounting.py",
+    ),
+    # Rational inputs bounded by the int digit limit.
+    Mutant(
+        "fraction-digit-bound-off-by-one",
+        "game.py",
+        ">= 10**limit:",
+        "> 10**limit:",
+        "test_game.py",
+    ),
     # The descriptor tables.
     Mutant(
         "flat-field-parse-and-format-disagree",

@@ -179,7 +179,7 @@ def test_criterion_6_oracle_self_consistency():
 
 def test_criterion_7_discounted_thresholds():
     with criterion(7, "discounted threshold and certification"):
-        p = DiscountParams.of("9/10", "1/10")
+        p = DiscountParams("9/10", "1/10")
         n_star = min_rounds(p)
         assert n_star == 44
         assert tail_gain(p.delta, 44) < Fraction(1, 10) <= tail_gain(p.delta, 43)

@@ -154,6 +154,10 @@ def _one_line_error(capsys) -> dict:
 _EXPLOIT = ["exploit", "--n", "4", "--opponent"]
 _PRNG = ["prng-test", "--gen", "repeat", "--n", "4", "--predictor", "const1"]
 _SIMULATE = ["simulate", "--n", "2", "--p1", "uniform:3", "--p2", "const:H"]
+# Without an int digit limit, Fraction would expand a huge exponent in full.
+_NEEDS_DIGIT_LIMIT = pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", int)(), reason="this interpreter has no int digit limit"
+)
 
 
 @pytest.mark.parametrize(
@@ -206,6 +210,16 @@ _SIMULATE = ["simulate", "--n", "2", "--p1", "uniform:3", "--p2", "const:H"]
         (_EXPLOIT + ["uniform:2", "--opponent-s", "1"], "unrecognized arguments: --opponent-s 1"),
         (_EXPLOIT + ["uniform:2", "--out"], "argument --out: expected one argument"),
         (["exploit", "--out", "--n", "3", "--opponent", "uniform:2"], "argument --out: expected one argument"),
+        (
+            ["discounted", "--delta", "1/2", "--epsilon", "1e-5000"],
+            "argument --epsilon: invalid as_fraction value: '1e-5000'",
+        ),
+        pytest.param(
+            ["verify-eq", "--n", "4", "--gamma", "1e99999999"],
+            "argument --gamma: invalid as_fraction value: '1e99999999'",
+            marks=_NEEDS_DIGIT_LIMIT,
+        ),
+        pytest.param(_EXPLOIT + ["prefix-tail:gamma=1e99999999"], "digit int limit", marks=_NEEDS_DIGIT_LIMIT),
     ],
     ids=[
         "const-X", "uniform-empty", "uniform-negative", "prefix-tail-no-prefix", "prefix-tail-bad-tail",
@@ -215,7 +229,8 @@ _SIMULATE = ["simulate", "--n", "2", "--p1", "uniform:3", "--p2", "const:H"]
         "discounted-short-prefix", "prng-bogus-mode", "prng-zero-samples", "prng-passthrough-m", "prng-counter-perm", "prng-bm-no-width",
         "argparse-bad-int",
         "argparse-unknown-command", "argparse-no-command", "argparse-unrecognized", "exploit-nested-1000",
-        "abbreviated-flag", "flag-at-the-end", "flag-before-a-flag",
+        "abbreviated-flag", "flag-at-the-end", "flag-before-a-flag", "epsilon-past-digit-limit",
+        "gamma-exponent-past-digit-limit", "prefix-tail-gamma-exponent-past-digit-limit",
     ],
 )
 def test_bad_input_exits_2_with_one_json_line(capsys, args, message):
@@ -474,6 +489,23 @@ def test_discounted_default_horizon_is_at_least_one(tmp_path):
     assert (record["n"], record["min_rounds"], record["certified"]) == (1, 0, True)
 
 
+@pytest.mark.parametrize(
+    "args, n, min_rounds",
+    [
+        (["--delta", "1e-400", "--epsilon", "1/2", "--n", "3"], 3, 1),
+        (["--delta", "1e-400", "--epsilon", "1/2"], 1, 1),
+        (["--delta", "1/2", "--epsilon", "1e400", "--n", "3"], 3, 0),
+        (["--delta", "1/2", "--epsilon", "1e400"], 1, 0),
+    ],
+    ids=["delta-below-float", "delta-below-float-default-n", "epsilon-above-float", "epsilon-above-float-default-n"],
+)
+def test_discounted_reads_rationals_no_float_can_hold(tmp_path, args, n, min_rounds):
+    status, blob = run_cli(["discounted"] + args, tmp_path, "d.json")
+    record = json.loads(blob)
+    assert status == 0
+    assert (record["n"], record["min_rounds"], record["certified"]) == (n, min_rounds, True)
+
+
 def test_discounted_prints_exact_fractions_of_any_length(tmp_path):
     # At delta 999/1000 the threshold is 7,598 rounds, and the tail gain's
     # numerator and denominator run past CPython's 4,300-digit print limit.
@@ -640,7 +672,7 @@ def _fuzzed_argv(draw):
     elif command == "exploit":
         argv = ["--opponent", d1, "--opponent-seed", str(draw(st.sampled_from((0, 0, 1, 3))))]
     elif command == "verify-eq":
-        gamma = ["--gamma", draw(st.sampled_from(("1/2", "0", "1", "1/3")))]
+        gamma = ["--gamma", draw(st.sampled_from(("1/2", "0", "1", "1/3", "1e-5000")))]
         argv = draw(st.sampled_from((gamma, ["--p1", d1, "--p2", d2], gamma + ["--p1", d1, "--p2", d2])))
     elif command == "prng-test":
         n = min(n, 12)
@@ -652,7 +684,8 @@ def _fuzzed_argv(draw):
             "--samples", str(draw(st.integers(0, 40))),
         ]
     elif command == "discounted":
-        argv = ["--delta", draw(st.sampled_from(("1/2", "2/3", "3/2"))), "--epsilon", draw(st.sampled_from(("1/2", "1/4", "0")))]
+        delta = draw(st.sampled_from(("1/2", "2/3", "3/2", "1e-400")))
+        argv = ["--delta", delta, "--epsilon", draw(st.sampled_from(("1/2", "1/4", "0", "1e400", "1e-5000")))]
         argv += ["--prefix", draw(st.sampled_from(("uniform", "gen:repeat", "gen:bm,m=1", "gen:counter,m=2")))]
     else:
         argv = ["--k", draw(st.sampled_from(("0", "0..3", "1,2", "2..1", "9")))]

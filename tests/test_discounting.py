@@ -17,6 +17,7 @@ from pennylab import (
     tail_gain,
     uniform_table,
 )
+from pennylab.discounting import check_prefix
 from pennylab.oracle import best_response_value
 
 deltas = st.fractions(min_value="1/100", max_value="99/100")
@@ -37,15 +38,28 @@ def test_tail_gain_rejects_bad_delta():
 
 
 def test_min_rounds_examples():
-    assert min_rounds(DiscountParams.of("9/10", "1/10")) == 44
+    assert min_rounds(DiscountParams("9/10", "1/10")) == 44
     # Boundary case: n=1 leaves tail gain exactly 1, so the threshold is 2.
-    assert min_rounds(DiscountParams.of("1/2", "1")) == 2
-    assert min_rounds(DiscountParams.of("1/10", "1/10")) == 2
+    assert min_rounds(DiscountParams("1/2", "1")) == 2
+    assert min_rounds(DiscountParams("1/10", "1/10")) == 2
 
 
 def test_min_rounds_handles_generous_epsilon():
     # epsilon so large even n=0 undercuts it.
-    assert min_rounds(DiscountParams.of("1/2", "3")) == 0
+    assert min_rounds(DiscountParams("1/2", "3")) == 0
+
+
+@pytest.mark.parametrize(
+    "delta, epsilon, n",
+    [("1e-400", "1/2", 1), ("1/2", "1e400", 0), ("1/2", "1e-4000", 13289), ("1e-400", "1e-4000", 11)],
+    ids=["delta-below-float", "epsilon-above-float", "epsilon-below-float", "both-below-float"],
+)
+def test_min_rounds_reads_terms_no_float_can_hold(delta, epsilon, n):
+    p = DiscountParams(delta, epsilon)
+    assert min_rounds(p) == n
+    assert tail_gain(p.delta, n) < p.epsilon
+    if n > 0:
+        assert tail_gain(p.delta, n - 1) >= p.epsilon
 
 
 @given(deltas, st.integers(min_value=0, max_value=40))
@@ -67,13 +81,13 @@ def test_threshold_characterization(delta, epsilon):
 
 def test_params_validation():
     with pytest.raises(ValueError, match="invalid discount factor"):
-        DiscountParams.of("1", "1/10")
+        DiscountParams("1", "1/10")
     with pytest.raises(ValueError, match="epsilon"):
-        DiscountParams.of("1/2", "0")
+        DiscountParams("1/2", "0")
 
 
 def test_uniform_prefix_certifies_exactly_at_the_threshold():
-    p = DiscountParams.of("9/10", "1/10")
+    p = DiscountParams("9/10", "1/10")
     good = certify_discounted_eq(44, p)
     assert good.certified
     assert good.prefix_gap == 0
@@ -95,18 +109,18 @@ def test_generator_prefix_certificate_hand_computed():
     # Repeat-stream prefix at n=4, delta=1/2: a deviator learns both seed bits
     # in two rounds, then wins rounds 3 and 4 for delta^3 + delta^4 = 3/16;
     # the profile value is 0, so each gap is 3/16 and the tail adds 1/8.
-    p = DiscountParams.of("1/2", "1/2")
+    p = DiscountParams("1/2", "1/2")
     cert = certify_discounted_eq(4, p, generator=broken_repeat(4))
     assert cert.prefix_gap == Fraction(3, 16)
     assert cert.tail == Fraction(1, 8)
     assert cert.epsilon_prime == Fraction(5, 16)
     assert cert.certified  # 5/16 <= 1/2
-    tight = DiscountParams.of("1/2", "1/4")
+    tight = DiscountParams("1/2", "1/4")
     assert not certify_discounted_eq(4, tight, generator=broken_repeat(4)).certified
 
 
 def test_passthrough_prefix_behaves_like_uniform():
-    p = DiscountParams.of("1/2", "1/2")
+    p = DiscountParams("1/2", "1/2")
     cert = certify_discounted_eq(4, p, generator=passthrough(4))
     assert cert.prefix_gap == 0
     assert cert.epsilon_prime == tail_gain(p.delta, 4)
@@ -132,9 +146,9 @@ def test_discounted_distinguisher_uses_weighted_rounds():
 
 
 def test_certify_validates_inputs():
-    p = DiscountParams.of("1/2", "1/2")
+    p = DiscountParams("1/2", "1/2")
     with pytest.raises(ValueError, match="uniform prefix"):
-        certify_discounted_eq(4, p, seed_len=2)
+        check_prefix(4, 2, None)
     with pytest.raises(ValueError, match="horizon"):
         certify_discounted_eq(0, p)
     with pytest.raises(ValueError, match="stream too short"):

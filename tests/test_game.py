@@ -1,12 +1,13 @@
 """Stage payoffs, transcript aggregation, and serialization."""
 
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pennylab.game import Action, average_payoff, cumulative_payoff, format_transcript, stage_payoff
+from pennylab.game import Action, as_fraction, average_payoff, cumulative_payoff, format_transcript, stage_payoff
 
 from support import discounted_payoff, parse_transcript
 
@@ -102,3 +103,15 @@ def test_transcript_round_trip():
 def test_transcript_rejects_malformed_rounds(bad):
     with pytest.raises(ValueError, match="malformed transcript"):
         parse_transcript(bad)
+
+
+_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", int)()
+
+
+@pytest.mark.skipif(not _DIGIT_LIMIT, reason="this interpreter has no int digit limit")
+def test_a_rational_may_not_outgrow_the_int_digit_limit():
+    assert as_fraction(f"1e-{_DIGIT_LIMIT - 1}") == Fraction(1, 10 ** (_DIGIT_LIMIT - 1))
+    assert as_fraction(f"10e-{_DIGIT_LIMIT}") == Fraction(1, 10 ** (_DIGIT_LIMIT - 1))
+    for spelling in (f"1e-{_DIGIT_LIMIT}", f"1e{_DIGIT_LIMIT}", "0." + "0" * (_DIGIT_LIMIT - 1) + "1", "1e99999999"):
+        with pytest.raises(ValueError, match="int limit"):
+            as_fraction(spelling)

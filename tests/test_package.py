@@ -3,6 +3,7 @@ cold import stays light, and its records keep their value semantics."""
 
 import ast
 import pathlib
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -11,13 +12,24 @@ import pytest
 
 import pennylab
 from pennylab.cli import ExperimentConfig
-from pennylab.discounting import DiscountParams, certify_discounted_eq
+from pennylab import strategies
+from pennylab.discounting import DiscountParams, certify_discounted_eq, tail_gain
 from pennylab.exploiter import play_match
 from pennylab.game import Action
 from pennylab.oracle import certify_gap
 from pennylab.prng import GeneratorSpec, broken_repeat, passthrough
-from pennylab.reductions import eval_next_bit_predictor
-from pennylab.strategies import constant, uniform_table
+from pennylab.reductions import eval_next_bit_predictor, per_round_payoffs, predictor_accuracy
+from pennylab.strategies import (
+    StrategySpec,
+    constant,
+    describe,
+    generator_backed,
+    make_gamma_equilibrium,
+    predictor_backed,
+    prefix_tail,
+    seed_plays,
+    uniform_table,
+)
 
 from support import init_consistent
 
@@ -116,12 +128,12 @@ RECORDS = {
         "ExperimentConfig(command='sweep', values={'k': '0', 'n': 2}, run_id='abc', out=None)",
     ),
     "DiscountParams": (
-        lambda: DiscountParams.of("1/2", "1/3"),
+        lambda: DiscountParams("1/2", "1/3"),
         "delta",
         "DiscountParams(delta=Fraction(1, 2), epsilon=Fraction(1, 3))",
     ),
     "DiscountedCertificate": (
-        lambda: certify_discounted_eq(2, DiscountParams.of("1/2", "1/2")),
+        lambda: certify_discounted_eq(2, DiscountParams("1/2", "1/2")),
         "certified",
         "DiscountedCertificate(n=2, delta=Fraction(1, 2), epsilon=Fraction(1, 2), prefix_gap=Fraction(0, 1), "
         "tail=Fraction(1, 2), epsilon_prime=Fraction(1, 2), certified=True)",
@@ -207,3 +219,42 @@ def test_records_are_frozen_values_with_pinned_reprs(name):
 def test_validated_records_reject_bad_fields_when_built_directly(construct, message):
     with pytest.raises(ValueError, match=message):
         construct()
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: tail_gain("1/2", -1), ValueError, "round index must be non-negative"),
+        (lambda: seed_plays(predictor_backed("markov1"), 0, 3), ValueError, "adaptive strategies play from their chooser"),
+        (lambda: seed_plays(generator_backed(passthrough(3)), 0, 4), ValueError, "generator stream too short for this round"),
+        (lambda: strategies.chooser(uniform_table(2)), ValueError, "oblivious strategies have no chooser"),
+        (lambda: uniform_table(2).param("nope"), KeyError, "nope"),
+        (lambda: describe(StrategySpec("bogus", ())), ValueError, "unknown strategy kind: 'bogus'"),
+        (lambda: prefix_tail(-1, "constant"), ValueError, "prefix length must be non-negative"),
+        (lambda: make_gamma_equilibrium(0, 0), ValueError, "horizon must be positive"),
+        (
+            lambda: per_round_payoffs(uniform_table(2), passthrough(3), 4),
+            ValueError,
+            "generator stream too short for this horizon",
+        ),
+        (
+            lambda: predictor_accuracy("markov1", predictor_backed("markov1"), 3),
+            ValueError,
+            "accuracy is defined against oblivious opponents",
+        ),
+        (
+            lambda: eval_next_bit_predictor(passthrough(3), "markov1", mode="sampled", samples=0),
+            ValueError,
+            "sample count must be positive",
+        ),
+        (lambda: eval_next_bit_predictor(passthrough(3), "markov1", mode="bogus"), ValueError, "unknown mode: 'bogus'"),
+    ],
+    ids=[
+        "tail-gain-negative-round", "seed-plays-adaptive", "seed-plays-short-stream", "chooser-of-oblivious",
+        "param-unknown", "describe-unknown-kind", "prefix-tail-negative", "gamma-empty-horizon",
+        "per-round-short-stream", "accuracy-against-adaptive", "predictor-zero-samples", "predictor-unknown-mode",
+    ],
+)
+def test_library_calls_refuse_bad_arguments(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()
