@@ -38,16 +38,14 @@ def bit_to_action(bit: int) -> Action:
 
 def as_fraction(x: RationalLike) -> Fraction:
     """Coerce ints, 'p/q' strings, or Fractions to an exact rational whose terms fit the int digit limit."""
-    if isinstance(x, Fraction):
-        return x
     limit = getattr(sys, "get_int_max_str_digits", int)()  # 0 where there is no limit
     try:  # Fraction expands an exponent unchecked; past 2 * limit no term could fit, so it is never built
-        huge = limit and abs(int(str(x).lower().partition("e")[2] or 0)) > 2 * limit
+        huge = limit and isinstance(x, str) and abs(int(x.lower().partition("e")[2] or 0)) > 2 * limit
         value = Fraction(0 if huge else x)
-    except (ValueError, ZeroDivisionError) as e:
+    except (ValueError, ZeroDivisionError) as e:  # a RationalLike fails here only as a string, which prints
         raise ValueError(f"malformed fraction: {x!r}") from e
     if huge or limit and max(abs(value.numerator), value.denominator) >= 10**limit:
-        raise ValueError(f"fraction outgrows the {limit}-digit int limit: {x!r}")
+        raise ValueError(f"fraction outgrows the {limit}-digit int limit")
     return value
 
 

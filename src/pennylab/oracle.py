@@ -62,7 +62,7 @@ def round_payoffs(s1: StrategySpec, s2: StrategySpec, n: int) -> list[Fraction]:
         return [Fraction(stage_payoff(a, b)) for a, b in simulate(s1, 0, s2, 0, n)]
     player, other = (s2, s1) if s1.oblivious else (s1, s2)
     # A match pays seat 1, whichever seat the adaptive player sits in.
-    hits, space = word_hits(chooser(player), other, n)
+    hits, space = word_hits(chooser(player, n), other, n)
     return [Fraction(2 * h - space, space) for h in hits]
 
 

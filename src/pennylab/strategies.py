@@ -11,7 +11,7 @@ An adaptive strategy (a predictor or an exploiter) reads no seed: its
 from __future__ import annotations
 
 from functools import lru_cache, partial
-from typing import Any, NamedTuple, Optional, Sequence, Union
+from typing import Any, Callable, NamedTuple, Optional, Sequence, Union
 
 from .game import Action, RationalLike, Transcript, as_fraction, bit_to_action
 from .prng import (
@@ -72,7 +72,7 @@ class StrategySpec(NamedTuple):
     """A named, parameterized strategy, whose seed length is derived from its parameters.
 
     `oblivious` (every kind but `predictor` and `exploiter`) says the output
-    ignores history; it selects the compiled play words in `split` and the
+    ignores history; it selects the play words in `majority_chooser` and the
     factorized path of `oracle.round_payoffs`.
     """
 
@@ -249,8 +249,8 @@ def seed_plays(spec: StrategySpec, seed: int, n: int) -> tuple[Action, ...]:
     return tuple(plays)
 
 
-def chooser(spec: StrategySpec) -> Chooser:
-    """An adaptive spec's stepping form, which walks and matches carry along their paths.
+def chooser(spec: StrategySpec, n: int) -> Chooser:
+    """An adaptive spec's stepping form for a game of n rounds, which walks and matches carry along their paths.
 
     `guess(state)` is the spec's own next play (1 is H): the opponent play
     it predicts, or its flip when `beat` is set.  `step(state, bit)` follows
@@ -260,45 +260,44 @@ def chooser(spec: StrategySpec) -> Chooser:
         c = predictor_chooser(spec.param("predictor"), as_play=True)
         return Chooser(c.init, lambda state: c.guess(state) ^ 1, c.step) if spec.param("beat") else c
     if spec.kind == "exploiter":
-        opponent = spec.param("opponent")
-        return majority_chooser(opponent, spec.param("beat"), horizon(opponent))
+        return majority_chooser(spec.param("opponent"), spec.param("beat"), n)
     raise ValueError("oblivious strategies have no chooser")
 
 
 def majority_chooser(opponent: StrategySpec, beat: bool, n: int) -> Chooser:
     """The consistent-set majority exploiter against `opponent`: it plays its prediction, or the flip when `beat`.
 
-    Its state is its view of the opponent at round t, (lo, mid, hi, aux):
+    Its state is its view of the opponent at round t of n, (lo, mid, hi, aux):
     the opponent's seeds still consistent with what it played are the words
     [lo, hi) of `play_words(opponent, n)`, and of those the seeds that play
     H at round t are [mid, hi).  aux is t for an oblivious opponent, whose
-    range each step splits once.  A seedless adaptive opponent has one
-    word, and aux is its own chooser's state, which steps with the
-    exploiter's plays; once refuted, its range stays empty.  The prediction
-    is the play more of the range's seeds make; ties predict H.
-
-    `chooser` reads the words up to the opponent's horizon, and a match of
-    n rounds no further.  The chooser must not step past round n, since a
-    generator's words end there.
+    range each step splits with one bisect of its words up to their depth
+    and past it, where a range holds one word, by that word's `late_plays`.
+    A seedless adaptive opponent has one word, and aux is its own chooser's
+    state, which steps with the exploiter's plays; once refuted, its range
+    stays empty.  The prediction is the play more of the range's seeds
+    make; ties predict H.
     """
-    pw = play_words(opponent, n)
-    below = pw.below
+    words, below, depth = play_words(opponent, n)
 
     def guess(view: tuple) -> int:
         lo, mid, hi, _ = view
         return (1 if below[hi] - below[mid] >= below[mid] - below[lo] else 0) ^ beat
 
     if opponent.oblivious:
+        late = late_plays(opponent, words, depth, n)
 
         def at(lo: int, hi: int, t: int) -> tuple:
-            return lo, split(opponent, pw, lo, hi, t), hi, t
+            if t > depth:  # the range holds one word, or none
+                return lo, lo if lo < hi and late(lo)[t - 1 - depth] else hi, hi, t
+            return lo, lo if lo == hi else split_words(words, lo, hi, depth - t), hi, t
 
         def step(view: tuple, seen: int) -> tuple:
             lo, mid, hi, t = view
             return at(mid, hi, t + 1) if seen else at(lo, mid, t + 1)
 
         return Chooser(at(0, len(below) - 1, 1), guess, step)
-    inner = chooser(opponent)
+    inner = chooser(opponent, n)
 
     def at_state(lo: int, hi: int, state: Any) -> tuple:
         return lo, lo if lo < hi and inner.guess(state) else hi, hi, state
@@ -325,7 +324,7 @@ def simulate(s1: StrategySpec, seed1: int, s2: StrategySpec, seed2: int, n: int)
     for spec, seed in seats:
         _check_seed(spec, seed)
     plays = [seed_plays(spec, seed, n) if spec.oblivious else None for spec, seed in seats]
-    choosers = [None if spec.oblivious else chooser(spec) for spec, _ in seats]
+    choosers = [None if spec.oblivious else chooser(spec, n) for spec, _ in seats]
     states = [c.init if c else None for c in choosers]
     rounds = []
     for t in range(n):
@@ -404,23 +403,20 @@ def _compile_words(spec: StrategySpec, depth: int) -> PlayWords:
     return PlayWords(*compile_words(lambda t: round_plays(spec, t), depth, 1 << spec.seed_len), depth)
 
 
-def split(opponent: StrategySpec, pw: PlayWords, lo: int, hi: int, t: int) -> int:
-    """The one consistent-set partition: the first index of [lo, hi) whose seeds play H at round t.
+def late_plays(opponent: StrategySpec, words: Sequence[int], depth: int, n: int) -> Callable[[int], tuple[int, ...]]:
+    """`late(lo)`: word `lo`'s plays (1 is H) at rounds depth+1..n, of an oblivious opponent's depth-round words.
 
-    The seeds of [lo, mid) play T.  An oblivious opponent's range is split
-    with one bisect of its play words; past their depth a non-empty range
-    holds one word, whose round-t play is its `fixed_play` or, for a uniform
-    table, its own round (t-1) mod seed_len + 1.  An adaptive opponent has no
-    words to split: its play comes from its `chooser`.
+    Past its words' depth a spec's word is its seed.  A uniform table's word
+    is the seed itself, whose bits it cycles, so round t plays bit
+    (t-1) % seed_len; a walk reads one word's late plays round after round,
+    so the last word's are kept.  Every other spec's plays there are its
+    `fixed_play`s, computed once for all words.
     """
-    if t > pw.depth and opponent.kind == "uniform-table" and opponent.seed_len:
-        t = (t - 1) % opponent.seed_len + 1
-    if t > pw.depth:
-        play = fixed_play(opponent, t)
-        if play is None:
-            raise ValueError("generator stream too short for this round")
-        return lo if play is Action.H else hi
-    return lo if lo == hi else split_words(pw.words, lo, hi, pw.depth - t)
+    k = opponent.seed_len
+    if opponent.kind == "uniform-table" and k:
+        return lru_cache(maxsize=1)(lambda lo: (int_to_bits(words[lo], k) * (n // k + 1))[depth:n])
+    fixed = tuple(1 if fixed_play(opponent, t) is Action.H else 0 for t in range(depth + 1, n + 1))
+    return lambda lo: fixed
 
 
 def word_hits(seat: Chooser, opponent: StrategySpec, n: int) -> tuple[list[int], int]:
@@ -428,25 +424,11 @@ def word_hits(seat: Chooser, opponent: StrategySpec, n: int) -> tuple[list[int],
 
     hits[t-1] counts the opponent's seeds whose round-t play the seat's
     chooser guesses, by one `words.prediction_hits` walk over the trie of the
-    opponent's play words.  Past their depth a one-word range plays on with
-    no split: a uniform table's word is its seed, whose bits it cycles, so
-    round t plays bit (t-1) % seed_len; every other spec's plays there are
-    its `fixed_play`s, computed once for all words.
+    opponent's play words; past their depth a one-word range plays on with
+    its `late_plays`.
     """
-    pw = play_words(opponent, n)
-    depth, k = pw.depth, opponent.seed_len
-    if opponent.kind == "uniform-table" and k:
-
-        def tail(lo: int) -> tuple[int, ...]:
-            return (int_to_bits(pw.words[lo], k) * (n // k + 1))[depth:n]
-
-    else:
-        fixed = tuple(1 if fixed_play(opponent, t) is Action.H else 0 for t in range(depth + 1, n + 1))
-
-        def tail(lo: int) -> tuple[int, ...]:
-            return fixed
-
-    return prediction_hits(seat, pw.words, pw.below, n, depth, tail), pw.below[-1]
+    words, below, depth = play_words(opponent, n)
+    return prediction_hits(seat, words, below, n, depth, late_plays(opponent, words, depth, n)), below[-1]
 
 
 def _parse_action(text: str) -> Action:

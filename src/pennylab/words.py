@@ -59,7 +59,7 @@ def compile_words(table: Callable[[int], bytes], depth: int, space: int) -> tupl
     bits, and constant and alternator players, which have one seed.  (Uniform
     tables, prefix-tails and passthrough generators get `identity_words` and
     never come here.)  Others are sorted in parts of about 2**16 seeds,
-    bucketed by their first few plays, so the sort holds no more than that
+    bucketed by their top bits, so the sort holds no more than that
     many as Python ints at once.
     """
     size = -(-depth // 8)
@@ -84,12 +84,9 @@ def compile_words(table: Callable[[int], bytes], depth: int, space: int) -> tupl
     parts = [words]
     lead = min(depth, max(0, space.bit_length() - 17))
     if lead:
-        group = 0
-        for t in range(1, lead + 1):
-            group = (group << 1) + int.from_bytes(table(t), "little")
         parts = [store() for _ in range(1 << lead)]
-        for word, g in zip(words, group.to_bytes(space, "little")):
-            parts[g].append(word)
+        for word in words:
+            parts[word >> (depth - lead)].append(word)
     del words  # the parts hold them now
     distinct, below, seen = store(), array(_CODES[4]), 0
     for part in parts:
@@ -148,7 +145,7 @@ def prediction_hits(
         i, lo, hi, state = stack.pop()
         if hi - lo == 1:
             count = below[hi] - below[lo]
-            bits = int_to_bits(words[lo], depth)[i:] + (tail(lo) if depth < n else ())
+            bits = int_to_bits(words[lo], depth - i) + (tail(lo) if depth < n else ())
             for j, bit in enumerate(bits, i):
                 if guess(state) == bit:
                     hits[j] += count

@@ -95,15 +95,15 @@ MUTANTS = [
     Mutant(
         "uniform-table-not-wrapped-past-its-horizon",
         "strategies.py",
-        "t = (t - 1) % opponent.seed_len + 1",
-        "pass",
+        "* (n // k + 1))[depth:n]",
+        "+ (1,) * n)[depth:n]",
         "test_words.py",
     ),
     Mutant(
         "sort-buckets-swapped",
         "words.py",
-        "parts[g].append(word)",
-        "parts[g ^ 1].append(word)",
+        "parts[word >> (depth - lead)].append(word)",
+        "parts[word >> (depth - lead) ^ 1].append(word)",
         "test_words.py",
     ),
     Mutant(
@@ -116,8 +116,8 @@ MUTANTS = [
     Mutant(
         "split-without-its-empty-range-guard",
         "strategies.py",
-        "return lo if lo == hi else split_words(pw.words, lo, hi, pw.depth - t)",
-        "return split_words(pw.words, lo, hi, pw.depth - t)",
+        "return lo, lo if lo == hi else split_words(words, lo, hi, depth - t), hi, t",
+        "return lo, split_words(words, lo, hi, depth - t), hi, t",
         "test_strategies.py",
     ),
     # One seed's plays.
@@ -146,8 +146,22 @@ MUTANTS = [
     Mutant(
         "split-past-depth-always-hi",
         "strategies.py",
-        "return lo if play is Action.H else hi",
-        "return hi",
+        "return lo, lo if lo < hi and late(lo)[t - 1 - depth] else hi, hi, t",
+        "return lo, hi, hi, t",
+        "test_words.py",
+    ),
+    Mutant(
+        "uniform-late-plays-rebuilt-every-read",
+        "strategies.py",
+        "return lru_cache(maxsize=1)(lambda lo: (int_to_bits(words[lo], k) * (n // k + 1))[depth:n])",
+        "return lambda lo: (int_to_bits(words[lo], k) * (n // k + 1))[depth:n]",
+        "test_strategies.py",
+    ),
+    Mutant(
+        "chooser-reads-its-late-plays-a-round-early",
+        "strategies.py",
+        "late(lo)[t - 1 - depth]",
+        "late(lo)[t - 2 - depth]",
         "test_words.py",
     ),
     Mutant(
@@ -160,8 +174,8 @@ MUTANTS = [
     Mutant(
         "word-hits-uniform-tail-a-round-late",
         "strategies.py",
-        "(int_to_bits(pw.words[lo], k) * (n // k + 1))[depth:n]",
-        "(int_to_bits(pw.words[lo], k) * (n // k + 1))[depth + 1 : n + 1]",
+        "(int_to_bits(words[lo], k) * (n // k + 1))[depth:n]",
+        "(int_to_bits(words[lo], k) * (n // k + 1))[depth + 1 : n + 1]",
         "test_words.py",
     ),
     # The level tables and identity play words.
@@ -263,6 +277,13 @@ MUTANTS = [
         "own = guess(view)",
         "own = guess(view) ^ 1",
         "test_strategies.py",
+    ),
+    Mutant(
+        "exploiter-chooser-built-for-its-models-horizon",
+        "strategies.py",
+        'majority_chooser(spec.param("opponent"), spec.param("beat"), n)',
+        'majority_chooser(spec.param("opponent"), spec.param("beat"), horizon(spec.param("opponent")))',
+        "test_words.py",
     ),
     Mutant(
         "round-payoffs-hits-one-round-off",

@@ -195,7 +195,7 @@ def reference_act(spec, seed, history, round):
 
 def chooser_play(spec, history):
     """An adaptive spec's play after `history` (its own view), by folding its chooser over the opponent's column."""
-    c = chooser(spec)
+    c = chooser(spec, len(history) + 1)
     state = c.init
     for _, seen in history:
         state = c.step(state, seen is Action.H)
@@ -270,9 +270,10 @@ PERMUTATION_NAMES = ("identity", "add1", "mulodd", "mulmod")
 def reference_split(opponent, alive, history, t):
     """Seed-by-seed partition of `alive` by the opponent's round-t action: (H's, T's).
 
-    The slow path `strategies.split` is checked against.  An oblivious
-    opponent replays its own first t actions, seeing them in its own column
-    and H in the other; an adaptive one acts on the mirror of `history`.
+    The slow path the exploiter's chooser (`strategies.majority_chooser`) is
+    checked against.  An oblivious opponent replays its own first t actions,
+    seeing them in its own column and H in the other; an adaptive one acts
+    on the mirror of `history`.
     """
     heads, tails = [], []
     for value in alive:
@@ -386,9 +387,10 @@ def potential(cs, accumulated_payoff):
 def list_split(opponent, alive, history, t):
     """Partition the seed list `alive` by the action each plays at round `t`: (H's, T's).
 
-    The seed-list partition the range-based `strategies.split` replaced, kept
-    as a reference: oblivious opponents read `round_plays`, and a seedless
-    adaptive one acts on the mirror of `history`.  Order within `alive` is kept.
+    The seed-list partition that `strategies.majority_chooser`'s word ranges
+    replaced, kept as a reference: oblivious opponents read `round_plays`,
+    and a seedless adaptive one acts on the mirror of `history`.  Order
+    within `alive` is kept.
     """
     if opponent.oblivious:
         plays = round_plays(opponent, t)

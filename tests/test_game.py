@@ -115,3 +115,12 @@ def test_a_rational_may_not_outgrow_the_int_digit_limit():
     for spelling in (f"1e-{_DIGIT_LIMIT}", f"1e{_DIGIT_LIMIT}", "0." + "0" * (_DIGIT_LIMIT - 1) + "1", "1e99999999"):
         with pytest.raises(ValueError, match="int limit"):
             as_fraction(spelling)
+
+
+@pytest.mark.skipif(not _DIGIT_LIMIT, reason="this interpreter has no int digit limit")
+def test_an_int_or_a_fraction_is_measured_by_its_terms():
+    # Neither may be printed in the error: a number past the limit cannot be.
+    assert as_fraction(10**_DIGIT_LIMIT - 1) == 10**_DIGIT_LIMIT - 1
+    for number in (10**_DIGIT_LIMIT, Fraction(1, 10**_DIGIT_LIMIT), Fraction(10**_DIGIT_LIMIT, 3)):
+        with pytest.raises(ValueError, match="outgrows"):
+            as_fraction(number)

@@ -34,6 +34,7 @@ from pennylab.strategies import (
 from support import init_consistent
 
 PACKAGE = pathlib.Path(pennylab.__file__).parent
+_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", int)()
 
 
 def _imports() -> list[tuple[str, str]]:
@@ -227,7 +228,7 @@ def test_validated_records_reject_bad_fields_when_built_directly(construct, mess
         (lambda: tail_gain("1/2", -1), ValueError, "round index must be non-negative"),
         (lambda: seed_plays(predictor_backed("markov1"), 0, 3), ValueError, "adaptive strategies play from their chooser"),
         (lambda: seed_plays(generator_backed(passthrough(3)), 0, 4), ValueError, "generator stream too short for this round"),
-        (lambda: strategies.chooser(uniform_table(2)), ValueError, "oblivious strategies have no chooser"),
+        (lambda: strategies.chooser(uniform_table(2), 3), ValueError, "oblivious strategies have no chooser"),
         (lambda: uniform_table(2).param("nope"), KeyError, "nope"),
         (lambda: describe(StrategySpec("bogus", ())), ValueError, "unknown strategy kind: 'bogus'"),
         (lambda: prefix_tail(-1, "constant"), ValueError, "prefix length must be non-negative"),
@@ -248,11 +249,18 @@ def test_validated_records_reject_bad_fields_when_built_directly(construct, mess
             "sample count must be positive",
         ),
         (lambda: eval_next_bit_predictor(passthrough(3), "markov1", mode="bogus"), ValueError, "unknown mode: 'bogus'"),
+        pytest.param(
+            lambda: DiscountParams(Fraction(1, 10**_DIGIT_LIMIT), "1/2"),
+            ValueError,
+            f"fraction outgrows the {_DIGIT_LIMIT}-digit int limit",
+            marks=pytest.mark.skipif(not _DIGIT_LIMIT, reason="this interpreter has no int digit limit"),
+        ),
     ],
     ids=[
         "tail-gain-negative-round", "seed-plays-adaptive", "seed-plays-short-stream", "chooser-of-oblivious",
         "param-unknown", "describe-unknown-kind", "prefix-tail-negative", "gamma-empty-horizon",
         "per-round-short-stream", "accuracy-against-adaptive", "predictor-zero-samples", "predictor-unknown-mode",
+        "discount-delta-past-digit-limit",
     ],
 )
 def test_library_calls_refuse_bad_arguments(call, error, message):

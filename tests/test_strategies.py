@@ -34,7 +34,7 @@ from pennylab.strategies import (
     chooser,
     describe,
     fixed_play,
-    horizon,
+    late_plays,
     parse_strategy,
     play_words,
     round_plays,
@@ -239,11 +239,12 @@ SPLIT_POPULATION = oblivious_population(SPLIT_N) + adaptive_population()
 def test_split_matches_seed_by_seed_reference(spec, data):
     # Follow a drawn history, mostly along consistent plays, so ranges reach
     # the last round, one word past the horizon, and the empty range.  The
-    # exploiter's chooser splits an oblivious spec with `split` and an
-    # adaptive one's single seed by that spec's chooser, stepped with the
-    # exploiter's own plays, which are its guesses.
-    init, guess, step = chooser(exploiter_vs(spec, data.draw(st.booleans(), label="beat")))
-    pw, view = play_words(spec, horizon(spec)), init
+    # exploiter's chooser splits an oblivious spec's words by one bisect, or
+    # past their depth by `late_plays`, and an adaptive one's single seed by
+    # that spec's chooser, stepped with the exploiter's own plays, which are
+    # its guesses.
+    init, guess, step = chooser(exploiter_vs(spec, data.draw(st.booleans(), label="beat")), SPLIT_N)
+    pw, view = play_words(spec, SPLIT_N), init
     seeds = range(1 << spec.seed_len)
     tables = [reference_round_plays(spec, t) for t in range(1, pw.depth + 1)] if spec.oblivious else []
     word = [sum(table[s] << (pw.depth - t) for t, table in enumerate(tables, 1)) for s in seeds]
@@ -327,6 +328,45 @@ def test_tail_rounds_build_no_play_table(monkeypatch):
     assert (len(hits), space) == (300, 16)
     assert play_match(opponent, 5, 300).cumulative > 0
     assert calls == []
+
+
+# Every family that plays on past its play words' depth.
+LATE_POPULATION = (
+    [(f"uniform-{k}", uniform_table(k)) for k in range(5)]
+    + [
+        (f"prefix-tail-{k}-{tail}-{start.value}", prefix_tail(k, tail, start))
+        for k in range(4)
+        for tail in ("constant", "alternator")
+        for start in (H, T)
+    ]
+    + [(f"{name}-{a.value}", make(a)) for name, make in (("const", constant), ("alt", alternator)) for a in (H, T)]
+)
+
+
+@pytest.mark.parametrize("spec", [spec for _, spec in LATE_POPULATION], ids=[name for name, _ in LATE_POPULATION])
+def test_late_plays_are_each_words_seed_plays(spec):
+    # Past its words' depth a word is its seed: late(lo) is seed words[lo]'s plays there.
+    k = spec.seed_len
+    for n in range(k + 1, 3 * k + 3):
+        words, _, depth = play_words(spec, n)
+        late = late_plays(spec, words, depth, n)
+        for lo, word in enumerate(words):
+            assert late(lo) == tuple(int(a is H) for a in seed_plays(spec, word, n)[depth:]), (n, lo)
+
+
+def test_a_chooser_builds_a_uniform_tables_late_plays_once(monkeypatch):
+    # It reads the one word's late plays each round past the depth; a rebuild
+    # per round would make a game of n rounds cost O(n**2).
+    calls = []
+    real_int_to_bits = strategies.int_to_bits
+
+    def counting_int_to_bits(value, length):
+        calls.append(value)
+        return real_int_to_bits(value, length)
+
+    monkeypatch.setattr(strategies, "int_to_bits", counting_int_to_bits)
+    simulate(exploiter_vs(uniform_table(3)), 0, uniform_table(3), 0b101, 50)
+    assert calls == [0b101]
 
 
 def test_compiled_bm_tables_compute_no_per_seed_stream(monkeypatch):
