@@ -27,7 +27,7 @@ try:
 except ImportError:  # an interpreter built without it
     from hashlib import sha256
 
-from .discounting import DiscountParams, certify_discounted_eq, check_prefix, min_rounds
+from .discounting import TAIL_BITS, DiscountParams, certify_discounted_eq, check_prefix, min_rounds
 from .exploiter import greedy_value, guarantee, play_match
 from .game import as_fraction, average_payoff, cumulative_payoff, format_transcript
 from .oracle import certify_gap
@@ -172,6 +172,8 @@ def _prng_test_inputs(v: dict):
 
 def _discounted_inputs(v: dict):
     params = DiscountParams(v["delta"], v["epsilon"])
+    if v["n"] * params.delta.denominator.bit_length() > TAIL_BITS:
+        raise ValueError("exact tail too large")
     prefix = v["prefix"]
     if prefix != "uniform" and not prefix.startswith("gen:"):
         raise ValueError("prefix must be uniform or gen:<descriptor>")

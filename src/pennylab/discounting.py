@@ -17,6 +17,10 @@ from .oracle import certify_gap
 from .prng import GeneratorSpec, check_seed_space
 from .strategies import generator_backed
 
+# The most bits an exact tail delta**n may take, n * q.bit_length() for
+# delta = p/q: building and printing a larger power takes seconds or more.
+TAIL_BITS = 1 << 21
+
 
 class _DiscountFields(NamedTuple):
     delta: Fraction
@@ -38,6 +42,8 @@ class DiscountParams(_DiscountFields):
             raise ValueError("invalid discount factor")
         if epsilon <= 0:
             raise ValueError("epsilon must be positive")
+        if _rounds_estimate(delta, epsilon) * delta.denominator.bit_length() > TAIL_BITS:
+            raise ValueError("discount threshold out of reach")
         return super().__new__(cls, delta, epsilon)
 
 
@@ -69,6 +75,13 @@ def tail_gain(delta: RationalLike, n: int) -> Fraction:
     return d**n / (1 - d)
 
 
+def _rounds_estimate(delta: Fraction, epsilon: Fraction) -> float:
+    """log(epsilon*(1-delta)) / log(delta) from the exact terms, not floats; inf if log(delta) rounds to 0."""
+    (p, q), bound = delta.as_integer_ratio(), epsilon * (1 - delta)
+    log_delta = math.log1p((p - q) / q) if 2 * p > q else math.log(p) - math.log(q)
+    return (math.log(bound.numerator) - math.log(bound.denominator)) / log_delta if log_delta else math.inf
+
+
 def min_rounds(p: DiscountParams) -> int:
     """Least n with tail_gain(delta, n) strictly below epsilon.
 
@@ -77,10 +90,7 @@ def min_rounds(p: DiscountParams) -> int:
     logarithms; each probe steps delta**n by one multiplication or division.
     """
     bound = p.epsilon * (1 - p.delta)
-    candidate = 0
-    if bound < 1:  # logs of the exact terms, never of a float, only pick where the walk starts
-        log_bound, log_delta = (math.log(q.numerator) - math.log(q.denominator) for q in (bound, p.delta))
-        candidate = max(0, int(log_bound / log_delta) - 2)
+    candidate = max(0, int(_rounds_estimate(p.delta, p.epsilon)) - 2)  # the estimate only picks where the walk starts
     power = p.delta**candidate
     while power >= bound:
         power *= p.delta

@@ -267,48 +267,43 @@ def chooser(spec: StrategySpec, n: int) -> Chooser:
 def majority_chooser(opponent: StrategySpec, beat: bool, n: int) -> Chooser:
     """The consistent-set majority exploiter against `opponent`: it plays its prediction, or the flip when `beat`.
 
-    Its state is its view of the opponent at round t of n, (lo, mid, hi, aux):
+    Its state is its view of the opponent at round t of n, (lo, mid, hi, t):
     the opponent's seeds still consistent with what it played are the words
     [lo, hi) of `play_words(opponent, n)`, and of those the seeds that play
-    H at round t are [mid, hi).  aux is t for an oblivious opponent, whose
-    range each step splits with one bisect of its words up to their depth
-    and past it, where a range holds one word, by that word's `late_plays`.
-    A seedless adaptive opponent has one word, and aux is its own chooser's
-    state, which steps with the exploiter's plays; once refuted, its range
-    stays empty.  The prediction is the play more of the range's seeds
-    make; ties predict H.
+    H at round t are [mid, hi).  Each step splits the range with one bisect
+    of the words up to their depth and past it, where a range holds one
+    word, by that word's late plays.  A seedless adaptive opponent is one
+    word of depth 0: while consistent, it plays against the exploiter's own
+    plays, its play or that play's flip, so its late plays are one fixed
+    sequence; once refuted, its range stays empty.  The prediction is the
+    play more of the range's seeds make; ties predict H.
     """
     words, below, depth = play_words(opponent, n)
+    if opponent.oblivious:
+        late = late_plays(opponent, words, depth, n)
+    else:
+        inner, plays = chooser(opponent, n), []
+        state = inner.init
+        for t in range(n):
+            plays.append(inner.guess(state))
+            if t + 1 < n:
+                state = inner.step(state, plays[-1] ^ beat)
+        late = lambda lo: plays
+
+    def at(lo: int, hi: int, t: int) -> tuple:
+        if t > depth:  # the range holds one word, or none
+            return lo, lo if lo < hi and late(lo)[t - 1 - depth] else hi, hi, t
+        return lo, lo if lo == hi else split_words(words, lo, hi, depth - t), hi, t
 
     def guess(view: tuple) -> int:
         lo, mid, hi, _ = view
         return (1 if below[hi] - below[mid] >= below[mid] - below[lo] else 0) ^ beat
 
-    if opponent.oblivious:
-        late = late_plays(opponent, words, depth, n)
+    def step(view: tuple, seen: int) -> tuple:
+        lo, mid, hi, t = view
+        return at(mid, hi, t + 1) if seen else at(lo, mid, t + 1)
 
-        def at(lo: int, hi: int, t: int) -> tuple:
-            if t > depth:  # the range holds one word, or none
-                return lo, lo if lo < hi and late(lo)[t - 1 - depth] else hi, hi, t
-            return lo, lo if lo == hi else split_words(words, lo, hi, depth - t), hi, t
-
-        def step(view: tuple, seen: int) -> tuple:
-            lo, mid, hi, t = view
-            return at(mid, hi, t + 1) if seen else at(lo, mid, t + 1)
-
-        return Chooser(at(0, len(below) - 1, 1), guess, step)
-    inner = chooser(opponent, n)
-
-    def at_state(lo: int, hi: int, state: Any) -> tuple:
-        return lo, lo if lo < hi and inner.guess(state) else hi, hi, state
-
-    def respond(view: tuple, seen: int) -> tuple:
-        lo, mid, hi, state = view
-        own = guess(view)
-        lo, hi = (mid, hi) if seen else (lo, mid)
-        return at_state(lo, hi, inner.step(state, own) if lo < hi else state)
-
-    return Chooser(at_state(0, 1, inner.init), guess, respond)
+    return Chooser(at(0, len(below) - 1, 1), guess, step)
 
 
 def simulate(s1: StrategySpec, seed1: int, s2: StrategySpec, seed2: int, n: int) -> Transcript:

@@ -274,8 +274,15 @@ MUTANTS = [
     Mutant(
         "modeled-adaptive-opponent-steps-with-the-exploiters-flip",
         "strategies.py",
-        "own = guess(view)",
-        "own = guess(view) ^ 1",
+        "state = inner.step(state, plays[-1] ^ beat)",
+        "state = inner.step(state, plays[-1] ^ beat ^ 1)",
+        "test_strategies.py",
+    ),
+    Mutant(
+        "modeled-adaptive-plays-stepped-past-round-n",
+        "strategies.py",
+        "            if t + 1 < n:\n                state = inner.step(state, plays[-1] ^ beat)\n",
+        "            state = inner.step(state, plays[-1] ^ beat)\n",
         "test_strategies.py",
     ),
     Mutant(
@@ -306,6 +313,13 @@ MUTANTS = [
         "while power >= bound:",
         "while power > bound:",
         "test_discounting.py",
+    ),
+    Mutant(
+        "discount-threshold-budget-counts-rounds-not-bits",
+        "discounting.py",
+        "_rounds_estimate(delta, epsilon) * delta.denominator.bit_length() > TAIL_BITS",
+        "_rounds_estimate(delta, epsilon) > TAIL_BITS",
+        "test_package.py",
     ),
     Mutant(
         "discount-params-take-raw-text",

@@ -72,6 +72,13 @@ def test_parse_config_rejects_bad_prng_test_input(args, message):
         parse_config(["prng-test", "--gen", "repeat", "--n", "4"] + args)
 
 
+def test_parse_config_refuses_an_exact_tail_past_its_budget():
+    # n * q.bit_length() bits: 600,000 * 4 is past discounting.TAIL_BITS, 500,000 * 4 is not.
+    with pytest.raises(ValueError, match="exact tail too large"):
+        parse_config(["discounted", "--delta", "9/10", "--epsilon", "1/2", "--n", "600000"])
+    assert parse_config(["discounted", "--delta", "9/10", "--epsilon", "1/2", "--n", "500000"])
+
+
 def test_parse_config_reads_samples_in_sampled_mode_only():
     cfg = parse_config(["prng-test", "--gen", "repeat", "--n", "4", "--predictor", "const1", "--samples", "0"])
     assert cfg.values["mode"] == "exact" and cfg.values["samples"] == 0
@@ -220,6 +227,11 @@ _NEEDS_DIGIT_LIMIT = pytest.mark.skipif(
             marks=_NEEDS_DIGIT_LIMIT,
         ),
         pytest.param(_EXPLOIT + ["prefix-tail:gamma=1e99999999"], "digit int limit", marks=_NEEDS_DIGIT_LIMIT),
+        (["discounted", "--delta", "99999999999999999/100000000000000000", "--epsilon", "1/2"], "threshold out of reach"),
+        (
+            ["discounted", "--delta", "99999999999999999/100000000000000000", "--epsilon", "1/2", "--n", "5"],
+            "threshold out of reach",
+        ),
     ],
     ids=[
         "const-X", "uniform-empty", "uniform-negative", "prefix-tail-no-prefix", "prefix-tail-bad-tail",
@@ -231,6 +243,7 @@ _NEEDS_DIGIT_LIMIT = pytest.mark.skipif(
         "argparse-unknown-command", "argparse-no-command", "argparse-unrecognized", "exploit-nested-1000",
         "abbreviated-flag", "flag-at-the-end", "flag-before-a-flag", "epsilon-past-digit-limit",
         "gamma-exponent-past-digit-limit", "prefix-tail-gamma-exponent-past-digit-limit",
+        "discounted-delta-near-1", "discounted-delta-near-1-explicit-n",
     ],
 )
 def test_bad_input_exits_2_with_one_json_line(capsys, args, message):

@@ -211,10 +211,12 @@ def test_records_are_frozen_values_with_pinned_reprs(name):
         (lambda: DiscountParams(Fraction(1), Fraction(1, 2)), "invalid discount factor"),
         (lambda: DiscountParams(Fraction(0), Fraction(1, 2)), "invalid discount factor"),
         (lambda: DiscountParams(Fraction(1, 2), Fraction(0)), "epsilon must be positive"),
+        (lambda: DiscountParams("99999/100000", "1/2"), "discount threshold out of reach"),
     ],
     ids=[
         "generator-empty", "generator-empty-keywords", "counter-no-width", "bm-no-width", "repeat-stray-keys",
         "passthrough-stray-perm", "bm-no-perm", "generator-unknown-kind", "delta-1", "delta-0", "epsilon-0",
+        "threshold-out-of-reach",
     ],
 )
 def test_validated_records_reject_bad_fields_when_built_directly(construct, message):

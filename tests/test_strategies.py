@@ -21,13 +21,14 @@ from pennylab import (
     play_match,
     predictor_backed,
     prefix_tail,
+    register_predictor,
     seed_plays,
     simulate,
     uniform_table,
 )
 from pennylab import prng, strategies
 from pennylab.game import bit_to_action
-from pennylab.prng import GeneratorSpec, predictor_chooser, seed_stream
+from pennylab.prng import PREDICTORS, Chooser, GeneratorSpec, predictor_chooser, seed_stream
 from pennylab.strategies import (
     MAX_NESTING,
     StrategySpec,
@@ -367,6 +368,31 @@ def test_a_chooser_builds_a_uniform_tables_late_plays_once(monkeypatch):
     monkeypatch.setattr(strategies, "int_to_bits", counting_int_to_bits)
     simulate(exploiter_vs(uniform_table(3)), 0, uniform_table(3), 0b101, 50)
     assert calls == [0b101]
+
+
+def test_a_seedless_models_plays_are_computed_once_when_its_exploiter_is_built(monkeypatch):
+    # While consistent, the model plays against the exploiter's own plays, one
+    # fixed sequence: building the chooser guesses once per round, and a walk
+    # of its views (lo, mid, hi, t) calls the model no more.
+    calls = []
+
+    def counted(prefix):
+        calls.append(prefix)
+        return sum(prefix) & 1
+
+    monkeypatch.setitem(PREDICTORS, "counted", None)  # teardown removes the registration
+    register_predictor("counted", counted)
+    seat = chooser(exploiter_vs(predictor_backed("counted")), 7)
+    assert len(calls) == 7
+    views = [seat.init]
+
+    def step(view, seen):
+        views.append(seat.step(view, seen))
+        return views[-1]
+
+    word_hits(Chooser(seat.init, seat.guess, step), uniform_table(4), 7)
+    assert len(calls) == 7
+    assert all(len(view) == 4 and all(type(x) is int for x in view) and 1 <= view[3] <= 7 for view in views)
 
 
 def test_compiled_bm_tables_compute_no_per_seed_stream(monkeypatch):
