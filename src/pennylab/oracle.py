@@ -14,7 +14,8 @@ from typing import NamedTuple, Optional
 
 from .game import round_weights, stage_payoff
 from .prng import check_seed_space
-from .strategies import StrategySpec, chooser, round_plays, simulate, word_hits
+from .strategies import StrategySpec, chooser, play_words, round_plays, simulate
+from .words import prediction_hits
 from . import exploiter
 
 
@@ -41,8 +42,8 @@ def round_payoffs(s1: StrategySpec, s2: StrategySpec, n: int) -> list[Fraction]:
     Uniform over both seed spaces.  Two oblivious seats factor through their
     play tables.  An adaptive seat against an oblivious one earns
     2 * hits / space - 1 at each round, a hit being a seed of the other seat
-    whose play its own matches: one `strategies.word_hits` walk over the
-    other seat's play words, which guesses once per node.  Two adaptive
+    whose play its own matches: one `words.prediction_hits` walk over the
+    other seat's `play_words`, which guesses once per node.  Two adaptive
     seats play one path.
     """
     if n < 1:
@@ -62,7 +63,8 @@ def round_payoffs(s1: StrategySpec, s2: StrategySpec, n: int) -> list[Fraction]:
         return [Fraction(stage_payoff(a, b)) for a, b in simulate(s1, 0, s2, 0, n)]
     player, other = (s2, s1) if s1.oblivious else (s1, s2)
     # A match pays seat 1, whichever seat the adaptive player sits in.
-    hits, space = word_hits(chooser(player, n), other, n)
+    pw = play_words(other, n)
+    hits, space = prediction_hits(chooser(player, n), pw, n), pw.below[-1]
     return [Fraction(2 * h - space, space) for h in hits]
 
 

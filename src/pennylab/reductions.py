@@ -19,8 +19,8 @@ from typing import NamedTuple, Optional, Sequence, Union
 from .game import round_weights
 from .oracle import round_payoffs
 from .prng import GeneratorSpec, bits_to_int, predictor_chooser, seed_stream
-from .strategies import StrategySpec, generator_backed, word_hits
-from .words import distinct_words, prediction_hits
+from .strategies import StrategySpec, generator_backed, play_words
+from .words import PlayWords, distinct_words, prediction_hits
 
 
 def per_round_payoffs(s: StrategySpec, g: GeneratorSpec, n: int) -> list[Fraction]:
@@ -73,8 +73,8 @@ def predictor_accuracy(predictor: str, opponent: StrategySpec, n: int) -> Fracti
         raise ValueError("horizon must be positive")
     if not opponent.oblivious:
         raise ValueError("accuracy is defined against oblivious opponents")
-    hits, space = word_hits(predictor_chooser(predictor), opponent, n)
-    return Fraction(sum(hits), space * n)
+    pw = play_words(opponent, n)
+    return Fraction(sum(prediction_hits(predictor_chooser(predictor), pw, n)), pw.below[-1] * n)
 
 
 class PredictorReport(NamedTuple):
@@ -103,14 +103,15 @@ def eval_next_bit_predictor(
     """Per-position success of the predictor named `predictor` on `g`'s output.
 
     Exact mode enumerates every seed, under the enumeration cap, by one
-    `word_hits` walk over the play words of `g`'s stream.  Sampled mode draws
-    seeds from an explicit `eval_seed`-keyed stream and reports a 95%
-    confidence half-width for the best position's estimate.
+    `prediction_hits` walk over the `play_words` of `g`'s stream.  Sampled
+    mode draws seeds from an explicit `eval_seed`-keyed stream and reports a
+    95% confidence half-width for the best position's estimate.
     """
     chooser = predictor_chooser(predictor)
     n = g.out_len
     if mode == "exact":
-        hits, space = word_hits(chooser, generator_backed(g), n)
+        pw = play_words(generator_backed(g), n)
+        hits, space = prediction_hits(chooser, pw, n), pw.below[-1]
         per_position = tuple(Fraction(h, space) - Fraction(1, 2) for h in hits)
         best, advantage = _best_position(per_position)
         return PredictorReport(advantage, space, per_position, True, best)
@@ -119,7 +120,7 @@ def eval_next_bit_predictor(
             raise ValueError("sample count must be positive")
         rng = random.Random(eval_seed)
         words = [bits_to_int(seed_stream(g, rng.randrange(1 << g.seed_len))) for _ in range(samples)]
-        hits = prediction_hits(chooser, *distinct_words(sorted(words)), n)
+        hits = prediction_hits(chooser, PlayWords(*distinct_words(sorted(words)), n), n)
         per_position = tuple(h / samples - 0.5 for h in hits)
         best, advantage = _best_position(per_position)
         rate = hits[best - 1] / samples

@@ -26,7 +26,7 @@ from .prng import (
     seed_bit_column,
     seed_stream,
 )
-from .words import PlayWords, compile_words, identity_words, prediction_hits, split_words
+from .words import PlayWords, compile_words, identity_words, split_words
 
 
 class Seed:
@@ -278,10 +278,10 @@ def majority_chooser(opponent: StrategySpec, beat: bool, n: int) -> Chooser:
     sequence; once refuted, its range stays empty.  The prediction is the
     play more of the range's seeds make; ties predict H.
     """
-    words, below, depth = play_words(opponent, n)
-    if opponent.oblivious:
-        late = late_plays(opponent, words, depth, n)
-    else:
+    if n < 1:
+        raise ValueError("horizon must be positive")
+    words, below, depth, late = play_words(opponent, n)
+    if not opponent.oblivious:
         inner, plays = chooser(opponent, n), []
         state = inner.init
         for t in range(n):
@@ -365,15 +365,16 @@ _SEEDLESS = PlayWords((0,), (0, 1), 0)
 
 
 def play_words(spec: StrategySpec, n: int) -> PlayWords:
-    """The play words a walk of n rounds reads: rounds 1..min(n, horizon).
+    """The play words of a game of n rounds: rounds 1..min(n, horizon), and each word's `late_plays` past them.
 
     Checks the seed space against the cap on every call.  A generator
     stream shorter than n rounds is rejected, as `round_plays` rejects it.
-    Where round t plays big-endian seed bit t-1 (uniform tables, prefix-tails
-    and passthrough generators, up to their depth), a seed's word is its top
-    `depth` bits, so the words are every depth-bit integer, each held by
-    2**(seed_len - depth) seeds: `identity_words`, two ranges, with nothing
-    compiled or cached.
+    Only generators other than passthrough are compiled.  In every other
+    family round t plays big-endian seed bit t-1 up to the depth, so a
+    seed's word is its top `depth` bits, and the words are every depth-bit
+    integer, each held by 2**(seed_len - depth) seeds: `identity_words`, two
+    ranges, with nothing compiled or cached.  (A constant or alternator
+    player has one seed and depth 0: its one empty word.)
     """
     space = check_seed_space(spec.seed_len)
     if not spec.oblivious:
@@ -381,11 +382,9 @@ def play_words(spec: StrategySpec, n: int) -> PlayWords:
     depth = min(n, horizon(spec))
     if spec.kind == "generator" and depth < n:
         raise ValueError("generator stream too short for this round")
-    if spec.kind in ("uniform-table", "prefix-tail") or (
-        spec.kind == "generator" and spec.param("generator").kind == "uniform-passthrough"
-    ):
-        return identity_words(depth, space)
-    return _compile_words(spec, depth)
+    compiled = spec.kind == "generator" and spec.param("generator").kind != "uniform-passthrough"
+    pw = _compile_words(spec, depth) if compiled else identity_words(depth, space)
+    return pw._replace(late=late_plays(spec, pw.words, depth, n))
 
 
 @lru_cache(maxsize=4)
@@ -405,25 +404,13 @@ def late_plays(opponent: StrategySpec, words: Sequence[int], depth: int, n: int)
     is the seed itself, whose bits it cycles, so round t plays bit
     (t-1) % seed_len; a walk reads one word's late plays round after round,
     so the last word's are kept.  Every other spec's plays there are its
-    `fixed_play`s, computed once for all words.
+    `fixed_play`s, computed once for all words on the first read.
     """
     k = opponent.seed_len
     if opponent.kind == "uniform-table" and k:
         return lru_cache(maxsize=1)(lambda lo: (int_to_bits(words[lo], k) * (n // k + 1))[depth:n])
-    fixed = tuple(1 if fixed_play(opponent, t) is Action.H else 0 for t in range(depth + 1, n + 1))
-    return lambda lo: fixed
-
-
-def word_hits(seat: Chooser, opponent: StrategySpec, n: int) -> tuple[list[int], int]:
-    """Per-round hits of an adaptive seat's guesses against an oblivious opponent, and its seed count.
-
-    hits[t-1] counts the opponent's seeds whose round-t play the seat's
-    chooser guesses, by one `words.prediction_hits` walk over the trie of the
-    opponent's play words; past their depth a one-word range plays on with
-    its `late_plays`.
-    """
-    words, below, depth = play_words(opponent, n)
-    return prediction_hits(seat, words, below, n, depth, late_plays(opponent, words, depth, n)), below[-1]
+    fixed = lru_cache(maxsize=1)(lambda: tuple(int(fixed_play(opponent, t) is Action.H) for t in range(depth + 1, n + 1)))
+    return lambda lo: fixed()
 
 
 def _parse_action(text: str) -> Action:

@@ -23,18 +23,21 @@ _CODES = {array(code).itemsize: code for code in "BHILQ"}
 
 
 class PlayWords(NamedTuple):
-    """An oblivious spec compiled to the sorted distinct play words of its seeds.
+    """An oblivious spec compiled to the sorted distinct play words of its seeds, for a game of n rounds.
 
     Bit depth - t of a word is its seeds' play at round t (1 is H), for rounds
     1..depth.  below[j] counts the seeds whose word is below words[j], so the
     seeds of a range [lo, hi) of words number below[hi] - below[lo].  Every
     consistent set is such a range: the words agreeing with the plays seen.
-    A seedless adaptive spec compiles to one empty word held by its one seed.
+    late(j) gives word j's plays (1 is H) at rounds depth+1..n, or is None
+    if no walk reads past the depth.  A seedless adaptive spec compiles to
+    one empty word held by its one seed.
     """
 
     words: Sequence[int]
     below: Sequence[int]
     depth: int
+    late: Optional[Callable[[int], tuple[int, ...]]] = None
 
 
 def identity_words(depth: int, space: int) -> PlayWords:
@@ -54,12 +57,11 @@ def compile_words(table: Callable[[int], bytes], depth: int, space: int) -> tupl
     seed s's word is that play.  Eight tables at a time are added into one
     integer with a byte per seed, which fills one byte of every word, so the
     build runs at C speed.  Words take the narrowest of 1, 2, 4 or 8 bytes
-    that fits, else Python ints.  Words that grow with the seed need no
-    sort: counter and repeat generators, whose first plays are the seed's
-    bits, and constant and alternator players, which have one seed.  (Uniform
-    tables, prefix-tails and passthrough generators get `identity_words` and
-    never come here.)  Others are sorted in parts of about 2**16 seeds,
-    bucketed by their top bits, so the sort holds no more than that
+    that fits, else Python ints.  Only generators other than passthrough
+    come here (every other family has `identity_words`).  Words that grow
+    with the seed need no sort: counter and repeat generators, whose first
+    plays are the seed's bits.  Others are sorted in parts of about 2**16
+    seeds, bucketed by their top bits, so the sort holds no more than that
     many as Python ints at once.
     """
     size = -(-depth // 8)
@@ -120,32 +122,25 @@ def split_words(words: Sequence[int], lo: int, hi: int, shift: int) -> int:
     return bisect_left(words, (words[lo] >> shift | 1) << shift, lo, hi)
 
 
-def prediction_hits(
-    chooser: Chooser,
-    words: Sequence[int],
-    below: Sequence[int],
-    n: int,
-    depth: Optional[int] = None,
-    tail: Optional[Callable[[int], tuple[int, ...]]] = None,
-) -> list[int]:
+def prediction_hits(chooser: Chooser, pw: PlayWords, n: int) -> list[int]:
     """Per-position hit counts: hits[i] counts the streams whose bit i the chooser guesses from bits [:i].
 
-    The streams are the sorted distinct `words` of `depth` bits (n by
-    default), with counts from `below` (see `distinct_words`).  One walk over
-    the trie of their prefixes carries the chooser's state: `guess` once per
-    node, `step` once per edge.  A range of one word finishes its remaining
-    positions in a loop that guesses and steps once per position; past the
-    words' depth, `tail(index)` gives that word's bits at positions depth..n-1.
+    The streams are the play words `pw` of a game of n positions, each
+    weighted by its seed count.  One walk over the trie of their prefixes
+    carries the chooser's state: `guess` once per node, `step` once per edge.
+    A range of one word finishes its remaining positions in a loop that
+    guesses and steps once per position; past the words' depth, `pw.late`
+    gives that word's bits.
     """
     init, guess, step = chooser
-    depth = n if depth is None else depth
+    words, below, depth, late = pw
     hits = [0] * n
     stack = [(0, 0, len(words), init)]
     while stack:
         i, lo, hi, state = stack.pop()
         if hi - lo == 1:
             count = below[hi] - below[lo]
-            bits = int_to_bits(words[lo], depth - i) + (tail(lo) if depth < n else ())
+            bits = int_to_bits(words[lo], depth - i) + (late(lo) if depth < n else ())
             for j, bit in enumerate(bits, i):
                 if guess(state) == bit:
                     hits[j] += count
@@ -198,7 +193,7 @@ def majority_wins(pw: PlayWords, n: int) -> list[int]:
     with all its seeds.  Identity words (`identity_words`) need no table:
     no round up to their depth has a majority.
     """
-    words, below, depth = pw
+    words, below, depth, _ = pw
     if is_identity(pw):
         # Identity words: every depth-bit word holds the same number of seeds,
         # so each prefix splits evenly up to the depth, and later rounds win all.

@@ -158,6 +158,20 @@ MUTANTS = [
         "test_strategies.py",
     ),
     Mutant(
+        "late-plays-a-round-early",
+        "strategies.py",
+        "range(depth + 1, n + 1)",
+        "range(depth, n)",
+        "test_strategies.py",
+    ),
+    Mutant(
+        "exploiter-chooser-accepts-a-zero-round-game",
+        "strategies.py",
+        '    if n < 1:\n        raise ValueError("horizon must be positive")\n    words, below, depth, late = play_words(opponent, n)\n',
+        "    words, below, depth, late = play_words(opponent, n)\n",
+        "test_package.py",
+    ),
+    Mutant(
         "chooser-reads-its-late-plays-a-round-early",
         "strategies.py",
         "late(lo)[t - 1 - depth]",
@@ -191,6 +205,13 @@ MUTANTS = [
         "words.py",
         "lone[depth + 1] = below[-1]",
         "lone[depth + 1] = 0",
+        "test_level_tables.py",
+    ),
+    Mutant(
+        "every-generator-read-as-identity-words",
+        "strategies.py",
+        'compiled = spec.kind == "generator" and spec.param("generator").kind != "uniform-passthrough"',
+        "compiled = False",
         "test_words.py",
     ),
     Mutant(

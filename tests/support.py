@@ -459,7 +459,7 @@ def reference_range_wins(pw, n):
     of `(round, lo, hi)` ranges of words, where a range of one word wins
     every remaining round.
     """
-    words, below, depth = pw
+    words, below, depth, _ = pw
     wins = [0] * (n + 1)
     lone = [0] * (n + 1)
     stack = [(1, 0, len(words))]

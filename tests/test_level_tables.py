@@ -30,7 +30,7 @@ DELTA = Fraction(2, 3)
 
 def _dense(spec, n):
     """Whether `greedy_value` counts every round of the spec's words from tables, with nothing to walk."""
-    words, _, depth = play_words(spec, n)
+    words, _, depth, _ = play_words(spec, n)
     return 1 << depth <= _DENSE * len(words)
 
 

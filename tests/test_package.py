@@ -23,6 +23,7 @@ from pennylab.strategies import (
     StrategySpec,
     constant,
     describe,
+    exploiter_vs,
     generator_backed,
     make_gamma_equilibrium,
     predictor_backed,
@@ -231,6 +232,12 @@ def test_validated_records_reject_bad_fields_when_built_directly(construct, mess
         (lambda: seed_plays(predictor_backed("markov1"), 0, 3), ValueError, "adaptive strategies play from their chooser"),
         (lambda: seed_plays(generator_backed(passthrough(3)), 0, 4), ValueError, "generator stream too short for this round"),
         (lambda: strategies.chooser(uniform_table(2), 3), ValueError, "oblivious strategies have no chooser"),
+        (lambda: strategies.chooser(exploiter_vs(uniform_table(2)), 0), ValueError, "horizon must be positive"),
+        (
+            lambda: strategies.chooser(exploiter_vs(predictor_backed("markov1")), 0),
+            ValueError,
+            "horizon must be positive",
+        ),
         (lambda: uniform_table(2).param("nope"), KeyError, "nope"),
         (lambda: describe(StrategySpec("bogus", ())), ValueError, "unknown strategy kind: 'bogus'"),
         (lambda: prefix_tail(-1, "constant"), ValueError, "prefix length must be non-negative"),
@@ -260,6 +267,7 @@ def test_validated_records_reject_bad_fields_when_built_directly(construct, mess
     ],
     ids=[
         "tail-gain-negative-round", "seed-plays-adaptive", "seed-plays-short-stream", "chooser-of-oblivious",
+        "exploit-chooser-zero-rounds-vs-uniform", "exploit-chooser-zero-rounds-vs-pred",
         "param-unknown", "describe-unknown-kind", "prefix-tail-negative", "gamma-empty-horizon",
         "per-round-short-stream", "accuracy-against-adaptive", "predictor-zero-samples", "predictor-unknown-mode",
         "discount-delta-past-digit-limit",

@@ -38,7 +38,7 @@ from pennylab.prng import (
     seed_stream,
 )
 from pennylab.strategies import play_words
-from pennylab.words import distinct_words, prediction_hits
+from pennylab.words import PlayWords, distinct_words, prediction_hits
 
 from support import (
     PERMUTATION_NAMES,
@@ -270,7 +270,8 @@ def test_prediction_hits_calls_the_predictor_once_per_distinct_prefix(monkeypatc
     monkeypatch.setitem(PREDICTORS, "reference-markov1", reference)
     n = 4
     streams = [int_to_bits(value, n) for value in range(1 << n)] * 2
-    hits = prediction_hits(predictor_chooser("counted-markov1"), *distinct_words(sorted(map(bits_to_int, streams))), n)
+    words, below = distinct_words(sorted(map(bits_to_int, streams)))
+    hits = prediction_hits(predictor_chooser("counted-markov1"), PlayWords(words, below, n), n)
     # Every prefix of length 0..n-1 occurs, each asked about once.
     assert sorted(calls) == sorted(int_to_bits(v, i) for i in range(n) for v in range(1 << i))
     expected = [sum(reference(s[:i]) == s[i] for s in streams) for i in range(n)]
@@ -279,7 +280,7 @@ def test_prediction_hits_calls_the_predictor_once_per_distinct_prefix(monkeypatc
     long_streams = [tuple((v >> (i % 3)) & 1 for i in range(23)) for v in range(8)]
     expected = [sum(reference(s[:i]) == s[i] for s in long_streams) for i in range(23)]
     words, below = distinct_words(sorted(map(bits_to_int, long_streams)))
-    assert prediction_hits(predictor_chooser("reference-markov1"), words, below, 23) == expected
+    assert prediction_hits(predictor_chooser("reference-markov1"), PlayWords(words, below, 23), 23) == expected
 
 
 def test_exact_mode_enforces_cap(monkeypatch):

@@ -35,12 +35,11 @@ from pennylab.strategies import (
     chooser,
     describe,
     fixed_play,
-    late_plays,
     parse_strategy,
     play_words,
     round_plays,
-    word_hits,
 )
+from pennylab.words import is_identity, prediction_hits
 
 from support import (
     adaptive_population,
@@ -325,8 +324,9 @@ def test_tail_rounds_build_no_play_table(monkeypatch):
 
     monkeypatch.setattr(strategies, "round_plays", counting_round_plays)
     opponent = prefix_tail(4, "alternator", H)
-    hits, space = word_hits(predictor_chooser("markov1", as_play=True), opponent, 300)
-    assert (len(hits), space) == (300, 16)
+    pw = play_words(opponent, 300)
+    hits = prediction_hits(predictor_chooser("markov1", as_play=True), pw, 300)
+    assert (len(hits), pw.below[-1]) == (300, 16)
     assert play_match(opponent, 5, 300).cumulative > 0
     assert calls == []
 
@@ -349,10 +349,30 @@ def test_late_plays_are_each_words_seed_plays(spec):
     # Past its words' depth a word is its seed: late(lo) is seed words[lo]'s plays there.
     k = spec.seed_len
     for n in range(k + 1, 3 * k + 3):
-        words, _, depth = play_words(spec, n)
-        late = late_plays(spec, words, depth, n)
+        words, _, depth, late = play_words(spec, n)
         for lo, word in enumerate(words):
             assert late(lo) == tuple(int(a is H) for a in seed_plays(spec, word, n)[depth:]), (n, lo)
+
+
+def test_fixed_late_plays_are_built_on_their_first_read(monkeypatch):
+    # Every family but a compiled generator has identity words; a seedless one's are its one empty word.
+    for desc in ("const:H", "alt:T", "uniform:0", "prefix-tail:prefix=0", "uniform:3", "prefix-tail:prefix=2"):
+        assert is_identity(play_words(parse_strategy(desc, 9), 9)), desc
+    # A walk that never reads past the depth, as `greedy_value`'s, pays nothing for the late plays.
+    calls = []
+    real_fixed_play = strategies.fixed_play
+
+    def counting_fixed_play(spec, t):
+        calls.append(t)
+        return real_fixed_play(spec, t)
+
+    monkeypatch.setattr(strategies, "fixed_play", counting_fixed_play)
+    pw = play_words(alternator(H), 50)
+    assert calls == []
+    assert pw.late(0) == (1, 0) * 25
+    assert calls == list(range(1, 51))
+    assert pw.late(0) == (1, 0) * 25
+    assert len(calls) == 50
 
 
 def test_a_chooser_builds_a_uniform_tables_late_plays_once(monkeypatch):
@@ -390,7 +410,7 @@ def test_a_seedless_models_plays_are_computed_once_when_its_exploiter_is_built(m
         views.append(seat.step(view, seen))
         return views[-1]
 
-    word_hits(Chooser(seat.init, seat.guess, step), uniform_table(4), 7)
+    prediction_hits(Chooser(seat.init, seat.guess, step), play_words(uniform_table(4), 7), 7)
     assert len(calls) == 7
     assert all(len(view) == 4 and all(type(x) is int for x in view) and 1 <= view[3] <= 7 for view in views)
 
