@@ -85,22 +85,8 @@ def exact_value(
     return sum((w * e for w, e in zip(round_weights(delta, n)[1:], payoffs)), Fraction(0))
 
 
-def best_response_value(
-    opponent: StrategySpec,
-    n: int,
-    *,
-    delta: Optional[Fraction] = None,
-) -> Fraction:
-    """The exact optimum over all adaptive deviations against `opponent`, from either seat.
-
-    It is the Bayes-greedy walk over the opponent's consistent sets, optimal
-    against an oblivious opponent, whose future play does not depend on the
-    deviation, and against an adaptive one, which reads no seed
-    (`StrategySpec` rejects any other) and so loses every round.  Either seat
-    wins a round on exactly the seeds that play the posterior-majority
-    action, the matcher by copying it and the mismatcher by flipping it.
-    """
-    return exploiter.greedy_value(opponent, n, delta=delta)
+# The exact optimum over all adaptive deviations against an opponent, from either seat.
+best_response_value = exploiter.greedy_value
 
 
 def certify_gap(
@@ -111,9 +97,9 @@ def certify_gap(
 ) -> GapReport:
     """Exact deviation gaps for both players at the profile (s1, s2)."""
     value = exact_value(s1, s2, n, delta=delta)
-    br1 = best_response_value(s2, n, delta=delta)
+    br1 = exploiter.greedy_value(s2, n, delta=delta)
     # Equal seats face the same opponent, so they share one best response.
-    br2 = br1 if s1 == s2 else best_response_value(s1, n, delta=delta)
+    br2 = br1 if s1 == s2 else exploiter.greedy_value(s1, n, delta=delta)
     gap_1 = br1 - value
     gap_2 = br2 - (-value)
     return GapReport(value, br1, br2, gap_1, gap_2, max(gap_1, gap_2))

@@ -36,7 +36,8 @@ class Seed:
     is what the tests' per-round reference player counts.  No pennylab code
     builds one: strategies play from the seed integer.  It stays here and in
     the package exports because `bench/tracer.py` wraps `Seed.__init__`, and
-    the tracer fails on a class target it cannot find.
+    the tracer fails on a class target it cannot find; `bench/test_bench.py`
+    calls `from_int`.
     """
 
     __slots__ = ("bits", "reads")
@@ -63,9 +64,6 @@ class Seed:
     def all_bits(self) -> tuple[int, ...]:
         self.reads.update(range(len(self.bits)))
         return self.bits
-
-    def __repr__(self) -> str:
-        return "Seed(%s)" % "".join(str(b) for b in self.bits)
 
 
 class StrategySpec(NamedTuple):

@@ -60,9 +60,9 @@ def compile_words(table: Callable[[int], bytes], depth: int, space: int) -> tupl
     that fits, else Python ints.  Only generators other than passthrough
     come here (every other family has `identity_words`).  Words that grow
     with the seed need no sort: counter and repeat generators, whose first
-    plays are the seed's bits.  Others are sorted in parts of about 2**16
-    seeds, bucketed by their top bits, so the sort holds no more than that
-    many as Python ints at once.
+    plays are the seed's bits.  Others are sorted in buckets of about 2**16
+    seeds by their top bits, so the sort holds no more than that many as
+    Python ints at once, and the sorted words are deduplicated once.
     """
     size = -(-depth // 8)
     width = next((w for w in (1, 2, 4, 8) if w >= size), size)
@@ -81,23 +81,17 @@ def compile_words(table: Callable[[int], bytes], depth: int, space: int) -> tupl
         store = list
         words = [int.from_bytes(field[i : i + width], "little") for i in range(0, len(field), width)]
     del field  # the words hold it now
-    if all(map(le, words, islice(words, 1, None))):
-        return distinct_words(words)
-    parts = [words]
-    lead = min(depth, max(0, space.bit_length() - 17))
-    if lead:
-        parts = [store() for _ in range(1 << lead)]
-        for word in words:
-            parts[word >> (depth - lead)].append(word)
-    del words  # the parts hold them now
-    distinct, below, seen = store(), array(_CODES[4]), 0
-    for part in parts:
-        part_words, part_below = distinct_words(store(sorted(part)))
-        distinct.extend(part_words)
-        below.extend(map(seen.__add__, islice(part_below, len(part_below) - 1)))
-        seen += part_below[-1]
-    below.append(seen)
-    return distinct, below
+    if not all(map(le, words, islice(words, 1, None))):
+        parts = [words]
+        lead = min(depth, max(0, space.bit_length() - 17))
+        if lead:
+            parts = [store() for _ in range(1 << lead)]
+            for word in words:
+                parts[word >> (depth - lead)].append(word)
+        del words  # the parts hold them now
+        words = store(chain.from_iterable(map(sorted, parts)))
+        del parts  # the words hold them now
+    return distinct_words(words)
 
 
 def distinct_words(words: Sequence[int]) -> tuple[Sequence[int], Sequence[int]]:
@@ -194,18 +188,15 @@ def majority_wins(pw: PlayWords, n: int) -> list[int]:
     no round up to their depth has a majority.
     """
     words, below, depth, _ = pw
-    if is_identity(pw):
-        # Identity words: every depth-bit word holds the same number of seeds,
-        # so each prefix splits evenly up to the depth, and later rounds win all.
-        return [0] * (depth + 1) + [below[-1]] * (n - depth)
     wins = [0] * (n + 1)
     # lone[t]: seeds of one-word nodes at round t; each wins every round t..n.
     lone = [0] * (n + 2)
     if 1 << depth <= _DENSE * len(words):
-        h = _word_table(words, below, depth)
-        for t in range(depth, 0, -1):
-            wins[t] = sum(map(abs, map(sub, islice(h, 1, None, 2), islice(h, 0, None, 2))))
-            h = array("I", map(add, islice(h, 0, None, 2), islice(h, 1, None, 2)))
+        if not is_identity(pw):  # identity words split every prefix evenly
+            h = _word_table(words, below, depth)
+            for t in range(depth, 0, -1):
+                wins[t] = sum(map(abs, map(sub, islice(h, 1, None, 2), islice(h, 0, None, 2))))
+                h = array("I", map(add, islice(h, 0, None, 2), islice(h, 1, None, 2)))
         # Every depth-level prefix is one word, whose seeds win every later round.
         lone[depth + 1] = below[-1]
     else:

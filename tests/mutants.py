@@ -109,8 +109,15 @@ MUTANTS = [
     Mutant(
         "last-sort-bucket-dropped",
         "words.py",
-        "for part in parts:",
-        "for part in parts[:-1]:",
+        "map(sorted, parts)",
+        "map(sorted, parts[:-1])",
+        "test_words.py",
+    ),
+    Mutant(
+        "sort-buckets-left-unsorted",
+        "words.py",
+        "chain.from_iterable(map(sorted, parts))",
+        "chain.from_iterable(parts)",
         "test_words.py",
     ),
     Mutant(
@@ -222,10 +229,10 @@ MUTANTS = [
         "test_level_tables.py",
     ),
     Mutant(
-        "identity-words-credited-from-the-depth",
+        "dense-tables-skipped-for-every-trie",
         "words.py",
-        "return [0] * (depth + 1) + [below[-1]] * (n - depth)",
-        "return [0] * depth + [below[-1]] * (n - depth + 1)",
+        "if not is_identity(pw):",
+        "if not is_identity(pw) and False:",
         "test_level_tables.py",
     ),
     Mutant(
@@ -333,6 +340,13 @@ MUTANTS = [
         "discounting.py",
         "while power >= bound:",
         "while power > bound:",
+        "test_discounting.py",
+    ),
+    Mutant(
+        "min-rounds-without-its-downward-walk",
+        "discounting.py",
+        "    while candidate > 0 and power / p.delta < bound:\n        power /= p.delta\n        candidate -= 1\n",
+        "",
         "test_discounting.py",
     ),
     Mutant(

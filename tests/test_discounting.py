@@ -17,6 +17,7 @@ from pennylab import (
     tail_gain,
     uniform_table,
 )
+from pennylab import discounting
 from pennylab.discounting import check_prefix
 from pennylab.oracle import best_response_value
 
@@ -47,6 +48,13 @@ def test_min_rounds_examples():
 def test_min_rounds_handles_generous_epsilon():
     # epsilon so large even n=0 undercuts it.
     assert min_rounds(DiscountParams("1/2", "3")) == 0
+
+
+@pytest.mark.parametrize("over", [3, 50])
+def test_min_rounds_walks_down_from_an_estimate_past_the_threshold(monkeypatch, over):
+    # The estimate only picks where the walk starts: one too high is walked back down.
+    monkeypatch.setattr(discounting, "_rounds_estimate", lambda delta, epsilon: 44 + over)
+    assert min_rounds(DiscountParams("9/10", "1/10")) == 44
 
 
 @pytest.mark.parametrize(
