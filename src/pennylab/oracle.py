@@ -14,7 +14,7 @@ from typing import NamedTuple, Optional
 
 from .game import round_weights, stage_payoff
 from .prng import check_seed_space
-from .strategies import StrategySpec, chooser, play_words, round_plays, simulate
+from .strategies import StrategySpec, chooser, play_words, round_heads, simulate
 from .words import prediction_hits
 from . import exploiter
 
@@ -40,7 +40,7 @@ def round_payoffs(s1: StrategySpec, s2: StrategySpec, n: int) -> list[Fraction]:
     """Player 1's exact expected stage payoff E[h_t] for each round t = 1..n.
 
     Uniform over both seed spaces.  Two oblivious seats factor through their
-    play tables.  An adaptive seat against an oblivious one earns
+    `round_heads` counts.  An adaptive seat against an oblivious one earns
     2 * hits / space - 1 at each round, a hit being a seed of the other seat
     whose play its own matches: one `words.prediction_hits` walk over the
     other seat's `play_words`, which guesses once per node.  Two adaptive
@@ -54,8 +54,7 @@ def round_payoffs(s1: StrategySpec, s2: StrategySpec, n: int) -> list[Fraction]:
         # Independent seeds: per-round expectations factor through the two
         # marginal H-frequencies, E[h_t] = (2*p1 - 1)(2*p2 - 1).
         return [
-            Fraction(2 * round_plays(s1, t).count(1) - space1, space1)
-            * Fraction(2 * round_plays(s2, t).count(1) - space2, space2)
+            Fraction(2 * round_heads(s1, t) - space1, space1) * Fraction(2 * round_heads(s2, t) - space2, space2)
             for t in range(1, n + 1)
         ]
     if not (s1.oblivious or s2.oblivious):

@@ -3,7 +3,7 @@
 An oblivious strategy's play at round t depends only on its seed and on t.
 The seed is an integer in [0, 2**seed_len), read big-endian; `seed_len`
 is the bits the family reads, derived from its parameters.  `seed_plays`
-gives one seed's plays and `round_plays` one round's play for every seed.
+gives one seed's plays and `round_heads` how many seeds play H at one round.
 An adaptive strategy (a predictor or an exploiter) reads no seed: its
 `chooser` follows the opponent's plays, and `simulate` steps it each round.
 """
@@ -23,7 +23,6 @@ from .prng import (
     parse_params,
     predictor_chooser,
     round_bits,
-    seed_bit_column,
     seed_stream,
 )
 from .words import PlayWords, compile_words, identity_words, split_words
@@ -227,9 +226,9 @@ def _check_seed(spec: StrategySpec, seed: int) -> None:
 def seed_plays(spec: StrategySpec, seed: int, n: int) -> tuple[Action, ...]:
     """An oblivious strategy's plays at rounds 1..n for one seed.
 
-    Round t's play is byte `seed` of `round_plays(spec, t)`: its
-    `fixed_play`, a generator's stream bit t (`prng.seed_stream`), or else
-    seed bit (t-1) mod seed_len.  Raises "budget violation" for a seed
+    Round t's play is its `fixed_play`, a generator's stream bit t
+    (`prng.seed_stream`), or else seed bit (t-1) mod seed_len, as
+    `round_heads` counts them.  Raises "budget violation" for a seed
     outside [0, 2**seed_len).
     """
     _check_seed(spec, seed)
@@ -328,23 +327,19 @@ def simulate(s1: StrategySpec, seed1: int, s2: StrategySpec, seed2: int, n: int)
     return tuple(rounds)
 
 
-def round_plays(spec: StrategySpec, t: int) -> bytes:
-    """An oblivious strategy's plays at round `t`: byte s is 1 iff seed s plays H.
+def round_heads(spec: StrategySpec, t: int) -> int:
+    """An oblivious strategy's count of seeds that play H at round `t`, with no play table.
 
-    Defined for oblivious specs only, compiled family by family from the
-    seed integer, with no per-seed stream, and built afresh on every call:
-
-    - a round that reads no seed bit repeats its `fixed_play` for all seeds;
-    - a `generator` round is `prng.round_bits`, with no per-seed stream;
-    - every other round reads seed bit (t-1) mod seed_len, a
-      `prng.seed_bit_column`.
+    - a round that reads no seed bit counts all seeds or none, by its `fixed_play`;
+    - a `generator` round counts the ones of `prng.round_bits`;
+    - every other round reads seed bit (t-1) mod seed_len, which half the seeds set.
     """
     play = fixed_play(spec, t)
     if play is not None:
-        return bytes([play is Action.H]) * (1 << spec.seed_len)
+        return (1 << spec.seed_len) * (play is Action.H)
     if spec.kind == "generator":
-        return round_bits(spec.param("generator"), t)
-    return seed_bit_column(spec.seed_len, (t - 1) % spec.seed_len)
+        return round_bits(spec.param("generator"), t).count(1)
+    return 1 << (spec.seed_len - 1)
 
 
 def horizon(spec: StrategySpec) -> int:
@@ -366,7 +361,7 @@ def play_words(spec: StrategySpec, n: int) -> PlayWords:
     """The play words of a game of n rounds: rounds 1..min(n, horizon), and each word's `late_plays` past them.
 
     Checks the seed space against the cap on every call.  A generator
-    stream shorter than n rounds is rejected, as `round_plays` rejects it.
+    stream shorter than n rounds is rejected, as `prng.round_bits` rejects it.
     Only generators other than passthrough are compiled.  In every other
     family round t plays big-endian seed bit t-1 up to the depth, so a
     seed's word is its top `depth` bits, and the words are every depth-bit
@@ -387,12 +382,12 @@ def play_words(spec: StrategySpec, n: int) -> PlayWords:
 
 @lru_cache(maxsize=4)
 def _compile_words(spec: StrategySpec, depth: int) -> PlayWords:
-    """`play_words` over `round_plays`' tables, which are packed into words and not kept.
+    """A generator's `play_words` over its `prng.round_bits` tables, which are packed into words and not kept.
 
     At the 2**20 cap an entry holds up to 8 MiB for at most 32 rounds and
     12 MiB for at most 64; wider words are a list of Python ints.
     """
-    return PlayWords(*compile_words(lambda t: round_plays(spec, t), depth, 1 << spec.seed_len), depth)
+    return PlayWords(*compile_words(partial(round_bits, spec.param("generator")), depth, 1 << spec.seed_len), depth)
 
 
 def late_plays(opponent: StrategySpec, words: Sequence[int], depth: int, n: int) -> Callable[[int], tuple[int, ...]]:

@@ -171,8 +171,8 @@ def _word_table(words: Sequence[int], below: Sequence[int], depth: int) -> array
     return table
 
 
-def majority_wins(pw: PlayWords, n: int) -> list[int]:
-    """The majority strategy's wins per round over play words: wins[t] for t in 1..n, and wins[0] = 0.
+def majority_wins(pw: PlayWords) -> list[int]:
+    """The majority strategy's wins per round over play words: wins[t] for t in 1..depth, and wins[0] = 0.
 
     Round t's wins are the sum, over the prefixes of rounds 1..t-1 of the
     words, of |heads - tails|: the prefix's seeds that play the majority
@@ -180,25 +180,23 @@ def majority_wins(pw: PlayWords, n: int) -> list[int]:
     times the word count, they come from level tables down to the words'
     depth: h[p] is the seed count of the level-L prefix p, round L wins the
     sum of |h[2p+1] - h[2p]|, and level L-1 sums each pair, all at C speed
-    with no Python code per node; each depth-level prefix is one word, whose
-    seeds win every later round.  Any sparser trie is walked depth-first from
-    its root off a stack of `(round, lo, hi)` ranges of words, adding
+    with no Python code per node.  Any sparser trie is walked depth-first
+    from its root off a stack of `(round, lo, hi)` ranges of words, adding
     |heads - tails| per node; a range of one word wins every later round
     with all its seeds.  Identity words (`identity_words`) need no table:
-    no round up to their depth has a majority.
+    no round up to their depth has a majority.  Past the depth every word is
+    alone in its range and every seed wins, which `greedy_value` counts.
     """
     words, below, depth, _ = pw
-    wins = [0] * (n + 1)
-    # lone[t]: seeds of one-word nodes at round t; each wins every round t..n.
-    lone = [0] * (n + 2)
+    wins = [0] * (depth + 1)
+    # lone[t]: seeds of one-word nodes at round t; each wins every round from t on.
+    lone = [0] * (depth + 2)
     if 1 << depth <= _DENSE * len(words):
         if not is_identity(pw):  # identity words split every prefix evenly
             h = _word_table(words, below, depth)
             for t in range(depth, 0, -1):
                 wins[t] = sum(map(abs, map(sub, islice(h, 1, None, 2), islice(h, 0, None, 2))))
                 h = array("I", map(add, islice(h, 0, None, 2), islice(h, 1, None, 2)))
-        # Every depth-level prefix is one word, whose seeds win every later round.
-        lone[depth + 1] = below[-1]
     else:
         stack = [(1, 0, len(words))]
         while stack:
@@ -209,13 +207,12 @@ def majority_wins(pw: PlayWords, n: int) -> list[int]:
             # Two words differ within the words' depth, so t <= depth here.
             mid = split_words(words, lo, hi, depth - t)
             wins[t] += abs(below[hi] + below[lo] - 2 * below[mid])
-            if t < n:
-                if lo < mid:
-                    stack.append((t + 1, lo, mid))
-                if mid < hi:
-                    stack.append((t + 1, mid, hi))
+            if lo < mid:
+                stack.append((t + 1, lo, mid))
+            if mid < hi:
+                stack.append((t + 1, mid, hi))
     running = 0
-    for t in range(1, n + 1):
+    for t in range(1, depth + 1):
         running += lone[t]
         wins[t] += running
     return wins

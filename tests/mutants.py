@@ -47,7 +47,7 @@ MUTANTS = [
         "greedy-one-word-shortcut-a-round-late",
         "words.py",
         "lone[t] += below[hi] - below[lo]",
-        "lone[min(t + 1, n)] += below[hi] - below[lo]",
+        "lone[min(t + 1, depth + 1)] += below[hi] - below[lo]",
         "test_words.py",
     ),
     Mutant(
@@ -144,6 +144,20 @@ MUTANTS = [
     ),
     # The seedless rounds.
     Mutant(
+        "fixed-round-counted-as-half",
+        "strategies.py",
+        "return (1 << spec.seed_len) * (play is Action.H)",
+        "return (1 << spec.seed_len) // 2",
+        "test_strategies.py",
+    ),
+    Mutant(
+        "generator-round-counted-as-half",
+        "strategies.py",
+        'return round_bits(spec.param("generator"), t).count(1)',
+        "return 1 << (spec.seed_len - 1)",
+        "test_strategies.py",
+    ),
+    Mutant(
         "fixed-play-alternator-tail-parity-flipped",
         "strategies.py",
         'return start if spec.param("tail_kind") == "constant" or offset % 2 else start.flip()',
@@ -208,11 +222,18 @@ MUTANTS = [
         "test_level_tables.py",
     ),
     Mutant(
-        "rounds-past-the-depth-not-credited",
-        "words.py",
-        "lone[depth + 1] = below[-1]",
-        "lone[depth + 1] = 0",
-        "test_level_tables.py",
+        "late-rounds-counted-from-n-depth-1",
+        "exploiter.py",
+        "(n - depth) * space",
+        "(n - depth - 1) * space",
+        "test_exploiter.py",
+    ),
+    Mutant(
+        "geometric-tail-from-delta-depth",
+        "exploiter.py",
+        "delta ** (depth + 1)",
+        "delta ** depth",
+        "test_exploiter.py",
     ),
     Mutant(
         "every-generator-read-as-identity-words",

@@ -28,9 +28,18 @@ from pennylab import (
 )
 from pennylab.exploiter import potential_step
 from pennylab.game import RationalLike, Transcript, as_fraction, bit_to_action, round_weights
-from pennylab.prng import PREDICTORS, bits_to_int, check_seed_space, int_to_bits, permutation, seed_stream
-from pennylab.strategies import StrategySpec, _compile_words, chooser, fixed_play, horizon, round_plays
-from pennylab.words import split_words
+from pennylab.prng import (
+    PREDICTORS,
+    bits_to_int,
+    check_seed_space,
+    int_to_bits,
+    permutation,
+    round_bits,
+    seed_bit_column,
+    seed_stream,
+)
+from pennylab.strategies import StrategySpec, chooser, fixed_play, horizon
+from pennylab.words import PlayWords, compile_words, split_words
 
 
 def _const0(prefix):
@@ -289,12 +298,40 @@ def reference_split(opponent, alive, history, t):
     return heads, tails
 
 
+def round_plays(spec, t):
+    """An oblivious strategy's plays at round `t`: byte s is 1 iff seed s plays H.
+
+    The table `strategies.round_heads` counts, compiled family by family from
+    the seed integer, with no per-seed stream:
+
+    - a round that reads no seed bit repeats its `fixed_play` for all seeds;
+    - a `generator` round is `prng.round_bits`;
+    - every other round reads seed bit (t-1) mod seed_len, a
+      `prng.seed_bit_column`.
+    """
+    play = fixed_play(spec, t)
+    if play is not None:
+        return bytes([play is Action.H]) * (1 << spec.seed_len)
+    if spec.kind == "generator":
+        return round_bits(spec.param("generator"), t)
+    return seed_bit_column(spec.seed_len, (t - 1) % spec.seed_len)
+
+
+def compiled_words(spec, depth):
+    """Any oblivious spec's play words over rounds 1..depth, compiled from its `round_plays` tables.
+
+    `strategies.play_words` compiles only generators other than passthrough;
+    every other family's identity words are checked against these.
+    """
+    return PlayWords(*compile_words(lambda t: round_plays(spec, t), depth, 1 << spec.seed_len), depth)
+
+
 def reference_round_plays(spec, t):
     """Seed-by-seed play table of an oblivious spec at round t: byte s is 1 iff seed s plays H.
 
-    The slow path `strategies.round_plays` is checked against: one `Seed` and
-    one `reference_act` per seed, on a filler history an oblivious family
-    never reads.
+    The fast table `round_plays`, and through it `strategies.round_heads`, is
+    checked against: one `Seed` and one `reference_act` per seed, on a filler
+    history an oblivious family never reads.
     """
     filler = ((Action.H, Action.H),) * (t - 1)
     return bytes(
@@ -388,9 +425,9 @@ def list_split(opponent, alive, history, t):
     """Partition the seed list `alive` by the action each plays at round `t`: (H's, T's).
 
     The seed-list partition that `strategies.majority_chooser`'s word ranges
-    replaced, kept as a reference: oblivious opponents read `round_plays`,
-    and a seedless adaptive one acts on the mirror of `history`.  Order
-    within `alive` is kept.
+    replaced, kept as a reference: oblivious opponents read this module's
+    `round_plays` table, and a seedless adaptive one acts on the mirror of
+    `history`.  Order within `alive` is kept.
     """
     if opponent.oblivious:
         plays = round_plays(opponent, t)
@@ -480,12 +517,12 @@ def reference_range_wins(pw, n):
 
 
 def reference_range_greedy_value(opponent, n, delta=None):
-    """`greedy_value` by `reference_range_wins` over the words `_compile_words` builds, never the identity words."""
+    """`greedy_value` by `reference_range_wins` over the words `compiled_words` builds, never the identity words."""
     check_seed_space(opponent.seed_len)
     depth = min(n, horizon(opponent))
     if opponent.kind == "generator" and depth < n:
         raise ValueError("generator stream too short for this round")
-    pw = _compile_words(opponent, depth)
+    pw = compiled_words(opponent, depth)
     space, wins = pw.below[-1], reference_range_wins(pw, n)
     if delta is None:
         return Fraction(sum(wins), space * n)

@@ -7,6 +7,7 @@ import io
 import json
 import os
 import stat
+import subprocess
 import sys
 import traceback
 from fractions import Fraction
@@ -547,6 +548,24 @@ def test_sweep_artifact_margins(tmp_path):
     for row in rows:
         num, den = row["margin"].split("/")
         assert int(num) >= 0 and int(den) > 0
+
+
+def test_a_long_sweep_runs_in_a_small_address_space():
+    # 10**8 rounds past a one-bit table's depth are counted, never listed: the
+    # child caps its own address space at 512 MiB, which a list per round overruns.
+    resource = pytest.importorskip("resource")
+    limit = 512 << 20
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-c", "from pennylab.cli import entry; entry()", "sweep", "--n", "100000000", "--k", "0..1"],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        capture_output=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr.decode()
+    lines = [l for l in done.stdout.decode().splitlines() if not l.startswith("#")]
+    assert [r["k"] for r in csv.DictReader(lines)] == ["0", "1"]
 
 
 def test_config_file_with_flag_override(tmp_path):

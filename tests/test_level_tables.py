@@ -22,7 +22,13 @@ from pennylab.exploiter import greedy_value
 from pennylab.strategies import _compile_words, horizon, parse_strategy, play_words
 from pennylab.words import _DENSE, PlayWords, majority_wins
 
-from support import PERMUTATION_NAMES, reference_greedy_value, reference_range_greedy_value, reference_range_wins
+from support import (
+    PERMUTATION_NAMES,
+    compiled_words,
+    reference_greedy_value,
+    reference_range_greedy_value,
+    reference_range_wins,
+)
 
 H, T = Action.H, Action.T
 DELTA = Fraction(2, 3)
@@ -53,7 +59,7 @@ def word_sets(draw):
 @given(word_sets())
 def test_majority_wins_match_the_range_walk_on_any_words(case):
     pw, n = case
-    assert majority_wins(pw, n) == reference_range_wins(pw, n)
+    assert majority_wins(pw) == reference_range_wins(pw, n)[: pw.depth + 1]
 
 
 @st.composite
@@ -95,6 +101,27 @@ def test_level_tables_match_both_walks(case):
     assert value == reference_range_greedy_value(spec, n) == reference_greedy_value(spec, n)
     discounted = greedy_value(spec, n, delta=DELTA)
     assert discounted == reference_range_greedy_value(spec, n, DELTA) == reference_greedy_value(spec, n, DELTA)
+
+
+@pytest.mark.parametrize("delta", [None, DELTA], ids=["plain", "discounted"])
+@pytest.mark.parametrize(
+    "spec",
+    [
+        uniform_table(0),
+        uniform_table(3),
+        constant(T),
+        alternator(H),
+        prefix_tail(3, "constant"),
+        prefix_tail(3, "alternator"),
+    ],
+    ids=["uniform:0", "uniform:3", "const:T", "alt:H", "prefix-tail:3-constant", "prefix-tail:3-alternator"],
+)
+def test_rounds_far_past_the_depth_are_credited_to_every_seed(spec, delta):
+    # 300 rounds past the words' depth, where `greedy_value` adds a closed
+    # form and the reference walks each round.
+    n = horizon(spec) + 300
+    assert play_words(spec, n).depth == n - 300
+    assert greedy_value(spec, n, delta=delta) == reference_range_greedy_value(spec, n, delta)
 
 
 @pytest.mark.parametrize(
@@ -151,7 +178,7 @@ def test_identity_words_are_the_compiled_words(spec, n):
     pw = play_words(spec, n)
     assert _compile_words.cache_info() == before  # nothing compiled, nothing cached
     assert isinstance(pw.words, range) and isinstance(pw.below, range)
-    compiled = _compile_words.__wrapped__(spec, depth)
+    compiled = compiled_words(spec, depth)
     assert pw.depth == compiled.depth == depth
     assert list(pw.words) == list(compiled.words)
     assert list(pw.below) == list(compiled.below)

@@ -37,7 +37,7 @@ from pennylab.strategies import (
     fixed_play,
     parse_strategy,
     play_words,
-    round_plays,
+    round_heads,
 )
 from pennylab.words import is_identity, prediction_hits
 
@@ -48,6 +48,7 @@ from support import (
     reference_act,
     reference_round_plays,
     reference_split,
+    round_plays,
 )
 
 H, T = Action.H, Action.T
@@ -282,11 +283,14 @@ TABLE_POPULATION = (
     "spec", [spec for _, spec in TABLE_POPULATION], ids=[name for name, _ in TABLE_POPULATION]
 )
 def test_round_plays_matches_seed_by_seed_reference(spec):
+    # Up to TABLE_N, past the seed length of uniform tables and prefix-tails.
     for t in range(1, TABLE_N + 1):
-        assert round_plays(spec, t) == reference_round_plays(spec, t), t
+        reference = reference_round_plays(spec, t)
+        assert round_plays(spec, t) == reference, t
+        assert round_heads(spec, t) == reference.count(1), t
     if spec.kind == "generator":
         with pytest.raises(ValueError, match="generator stream too short") as fast:
-            round_plays(spec, TABLE_N + 1)
+            round_heads(spec, TABLE_N + 1)
         with pytest.raises(ValueError) as slow:
             reference_round_plays(spec, TABLE_N + 1)
         assert str(fast.value) == str(slow.value)
@@ -310,19 +314,19 @@ def test_tail_plays_after_an_odd_and_an_even_prefix():
     ]
     assert [fixed_play(prefix_tail(3, "constant", T), t) for t in range(1, 6)] == [None, None, None, T, T]
     assert [fixed_play(prefix_tail(4, "constant", H), t) for t in range(1, 7)] == [None] * 4 + [H, H]
-    assert round_plays(prefix_tail(3, "alternator", T), 5) == b"\1" * 8
-    assert round_plays(prefix_tail(4, "alternator", T), 5) == b"\0" * 16
+    assert round_heads(prefix_tail(3, "alternator", T), 5) == 8
+    assert round_heads(prefix_tail(4, "alternator", T), 5) == 0
 
 
 def test_tail_rounds_build_no_play_table(monkeypatch):
     calls = []
-    real_round_plays = strategies.round_plays
+    real_round_bits = strategies.round_bits
 
-    def counting_round_plays(spec, t):
+    def counting_round_bits(g, t):
         calls.append(t)
-        return real_round_plays(spec, t)
+        return real_round_bits(g, t)
 
-    monkeypatch.setattr(strategies, "round_plays", counting_round_plays)
+    monkeypatch.setattr(strategies, "round_bits", counting_round_bits)
     opponent = prefix_tail(4, "alternator", H)
     pw = play_words(opponent, 300)
     hits = prediction_hits(predictor_chooser("markov1", as_play=True), pw, 300)
