@@ -9,7 +9,7 @@ from __future__ import annotations
 import sys
 from enum import Enum
 from fractions import Fraction
-from typing import Union
+from typing import Optional, Sequence, Union
 
 RationalLike = Union[Fraction, int, str]
 
@@ -49,12 +49,25 @@ def as_fraction(x: RationalLike) -> Fraction:
     return value
 
 
-def round_weights(delta: Fraction, n: int) -> list[Fraction]:
-    """Discount weights [delta**0, delta**1, ..., delta**n]; round t is weighted delta**t."""
-    weights = [Fraction(1)]
-    for _ in range(n):
-        weights.append(weights[-1] * delta)
-    return weights
+def round_value(values: Sequence[int], den: int, n: int, delta: Optional[Fraction] = None) -> Fraction:
+    """Exact value of n rounds where round t pays values[t - 1] / den, and 1 past the list.
+
+    The average, or with `delta` the sum of delta**t times round t's pay, by one
+    product tree with no list of powers: a run (a, P, Q) of rounds is worth
+    a / Q, its rounds discounted from its start, and P / Q is delta to its length.
+    """
+    d = len(values)
+    if delta is None:
+        return Fraction(sum(values) + (n - d) * den, den * n)
+    p, q = delta.numerator, delta.denominator
+    runs = [(v * p, p, q) for v in values]
+    while len(runs) > 1:
+        merged = [(a1 * q2 + p1 * a2, p1 * p2, q1 * q2) for (a1, p1, q1), (a2, p2, q2) in zip(runs[::2], runs[1::2])]
+        runs = merged + runs[2 * len(merged) :]  # an odd last run is carried up a level
+    a, _, scale = runs[0] if runs else (0, 1, 1)
+    # Rounds d+1..n each pay 1, a geometric tail.
+    tail = delta ** (d + 1) * (1 - delta ** (n - d)) / (1 - delta) if n > d else 0
+    return Fraction(a, scale * den) + tail
 
 
 def stage_payoff(a: Action, b: Action) -> int:

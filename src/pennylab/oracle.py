@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .game import round_weights, stage_payoff
+from .game import round_value, stage_payoff
 from .prng import check_seed_space
 from .strategies import StrategySpec, chooser, play_words, round_heads, simulate
 from .words import prediction_hits
@@ -36,15 +36,15 @@ class GapReport(NamedTuple):
     certified_epsilon: Fraction
 
 
-def round_payoffs(s1: StrategySpec, s2: StrategySpec, n: int) -> list[Fraction]:
-    """Player 1's exact expected stage payoff E[h_t] for each round t = 1..n.
+def round_payoffs(s1: StrategySpec, s2: StrategySpec, n: int) -> tuple[list[int], int]:
+    """Player 1's exact expected stage payoff E[h_t] for each round t = 1..n, as integers over one denominator.
 
     Uniform over both seed spaces.  Two oblivious seats factor through their
     `round_heads` counts.  An adaptive seat against an oblivious one earns
     2 * hits / space - 1 at each round, a hit being a seed of the other seat
     whose play its own matches: one `words.prediction_hits` walk over the
     other seat's `play_words`, which guesses once per node.  Two adaptive
-    seats play one path.
+    seats play one path, over 1.
     """
     if n < 1:
         raise ValueError("horizon must be positive")
@@ -53,18 +53,16 @@ def round_payoffs(s1: StrategySpec, s2: StrategySpec, n: int) -> list[Fraction]:
     if s1.oblivious and s2.oblivious:
         # Independent seeds: per-round expectations factor through the two
         # marginal H-frequencies, E[h_t] = (2*p1 - 1)(2*p2 - 1).
-        return [
-            Fraction(2 * round_heads(s1, t) - space1, space1) * Fraction(2 * round_heads(s2, t) - space2, space2)
-            for t in range(1, n + 1)
-        ]
+        values = [(2 * round_heads(s1, t) - space1) * (2 * round_heads(s2, t) - space2) for t in range(1, n + 1)]
+        return values, space1 * space2
     if not (s1.oblivious or s2.oblivious):
         # Two seedless seats play one path.
-        return [Fraction(stage_payoff(a, b)) for a, b in simulate(s1, 0, s2, 0, n)]
+        return [stage_payoff(a, b) for a, b in simulate(s1, 0, s2, 0, n)], 1
     player, other = (s2, s1) if s1.oblivious else (s1, s2)
     # A match pays seat 1, whichever seat the adaptive player sits in.
     pw = play_words(other, n)
     hits, space = prediction_hits(chooser(player, n), pw, n), pw.below[-1]
-    return [Fraction(2 * h - space, space) for h in hits]
+    return [2 * h - space for h in hits], space
 
 
 def exact_value(
@@ -78,10 +76,7 @@ def exact_value(
     Returns the average payoff, or the discounted sum E[sum delta**t h_t] when
     `delta` is given; by linearity both are sums over `round_payoffs`.
     """
-    payoffs = round_payoffs(s1, s2, n)
-    if delta is None:
-        return sum(payoffs, Fraction(0)) / n
-    return sum((w * e for w, e in zip(round_weights(delta, n)[1:], payoffs)), Fraction(0))
+    return round_value(*round_payoffs(s1, s2, n), n, delta)
 
 
 # The exact optimum over all adaptive deviations against an opponent, from either seat.

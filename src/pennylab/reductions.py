@@ -16,7 +16,6 @@ import random
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence, Union
 
-from .game import round_weights
 from .oracle import round_payoffs
 from .prng import GeneratorSpec, bits_to_int, predictor_chooser, seed_stream
 from .strategies import StrategySpec, generator_backed, play_words
@@ -32,7 +31,8 @@ def per_round_payoffs(s: StrategySpec, g: GeneratorSpec, n: int) -> list[Fractio
     """
     if g.out_len < n:
         raise ValueError("generator stream too short for this horizon")
-    return round_payoffs(generator_backed(g), s, n)
+    values, den = round_payoffs(generator_backed(g), s, n)
+    return [Fraction(v, den) for v in values]
 
 
 def payoff_to_distinguisher(
@@ -53,7 +53,8 @@ def payoff_to_distinguisher(
     """
     per_round = per_round_payoffs(s, g, n)
     if delta is not None:
-        per_round = [w * e for w, e in zip(round_weights(delta, n)[1:], per_round)]
+        for i in range(n):
+            per_round[i] *= delta ** (i + 1)
     best, top = _best_position(per_round)
     return best, top / 2
 

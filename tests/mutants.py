@@ -222,20 +222,6 @@ MUTANTS = [
         "test_level_tables.py",
     ),
     Mutant(
-        "late-rounds-counted-from-n-depth-1",
-        "exploiter.py",
-        "(n - depth) * space",
-        "(n - depth - 1) * space",
-        "test_exploiter.py",
-    ),
-    Mutant(
-        "geometric-tail-from-delta-depth",
-        "exploiter.py",
-        "delta ** (depth + 1)",
-        "delta ** depth",
-        "test_exploiter.py",
-    ),
-    Mutant(
         "every-generator-read-as-identity-words",
         "strategies.py",
         'compiled = spec.kind == "generator" and spec.param("generator").kind != "uniform-passthrough"',
@@ -269,6 +255,42 @@ MUTANTS = [
         "stack = [(1, 0, len(words))]",
         "stack = [(2, 0, len(words))]",
         "test_level_tables.py",
+    ),
+    # The value rule.
+    Mutant(
+        "late-rounds-counted-from-n-depth-1",
+        "game.py",
+        "(n - d) * den",
+        "(n - d - 1) * den",
+        "test_exploiter.py",
+    ),
+    Mutant(
+        "geometric-tail-from-delta-depth",
+        "game.py",
+        "delta ** (d + 1)",
+        "delta ** d",
+        "test_exploiter.py",
+    ),
+    Mutant(
+        "discount-runs-merged-with-the-wrong-scale",
+        "game.py",
+        "a1 * q2",
+        "a1 * q1",
+        "test_exploiter.py",
+    ),
+    Mutant(
+        "discount-leaf-without-its-factor",
+        "game.py",
+        "(v * p, p, q)",
+        "(v, p, q)",
+        "test_exploiter.py",
+    ),
+    Mutant(
+        "discount-odd-run-dropped",
+        "game.py",
+        "merged + runs[2 * len(merged) :]",
+        "merged",
+        "test_exploiter.py",
     ),
     # The stepping choosers.
     Mutant(

@@ -27,7 +27,8 @@ from pennylab import (
     uniform_table,
 )
 from pennylab.exploiter import potential_step
-from pennylab.game import RationalLike, Transcript, as_fraction, bit_to_action, round_weights
+from pennylab.game import RationalLike, Transcript, as_fraction, bit_to_action
+from pennylab.oracle import round_payoffs
 from pennylab.prng import (
     PREDICTORS,
     bits_to_int,
@@ -93,6 +94,20 @@ REFERENCE_PREDICTORS = {
 def reference_predictor(name):
     """The prefix function a predictor name stands for: a built-in's reference body above, else the function a test registered."""
     return REFERENCE_PREDICTORS[name] if name in REFERENCE_PREDICTORS else PREDICTORS[name]
+
+
+def round_weights(delta: Fraction, n: int) -> list[Fraction]:
+    """Discount weights [delta**0, delta**1, ..., delta**n]; round t is weighted delta**t."""
+    weights = [Fraction(1)]
+    for _ in range(n):
+        weights.append(weights[-1] * delta)
+    return weights
+
+
+def payoff_fractions(s1, s2, n):
+    """`oracle.round_payoffs` as one Fraction per round."""
+    values, den = round_payoffs(s1, s2, n)
+    return [Fraction(v, den) for v in values]
 
 
 def discounted_payoff(t: Transcript, delta: RationalLike) -> Fraction:

@@ -23,7 +23,6 @@ from pennylab import (
     simulate,
     uniform_table,
 )
-from pennylab.oracle import round_payoffs
 from pennylab.prng import PREDICTORS, predictor_chooser
 from pennylab.strategies import horizon, parse_strategy
 
@@ -31,6 +30,7 @@ from support import (
     PREDICTOR_NAMES,
     REFERENCE_PREDICTORS,
     adaptive_population,
+    payoff_fractions,
     reference_accuracy,
     reference_play_rows,
     reference_prediction_hits,
@@ -84,10 +84,10 @@ def test_a_registered_predictor_steps_its_prefix(monkeypatch):
     assert calls and all(type(prefix) is tuple for prefix in calls)
     assert predictor_accuracy("parity", uniform_table(3), 7) == reference_accuracy("parity", uniform_table(3), 7)
     player = predictor_backed("parity", beat=True)
-    assert round_payoffs(uniform_table(3), player, 7) == reference_round_payoffs(uniform_table(3), player, 7)
+    assert payoff_fractions(uniform_table(3), player, 7) == reference_round_payoffs(uniform_table(3), player, 7)
     # A built-in name registered to another function takes that function.
     monkeypatch.setitem(PREDICTORS, "markov1", parity)
-    assert round_payoffs(predictor_backed("markov1"), uniform_table(3), 7) == reference_round_payoffs(
+    assert payoff_fractions(predictor_backed("markov1"), uniform_table(3), 7) == reference_round_payoffs(
         predictor_backed("parity"), uniform_table(3), 7
     )
     # A guess of 2 is a miss for prng-test, which compares it to the bit, but
@@ -101,12 +101,12 @@ def test_a_registered_predictor_steps_its_prefix(monkeypatch):
     for beat in (False, True):
         player = predictor_backed("twos", beat=beat)
         for s1, s2 in ((uniform_table(3), player), (player, uniform_table(3))):
-            assert round_payoffs(s1, s2, 7) == reference_round_payoffs(s1, s2, 7)
+            assert payoff_fractions(s1, s2, 7) == reference_round_payoffs(s1, s2, 7)
         assert simulate(player, 0, uniform_table(3), 5, 7) == reference_simulate(player, 0, uniform_table(3), 5, 7)
         exploiter = parse_strategy("exploit:vs=pred:twos" + ",beat=1" * beat, 7)
         assert simulate(exploiter, 0, player, 0, 7) == reference_simulate(exploiter, 0, player, 0, 7)
-        assert round_payoffs(exploiter, player, 7) == reference_round_payoffs(exploiter, player, 7)
-        assert round_payoffs(player, uniform_table(3), 7) == round_payoffs(
+        assert payoff_fractions(exploiter, player, 7) == reference_round_payoffs(exploiter, player, 7)
+        assert payoff_fractions(player, uniform_table(3), 7) == payoff_fractions(
             predictor_backed("parity", beat=beat), uniform_table(3), 7
         )
 
@@ -133,7 +133,7 @@ def test_round_payoffs_with_any_adaptive_seat_match_seed_pair_simulation(case, s
     else:
         player = parse_strategy(seat, n)
     s1, s2 = (player, spec) if first else (spec, player)
-    assert round_payoffs(s1, s2, n) == reference_round_payoffs(s1, s2, n)
+    assert payoff_fractions(s1, s2, n) == reference_round_payoffs(s1, s2, n)
 
 
 ADAPTIVE = (
@@ -158,7 +158,7 @@ def test_simulate_steps_each_adaptive_seat_as_act_plays(d1, d2, data):
     assert simulate(s1, 0, s2, seed2, n) == expected
     assert simulate(s2, seed2, s1, 0, n) == tuple((b, a) for a, b in expected)
     if not s2.oblivious:
-        assert round_payoffs(s1, s2, n) == reference_round_payoffs(s1, s2, n)
+        assert payoff_fractions(s1, s2, n) == reference_round_payoffs(s1, s2, n)
 
 
 @pytest.mark.parametrize("name, spec", adaptive_population() + [("const-H", constant(Action.H))])

@@ -551,21 +551,30 @@ def test_sweep_artifact_margins(tmp_path):
 
 
 def test_a_long_sweep_runs_in_a_small_address_space():
-    # 10**8 rounds past a one-bit table's depth are counted, never listed: the
-    # child caps its own address space at 512 MiB, which a list per round overruns.
+    # The child caps its own address space at 512 MiB.  10**8 rounds past a
+    # one-bit table's depth are counted, never listed, which a list per round
+    # overruns; a 60000-round discounted sum is one product tree, which a list
+    # of 60000 exact powers of 9/10 overruns.
     resource = pytest.importorskip("resource")
     limit = 512 << 20
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    done = subprocess.run(
-        [sys.executable, "-c", "from pennylab.cli import entry; entry()", "sweep", "--n", "100000000", "--k", "0..1"],
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))},
-        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
-        capture_output=True,
-        timeout=120,
-    )
+
+    def run(*args):
+        return subprocess.run(
+            [sys.executable, "-c", "from pennylab.cli import entry; entry()", *args],
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))},
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+            capture_output=True,
+            timeout=120,
+        )
+
+    done = run("sweep", "--n", "100000000", "--k", "0..1")
     assert done.returncode == 0, done.stderr.decode()
     lines = [l for l in done.stdout.decode().splitlines() if not l.startswith("#")]
     assert [r["k"] for r in csv.DictReader(lines)] == ["0", "1"]
+    done = run("discounted", "--delta", "9/10", "--epsilon", "1/2", "--n", "60000", "--prefix", "gen:repeat")
+    assert done.returncode == 1, done.stderr.decode()
+    assert json.loads(done.stdout)["certified"] is False
 
 
 def test_config_file_with_flag_override(tmp_path):

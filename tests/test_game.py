@@ -4,12 +4,20 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pennylab.game import Action, as_fraction, average_payoff, cumulative_payoff, format_transcript, stage_payoff
+from pennylab.game import (
+    Action,
+    as_fraction,
+    average_payoff,
+    cumulative_payoff,
+    format_transcript,
+    round_value,
+    stage_payoff,
+)
 
-from support import discounted_payoff, parse_transcript
+from support import discounted_payoff, parse_transcript, round_weights
 
 H, T = Action.H, Action.T
 
@@ -84,6 +92,28 @@ def test_average_bounded_with_equality_iff_uniform_outcome(t):
 def test_all_wins_discounted_closed_form(n, delta):
     t = ((H, H),) * n
     assert discounted_payoff(t, delta) == (delta - delta ** (n + 1)) / (1 - delta)
+
+
+# A delta whose terms have 200 digits each.
+WIDE_DELTA = Fraction(10**199 + 1, 10**199 + 3)
+DELTAS = [None, Fraction(1, 2), Fraction(9, 10), Fraction(999, 1000), Fraction(12345, 98765), WIDE_DELTA]
+
+
+@settings(deadline=None)
+@given(st.sampled_from(DELTAS), st.integers(min_value=1, max_value=10**6), st.data())
+def test_round_value_matches_the_weighted_sum(delta, den, data):
+    # Round t pays values[t - 1] / den, and 1 past the list.  Each addition of
+    # the reference sum takes a gcd the size of the sum so far, so its cost is
+    # cubic in the horizon: the wide delta draws lists of at most 40 rounds.
+    d = data.draw(st.integers(0, 40 if delta == WIDE_DELTA else 300), label="d")
+    values = data.draw(st.lists(st.integers(-(10**6), 10**6), min_size=d, max_size=d), label="values")
+    n = max(d + data.draw(st.integers(0, 50), label="extra"), 1)
+    pays = [Fraction(v, den) for v in values] + [Fraction(1)] * (n - d)
+    if delta is None:
+        expected = sum(pays, Fraction(0)) / n
+    else:
+        expected = sum((w * e for w, e in zip(round_weights(delta, n)[1:], pays)), Fraction(0))
+    assert round_value(values, den, n, delta) == expected
 
 
 def test_cumulative_parity_matches_horizon():

@@ -36,6 +36,7 @@ from support import (
     adaptive_population,
     discounted_payoff,
     oblivious_population,
+    payoff_fractions,
     reference_tree_best_response,
 )
 
@@ -82,7 +83,7 @@ def test_exact_value_oblivious_fast_path_matches_generic_path():
         ]
         count = len(transcripts)
         per_round = [Fraction(sum(stage_payoff(*t[i]) for t in transcripts), count) for i in range(n)]
-        assert round_payoffs(s1, s2, n) == per_round
+        assert payoff_fractions(s1, s2, n) == per_round
         assert exact_value(s1, s2, n) == Fraction(sum(map(cumulative_payoff, transcripts)), count * n)
         discounted = sum(discounted_payoff(t, delta) for t in transcripts) / count
         assert exact_value(s1, s2, n, delta=delta) == discounted

@@ -28,7 +28,6 @@ from pennylab import (
 )
 from pennylab import strategies
 from pennylab.exploiter import greedy_value
-from pennylab.oracle import round_payoffs
 from pennylab.prng import bits_to_int, round_bits, seed_stream
 from pennylab.strategies import _compile_words, horizon, play_words
 from pennylab.words import compile_words
@@ -38,6 +37,7 @@ from support import (
     PREDICTOR_NAMES,
     chooser_play,
     generator_population,
+    payoff_fractions,
     reference_accuracy,
     reference_exploiter_act,
     reference_greedy_value,
@@ -140,7 +140,7 @@ def test_round_payoffs_with_an_adaptive_seat_match_seed_pair_simulation(case, ki
     else:
         player = exploiter_vs(spec, beat=kind.endswith("beat=1"))
     s1, s2 = (player, spec) if first else (spec, player)
-    assert round_payoffs(s1, s2, n) == reference_round_payoffs(s1, s2, n)
+    assert payoff_fractions(s1, s2, n) == reference_round_payoffs(s1, s2, n)
 
 
 @settings(max_examples=40, deadline=None)
