@@ -16,6 +16,7 @@ from __future__ import annotations
 import importlib
 import os
 import sys
+from decimal import MAX_EMAX, MAX_PREC, Context, Decimal
 from fractions import Fraction
 from typing import Any, Callable, NamedTuple, Optional
 
@@ -50,22 +51,28 @@ class ExperimentConfig(NamedTuple):
 # --------------------------------------------------------------------------
 
 
-def frac_str(x: Fraction) -> str:
-    """x as "p/q", exact at any length.
+# Every sum and product in this context is exact: its precision and exponent range are the widest libmpdec allows.
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX)
 
-    CPython (3.10.7 and later) refuses to print an int of more than 4,300
-    digits by default; the limit is lifted only while this prints, and an
-    interpreter without it has nothing to lift.
+
+def _digits(v: int) -> str:
+    """str(v) at any length, in subquadratic time, within any int digit limit.
+
+    An int of at most 2,048 bits has under 640 digits, the lowest limit
+    CPython accepts, so `str` prints it.  A wider one splits at half its width,
+    v = hi * 2**h + lo, and sums its halves' digits in exact decimal: CPython
+    3.12's `_pylong` rule, whose products libmpdec takes in subquadratic time.
     """
-    get_limit = getattr(sys, "get_int_max_str_digits", None)
-    if get_limit is None:
-        return f"{x.numerator}/{x.denominator}"
-    limit = get_limit()
-    sys.set_int_max_str_digits(0)
-    try:
-        return f"{x.numerator}/{x.denominator}"
-    finally:
-        sys.set_int_max_str_digits(limit)
+    if v.bit_length() <= 2048:
+        return str(v)
+    h = v.bit_length() // 2
+    hi, lo = Decimal(_digits(v >> h)), Decimal(_digits(v & ((1 << h) - 1)))
+    return str(_EXACT.add(_EXACT.multiply(hi, _EXACT.power(2, h)), lo))
+
+
+def frac_str(x: Fraction) -> str:
+    """x as "p/q", exact at any length."""
+    return f"{_digits(x.numerator)}/{_digits(x.denominator)}"
 
 
 def dec_str(x) -> str:

@@ -370,6 +370,27 @@ MUTANTS = [
         "for h in hits[1:] + hits[:1]]",
         "test_choosers.py",
     ),
+    Mutant(
+        "round-payoffs-own-model-beat-sign-dropped",
+        "oracle.py",
+        'sign = -1 if player.param("beat") else 1',
+        "sign = 1",
+        "test_words.py",
+    ),
+    Mutant(
+        "round-payoffs-own-model-wins-a-round-early",
+        "oracle.py",
+        "majority_wins(pw)[1:]",
+        "majority_wins(pw)[:-1]",
+        "test_words.py",
+    ),
+    Mutant(
+        "round-payoffs-own-model-when-only-the-kind-matches",
+        "oracle.py",
+        'player.param("opponent") == other',
+        'player.param("opponent").kind == other.kind',
+        "test_words.py",
+    ),
     # Certification.
     Mutant(
         "best-response-shared-when-only-the-kind-matches",
@@ -533,6 +554,28 @@ MUTANTS = [
         "test_cli.py",
     ),
     # The one writer and the error report.
+    # Exact numbers printed in full.
+    Mutant(
+        "digits-high-half-shifted-a-bit-short",
+        "cli.py",
+        "Decimal(_digits(v >> h))",
+        "Decimal(_digits(v >> (h - 1)))",
+        "test_cli.py",
+    ),
+    Mutant(
+        "digits-low-half-dropped",
+        "cli.py",
+        "_EXACT.add(_EXACT.multiply(hi, _EXACT.power(2, h)), lo)",
+        "_EXACT.multiply(hi, _EXACT.power(2, h))",
+        "test_cli.py",
+    ),
+    Mutant(
+        "digits-base-case-past-the-lowest-limit",
+        "cli.py",
+        "if v.bit_length() <= 2048:",
+        "if v.bit_length() <= 4096:",
+        "test_cli.py",
+    ),
     Mutant(
         "out-may-name-a-fifo",
         "cli.py",
@@ -552,6 +595,13 @@ MUTANTS = [
         "cli.py",
         "        sys.stdout.write(text)\n    return status\n",
         "        sys.stdout.write(text)\n    return 0\n",
+        "test_cli.py",
+    ),
+    Mutant(
+        "failed-write-leaves-its-temporary",
+        "cli.py",
+        "        if os.path.exists(tmp):\n            os.unlink(tmp)\n",
+        "        pass\n",
         "test_cli.py",
     ),
     Mutant(

@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import stat
 import subprocess
 import sys
@@ -537,6 +538,78 @@ def test_discounted_prints_exact_fractions_of_any_length(tmp_path):
     finally:
         if get_limit:
             sys.set_int_max_str_digits(limit)
+
+
+@contextlib.contextmanager
+def _digit_limit(limit):
+    """The interpreter's int digit limit set to `limit` (0 lifts it) for the block, where it has one."""
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    saved = get_limit() if get_limit else None
+    if get_limit:
+        sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        if get_limit:
+            sys.set_int_max_str_digits(saved)
+
+
+def _wide_ints():
+    """Ints each side of `_digits`' base case and first split, powers of 2 and 10, widths up to 10**6 bits."""
+    rng = random.Random(43)
+    for bits in (0, 1, 2, 2047, 2048, 2049, 4095, 4096, 4097, 10_000):
+        yield from (rng.getrandbits(bits), 1 << bits, (1 << bits) - 1)
+    for e in (616, 617, 1233, 1234, 20_000):
+        yield from (10**e, 10**e - 1)
+    for bits in (rng.randrange(4097, 200_000), rng.randrange(200_000, 600_000), 10**6):
+        yield rng.getrandbits(bits) | 1 << (bits - 1)
+
+
+def test_exact_numbers_print_as_str_prints_them():
+    with _digit_limit(0):
+        for v in _wide_ints():
+            text = str(v)
+            for p, expected in ((v, text), (-v, "-" + text if v else text)):
+                assert cli._digits(p) == expected, p.bit_length()
+                assert cli.frac_str(Fraction(p)) == f"{expected}/1"
+            if v & 1:  # odd, so coprime to a power of 2
+                assert cli.frac_str(Fraction(-v, 1 << 4097)) == f"-{text}/{1 << 4097}"
+
+
+def test_printing_never_touches_the_digit_limit(tmp_path, monkeypatch):
+    def refuse(limit):
+        raise AssertionError("set_int_max_str_digits called")
+
+    monkeypatch.setattr(sys, "set_int_max_str_digits", refuse, raising=False)
+    status, blob = run_cli(["discounted", "--delta", "999/1000", "--epsilon", "1/2"], tmp_path, "long.json")
+    assert status == 0
+    assert len(json.loads(blob)["tail_gain"]) > 4300
+
+
+@_NEEDS_DIGIT_LIMIT
+def test_exact_numbers_print_under_the_lowest_digit_limit():
+    # CPython accepts no limit below 640 digits; every width prints under it.
+    rng = random.Random(640)
+    x = Fraction(-rng.getrandbits(315_000), rng.getrandbits(315_000) | 1)
+    with _digit_limit(640):
+        texts = [cli.frac_str(x)] + [cli._digits(v) for v in (1 << 2048, 1 << 4095, 10**1232)]
+        assert sys.get_int_max_str_digits() == 640
+    with _digit_limit(0):
+        assert Fraction(texts[0]) == x and min(map(len, texts[0].split("/"))) > 90_000
+        assert texts[1:] == [str(1 << 2048), str(1 << 4095), str(10**1232)]
+
+
+def test_a_failed_write_keeps_the_old_artifact_and_leaves_no_temporary(tmp_path, monkeypatch, capsys):
+    def refuse(src, dst):
+        raise OSError(28, "No space left on device")
+
+    out = tmp_path / "sweep.csv"
+    out.write_bytes(b"an earlier artifact\n")
+    monkeypatch.setattr(cli.os, "replace", refuse)
+    assert main(["sweep", "--n", "4", "--k", "0", "--out", str(out)]) == 3
+    assert json.loads(capsys.readouterr().err.strip().splitlines()[-1])["type"] == "OSError"
+    assert os.listdir(tmp_path) == ["sweep.csv"]  # no .pennylab-* temporary is left
+    assert out.read_bytes() == b"an earlier artifact\n"
 
 
 def test_sweep_artifact_margins(tmp_path):

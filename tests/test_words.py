@@ -29,8 +29,9 @@ from pennylab import (
 from pennylab import strategies
 from pennylab.exploiter import greedy_value
 from pennylab.prng import bits_to_int, round_bits, seed_stream
-from pennylab.strategies import _compile_words, horizon, play_words
-from pennylab.words import compile_words
+from pennylab.oracle import round_payoffs
+from pennylab.strategies import _compile_words, chooser, horizon, parse_strategy, play_words
+from pennylab.words import compile_words, prediction_hits
 
 from support import (
     PERMUTATION_NAMES,
@@ -141,6 +142,48 @@ def test_round_payoffs_with_an_adaptive_seat_match_seed_pair_simulation(case, ki
         player = exploiter_vs(spec, beat=kind.endswith("beat=1"))
     s1, s2 = (player, spec) if first else (spec, player)
     assert payoff_fractions(s1, s2, n) == reference_round_payoffs(s1, s2, n)
+
+
+def _hit_walk(s1, s2, n):
+    """`round_payoffs` of an adaptive seat against an oblivious one by the `prediction_hits` walk alone."""
+    player, other = (s2, s1) if s1.oblivious else (s1, s2)
+    pw = play_words(other, n)
+    space = pw.below[-1]
+    return [2 * h - space for h in prediction_hits(chooser(player, n), pw, n)], space
+
+
+@settings(max_examples=80, deadline=None)
+@given(specs(), st.booleans(), st.booleans())
+def test_an_exploiter_of_the_other_seat_earns_its_majority_wins(case, beat, first):
+    # Against the very spec it models, the exploiter's payoffs are read off
+    # `majority_wins`; the hit walk with its chooser must agree, past the
+    # words' depth too.
+    spec, n = case
+    if _past_stream(spec, n):
+        return
+    player = exploiter_vs(spec, beat=beat)
+    s1, s2 = (player, spec) if first else (spec, player)
+    assert round_payoffs(s1, s2, n) == _hit_walk(s1, s2, n)
+
+
+@pytest.mark.parametrize(
+    "model, opponent",
+    [
+        ("uniform:5", "uniform:6"),
+        ("uniform:6", "uniform:5"),
+        ("gen:bm,perm=mulmod,m=3", "gen:bm,perm=add1,m=3"),
+        ("prefix-tail:prefix=2", "prefix-tail:prefix=3"),
+    ],
+)
+@pytest.mark.parametrize("beat, first", [(False, True), (True, False), (True, True)])
+def test_an_exploiter_of_a_near_model_takes_the_hit_walk(model, opponent, beat, first):
+    # A model of the opponent's kind with another parameter is not the
+    # opponent: its exploiter's hits come from the walk, not the majority.
+    for n in range(1, 10):
+        player = exploiter_vs(parse_strategy(model, n), beat=beat)
+        other = parse_strategy(opponent, n)
+        s1, s2 = (player, other) if first else (other, player)
+        assert round_payoffs(s1, s2, n) == _hit_walk(s1, s2, n), n
 
 
 @settings(max_examples=40, deadline=None)
