@@ -18,6 +18,7 @@ import os
 import sys
 from decimal import MAX_EMAX, MAX_PREC, Context, Decimal
 from fractions import Fraction
+from functools import lru_cache
 from typing import Any, Callable, NamedTuple, Optional
 
 # The run id's SHA-256 comes from the interpreter's built-in module, as
@@ -70,6 +71,8 @@ def _digits(v: int) -> str:
     return str(_EXACT.add(_EXACT.multiply(hi, _EXACT.power(2, h)), lo))
 
 
+# Two slots: an artifact may print one long number twice in a row, or on either side of another.
+@lru_cache(maxsize=2)
 def frac_str(x: Fraction) -> str:
     """x as "p/q", exact at any length."""
     return f"{_digits(x.numerator)}/{_digits(x.denominator)}"

@@ -15,7 +15,7 @@ from typing import NamedTuple, Optional
 from .game import round_value, stage_payoff
 from .prng import check_seed_space
 from .strategies import StrategySpec, chooser, play_words, round_heads, simulate
-from .words import majority_wins, prediction_hits
+from .words import prediction_hits
 from . import exploiter
 
 
@@ -43,10 +43,7 @@ def round_payoffs(s1: StrategySpec, s2: StrategySpec, n: int) -> tuple[list[int]
     `round_heads` counts.  An adaptive seat against an oblivious one earns
     2 * hits / space - 1 at each round, a hit being a seed of the other seat
     whose play its own matches: one `words.prediction_hits` walk over the
-    other seat's `play_words`, which guesses once per node.  An exploiter
-    whose model is the other seat's whole spec earns its majority's wins,
-    `words.majority_wins`, which `exploiter.greedy_value` counts too, and
-    every seed past the words' depth; `beat` negates both.  Two adaptive
+    other seat's `play_words`, which guesses once per node.  Two adaptive
     seats play one path, over 1.
     """
     if n < 1:
@@ -65,9 +62,6 @@ def round_payoffs(s1: StrategySpec, s2: StrategySpec, n: int) -> tuple[list[int]
     # A match pays seat 1, whichever seat the adaptive player sits in.
     pw = play_words(other, n)
     space = pw.below[-1]
-    if player.kind == "exploiter" and player.param("opponent") == other:
-        sign = -1 if player.param("beat") else 1
-        return [sign * w for w in majority_wins(pw)[1:]] + [sign * space] * (n - pw.depth), space
     hits = prediction_hits(chooser(player, n), pw, n)
     return [2 * h - space for h in hits], space
 
@@ -81,8 +75,14 @@ def exact_value(
     """Player 1's exact expected payoff, uniform over both seed spaces.
 
     Returns the average payoff, or the discounted sum E[sum delta**t h_t] when
-    `delta` is given; by linearity both are sums over `round_payoffs`.
+    `delta` is given; by linearity both are sums over `round_payoffs`.  An
+    exploiter whose model is the other seat's whole spec plays the majority
+    strategy against it, so the value is that strategy's `greedy_value`,
+    which a match pays seat 1 and `beat` negates.
     """
+    for player, other in ((s1, s2), (s2, s1)):
+        if player.kind == "exploiter" and player.param("opponent") == other:
+            return (-1 if player.param("beat") else 1) * exploiter.greedy_value(other, n, delta=delta)
     return round_value(*round_payoffs(s1, s2, n), n, delta)
 
 

@@ -371,25 +371,32 @@ MUTANTS = [
         "test_choosers.py",
     ),
     Mutant(
-        "round-payoffs-own-model-beat-sign-dropped",
+        "exact-value-own-model-beat-sign-dropped",
         "oracle.py",
-        'sign = -1 if player.param("beat") else 1',
-        "sign = 1",
+        '(-1 if player.param("beat") else 1) * exploiter.greedy_value',
+        "exploiter.greedy_value",
         "test_words.py",
     ),
     Mutant(
-        "round-payoffs-own-model-wins-a-round-early",
-        "oracle.py",
-        "majority_wins(pw)[1:]",
-        "majority_wins(pw)[:-1]",
-        "test_words.py",
-    ),
-    Mutant(
-        "round-payoffs-own-model-when-only-the-kind-matches",
+        "exact-value-own-model-when-only-the-kind-matches",
         "oracle.py",
         'player.param("opponent") == other',
         'player.param("opponent").kind == other.kind',
         "test_words.py",
+    ),
+    Mutant(
+        "exact-value-own-model-undiscounted",
+        "oracle.py",
+        "greedy_value(other, n, delta=delta)",
+        "greedy_value(other, n)",
+        "test_oracle.py",
+    ),
+    Mutant(
+        "exact-value-own-model-values-the-exploiter",
+        "oracle.py",
+        "greedy_value(other, n, delta=delta)",
+        "greedy_value(player, n, delta=delta)",
+        "test_oracle.py",
     ),
     # Certification.
     Mutant(
@@ -555,6 +562,13 @@ MUTANTS = [
     ),
     # The one writer and the error report.
     # Exact numbers printed in full.
+    Mutant(
+        "frac-str-uncached",
+        "cli.py",
+        "@lru_cache(maxsize=2)\n",
+        "",
+        "test_cli.py",
+    ),
     Mutant(
         "digits-high-half-shifted-a-bit-short",
         "cli.py",

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from pennylab import cli
 from pennylab.cli import main, parse_config
-from pennylab.discounting import tail_gain
+from pennylab.discounting import DiscountParams, min_rounds, tail_gain
 from pennylab.game import as_fraction
 from pennylab.strategies import MAX_NESTING, describe, parse_strategy
 
@@ -540,6 +540,27 @@ def test_discounted_prints_exact_fractions_of_any_length(tmp_path):
             sys.set_int_max_str_digits(limit)
 
 
+def test_discounted_formats_each_long_number_once(capsys, monkeypatch):
+    # Under a uniform prefix the tail gain and epsilon' are one number, whose
+    # 75,710-bit numerator is formatted once and printed twice.
+    params = DiscountParams(Fraction(999, 1000), Fraction(1, 2))
+    numerator = tail_gain(params.delta, min_rounds(params)).numerator
+    assert numerator.bit_length() == 75_710
+    digits, formatted = cli._digits, []
+
+    def counting(v):
+        if v == numerator:
+            formatted.append(v)
+        return digits(v)
+
+    monkeypatch.setattr(cli, "_digits", counting)
+    cli.frac_str.cache_clear()  # another test may have printed this number already
+    assert main(["discounted", "--delta", "999/1000", "--epsilon", "1/2"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert record["tail_gain"] == record["epsilon_prime"]
+    assert len(formatted) == 1
+
+
 @contextlib.contextmanager
 def _digit_limit(limit):
     """The interpreter's int digit limit set to `limit` (0 lifts it) for the block, where it has one."""
@@ -627,7 +648,9 @@ def test_a_long_sweep_runs_in_a_small_address_space():
     # The child caps its own address space at 512 MiB.  10**8 rounds past a
     # one-bit table's depth are counted, never listed, which a list per round
     # overruns; a 60000-round discounted sum is one product tree, which a list
-    # of 60000 exact powers of 9/10 overruns.
+    # of 60000 exact powers of 9/10 overruns; and an exploiter of a constant
+    # is valued by its greedy count, which credits its 10**8 wins without
+    # listing them.
     resource = pytest.importorskip("resource")
     limit = 512 << 20
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
@@ -648,6 +671,10 @@ def test_a_long_sweep_runs_in_a_small_address_space():
     done = run("discounted", "--delta", "9/10", "--epsilon", "1/2", "--n", "60000", "--prefix", "gen:repeat")
     assert done.returncode == 1, done.stderr.decode()
     assert json.loads(done.stdout)["certified"] is False
+    done = run("verify-eq", "--n", "100000000", "--p1", "exploit:vs=const:H", "--p2", "const:H")
+    assert done.returncode == 0, done.stderr.decode()
+    record = json.loads(done.stdout)
+    assert (record["value"], record["certified_epsilon"]) == ("1/1", "2/1")
 
 
 def test_config_file_with_flag_override(tmp_path):

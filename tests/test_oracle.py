@@ -104,6 +104,19 @@ def test_round_payoffs_acts_once_per_opponent_prefix(monkeypatch):
     assert len(calls) == 47
 
 
+def test_an_exploiter_of_an_adaptive_model_is_valued_without_a_match(monkeypatch):
+    # The model is seedless, so its exploiter wins every round: the value is
+    # read off `greedy_value`, with no round simulated.
+    def refuse(*args):
+        raise AssertionError("simulated a match")
+
+    monkeypatch.setattr("pennylab.oracle.simulate", refuse)
+    m = predictor_backed("markov1")
+    assert exact_value(exploiter_vs(m), m, 50) == 1
+    d = Fraction(2, 3)
+    assert exact_value(m, exploiter_vs(m, beat=True), 50, d) == -sum(d**t for t in range(1, 51))
+
+
 def test_best_response_examples():
     assert best_response_value(uniform_table(6), 6) == 0
     _, p2 = make_gamma_equilibrium(8, Fraction(1, 2))

@@ -29,7 +29,8 @@ from pennylab import (
 from pennylab import strategies
 from pennylab.exploiter import greedy_value
 from pennylab.prng import bits_to_int, round_bits, seed_stream
-from pennylab.oracle import round_payoffs
+from pennylab.game import round_value
+from pennylab.oracle import exact_value, round_payoffs
 from pennylab.strategies import _compile_words, chooser, horizon, parse_strategy, play_words
 from pennylab.words import compile_words, prediction_hits
 
@@ -155,15 +156,16 @@ def _hit_walk(s1, s2, n):
 @settings(max_examples=80, deadline=None)
 @given(specs(), st.booleans(), st.booleans())
 def test_an_exploiter_of_the_other_seat_earns_its_majority_wins(case, beat, first):
-    # Against the very spec it models, the exploiter's payoffs are read off
-    # `majority_wins`; the hit walk with its chooser must agree, past the
-    # words' depth too.
+    # Against the very spec it models, the exploiter's value is read off
+    # `greedy_value`; the hit walk with its chooser must agree, past the
+    # words' depth too, averaged and discounted.
     spec, n = case
     if _past_stream(spec, n):
         return
     player = exploiter_vs(spec, beat=beat)
     s1, s2 = (player, spec) if first else (spec, player)
-    assert round_payoffs(s1, s2, n) == _hit_walk(s1, s2, n)
+    for delta in (None, Fraction(2, 3)):
+        assert exact_value(s1, s2, n, delta) == round_value(*_hit_walk(s1, s2, n), n, delta), delta
 
 
 @pytest.mark.parametrize(
@@ -178,12 +180,12 @@ def test_an_exploiter_of_the_other_seat_earns_its_majority_wins(case, beat, firs
 @pytest.mark.parametrize("beat, first", [(False, True), (True, False), (True, True)])
 def test_an_exploiter_of_a_near_model_takes_the_hit_walk(model, opponent, beat, first):
     # A model of the opponent's kind with another parameter is not the
-    # opponent: its exploiter's hits come from the walk, not the majority.
+    # opponent: its exploiter's value comes from the walk, not the majority.
     for n in range(1, 10):
         player = exploiter_vs(parse_strategy(model, n), beat=beat)
         other = parse_strategy(opponent, n)
         s1, s2 = (player, other) if first else (other, player)
-        assert round_payoffs(s1, s2, n) == _hit_walk(s1, s2, n), n
+        assert exact_value(s1, s2, n) == round_value(*_hit_walk(s1, s2, n), n), n
 
 
 @settings(max_examples=40, deadline=None)
