@@ -71,8 +71,8 @@ def _digits(v: int) -> str:
     return str(_EXACT.add(_EXACT.multiply(hi, _EXACT.power(2, h)), lo))
 
 
-# Two slots: an artifact may print one long number twice in a row, or on either side of another.
-@lru_cache(maxsize=2)
+# One slot: an artifact may print the same long number twice in a row.
+@lru_cache(maxsize=1)
 def frac_str(x: Fraction) -> str:
     """x as "p/q", exact at any length."""
     return f"{_digits(x.numerator)}/{_digits(x.denominator)}"

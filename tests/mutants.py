@@ -565,7 +565,7 @@ MUTANTS = [
     Mutant(
         "frac-str-uncached",
         "cli.py",
-        "@lru_cache(maxsize=2)\n",
+        "@lru_cache(maxsize=1)\n",
         "",
         "test_cli.py",
     ),
