@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple, Optional
 
 from .game import RationalLike, as_fraction
@@ -82,12 +83,14 @@ def _rounds_estimate(delta: Fraction, epsilon: Fraction) -> float:
     return (math.log(bound.numerator) - math.log(bound.denominator)) / log_delta if log_delta else math.inf
 
 
+@lru_cache(maxsize=1)
 def min_rounds(p: DiscountParams) -> int:
     """Least n with tail_gain(delta, n) strictly below epsilon.
 
     That is the least n with delta**n < epsilon * (1 - delta).  The boundary
     is resolved by exact rational comparison, not by comparing floating-point
     logarithms; each probe steps delta**n by one multiplication or division.
+    The last answer is kept: the CLI's default --n and its artifact both ask.
     """
     bound = p.epsilon * (1 - p.delta)
     candidate = max(0, int(_rounds_estimate(p.delta, p.epsilon)) - 2)  # the estimate only picks where the walk starts

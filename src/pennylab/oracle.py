@@ -14,7 +14,7 @@ from typing import NamedTuple, Optional
 
 from .game import round_value, stage_payoff
 from .prng import check_seed_space
-from .strategies import StrategySpec, chooser, play_words, round_heads, simulate
+from .strategies import StrategySpec, check_seed_spaces, chooser, play_words, round_heads, simulate
 from .words import prediction_hits
 from . import exploiter
 
@@ -78,10 +78,12 @@ def exact_value(
     `delta` is given; by linearity both are sums over `round_payoffs`.  An
     exploiter whose model is the other seat's whole spec plays the majority
     strategy against it, so the value is that strategy's `greedy_value`,
-    which a match pays seat 1 and `beat` negates.
+    which a match pays seat 1 and `beat` negates; the exploiter's models
+    down its chain are held to the seed-space cap as in every other path.
     """
     for player, other in ((s1, s2), (s2, s1)):
         if player.kind == "exploiter" and player.param("opponent") == other:
+            check_seed_spaces(player)
             return (-1 if player.param("beat") else 1) * exploiter.greedy_value(other, n, delta=delta)
     return round_value(*round_payoffs(s1, s2, n), n, delta)
 

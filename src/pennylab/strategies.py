@@ -4,8 +4,8 @@ An oblivious strategy's play at round t depends only on its seed and on t.
 The seed is an integer in [0, 2**seed_len), read big-endian; `seed_len`
 is the bits the family reads, derived from its parameters.  `seed_plays`
 gives one seed's plays and `round_heads` how many seeds play H at one round.
-An adaptive strategy (a predictor or an exploiter) reads no seed: its
-`chooser` follows the opponent's plays, and `simulate` steps it each round.
+An adaptive strategy (a predictor or an exploiter) reads no seed.  Every
+strategy's `chooser` follows the opponent's plays; `simulate` steps two.
 """
 
 from __future__ import annotations
@@ -69,8 +69,8 @@ class StrategySpec(NamedTuple):
     """A named, parameterized strategy, whose seed length is derived from its parameters.
 
     `oblivious` (every kind but `predictor` and `exploiter`) says the output
-    ignores history; it selects the play words in `majority_chooser` and the
-    factorized path of `oracle.round_payoffs`.
+    ignores history; it selects the `chooser` form, the play words in
+    `majority_chooser` and the factorized path of `oracle.round_payoffs`.
     """
 
     kind: str
@@ -246,19 +246,26 @@ def seed_plays(spec: StrategySpec, seed: int, n: int) -> tuple[Action, ...]:
     return tuple(plays)
 
 
-def chooser(spec: StrategySpec, n: int) -> Chooser:
-    """An adaptive spec's stepping form for a game of n rounds, which walks and matches carry along their paths.
+def _next_round(t: int, seen: int) -> int:
+    return t + 1
+
+
+def chooser(spec: StrategySpec, n: int, seed: int = 0) -> Chooser:
+    """A spec's stepping form for a game of n rounds from one seed, which walks and matches carry along their paths.
 
     `guess(state)` is the spec's own next play (1 is H): the opponent play
     it predicts, or its flip when `beat` is set.  `step(state, bit)` follows
-    one opponent play, so the spec never rereads the history.
+    one opponent play, so the spec never rereads the history.  An oblivious
+    spec guesses its `seed_plays` round by round, whatever it sees.
     """
+    if spec.oblivious:
+        plays = [int(play is Action.H) for play in seed_plays(spec, seed, n)]
+        return Chooser(0, plays.__getitem__, _next_round)
+    _check_seed(spec, seed)
     if spec.kind == "predictor":
         c = predictor_chooser(spec.param("predictor"), as_play=True)
         return Chooser(c.init, lambda state: c.guess(state) ^ 1, c.step) if spec.param("beat") else c
-    if spec.kind == "exploiter":
-        return majority_chooser(spec.param("opponent"), spec.param("beat"), n)
-    raise ValueError("oblivious strategies have no chooser")
+    return majority_chooser(spec.param("opponent"), spec.param("beat"), n)
 
 
 def majority_chooser(opponent: StrategySpec, beat: bool, n: int) -> Chooser:
@@ -307,23 +314,17 @@ def simulate(s1: StrategySpec, seed1: int, s2: StrategySpec, seed2: int, n: int)
     """Play the two strategies against each other for n rounds.
 
     Pure given its inputs: replaying with identical seeds yields an identical
-    transcript.  An oblivious seat plays its `seed_plays`; an adaptive one,
-    whose only seed is 0, steps its chooser once per round.
+    transcript.  Each seat steps its `chooser` on the other seat's play.
     """
     if n < 1:
         raise ValueError("horizon must be positive")
-    seats = ((s1, seed1), (s2, seed2))
-    for spec, seed in seats:
-        _check_seed(spec, seed)
-    plays = [seed_plays(spec, seed, n) if spec.oblivious else None for spec, seed in seats]
-    choosers = [None if spec.oblivious else chooser(spec, n) for spec, _ in seats]
-    states = [c.init if c else None for c in choosers]
-    rounds = []
+    c1, c2 = chooser(s1, n, seed1), chooser(s2, n, seed2)
+    state1, state2, rounds = c1.init, c2.init, []
     for t in range(n):
-        a, b = (bit_to_action(c.guess(state)) if c else own[t] for own, c, state in zip(plays, choosers, states))
-        rounds.append((a, b))
+        a, b = c1.guess(state1), c2.guess(state2)
+        rounds.append((bit_to_action(a), bit_to_action(b)))
         if t + 1 < n:
-            states = [c.step(s, seen is Action.H) if c else None for c, s, seen in zip(choosers, states, (b, a))]
+            state1, state2 = c1.step(state1, b), c2.step(state2, a)
     return tuple(rounds)
 
 

@@ -137,10 +137,24 @@ MUTANTS = [
     ),
     Mutant(
         "play-match-reads-the-next-round",
-        "exploiter.py",
-        "plays[t - 1]",
-        "plays[min(t, n - 1)]",
+        "strategies.py",
+        "Chooser(0, plays.__getitem__, _next_round)",
+        "Chooser(0, plays.__getitem__, lambda t, seen: min(t + 2, n - 1))",
         "test_words.py",
+    ),
+    Mutant(
+        "chooser-oblivious-plays-seed-zero",
+        "strategies.py",
+        "seed_plays(spec, seed, n)]",
+        "seed_plays(spec, 0, n)]",
+        "test_strategies.py",
+    ),
+    Mutant(
+        "chooser-skips-the-adaptive-seed-check",
+        "strategies.py",
+        "    _check_seed(spec, seed)\n    if spec.kind == \"predictor\":",
+        "    if spec.kind == \"predictor\":",
+        "test_strategies.py",
     ),
     # The seedless rounds.
     Mutant(
@@ -392,6 +406,13 @@ MUTANTS = [
         "test_oracle.py",
     ),
     Mutant(
+        "exact-value-own-model-skips-the-cap",
+        "oracle.py",
+        "            check_seed_spaces(player)\n",
+        "",
+        "test_oracle.py",
+    ),
+    Mutant(
         "exact-value-own-model-values-the-exploiter",
         "oracle.py",
         "greedy_value(other, n, delta=delta)",
@@ -412,6 +433,13 @@ MUTANTS = [
         "while power >= bound:",
         "while power > bound:",
         "test_discounting.py",
+    ),
+    Mutant(
+        "min-rounds-uncached",
+        "discounting.py",
+        "@lru_cache(maxsize=1)\n",
+        "",
+        "test_cli.py",
     ),
     Mutant(
         "min-rounds-without-its-downward-walk",

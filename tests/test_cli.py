@@ -561,6 +561,14 @@ def test_discounted_formats_each_long_number_once(capsys, monkeypatch):
     assert len(formatted) == 1
 
 
+def test_discounted_walks_to_its_default_horizon_once(capsys):
+    # The default --n and the artifact's min_rounds field are one exact walk.
+    min_rounds.cache_clear()
+    assert main(["discounted", "--delta", "999/1000", "--epsilon", "1/2"]) == 0
+    capsys.readouterr()
+    assert min_rounds.cache_info().misses == 1
+
+
 @contextlib.contextmanager
 def _digit_limit(limit):
     """The interpreter's int digit limit set to `limit` (0 lifts it) for the block, where it has one."""

@@ -248,6 +248,12 @@ def test_seed_space_cap_enforced():
         exact_value(uniform_table(25), constant(H), 4)
     with pytest.raises(ValueError, match="seed space too large"):
         best_response_value(uniform_table(25), 4)
+    # An exploiter against its own model enumerates that model's models too.
+    model = exploiter_vs(uniform_table(25))
+    for s1, s2 in ((exploiter_vs(model), model), (model, exploiter_vs(model, beat=True))):
+        for call in (exact_value, certify_gap):
+            with pytest.raises(ValueError, match="seed space too large"):
+                call(s1, s2, 4)
 
 
 @pytest.mark.parametrize("n", [0, -1])

@@ -231,7 +231,6 @@ def test_validated_records_reject_bad_fields_when_built_directly(construct, mess
         (lambda: tail_gain("1/2", -1), ValueError, "round index must be non-negative"),
         (lambda: seed_plays(predictor_backed("markov1"), 0, 3), ValueError, "adaptive strategies play from their chooser"),
         (lambda: seed_plays(generator_backed(passthrough(3)), 0, 4), ValueError, "generator stream too short for this round"),
-        (lambda: strategies.chooser(uniform_table(2), 3), ValueError, "oblivious strategies have no chooser"),
         (lambda: strategies.chooser(exploiter_vs(uniform_table(2)), 0), ValueError, "horizon must be positive"),
         (
             lambda: strategies.chooser(exploiter_vs(predictor_backed("markov1")), 0),
@@ -266,7 +265,7 @@ def test_validated_records_reject_bad_fields_when_built_directly(construct, mess
         ),
     ],
     ids=[
-        "tail-gain-negative-round", "seed-plays-adaptive", "seed-plays-short-stream", "chooser-of-oblivious",
+        "tail-gain-negative-round", "seed-plays-adaptive", "seed-plays-short-stream",
         "exploit-chooser-zero-rounds-vs-uniform", "exploit-chooser-zero-rounds-vs-pred",
         "param-unknown", "describe-unknown-kind", "prefix-tail-negative", "gamma-empty-horizon",
         "per-round-short-stream", "accuracy-against-adaptive", "predictor-zero-samples", "predictor-unknown-mode",

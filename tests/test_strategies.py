@@ -165,6 +165,7 @@ def test_seeds_outside_the_declared_space_are_budget_violations(spec, seed):
     # Nothing wraps a seed into the space: each entry point rejects it.
     for call in (
         lambda: seed_plays(spec, seed, 3),
+        lambda: chooser(spec, 3, seed),
         lambda: simulate(spec, seed, constant(H), 0, 3),
         lambda: simulate(constant(H), 0, spec, seed, 3),
         lambda: play_match(spec, seed, 3),
@@ -226,6 +227,22 @@ def test_budget_honesty_of_the_compiled_form(spec):
     assert all(len(round_plays(spec, t)) == space for t in range(1, n + 1))
     for i in range(spec.seed_len):
         assert any(seed_plays(spec, v, n) != seed_plays(spec, v ^ 1 << i, n) for v in range(space)), i
+
+
+@pytest.mark.parametrize(
+    "spec", [spec for _, spec in SEED_PLAYS_POPULATION], ids=[name for name, _ in SEED_PLAYS_POPULATION]
+)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_an_oblivious_chooser_plays_its_seed_whatever_it_sees(spec, data):
+    n = SEED_PLAYS_N
+    seed = data.draw(st.integers(0, (1 << spec.seed_len) - 1), label="seed")
+    seen = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n), label="seen")
+    c, plays = chooser(spec, n, seed), seed_plays(spec, seed, n)
+    state = c.init
+    for play, bit in zip(plays, seen):
+        assert c.guess(state) == (play is H)
+        state = c.step(state, bit)
 
 
 SPLIT_N = 5
