@@ -49,24 +49,30 @@ def as_fraction(x: RationalLike) -> Fraction:
     return value
 
 
-def round_value(values: Sequence[int], den: int, n: int, delta: Optional[Fraction] = None) -> Fraction:
-    """Exact value of n rounds where round t pays values[t - 1] / den, and 1 past the list.
+def round_value(
+    values: Sequence[int], den: int, n: int, delta: Optional[Fraction] = None, cycle: Sequence[int] = ()
+) -> Fraction:
+    """Exact value of n rounds where round t pays values[t - 1] / den, and past the list `cycle` over and over.
 
-    The average, or with `delta` the sum of delta**t times round t's pay, by one
-    product tree with no list of powers: a run (a, P, Q) of rounds is worth
-    a / Q, its rounds discounted from its start, and P / Q is delta to its length.
+    The average, or with `delta` the sum of delta**t times round t's pay, the
+    list's by one product tree with no list of powers (a run (a, P, Q) of
+    rounds is worth a / Q, its rounds discounted from its start, and P / Q is
+    delta to its length) and each cycle phase's by one geometric sum.  Only a
+    list of all n rounds may have an empty cycle.
     """
-    d = len(values)
+    d, c = len(values), len(cycle)
+    firsts = range(d + 1, d + 1 + c)  # each cycle phase's first round
+    counts = [len(range(t, n + 1, c)) for t in firsts]
     if delta is None:
-        return Fraction(sum(values) + (n - d) * den, den * n)
+        return Fraction(sum(values) + sum(v * k for v, k in zip(cycle, counts)), den * n)
+    r = delta**c
+    tail = sum(Fraction(v, den) * delta**t * (1 - r**k) / (1 - r) for t, v, k in zip(firsts, cycle, counts))
     p, q = delta.numerator, delta.denominator
     runs = [(v * p, p, q) for v in values]
     while len(runs) > 1:
         merged = [(a1 * q2 + p1 * a2, p1 * p2, q1 * q2) for (a1, p1, q1), (a2, p2, q2) in zip(runs[::2], runs[1::2])]
         runs = merged + runs[2 * len(merged) :]  # an odd last run is carried up a level
     a, _, scale = runs[0] if runs else (0, 1, 1)
-    # Rounds d+1..n each pay 1, a geometric tail.
-    tail = delta ** (d + 1) * (1 - delta ** (n - d)) / (1 - delta) if n > d else 0
     return Fraction(a, scale * den) + tail
 
 

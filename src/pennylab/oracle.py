@@ -14,8 +14,8 @@ from typing import NamedTuple, Optional
 
 from .game import round_value, stage_payoff
 from .prng import check_seed_space
-from .strategies import StrategySpec, check_seed_spaces, chooser, play_words, round_heads, simulate
-from .words import prediction_hits
+from .strategies import StrategySpec, check_seed_spaces, chooser, horizon, play_words, round_heads, simulate
+from .words import majority_wins, prediction_hits
 from . import exploiter
 
 
@@ -36,56 +36,54 @@ class GapReport(NamedTuple):
     certified_epsilon: Fraction
 
 
-def round_payoffs(s1: StrategySpec, s2: StrategySpec, n: int) -> tuple[list[int], int]:
+def round_payoffs(s1: StrategySpec, s2: StrategySpec, n: int) -> tuple[list[int], int, list[int]]:
     """Player 1's exact expected stage payoff E[h_t] for each round t = 1..n, as integers over one denominator.
 
-    Uniform over both seed spaces.  Two oblivious seats factor through their
-    `round_heads` counts.  An adaptive seat against an oblivious one earns
-    2 * hits / space - 1 at each round, a hit being a seed of the other seat
-    whose play its own matches: one `words.prediction_hits` walk over the
-    other seat's `play_words`, which guesses once per node.  Two adaptive
-    seats play one path, over 1.
+    Returns `(values, den, cycle)` for `game.round_value`, the list stopped
+    where the pay starts to cycle, uniform over both seed spaces.  An
+    exploiter of the other seat's whole spec wins `majority_wins` up to the
+    words' depth and every seed past it (`beat` negates), its chain's seed
+    spaces capped.  Two oblivious seats factor through their `round_heads`
+    counts and pay with period 2 past both horizons.  An adaptive seat against
+    an oblivious one earns 2 * hits / space - 1 per round, a hit being a seed
+    of the other seat whose play it matches, from one `words.prediction_hits`
+    walk over that seat's `play_words`.  Two adaptive seats play one path, over 1.
     """
     if n < 1:
         raise ValueError("horizon must be positive")
     space1 = check_seed_space(s1.seed_len)
     space2 = check_seed_space(s2.seed_len)
+    for player, other in ((s1, s2), (s2, s1)):
+        if player.kind == "exploiter" and player.param("opponent") == other:
+            check_seed_spaces(player)
+            pw = play_words(other, n)
+            sign = -1 if player.param("beat") else 1
+            return [sign * w for w in majority_wins(pw)[1:]], pw.below[-1], [sign * pw.below[-1]]
     if s1.oblivious and s2.oblivious:
-        # Independent seeds: per-round expectations factor through the two
-        # marginal H-frequencies, E[h_t] = (2*p1 - 1)(2*p2 - 1).
-        values = [(2 * round_heads(s1, t) - space1) * (2 * round_heads(s2, t) - space2) for t in range(1, n + 1)]
-        return values, space1 * space2
+        # Independent seeds: E[h_t] = (2*p1 - 1)(2*p2 - 1) over the two marginal H-frequencies.
+        last = max(horizon(s1), horizon(s2))
+        rounds = range(1, min(n, last + 2) + 1)
+        values = [(2 * round_heads(s1, t) - space1) * (2 * round_heads(s2, t) - space2) for t in rounds]
+        return values[:last], space1 * space2, values[last:]
     if not (s1.oblivious or s2.oblivious):
         # Two seedless seats play one path.
-        return [stage_payoff(a, b) for a, b in simulate(s1, 0, s2, 0, n)], 1
+        return [stage_payoff(a, b) for a, b in simulate(s1, 0, s2, 0, n)], 1, []
     player, other = (s2, s1) if s1.oblivious else (s1, s2)
     # A match pays seat 1, whichever seat the adaptive player sits in.
     pw = play_words(other, n)
     space = pw.below[-1]
     hits = prediction_hits(chooser(player, n), pw, n)
-    return [2 * h - space for h in hits], space
+    return [2 * h - space for h in hits], space, []
 
 
-def exact_value(
-    s1: StrategySpec,
-    s2: StrategySpec,
-    n: int,
-    delta: Optional[Fraction] = None,
-) -> Fraction:
+def exact_value(s1: StrategySpec, s2: StrategySpec, n: int, delta: Optional[Fraction] = None) -> Fraction:
     """Player 1's exact expected payoff, uniform over both seed spaces.
 
     Returns the average payoff, or the discounted sum E[sum delta**t h_t] when
-    `delta` is given; by linearity both are sums over `round_payoffs`.  An
-    exploiter whose model is the other seat's whole spec plays the majority
-    strategy against it, so the value is that strategy's `greedy_value`,
-    which a match pays seat 1 and `beat` negates; the exploiter's models
-    down its chain are held to the seed-space cap as in every other path.
+    `delta` is given; by linearity both are sums over `round_payoffs`.
     """
-    for player, other in ((s1, s2), (s2, s1)):
-        if player.kind == "exploiter" and player.param("opponent") == other:
-            check_seed_spaces(player)
-            return (-1 if player.param("beat") else 1) * exploiter.greedy_value(other, n, delta=delta)
-    return round_value(*round_payoffs(s1, s2, n), n, delta)
+    values, den, cycle = round_payoffs(s1, s2, n)
+    return round_value(values, den, n, delta, cycle)
 
 
 # The exact optimum over all adaptive deviations against an opponent, from either seat.

@@ -31,7 +31,7 @@ def per_round_payoffs(s: StrategySpec, g: GeneratorSpec, n: int) -> list[Fractio
     """
     if g.out_len < n:
         raise ValueError("generator stream too short for this horizon")
-    values, den = round_payoffs(generator_backed(g), s, n)
+    values, den, _ = round_payoffs(generator_backed(g), s, n)  # the generator's horizon covers n: no cycle
     return [Fraction(v, den) for v in values]
 
 

@@ -274,16 +274,30 @@ MUTANTS = [
     Mutant(
         "late-rounds-counted-from-n-depth-1",
         "game.py",
-        "(n - d) * den",
-        "(n - d - 1) * den",
+        "len(range(t, n + 1, c))",
+        "len(range(t, n, c))",
         "test_exploiter.py",
     ),
     Mutant(
         "geometric-tail-from-delta-depth",
         "game.py",
-        "delta ** (d + 1)",
-        "delta ** d",
+        "delta**t * (1 - r**k)",
+        "delta ** (t - 1) * (1 - r**k)",
         "test_exploiter.py",
+    ),
+    Mutant(
+        "cycle-phase-starts-a-round-late",
+        "game.py",
+        "firsts = range(d + 1, d + 1 + c)",
+        "firsts = range(d + 2, d + 2 + c)",
+        "test_exploiter.py",
+    ),
+    Mutant(
+        "cycle-ratio-not-raised-to-its-length",
+        "game.py",
+        "r = delta**c",
+        "r = delta",
+        "test_oracle.py",
     ),
     Mutant(
         "discount-runs-merged-with-the-wrong-scale",
@@ -385,38 +399,45 @@ MUTANTS = [
         "test_choosers.py",
     ),
     Mutant(
-        "exact-value-own-model-beat-sign-dropped",
+        "oblivious-listing-one-round-short",
         "oracle.py",
-        '(-1 if player.param("beat") else 1) * exploiter.greedy_value',
-        "exploiter.greedy_value",
+        "min(n, last + 2)",
+        "min(n, last + 1)",
+        "test_oracle.py",
+    ),
+    Mutant(
+        "round-payoffs-own-model-beat-sign-dropped",
+        "oracle.py",
+        "[sign * w for w in majority_wins(pw)[1:]]",
+        "majority_wins(pw)[1:]",
         "test_words.py",
     ),
     Mutant(
-        "exact-value-own-model-when-only-the-kind-matches",
+        "round-payoffs-own-model-when-only-the-kind-matches",
         "oracle.py",
         'player.param("opponent") == other',
         'player.param("opponent").kind == other.kind',
         "test_words.py",
     ),
     Mutant(
-        "exact-value-own-model-undiscounted",
+        "round-payoffs-own-model-tail-sign-dropped",
         "oracle.py",
-        "greedy_value(other, n, delta=delta)",
-        "greedy_value(other, n)",
+        "[sign * pw.below[-1]]",
+        "[pw.below[-1]]",
         "test_oracle.py",
     ),
     Mutant(
-        "exact-value-own-model-skips-the-cap",
+        "round-payoffs-own-model-skips-the-cap",
         "oracle.py",
         "            check_seed_spaces(player)\n",
         "",
         "test_oracle.py",
     ),
     Mutant(
-        "exact-value-own-model-values-the-exploiter",
+        "round-payoffs-own-model-values-the-exploiter",
         "oracle.py",
-        "greedy_value(other, n, delta=delta)",
-        "greedy_value(player, n, delta=delta)",
+        "            pw = play_words(other, n)\n",
+        "            pw = play_words(player, n)\n",
         "test_oracle.py",
     ),
     # Certification.

@@ -105,8 +105,9 @@ def round_weights(delta: Fraction, n: int) -> list[Fraction]:
 
 
 def payoff_fractions(s1, s2, n):
-    """`oracle.round_payoffs` as one Fraction per round."""
-    values, den = round_payoffs(s1, s2, n)
+    """`oracle.round_payoffs` as one Fraction per round, its cycle expanded to all n rounds."""
+    values, den, cycle = round_payoffs(s1, s2, n)
+    values = list(values) + [cycle[j % len(cycle)] for j in range(n - len(values))]
     return [Fraction(v, den) for v in values]
 
 
@@ -285,6 +286,20 @@ def adaptive_population():
         ("pred-markov1-beat", predictor_backed("markov1", beat=True)),
         ("exploit-uniform2", exploiter_vs(uniform_table(2))),
     ]
+
+
+# SHA-256 of the acceptance criterion-8 artifacts, recorded before the front
+# end was rebuilt around one command table; any byte change shows up here, on
+# the running interpreter (`test_cli.py`) and on every other one found
+# (`test_interpreters.py`).
+GOLDEN_DIGESTS = {
+    "simulate --n 4 --p1 uniform:4 --p2 alt:H --seed1 1010": "f5f3e37b380b58118d938cd4c82c795c3fb950adc34b3c5498dfe6f5b33437c4",
+    "exploit --n 10 --opponent uniform:4 --opponent-seed 7": "0d52a230de41b1fa22e5dd95f33678a8b021ee368e15a34087a1c7bad998612e",
+    "verify-eq --n 8 --gamma 1/2": "f7be5b732ac5fa4a994f88be8a2b37cd94543cd820005ff4cdde4b4ab7618634",
+    "prng-test --gen repeat --n 8 --predictor frequency": "ca1ca1759fb8883242967c82b36a60716105f627309de2ac8d4e5bc86d850bbd",
+    "discounted --delta 9/10 --epsilon 1/10": "9beafcc8b4c3f2ed9cb188e22bb268e224909a8d4da2b608e6a7826ddb228e1b",
+    "sweep --n 10 --k 0..8": "1bac9a26ba28d511863e9ca74b2a9d7172bc9b749a9f60888340464e027644e6",
+}
 
 
 PREDICTOR_NAMES = tuple(REFERENCE_PREDICTORS)

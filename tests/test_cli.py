@@ -24,7 +24,7 @@ from pennylab.discounting import DiscountParams, min_rounds, tail_gain
 from pennylab.game import as_fraction
 from pennylab.strategies import MAX_NESTING, describe, parse_strategy
 
-from support import PERMUTATION_NAMES, PREDICTOR_NAMES, reference_parse_config
+from support import GOLDEN_DIGESTS, PERMUTATION_NAMES, PREDICTOR_NAMES, reference_parse_config
 
 
 def run_cli(args, tmp_path, name):
@@ -656,9 +656,10 @@ def test_a_long_sweep_runs_in_a_small_address_space():
     # The child caps its own address space at 512 MiB.  10**8 rounds past a
     # one-bit table's depth are counted, never listed, which a list per round
     # overruns; a 60000-round discounted sum is one product tree, which a list
-    # of 60000 exact powers of 9/10 overruns; and an exploiter of a constant
-    # is valued by its greedy count, which credits its 10**8 wins without
-    # listing them.
+    # of 60000 exact powers of 9/10 overruns; an exploiter of a constant is
+    # valued by its greedy count, which credits its 10**8 wins without
+    # listing them; and the paper's equilibrium lists its rounds only up to
+    # both seats' horizons plus 2, past which its pay cycles.
     resource = pytest.importorskip("resource")
     limit = 512 << 20
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
@@ -683,6 +684,8 @@ def test_a_long_sweep_runs_in_a_small_address_space():
     assert done.returncode == 0, done.stderr.decode()
     record = json.loads(done.stdout)
     assert (record["value"], record["certified_epsilon"]) == ("1/1", "2/1")
+    done = run("verify-eq", "--n", "100000000", "--gamma", "4999999/5000000")
+    assert done.returncode == 0, done.stderr.decode()
 
 
 def test_config_file_with_flag_override(tmp_path):
@@ -741,18 +744,6 @@ def test_identical_configs_reproduce_byte_identical_artifacts(tmp_path, args):
         _, blob = run_cli(args, tmp_path, f"artifact-{i}")
         digests.add(hashlib.sha256(blob).hexdigest())
     assert len(digests) == 1
-
-
-# SHA-256 of the acceptance criterion-8 artifacts, recorded before the front
-# end was rebuilt around one command table; any byte change shows up here.
-GOLDEN_DIGESTS = {
-    "simulate --n 4 --p1 uniform:4 --p2 alt:H --seed1 1010": "f5f3e37b380b58118d938cd4c82c795c3fb950adc34b3c5498dfe6f5b33437c4",
-    "exploit --n 10 --opponent uniform:4 --opponent-seed 7": "0d52a230de41b1fa22e5dd95f33678a8b021ee368e15a34087a1c7bad998612e",
-    "verify-eq --n 8 --gamma 1/2": "f7be5b732ac5fa4a994f88be8a2b37cd94543cd820005ff4cdde4b4ab7618634",
-    "prng-test --gen repeat --n 8 --predictor frequency": "ca1ca1759fb8883242967c82b36a60716105f627309de2ac8d4e5bc86d850bbd",
-    "discounted --delta 9/10 --epsilon 1/10": "9beafcc8b4c3f2ed9cb188e22bb268e224909a8d4da2b608e6a7826ddb228e1b",
-    "sweep --n 10 --k 0..8": "1bac9a26ba28d511863e9ca74b2a9d7172bc9b749a9f60888340464e027644e6",
-}
 
 
 @pytest.mark.parametrize("command", sorted(GOLDEN_DIGESTS))

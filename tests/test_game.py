@@ -102,18 +102,23 @@ DELTAS = [None, Fraction(1, 2), Fraction(9, 10), Fraction(999, 1000), Fraction(1
 @settings(deadline=None)
 @given(st.sampled_from(DELTAS), st.integers(min_value=1, max_value=10**6), st.data())
 def test_round_value_matches_the_weighted_sum(delta, den, data):
-    # Round t pays values[t - 1] / den, and 1 past the list.  Each addition of
-    # the reference sum takes a gcd the size of the sum so far, so its cost is
-    # cubic in the horizon: the wide delta draws lists of at most 40 rounds.
+    # Round t pays values[t - 1] / den, and past the list the cycle's pays over
+    # and over; the cycle [den], every later round paying 1, is always checked.
+    # Each addition of the reference sum takes a gcd the size of the sum so
+    # far, so its cost is cubic in the horizon: the wide delta draws lists of
+    # at most 40 rounds.
     d = data.draw(st.integers(0, 40 if delta == WIDE_DELTA else 300), label="d")
     values = data.draw(st.lists(st.integers(-(10**6), 10**6), min_size=d, max_size=d), label="values")
     n = max(d + data.draw(st.integers(0, 50), label="extra"), 1)
-    pays = [Fraction(v, den) for v in values] + [Fraction(1)] * (n - d)
-    if delta is None:
-        expected = sum(pays, Fraction(0)) / n
-    else:
-        expected = sum((w * e for w, e in zip(round_weights(delta, n)[1:], pays)), Fraction(0))
-    assert round_value(values, den, n, delta) == expected
+    c = data.draw(st.integers(0 if n == d else 1, 3), label="c")
+    drawn = data.draw(st.lists(st.integers(-(10**6), 10**6), min_size=c, max_size=c), label="cycle")
+    for cycle in (drawn, [den]):
+        pays = [Fraction(v, den) for v in values + [cycle[j % len(cycle)] for j in range(n - d)]]
+        if delta is None:
+            expected = sum(pays, Fraction(0)) / n
+        else:
+            expected = sum((w * e for w, e in zip(round_weights(delta, n)[1:], pays)), Fraction(0))
+        assert round_value(values, den, n, delta, cycle) == expected, cycle
 
 
 def test_cumulative_parity_matches_horizon():

@@ -25,10 +25,10 @@ from pennylab import (
     uniform_table,
 )
 from pennylab.exploiter import greedy_value, guarantee
-from pennylab.game import cumulative_payoff, stage_payoff
+from pennylab.game import cumulative_payoff, round_value, stage_payoff
 from pennylab.oracle import round_payoffs
-from pennylab.prng import PREDICTORS
-from pennylab.strategies import parse_strategy
+from pennylab.prng import PREDICTORS, check_seed_space
+from pennylab.strategies import horizon, parse_strategy, round_heads
 
 from support import (
     PREDICTOR_NAMES,
@@ -39,6 +39,7 @@ from support import (
     payoff_fractions,
     reference_tree_best_response,
 )
+from test_game import WIDE_DELTA
 
 H, T = Action.H, Action.T
 
@@ -89,6 +90,27 @@ def test_exact_value_oblivious_fast_path_matches_generic_path():
         assert exact_value(s1, s2, n, delta=delta) == discounted
         if s1.kind == "generator":
             assert per_round_payoffs(s2, g, n) == per_round
+
+
+TAIL_SPECS = [uniform_table(k) for k in range(4)] + [constant(H), constant(T), alternator(H), alternator(T)]
+TAIL_SPECS += [prefix_tail(k, tail, start) for k in range(3) for tail in ("constant", "alternator") for start in (H, T)]
+
+
+@pytest.mark.parametrize("delta", [None, Fraction(9, 10), Fraction(12345, 98765), WIDE_DELTA])
+def test_exact_value_past_both_horizons_matches_every_round_listed(delta):
+    # Two oblivious seats list rounds only up to both horizons plus 2 and
+    # cycle past them; listing all n rounds by their `round_heads` counts
+    # must give the same rounds and the same value, averaged and discounted.
+    for s1 in TAIL_SPECS:
+        for s2 in TAIL_SPECS:
+            space1, space2 = check_seed_space(s1.seed_len), check_seed_space(s2.seed_len)
+            last = max(horizon(s1), horizon(s2))
+            for n in range(max(last, 1), last + 4):
+                rounds = range(1, n + 1)
+                listed = [(2 * round_heads(s1, t) - space1) * (2 * round_heads(s2, t) - space2) for t in rounds]
+                den = space1 * space2
+                assert payoff_fractions(s1, s2, n) == [Fraction(v, den) for v in listed], (s1, s2, n)
+                assert exact_value(s1, s2, n, delta) == round_value(listed, den, n, delta), (s1, s2, n)
 
 
 def test_round_payoffs_acts_once_per_opponent_prefix(monkeypatch):

@@ -19,6 +19,7 @@ from pennylab import (
     exploiter_vs,
     generator_backed,
     passthrough,
+    per_round_payoffs,
     play_match,
     predictor_backed,
     predictor_accuracy,
@@ -157,7 +158,7 @@ def _hit_walk(s1, s2, n):
 @given(specs(), st.booleans(), st.booleans())
 def test_an_exploiter_of_the_other_seat_earns_its_majority_wins(case, beat, first):
     # Against the very spec it models, the exploiter's value is read off
-    # `greedy_value`; the hit walk with its chooser must agree, past the
+    # `round_payoffs`; the hit walk with its chooser must agree, past the
     # words' depth too, averaged and discounted.
     spec, n = case
     if _past_stream(spec, n):
@@ -166,6 +167,19 @@ def test_an_exploiter_of_the_other_seat_earns_its_majority_wins(case, beat, firs
     s1, s2 = (player, spec) if first else (spec, player)
     for delta in (None, Fraction(2, 3)):
         assert exact_value(s1, s2, n, delta) == round_value(*_hit_walk(s1, s2, n), n, delta), delta
+
+
+@settings(max_examples=60, deadline=None)
+@given(specs(families=("generator",)), st.booleans())
+def test_per_round_payoffs_against_an_exploiter_of_the_generator_match_the_hit_walk(case, beat):
+    # `round_payoffs` lists an exploiter of the generator seat's own spec by
+    # its majority wins up to the words' depth, which covers every round the
+    # stream has; the hit walk with the exploiter's chooser must agree.
+    spec, n = case
+    n = min(n, horizon(spec))
+    player = exploiter_vs(spec, beat=beat)
+    values, space = _hit_walk(spec, player, n)
+    assert per_round_payoffs(player, spec.param("generator"), n) == [Fraction(v, space) for v in values]
 
 
 @pytest.mark.parametrize(
