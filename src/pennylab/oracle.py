@@ -39,15 +39,15 @@ class GapReport(NamedTuple):
 def round_payoffs(s1: StrategySpec, s2: StrategySpec, n: int) -> tuple[list[int], int, list[int]]:
     """Player 1's exact expected stage payoff E[h_t] for each round t = 1..n, as integers over one denominator.
 
-    Returns `(values, den, cycle)` for `game.round_value`, the list stopped
-    where the pay starts to cycle, uniform over both seed spaces.  An
-    exploiter of the other seat's whole spec wins `majority_wins` up to the
-    words' depth and every seed past it (`beat` negates), its chain's seed
-    spaces capped.  Two oblivious seats factor through their `round_heads`
-    counts and pay with period 2 past both horizons.  An adaptive seat against
-    an oblivious one earns 2 * hits / space - 1 per round, a hit being a seed
-    of the other seat whose play it matches, from one `words.prediction_hits`
-    walk over that seat's `play_words`.  Two adaptive seats play one path, over 1.
+    Returns `(values, den, cycle)` for `game.round_value`, the list stopped where
+    the pay starts to cycle, uniform over both seed spaces.  An exploiter of the
+    other seat's whole spec wins `majority_wins` up to the words' depth and every
+    seed past it (`beat` negates), its chain's seed spaces capped.  Two oblivious
+    seats factor through their `round_heads` counts, and pay with period 2 past both
+    horizons, as every tail cycle has length 1 or 2.  An adaptive seat against an
+    oblivious one earns 2 * hits / space - 1 per round, a hit being a seed of the
+    other seat whose play it matches, from one `words.prediction_hits` walk over
+    that seat's `play_words`.  Two adaptive seats play one path, over 1.
     """
     if n < 1:
         raise ValueError("horizon must be positive")

@@ -53,8 +53,10 @@ def payoff_to_distinguisher(
     """
     per_round = per_round_payoffs(s, g, n)
     if delta is not None:
+        weight = 1
         for i in range(n):
-            per_round[i] *= delta ** (i + 1)
+            weight *= delta
+            per_round[i] *= weight
     best, top = _best_position(per_round)
     return best, top / 2
 

@@ -11,7 +11,7 @@ strategy's `chooser` follows the opponent's plays; `simulate` steps two.
 from __future__ import annotations
 
 from functools import lru_cache, partial
-from typing import Any, Callable, NamedTuple, Optional, Sequence, Union
+from typing import Any, Callable, NamedTuple, Sequence, Union
 
 from .game import Action, RationalLike, Transcript, as_fraction, bit_to_action
 from .prng import (
@@ -199,23 +199,22 @@ def make_gamma_equilibrium(n: int, gamma: RationalLike) -> tuple[StrategySpec, S
 # --------------------------------------------------------------------------
 
 
-def fixed_play(spec: StrategySpec, t: int) -> Optional[Action]:
-    """Round t's play when it reads no seed bit, else None.
+def tail_cycle(spec: StrategySpec) -> tuple[int, ...]:
+    """The plays (1 is H) a non-generator spec repeats from round seed_len + 1 on; () repeats the seed's bits.
 
-    Every round of a `constant`, an `alternator` or a seedless uniform table
-    (constant H), and a `prefix-tail` round past its prefix, whose
-    alternating tail starts with `tail_start` on round prefix_len + 1.
+    A prefix-tail's starts with `tail_start`, and a seedless uniform table plays H.
     """
-    if spec.kind == "constant":
-        return spec.param("play")
-    if spec.kind == "uniform-table" and not spec.seed_len:
-        return Action.H
-    if spec.kind == "alternator":
-        return spec.param("first") if t % 2 else spec.param("first").flip()
-    if spec.kind == "prefix-tail" and t > spec.seed_len:
-        start, offset = spec.param("tail_start"), t - spec.seed_len
-        return start if spec.param("tail_kind") == "constant" or offset % 2 else start.flip()
-    return None
+    if spec.kind == "uniform-table":
+        return () if spec.seed_len else (1,)
+    if spec.kind in ("constant", "alternator"):
+        f = int(spec.params[0][1] is Action.H)  # its play, or the alternator's first
+        return (f,) if spec.kind == "constant" else (f, f ^ 1)
+    s = int(spec.param("tail_start") is Action.H)
+    return (s,) if spec.param("tail_kind") == "constant" else (s, s ^ 1)
+
+
+def _repeat(cycle: tuple[int, ...], count: int) -> tuple[int, ...]:
+    return (cycle * (count // len(cycle) + 1))[:count] if count > 0 else ()
 
 
 def _check_seed(spec: StrategySpec, seed: int) -> None:
@@ -223,27 +222,28 @@ def _check_seed(spec: StrategySpec, seed: int) -> None:
         raise ValueError("budget violation")
 
 
+def _seed_bits(spec: StrategySpec, seed: int, n: int) -> tuple[int, ...]:
+    """An oblivious spec's plays (1 is H) at rounds 1..n for one seed, as `seed_plays` gives them."""
+    if spec.kind == "generator":
+        if n > horizon(spec):
+            raise ValueError("generator stream too short for this round")
+        return seed_stream(spec.param("generator"), seed)[:n]
+    bits = int_to_bits(seed, spec.seed_len)
+    return bits[:n] + _repeat(tail_cycle(spec) or bits, n - spec.seed_len)
+
+
 def seed_plays(spec: StrategySpec, seed: int, n: int) -> tuple[Action, ...]:
     """An oblivious strategy's plays at rounds 1..n for one seed.
 
-    Round t's play is its `fixed_play`, a generator's stream bit t
-    (`prng.seed_stream`), or else seed bit (t-1) mod seed_len, as
-    `round_heads` counts them.  Raises "budget violation" for a seed
-    outside [0, 2**seed_len).
+    A generator plays its stream (`prng.seed_stream`); every other family
+    plays the seed's big-endian bits at rounds 1..seed_len and its
+    `tail_cycle` after them, as `round_heads` counts them.  Raises "budget
+    violation" for a seed outside [0, 2**seed_len).
     """
     _check_seed(spec, seed)
     if not spec.oblivious:
         raise ValueError("adaptive strategies play from their chooser")
-    if spec.kind == "generator":
-        g: GeneratorSpec = spec.param("generator")
-        if n > g.out_len:
-            raise ValueError("generator stream too short for this round")
-        return tuple(map(bit_to_action, seed_stream(g, seed)[:n]))
-    k, plays = spec.seed_len, []
-    for t in range(1, n + 1):
-        play = fixed_play(spec, t)
-        plays.append(bit_to_action(seed >> (k - 1 - (t - 1) % k) & 1) if play is None else play)
-    return tuple(plays)
+    return tuple(map(bit_to_action, _seed_bits(spec, seed, n)))
 
 
 def _next_round(t: int, seen: int) -> int:
@@ -258,10 +258,9 @@ def chooser(spec: StrategySpec, n: int, seed: int = 0) -> Chooser:
     one opponent play, so the spec never rereads the history.  An oblivious
     spec guesses its `seed_plays` round by round, whatever it sees.
     """
-    if spec.oblivious:
-        plays = [int(play is Action.H) for play in seed_plays(spec, seed, n)]
-        return Chooser(0, plays.__getitem__, _next_round)
     _check_seed(spec, seed)
+    if spec.oblivious:
+        return Chooser(0, _seed_bits(spec, seed, n).__getitem__, _next_round)
     if spec.kind == "predictor":
         c = predictor_chooser(spec.param("predictor"), as_play=True)
         return Chooser(c.init, lambda state: c.guess(state) ^ 1, c.step) if spec.param("beat") else c
@@ -331,24 +330,24 @@ def simulate(s1: StrategySpec, seed1: int, s2: StrategySpec, seed2: int, n: int)
 def round_heads(spec: StrategySpec, t: int) -> int:
     """An oblivious strategy's count of seeds that play H at round `t`, with no play table.
 
-    - a round that reads no seed bit counts all seeds or none, by its `fixed_play`;
     - a `generator` round counts the ones of `prng.round_bits`;
-    - every other round reads seed bit (t-1) mod seed_len, which half the seeds set.
+    - a round up to the seed length, or past it with an empty `tail_cycle`, reads a seed bit, which half the seeds set;
+    - every later round plays its `tail_cycle` phase with all seeds.
     """
-    play = fixed_play(spec, t)
-    if play is not None:
-        return (1 << spec.seed_len) * (play is Action.H)
     if spec.kind == "generator":
         return round_bits(spec.param("generator"), t).count(1)
-    return 1 << (spec.seed_len - 1)
+    k, cycle = spec.seed_len, tail_cycle(spec)
+    if t <= k or not cycle:
+        return 1 << (k - 1)
+    return cycle[(t - 1 - k) % len(cycle)] << k
 
 
 def horizon(spec: StrategySpec) -> int:
     """The round after which no later play tells two of the spec's seeds apart.
 
     A generator's stream length; otherwise the seed length: a uniform table
-    reveals one seed bit per round and then repeats them, a prefix-tail plays
-    a fixed tail after its prefix, and every other family reads no seed.
+    reveals one seed bit per round and then repeats them, and every other
+    family plays its `tail_cycle`, of length 1 or 2: so `round_heads` has period 2 past it.
     """
     if spec.kind == "generator":
         return spec.param("generator").out_len
@@ -395,16 +394,15 @@ def late_plays(opponent: StrategySpec, words: Sequence[int], depth: int, n: int)
     """`late(lo)`: word `lo`'s plays (1 is H) at rounds depth+1..n, of an oblivious opponent's depth-round words.
 
     Past its words' depth a spec's word is its seed.  A uniform table's word
-    is the seed itself, whose bits it cycles, so round t plays bit
-    (t-1) % seed_len; a walk reads one word's late plays round after round,
-    so the last word's are kept.  Every other spec's plays there are its
-    `fixed_play`s, computed once for all words on the first read.
+    is the seed itself, whose bits it repeats; a walk reads one word's late
+    plays round after round, so the last word's are kept.  Every other spec
+    repeats its `tail_cycle` there, built once for all words on the first read.
     """
     k = opponent.seed_len
     if opponent.kind == "uniform-table" and k:
-        return lru_cache(maxsize=1)(lambda lo: (int_to_bits(words[lo], k) * (n // k + 1))[depth:n])
-    fixed = lru_cache(maxsize=1)(lambda: tuple(int(fixed_play(opponent, t) is Action.H) for t in range(depth + 1, n + 1)))
-    return lambda lo: fixed()
+        return lru_cache(maxsize=1)(lambda lo: _repeat(int_to_bits(words[lo], k), n - depth))
+    tail = lru_cache(maxsize=1)(lambda: _repeat(tail_cycle(opponent), n - depth))
+    return lambda lo: tail()
 
 
 def _parse_action(text: str) -> Action:

@@ -79,6 +79,13 @@ MUTANTS = [
         "test_words.py",
     ),
     Mutant(
+        "play-match-alive-read-from-the-wrong-side",
+        "exploiter.py",
+        "alive = heads if seen else tails",
+        "alive = tails if seen else heads",
+        "test_exploiter.py",
+    ),
+    Mutant(
         "exploiter-majority-counts-words-not-seeds",
         "strategies.py",
         "1 if below[hi] - below[mid] >= below[mid] - below[lo] else 0",
@@ -95,8 +102,8 @@ MUTANTS = [
     Mutant(
         "uniform-table-not-wrapped-past-its-horizon",
         "strategies.py",
-        "* (n // k + 1))[depth:n]",
-        "+ (1,) * n)[depth:n]",
+        "_repeat(int_to_bits(words[lo], k), n - depth)",
+        "(int_to_bits(words[lo], k) + (1,) * n)[: n - depth]",
         "test_words.py",
     ),
     Mutant(
@@ -131,37 +138,37 @@ MUTANTS = [
     Mutant(
         "seed-plays-reads-a-bit-late",
         "strategies.py",
-        "seed >> (k - 1 - (t - 1) % k)",
-        "seed >> (k - 1 - t % k)",
+        "bits = int_to_bits(seed, spec.seed_len)",
+        "bits = int_to_bits(seed, spec.seed_len)[1:] + int_to_bits(seed, spec.seed_len)[:1]",
         "test_strategies.py",
     ),
     Mutant(
         "play-match-reads-the-next-round",
         "strategies.py",
-        "Chooser(0, plays.__getitem__, _next_round)",
-        "Chooser(0, plays.__getitem__, lambda t, seen: min(t + 2, n - 1))",
+        "__getitem__, _next_round)",
+        "__getitem__, lambda t, seen: min(t + 2, n - 1))",
         "test_words.py",
     ),
     Mutant(
         "chooser-oblivious-plays-seed-zero",
         "strategies.py",
-        "seed_plays(spec, seed, n)]",
-        "seed_plays(spec, 0, n)]",
+        "_seed_bits(spec, seed, n).__getitem__",
+        "_seed_bits(spec, 0, n).__getitem__",
         "test_strategies.py",
     ),
     Mutant(
         "chooser-skips-the-adaptive-seed-check",
         "strategies.py",
-        "    _check_seed(spec, seed)\n    if spec.kind == \"predictor\":",
-        "    if spec.kind == \"predictor\":",
+        "    _check_seed(spec, seed)\n    if spec.oblivious:\n        return Chooser",
+        "    if spec.oblivious:\n        return Chooser",
         "test_strategies.py",
     ),
     # The seedless rounds.
     Mutant(
         "fixed-round-counted-as-half",
         "strategies.py",
-        "return (1 << spec.seed_len) * (play is Action.H)",
-        "return (1 << spec.seed_len) // 2",
+        "return cycle[(t - 1 - k) % len(cycle)] << k",
+        "return (1 << k) // 2",
         "test_strategies.py",
     ),
     Mutant(
@@ -174,8 +181,36 @@ MUTANTS = [
     Mutant(
         "fixed-play-alternator-tail-parity-flipped",
         "strategies.py",
-        'return start if spec.param("tail_kind") == "constant" or offset % 2 else start.flip()',
-        'return start if spec.param("tail_kind") == "constant" or (offset + 1) % 2 else start.flip()',
+        '(s,) if spec.param("tail_kind") == "constant" else (s, s ^ 1)',
+        '(s,) if spec.param("tail_kind") == "constant" else (s ^ 1, s)',
+        "test_strategies.py",
+    ),
+    Mutant(
+        "alternator-cycle-order-flipped",
+        "strategies.py",
+        '(f,) if spec.kind == "constant" else (f, f ^ 1)',
+        '(f,) if spec.kind == "constant" else (f ^ 1, f)',
+        "test_strategies.py",
+    ),
+    Mutant(
+        "repeat-one-play-short",
+        "strategies.py",
+        "(cycle * (count // len(cycle) + 1))[:count]",
+        "(cycle * (count // len(cycle) + 1))[: count - 1]",
+        "test_strategies.py",
+    ),
+    Mutant(
+        "round-heads-cycle-phase-off-by-one",
+        "strategies.py",
+        "cycle[(t - 1 - k) % len(cycle)]",
+        "cycle[(t - k) % len(cycle)]",
+        "test_strategies.py",
+    ),
+    Mutant(
+        "seedless-table-cycle-plays-T",
+        "strategies.py",
+        "return () if spec.seed_len else (1,)",
+        "return () if spec.seed_len else (0,)",
         "test_strategies.py",
     ),
     Mutant(
@@ -188,15 +223,15 @@ MUTANTS = [
     Mutant(
         "uniform-late-plays-rebuilt-every-read",
         "strategies.py",
-        "return lru_cache(maxsize=1)(lambda lo: (int_to_bits(words[lo], k) * (n // k + 1))[depth:n])",
-        "return lambda lo: (int_to_bits(words[lo], k) * (n // k + 1))[depth:n]",
+        "return lru_cache(maxsize=1)(lambda lo: _repeat(int_to_bits(words[lo], k), n - depth))",
+        "return lambda lo: _repeat(int_to_bits(words[lo], k), n - depth)",
         "test_strategies.py",
     ),
     Mutant(
         "late-plays-a-round-early",
         "strategies.py",
-        "range(depth + 1, n + 1)",
-        "range(depth, n)",
+        "_repeat(tail_cycle(opponent), n - depth)",
+        "_repeat(tail_cycle(opponent)[::-1], n - depth)",
         "test_strategies.py",
     ),
     Mutant(
@@ -223,8 +258,8 @@ MUTANTS = [
     Mutant(
         "word-hits-uniform-tail-a-round-late",
         "strategies.py",
-        "(int_to_bits(words[lo], k) * (n // k + 1))[depth:n]",
-        "(int_to_bits(words[lo], k) * (n // k + 1))[depth + 1 : n + 1]",
+        "_repeat(int_to_bits(words[lo], k), n - depth)",
+        "_repeat(int_to_bits(words[lo], k), n - depth + 1)[1:]",
         "test_words.py",
     ),
     # The level tables and identity play words.
@@ -441,6 +476,13 @@ MUTANTS = [
         "test_oracle.py",
     ),
     # Certification.
+    Mutant(
+        "distinguisher-weight-one-power-off",
+        "reductions.py",
+        "            weight *= delta\n            per_round[i] *= weight\n",
+        "            per_round[i] *= weight\n            weight *= delta\n",
+        "test_discounting.py",
+    ),
     Mutant(
         "best-response-shared-when-only-the-kind-matches",
         "oracle.py",

@@ -39,7 +39,7 @@ from pennylab.prng import (
     seed_bit_column,
     seed_stream,
 )
-from pennylab.strategies import StrategySpec, chooser, fixed_play, horizon
+from pennylab.strategies import StrategySpec, chooser, horizon
 from pennylab.words import PlayWords, compile_words, split_words
 
 
@@ -186,6 +186,25 @@ def reference_stream(g, bits):
     return tuple(inner_product_bit(int_to_bits(chain[n - i + 1], g.m), y) for i in range(1, n + 1))
 
 
+def reference_fixed_play(spec, t):
+    """Round t's play when it reads no seed bit, else None: the per-round rule `strategies.tail_cycle` must match.
+
+    Every round of a `constant`, an `alternator` or a seedless uniform table
+    (constant H), and a `prefix-tail` round past its prefix, whose
+    alternating tail starts with `tail_start` on round prefix_len + 1.
+    """
+    if spec.kind == "constant":
+        return spec.param("play")
+    if spec.kind == "uniform-table" and not spec.seed_len:
+        return Action.H
+    if spec.kind == "alternator":
+        return spec.param("first") if t % 2 else spec.param("first").flip()
+    if spec.kind == "prefix-tail" and t > spec.seed_len:
+        start, offset = spec.param("tail_start"), t - spec.seed_len
+        return start if spec.param("tail_kind") == "constant" or offset % 2 else start.flip()
+    return None
+
+
 def reference_act(spec, seed, history, round):
     """A strategy's play at `round` in the paper's (seed, history, round) form.
 
@@ -201,7 +220,7 @@ def reference_act(spec, seed, history, round):
         raise ValueError("rounds are indexed from 1")
     if len(history) != round - 1:
         raise ValueError("history length mismatch")
-    play = fixed_play(spec, round)
+    play = reference_fixed_play(spec, round)
     if play is not None:
         return play
     if spec.kind in ("uniform-table", "prefix-tail"):
@@ -334,12 +353,12 @@ def round_plays(spec, t):
     The table `strategies.round_heads` counts, compiled family by family from
     the seed integer, with no per-seed stream:
 
-    - a round that reads no seed bit repeats its `fixed_play` for all seeds;
+    - a round that reads no seed bit repeats its `reference_fixed_play` for all seeds;
     - a `generator` round is `prng.round_bits`;
     - every other round reads seed bit (t-1) mod seed_len, a
       `prng.seed_bit_column`.
     """
-    play = fixed_play(spec, t)
+    play = reference_fixed_play(spec, t)
     if play is not None:
         return bytes([play is Action.H]) * (1 << spec.seed_len)
     if spec.kind == "generator":

@@ -28,13 +28,12 @@ from pennylab import (
 )
 from pennylab import prng, strategies
 from pennylab.game import bit_to_action
-from pennylab.prng import PREDICTORS, Chooser, GeneratorSpec, predictor_chooser, seed_stream
+from pennylab.prng import PREDICTORS, Chooser, GeneratorSpec, int_to_bits, predictor_chooser, seed_stream
 from pennylab.strategies import (
     MAX_NESTING,
     StrategySpec,
     chooser,
     describe,
-    fixed_play,
     parse_strategy,
     play_words,
     round_heads,
@@ -313,24 +312,28 @@ def test_round_plays_matches_seed_by_seed_reference(spec):
         assert str(fast.value) == str(slow.value)
 
 
+def seedless_plays(spec, rounds):
+    """Each round's play where every seed makes it, else None, read off `round_heads` and seed 0's `seed_plays`."""
+    plays = seed_plays(spec, 0, max(rounds))
+    return [plays[t - 1] if round_heads(spec, t) == (plays[t - 1] is H) << spec.seed_len else None for t in rounds]
+
+
 def test_fixed_plays_of_seedless_rounds():
-    assert [fixed_play(constant(T), t) for t in (1, 2, 9)] == [T, T, T]
-    assert [fixed_play(alternator(T), t) for t in range(1, 5)] == [T, H, T, H]
-    assert fixed_play(uniform_table(0), 7) is H
-    for spec in (uniform_table(2), generator_backed(passthrough(4)), predictor_backed("markov1")):
-        assert [fixed_play(spec, t) for t in range(1, 5)] == [None] * 4
+    assert seedless_plays(constant(T), (1, 2, 9)) == [T, T, T]
+    assert seedless_plays(alternator(T), range(1, 5)) == [T, H, T, H]
+    assert seedless_plays(uniform_table(0), (7,)) == [H]
+    for spec in (uniform_table(2), generator_backed(passthrough(4))):
+        assert seedless_plays(spec, range(1, 5)) == [None] * 4
+    with pytest.raises(ValueError, match="adaptive strategies play from their chooser"):
+        seed_plays(predictor_backed("markov1"), 0, 4)
 
 
 def test_tail_plays_after_an_odd_and_an_even_prefix():
     # Both tails start with tail_start on the first round past the prefix.
-    assert [fixed_play(prefix_tail(3, "alternator", T), t) for t in range(1, 8)] == [
-        None, None, None, T, H, T, H
-    ]
-    assert [fixed_play(prefix_tail(4, "alternator", T), t) for t in range(1, 9)] == [
-        None, None, None, None, T, H, T, H
-    ]
-    assert [fixed_play(prefix_tail(3, "constant", T), t) for t in range(1, 6)] == [None, None, None, T, T]
-    assert [fixed_play(prefix_tail(4, "constant", H), t) for t in range(1, 7)] == [None] * 4 + [H, H]
+    assert seedless_plays(prefix_tail(3, "alternator", T), range(1, 8)) == [None, None, None, T, H, T, H]
+    assert seedless_plays(prefix_tail(4, "alternator", T), range(1, 9)) == [None, None, None, None, T, H, T, H]
+    assert seedless_plays(prefix_tail(3, "constant", T), range(1, 6)) == [None, None, None, T, T]
+    assert seedless_plays(prefix_tail(4, "constant", H), range(1, 7)) == [None] * 4 + [H, H]
     assert round_heads(prefix_tail(3, "alternator", T), 5) == 8
     assert round_heads(prefix_tail(4, "alternator", T), 5) == 0
 
@@ -367,12 +370,15 @@ LATE_POPULATION = (
 
 @pytest.mark.parametrize("spec", [spec for _, spec in LATE_POPULATION], ids=[name for name, _ in LATE_POPULATION])
 def test_late_plays_are_each_words_seed_plays(spec):
-    # Past its words' depth a word is its seed: late(lo) is seed words[lo]'s plays there.
+    # Past its words' depth a word is its seed: late(lo) is seed words[lo]'s
+    # plays there, by the per-round reference on that seed.
     k = spec.seed_len
     for n in range(k + 1, 3 * k + 3):
         words, _, depth, late = play_words(spec, n)
         for lo, word in enumerate(words):
-            assert late(lo) == tuple(int(a is H) for a in seed_plays(spec, word, n)[depth:]), (n, lo)
+            seed = Seed(int_to_bits(word, k))
+            plays = [reference_act(spec, seed, ((H, H),) * (t - 1), t) for t in range(depth + 1, n + 1)]
+            assert late(lo) == tuple(int(a is H) for a in plays), (n, lo)
 
 
 def test_fixed_late_plays_are_built_on_their_first_read(monkeypatch):
@@ -381,19 +387,19 @@ def test_fixed_late_plays_are_built_on_their_first_read(monkeypatch):
         assert is_identity(play_words(parse_strategy(desc, 9), 9)), desc
     # A walk that never reads past the depth, as `greedy_value`'s, pays nothing for the late plays.
     calls = []
-    real_fixed_play = strategies.fixed_play
+    real_tail_cycle = strategies.tail_cycle
 
-    def counting_fixed_play(spec, t):
-        calls.append(t)
-        return real_fixed_play(spec, t)
+    def counting_tail_cycle(spec):
+        calls.append(spec)
+        return real_tail_cycle(spec)
 
-    monkeypatch.setattr(strategies, "fixed_play", counting_fixed_play)
+    monkeypatch.setattr(strategies, "tail_cycle", counting_tail_cycle)
     pw = play_words(alternator(H), 50)
     assert calls == []
     assert pw.late(0) == (1, 0) * 25
-    assert calls == list(range(1, 51))
+    assert calls == [alternator(H)]
     assert pw.late(0) == (1, 0) * 25
-    assert len(calls) == 50
+    assert calls == [alternator(H)]
 
 
 def test_a_chooser_builds_a_uniform_tables_late_plays_once(monkeypatch):
@@ -408,7 +414,7 @@ def test_a_chooser_builds_a_uniform_tables_late_plays_once(monkeypatch):
 
     monkeypatch.setattr(strategies, "int_to_bits", counting_int_to_bits)
     simulate(exploiter_vs(uniform_table(3)), 0, uniform_table(3), 0b101, 50)
-    assert calls == [0b101]
+    assert calls == [0b101, 0b101]  # the seat's own plays, and the exploiter's late plays of its word
 
 
 def test_a_seedless_models_plays_are_computed_once_when_its_exploiter_is_built(monkeypatch):
