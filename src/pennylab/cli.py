@@ -30,9 +30,9 @@ except ImportError:  # an interpreter built without it
     from hashlib import sha256
 
 from .discounting import TAIL_BITS, DiscountParams, certify_discounted_eq, check_prefix, min_rounds
-from .exploiter import greedy_value, guarantee, play_match
+from .exploiter import guarantee, play_match
 from .game import as_fraction, average_payoff, cumulative_payoff, format_transcript
-from .oracle import certify_gap
+from .oracle import best_response_value, certify_gap
 from .prng import check_seed_space, make_generator, parse_generator, predictor_chooser
 from .reductions import eval_next_bit_predictor
 from .strategies import check_seed_spaces, describe, make_gamma_equilibrium, parse_strategy, simulate, uniform_table
@@ -222,7 +222,7 @@ def _cmd_simulate(cfg: ExperimentConfig, seats) -> tuple[str, int]:
 
 def _cmd_exploit(cfg: ExperimentConfig, opponent) -> tuple[str, int]:
     n = cfg.values["n"]
-    achieved = greedy_value(opponent, n)
+    achieved = best_response_value(opponent, n)
     bound = guarantee(n, opponent.seed_len)
     match = play_match(opponent, cfg.values["opponent_seed"], n)
     rows = [
@@ -321,7 +321,7 @@ def _cmd_sweep(cfg: ExperimentConfig, ks) -> tuple[str, int]:
     rows = []
     all_ok = True
     for k in ks:
-        achieved = greedy_value(uniform_table(k), n)
+        achieved = best_response_value(uniform_table(k), n)
         bound = guarantee(n, k)
         margin = achieved - bound
         all_ok = all_ok and margin >= 0

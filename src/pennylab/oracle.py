@@ -3,8 +3,8 @@
 Everything is computed by exhaustive seed enumeration with rational
 arithmetic; no sampling appears anywhere on a certification path.  Every best
 response is the Bayes-greedy rule (track the posterior over opponent seeds and
-play against the posterior-majority action each round), computed by one walk
-over the consistent sets, `exploiter.greedy_value`.
+play against the posterior-majority action each round), valued as the
+`exact_value` of that exploiter seated against its opponent.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from .game import round_value, stage_payoff
 from .prng import check_seed_space
 from .strategies import StrategySpec, check_seed_spaces, chooser, horizon, play_words, round_heads, simulate
 from .words import majority_wins, prediction_hits
-from . import exploiter
 
 
 class GapReport(NamedTuple):
@@ -86,8 +85,24 @@ def exact_value(s1: StrategySpec, s2: StrategySpec, n: int, delta: Optional[Frac
     return round_value(values, den, n, delta, cycle)
 
 
-# The exact optimum over all adaptive deviations against an opponent, from either seat.
-best_response_value = exploiter.greedy_value
+def _deviator(opponent: StrategySpec) -> StrategySpec:
+    # Built directly, not by `exploiter_vs`: an opponent MAX_NESTING deep still has a best response.
+    return StrategySpec("exploiter", (("opponent", opponent), ("beat", False)))
+
+
+def best_response_value(opponent: StrategySpec, n: int, *, delta: Optional[Fraction] = None) -> Fraction:
+    """The exact optimum over all adaptive deviations against `opponent`, from either seat.
+
+    It is the `exact_value` of the majority strategy seated against the
+    opponent, which `round_payoffs` counts with `majority_wins`.  The value
+    takes no seat: the matcher copies the majority action and the mismatcher
+    flips it, so either wins on exactly the seeds that play it.  With `delta`
+    set, returns the discounted sum E[sum delta**t h_t] instead.  It is the
+    best response against an oblivious opponent, whose play ignores the
+    deviation, and against an adaptive one, which reads no seed (every
+    adaptive family's `seed_len` is 0) and so loses every round.
+    """
+    return exact_value(_deviator(opponent), opponent, n, delta)
 
 
 def certify_gap(
@@ -96,11 +111,15 @@ def certify_gap(
     n: int,
     delta: Optional[Fraction] = None,
 ) -> GapReport:
-    """Exact deviation gaps for both players at the profile (s1, s2)."""
-    value = exact_value(s1, s2, n, delta=delta)
-    br1 = exploiter.greedy_value(s2, n, delta=delta)
-    # Equal seats face the same opponent, so they share one best response.
-    br2 = br1 if s1 == s2 else exploiter.greedy_value(s1, n, delta=delta)
+    """Exact deviation gaps for both players at the profile (s1, s2).
+
+    Each distinct pair among the profile and the two best responses is valued
+    once, in order: a set's order would follow PYTHONHASHSEED and change
+    which error surfaces first.
+    """
+    pairs = ((s1, s2), (_deviator(s2), s2), (_deviator(s1), s1))
+    values = {pair: exact_value(*pair, n, delta) for pair in dict.fromkeys(pairs)}
+    value, br1, br2 = (values[pair] for pair in pairs)
     gap_1 = br1 - value
     gap_2 = br2 - (-value)
     return GapReport(value, br1, br2, gap_1, gap_2, max(gap_1, gap_2))

@@ -185,7 +185,8 @@ def majority_wins(pw: PlayWords) -> list[int]:
     |heads - tails| per node; a range of one word wins every later round
     with all its seeds.  Identity words (`identity_words`) need no table:
     no round up to their depth has a majority.  Past the depth every word is
-    alone in its range and every seed wins, which `greedy_value` counts.
+    alone in its range and every seed wins, which `oracle.round_payoffs`
+    credits as a cycle of the whole seed space.
     """
     words, below, depth, _ = pw
     wins = [0] * (depth + 1)

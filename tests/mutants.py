@@ -486,8 +486,22 @@ MUTANTS = [
     Mutant(
         "best-response-shared-when-only-the-kind-matches",
         "oracle.py",
-        "br1 if s1 == s2 else",
-        "br1 if s1.kind == s2.kind else",
+        "(values[pair] for pair in pairs)",
+        "(next(v for (a, b), v in values.items() if (a.kind, b.kind) == (pair[0].kind, pair[1].kind)) for pair in pairs)",
+        "test_oracle.py",
+    ),
+    Mutant(
+        "deviator-built-by-exploiter_vs",
+        "oracle.py",
+        '    return StrategySpec("exploiter", (("opponent", opponent), ("beat", False)))\n',
+        "    from .strategies import exploiter_vs\n\n    return exploiter_vs(opponent)\n",
+        "test_cli.py",
+    ),
+    Mutant(
+        "deviator-plays-the-flip",
+        "oracle.py",
+        '(("opponent", opponent), ("beat", False))',
+        '(("opponent", opponent), ("beat", True))',
         "test_oracle.py",
     ),
     Mutant(

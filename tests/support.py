@@ -512,7 +512,7 @@ def filter_consistent(cs, observed, history):
 def reference_greedy_value(opponent, n, delta=None):
     """The majority strategy's exact value by a walk over seed lists.
 
-    The reference `exploiter.greedy_value`'s play-word walk is checked
+    The reference `oracle.best_response_value`'s play-word walk is checked
     against: nodes are `(round, alive seeds)`, split with `list_split`, and a
     node with one live seed wins every remaining round.
     """
@@ -541,7 +541,7 @@ def reference_greedy_value(opponent, n, delta=None):
 def reference_range_wins(pw, n):
     """`words.majority_wins` by a walk over every node of the trie of the play words `pw`.
 
-    `greedy_value`'s walk before its level tables: depth-first off a stack
+    `majority_wins` before its level tables: depth-first off a stack
     of `(round, lo, hi)` ranges of words, where a range of one word wins
     every remaining round.
     """
@@ -566,7 +566,7 @@ def reference_range_wins(pw, n):
 
 
 def reference_range_greedy_value(opponent, n, delta=None):
-    """`greedy_value` by `reference_range_wins` over the words `compiled_words` builds, never the identity words."""
+    """`oracle.best_response_value` by `reference_range_wins` over the words `compiled_words` builds, never the identity words."""
     check_seed_space(opponent.seed_len)
     depth = min(n, horizon(opponent))
     if opponent.kind == "generator" and depth < n:

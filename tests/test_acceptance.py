@@ -36,7 +36,7 @@ from pennylab import (
     broken_repeat,
     eval_next_bit_predictor,
 )
-from pennylab.exploiter import greedy_value, guarantee, play_match
+from pennylab.exploiter import guarantee, play_match
 
 from support import expected_potential_step, generator_population, oblivious_population, opponents_with_budget, reference_tree_best_response
 
@@ -67,7 +67,7 @@ def test_criterion_1_exploiter_guarantee():
         shortfalls = []
         start = time.monotonic()
         for n, k, label, opponent in _criterion_1_opponents():
-            achieved = greedy_value(opponent, n)
+            achieved = best_response_value(opponent, n)
             if achieved < guarantee(n, k):
                 shortfalls.append((n, k, label, achieved))
         elapsed = time.monotonic() - start
@@ -169,7 +169,7 @@ def test_criterion_6_oracle_self_consistency():
         population = oblivious_population(n, max_bits=4)
         population.append(("uniform-8", uniform_table(8)))
         for label, opponent in population:
-            fast = greedy_value(opponent, n)
+            fast = best_response_value(opponent, n)
             for deviator in (1, 2):
                 slow = reference_tree_best_response(opponent, n, deviator, None)
                 assert fast == slow, (label, deviator)

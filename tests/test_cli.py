@@ -422,6 +422,10 @@ def test_exploiters_nested_to_the_limit_run(tmp_path, capsys):
     opponent = "exploit:vs=" * MAX_NESTING + "uniform:1"
     status, artifact = run_cli(["exploit", "--n", "2", "--opponent", opponent], tmp_path, "deep.csv")
     assert status == 0 and "# achieved=1/1" in artifact.decode()
+    # Either seat may hold the chain; its best response nests one level deeper.
+    for p1, p2 in ((opponent, "uniform:2"), ("uniform:2", opponent)):
+        status, _ = run_cli(["verify-eq", "--n", "3", "--p1", p1, "--p2", p2], tmp_path, "deep.json")
+        assert status == 0
     assert capsys.readouterr().err == ""
 
 

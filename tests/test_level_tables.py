@@ -1,4 +1,4 @@
-"""Level tables and identity play words: `greedy_value` and `play_words` against the walks they replace."""
+"""Level tables and identity play words: `best_response_value` and `play_words` against the walks they replace."""
 
 from fractions import Fraction
 
@@ -18,7 +18,7 @@ from pennylab import (
     prefix_tail,
     uniform_table,
 )
-from pennylab.exploiter import greedy_value
+from pennylab.oracle import best_response_value
 from pennylab.strategies import _compile_words, horizon, parse_strategy, play_words
 from pennylab.words import _DENSE, PlayWords, majority_wins
 
@@ -35,7 +35,7 @@ DELTA = Fraction(2, 3)
 
 
 def _dense(spec, n):
-    """Whether `greedy_value` counts every round of the spec's words from tables, with nothing to walk."""
+    """Whether `best_response_value` counts every round of the spec's words from tables, with nothing to walk."""
     words, _, depth, _ = play_words(spec, n)
     return 1 << depth <= _DENSE * len(words)
 
@@ -97,9 +97,9 @@ def budgeted_specs(draw):
 @given(budgeted_specs())
 def test_level_tables_match_both_walks(case):
     spec, n = case
-    value = greedy_value(spec, n)
+    value = best_response_value(spec, n)
     assert value == reference_range_greedy_value(spec, n) == reference_greedy_value(spec, n)
-    discounted = greedy_value(spec, n, delta=DELTA)
+    discounted = best_response_value(spec, n, delta=DELTA)
     assert discounted == reference_range_greedy_value(spec, n, DELTA) == reference_greedy_value(spec, n, DELTA)
 
 
@@ -117,11 +117,11 @@ def test_level_tables_match_both_walks(case):
     ids=["uniform:0", "uniform:3", "const:T", "alt:H", "prefix-tail:3-constant", "prefix-tail:3-alternator"],
 )
 def test_rounds_far_past_the_depth_are_credited_to_every_seed(spec, delta):
-    # 300 rounds past the words' depth, where `greedy_value` adds a closed
+    # 300 rounds past the words' depth, where `best_response_value` adds a closed
     # form and the reference walks each round.
     n = horizon(spec) + 300
     assert play_words(spec, n).depth == n - 300
-    assert greedy_value(spec, n, delta=delta) == reference_range_greedy_value(spec, n, delta)
+    assert best_response_value(spec, n, delta=delta) == reference_range_greedy_value(spec, n, delta)
 
 
 @pytest.mark.parametrize(
@@ -141,8 +141,8 @@ def test_rounds_far_past_the_depth_are_credited_to_every_seed(spec, delta):
 def test_specs_on_both_sides_of_the_table_switch(desc, n, dense):
     spec = parse_strategy(desc, n)
     assert _dense(spec, n) is dense
-    assert greedy_value(spec, n) == reference_range_greedy_value(spec, n) == reference_greedy_value(spec, n)
-    assert greedy_value(spec, n, delta=DELTA) == reference_greedy_value(spec, n, DELTA)
+    assert best_response_value(spec, n) == reference_range_greedy_value(spec, n) == reference_greedy_value(spec, n)
+    assert best_response_value(spec, n, delta=DELTA) == reference_greedy_value(spec, n, DELTA)
 
 
 @pytest.mark.parametrize(
@@ -153,8 +153,8 @@ def test_large_sparse_tries_are_walked_from_the_root(desc, n):
     # sparse for tables, so one walk from the root visits every split.
     spec = parse_strategy(desc, n)
     assert not _dense(spec, n)
-    assert greedy_value(spec, n) == reference_range_greedy_value(spec, n)
-    assert greedy_value(spec, n, delta=DELTA) == reference_range_greedy_value(spec, n, DELTA)
+    assert best_response_value(spec, n) == reference_range_greedy_value(spec, n)
+    assert best_response_value(spec, n, delta=DELTA) == reference_range_greedy_value(spec, n, DELTA)
 
 
 def _identity_cases():

@@ -24,11 +24,12 @@ from pennylab import (
     simulate,
     uniform_table,
 )
-from pennylab.exploiter import greedy_value, guarantee
+from pennylab.exploiter import guarantee
 from pennylab.game import cumulative_payoff, round_value, stage_payoff
 from pennylab.oracle import round_payoffs
 from pennylab.prng import PREDICTORS, check_seed_space
 from pennylab.strategies import horizon, parse_strategy, round_heads
+from pennylab.words import majority_wins
 
 from support import (
     PREDICTOR_NAMES,
@@ -128,7 +129,7 @@ def test_round_payoffs_acts_once_per_opponent_prefix(monkeypatch):
 
 def test_an_exploiter_of_an_adaptive_model_is_valued_without_a_match(monkeypatch):
     # The model is seedless, so its exploiter wins every round: the value is
-    # read off `greedy_value`, with no round simulated.
+    # read off `majority_wins`, with no round simulated.
     def refuse(*args):
         raise AssertionError("simulated a match")
 
@@ -163,7 +164,7 @@ def test_greedy_equals_tree_search_for_oblivious_opponents():
     n = 6
     for label, opponent in oblivious_population(n, max_bits=3):
         for delta in (None, Fraction(2, 3)):
-            fast = greedy_value(opponent, n, delta=delta)
+            fast = best_response_value(opponent, n, delta=delta)
             for deviator in (1, 2):
                 slow = reference_tree_best_response(opponent, n, deviator, delta)
                 assert fast == slow, (label, deviator, delta)
@@ -199,7 +200,9 @@ def test_exploiter_achieves_the_best_response_value():
     for label, opponent in oblivious_population(n, max_bits=3):
         br = best_response_value(opponent, n)
         achieved = exact_value(exploiter_vs(opponent), opponent, n)
-        assert achieved == br, label
+        space = 1 << opponent.seed_len
+        replayed = Fraction(sum(play_match(opponent, seed, n).cumulative for seed in range(space)), space * n)
+        assert achieved == br == replayed, label
 
 
 def test_certify_gamma_construction_is_tight():
@@ -248,21 +251,38 @@ def test_asymmetric_budgets_certify_without_claimed_bound():
     assert report.gap_2 == 0
 
 
-@pytest.mark.parametrize("p2, calls", [("uniform:5", 1), ("uniform:6", 2)])
-def test_equal_seats_share_one_best_response(monkeypatch, p2, calls):
+@pytest.mark.parametrize(
+    "p1, p2, calls, walks",
+    [
+        ("uniform:5", "uniform:5", 2, [32]),
+        ("uniform:5", "uniform:6", 3, [64, 32]),
+        # The exploiter already plays seat 1's best response: one walk over the
+        # generator's 64 seeds, then one over the seedless exploiter's word.
+        ("exploit:vs=gen:bm,perm=mulmod,m=3", "gen:bm,perm=mulmod,m=3", 2, [64, 1]),
+    ],
+    ids=["equal-seats", "distinct-seats", "exploiter-of-its-model"],
+)
+def test_equal_seats_share_one_best_response(monkeypatch, p1, p2, calls, walks):
+    # certify_gap values each distinct pair among the profile and the two best
+    # responses once; `walks` holds the seed count of each `majority_wins` walk.
     n = 6
-    s1, s2 = parse_strategy("uniform:5", n), parse_strategy(p2, n)
-    seen = []
+    s1, s2 = parse_strategy(p1, n), parse_strategy(p2, n)
+    expected = (exact_value(s1, s2, n), best_response_value(s2, n), best_response_value(s1, n))
+    seen, walked = [], []
 
-    def spy(opponent, n, **kw):
-        seen.append(opponent)
-        return greedy_value(opponent, n, **kw)
+    def spy(*args):
+        seen.append(args)
+        return exact_value(*args)
 
-    monkeypatch.setattr("pennylab.exploiter.greedy_value", spy)
+    def count_walk(pw):
+        walked.append(pw.below[-1])
+        return majority_wins(pw)
+
+    monkeypatch.setattr("pennylab.oracle.exact_value", spy)
+    monkeypatch.setattr("pennylab.oracle.majority_wins", count_walk)
     report = certify_gap(s1, s2, n)
-    assert len(seen) == calls
-    assert report.best_response_1 == greedy_value(s2, n)
-    assert report.best_response_2 == greedy_value(s1, n)
+    assert len(seen) == calls and walked == walks
+    assert (report.value, report.best_response_1, report.best_response_2) == expected
 
 
 def test_seed_space_cap_enforced():
@@ -286,7 +306,6 @@ def test_seed_space_cap_enforced():
         lambda n: exact_value(uniform_table(2), uniform_table(2), n),
         lambda n: best_response_value(uniform_table(2), n),
         lambda n: certify_gap(uniform_table(2), uniform_table(2), n),
-        lambda n: greedy_value(uniform_table(2), n),
         lambda n: payoff_to_distinguisher(uniform_table(2), blum_micali("add1", 2, 4), n),
         lambda n: predictor_accuracy("markov1", uniform_table(2), n),
         lambda n: guarantee(n, 0),
@@ -300,7 +319,6 @@ def test_seed_space_cap_enforced():
         "exact_value",
         "best_response_value",
         "certify_gap",
-        "greedy_value",
         "payoff_to_distinguisher",
         "predictor_accuracy",
         "guarantee",

@@ -70,6 +70,14 @@ def test_play_words_sit_on_the_leaf_module_alone():
     assert {name for file, name in relative if file == "words.py"} == {".prng"}
 
 
+def test_best_responses_are_valued_by_the_oracle_alone():
+    # A best response is an exploiter seat's `exact_value`: the oracle needs
+    # no exploiter module, which keeps only the match it plays.
+    relative = [(file, name) for file, name in _imports() if name.startswith(".")]
+    assert {name for file, name in relative if file == "exploiter.py"} == {".game", ".strategies"}
+    assert ".exploiter" not in {name for file, name in relative if file == "oracle.py"}
+
+
 def test_relative_imports_form_no_cycle():
     # Function-level imports count: importing a module inside a function
     # hides a cycle from the interpreter, not from the design.

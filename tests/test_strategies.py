@@ -385,7 +385,7 @@ def test_fixed_late_plays_are_built_on_their_first_read(monkeypatch):
     # Every family but a compiled generator has identity words; a seedless one's are its one empty word.
     for desc in ("const:H", "alt:T", "uniform:0", "prefix-tail:prefix=0", "uniform:3", "prefix-tail:prefix=2"):
         assert is_identity(play_words(parse_strategy(desc, 9), 9)), desc
-    # A walk that never reads past the depth, as `greedy_value`'s, pays nothing for the late plays.
+    # A walk that never reads past the depth, as `best_response_value`'s, pays nothing for the late plays.
     calls = []
     real_tail_cycle = strategies.tail_cycle
 

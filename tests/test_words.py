@@ -28,10 +28,9 @@ from pennylab import (
     uniform_table,
 )
 from pennylab import strategies
-from pennylab.exploiter import greedy_value
 from pennylab.prng import bits_to_int, round_bits, seed_stream
 from pennylab.game import round_value
-from pennylab.oracle import exact_value, round_payoffs
+from pennylab.oracle import best_response_value, exact_value, round_payoffs
 from pennylab.strategies import _compile_words, chooser, horizon, parse_strategy, play_words
 from pennylab.words import compile_words, prediction_hits
 
@@ -92,11 +91,11 @@ def test_greedy_value_matches_the_seed_list_walk(case):
     spec, n = case
     if _past_stream(spec, n):
         with pytest.raises(ValueError, match="generator stream too short"):
-            greedy_value(spec, n)
+            best_response_value(spec, n)
         return
-    assert greedy_value(spec, n) == reference_greedy_value(spec, n)
+    assert best_response_value(spec, n) == reference_greedy_value(spec, n)
     delta = Fraction(2, 3)
-    assert greedy_value(spec, n, delta=delta) == reference_greedy_value(spec, n, delta)
+    assert best_response_value(spec, n, delta=delta) == reference_greedy_value(spec, n, delta)
 
 
 @settings(max_examples=60, deadline=None)
@@ -260,9 +259,9 @@ def test_words_wider_than_64_bits_take_the_same_walk():
     spec = generator_backed(broken_repeat(n))
     pw = play_words(spec, n)
     assert pw.depth == n and isinstance(pw.words, list) and len(pw.words) == 4
-    assert greedy_value(spec, n) == reference_greedy_value(spec, n) == Fraction(n - 2, n)
+    assert best_response_value(spec, n) == reference_greedy_value(spec, n) == Fraction(n - 2, n)
     delta = Fraction(9, 10)
-    assert greedy_value(spec, n, delta=delta) == reference_greedy_value(spec, n, delta)
+    assert best_response_value(spec, n, delta=delta) == reference_greedy_value(spec, n, delta)
     for seed in range(4):
         assert [tuple(row) for row in play_match(spec, seed, n).rows] == reference_play_rows(spec, seed, n)
         history = play_match(spec, seed, n).transcript[:40]
