@@ -12,9 +12,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .game import round_value, stage_payoff
+from .game import round_value
 from .prng import check_seed_space
-from .strategies import StrategySpec, check_seed_spaces, chooser, horizon, play_words, round_heads, simulate
+from .strategies import StrategySpec, check_seed_spaces, chooser, horizon, match, play_words, round_heads
 from .words import majority_wins, prediction_hits
 
 
@@ -46,7 +46,7 @@ def round_payoffs(s1: StrategySpec, s2: StrategySpec, n: int) -> tuple[list[int]
     horizons, as every tail cycle has length 1 or 2.  An adaptive seat against an
     oblivious one earns 2 * hits / space - 1 per round, a hit being a seed of the
     other seat whose play it matches, from one `words.prediction_hits` walk over
-    that seat's `play_words`.  Two adaptive seats play one path, over 1.
+    that seat's `play_words`.  Two adaptive seats play one `match`, over 1.
     """
     if n < 1:
         raise ValueError("horizon must be positive")
@@ -66,7 +66,7 @@ def round_payoffs(s1: StrategySpec, s2: StrategySpec, n: int) -> tuple[list[int]
         return values[:last], space1 * space2, values[last:]
     if not (s1.oblivious or s2.oblivious):
         # Two seedless seats play one path.
-        return [stage_payoff(a, b) for a, b in simulate(s1, 0, s2, 0, n)], 1, []
+        return [1 if a == b else -1 for _, a, b in match(chooser(s1, n), chooser(s2, n), n)], 1, []
     player, other = (s2, s1) if s1.oblivious else (s1, s2)
     # A match pays seat 1, whichever seat the adaptive player sits in.
     pw = play_words(other, n)

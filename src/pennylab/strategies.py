@@ -5,13 +5,13 @@ The seed is an integer in [0, 2**seed_len), read big-endian; `seed_len`
 is the bits the family reads, derived from its parameters.  `seed_plays`
 gives one seed's plays and `round_heads` how many seeds play H at one round.
 An adaptive strategy (a predictor or an exploiter) reads no seed.  Every
-strategy's `chooser` follows the opponent's plays; `simulate` steps two.
+strategy's `chooser` follows the opponent's plays; `match` steps two.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache, partial
-from typing import Any, Callable, NamedTuple, Sequence, Union
+from typing import Any, Callable, Iterator, NamedTuple, Sequence, Union
 
 from .game import Action, RationalLike, Transcript, as_fraction, bit_to_action
 from .prng import (
@@ -309,22 +309,28 @@ def majority_chooser(opponent: StrategySpec, beat: bool, n: int) -> Chooser:
     return Chooser(at(0, len(below) - 1, 1), guess, step)
 
 
-def simulate(s1: StrategySpec, seed1: int, s2: StrategySpec, seed2: int, n: int) -> Transcript:
-    """Play the two strategies against each other for n rounds.
+def match(c1: Chooser, c2: Chooser, n: int) -> Iterator[tuple[Any, int, int]]:
+    """Play two choosers for n rounds, each stepping once on the other's play, with no step after the last.
 
-    Pure given its inputs: replaying with identical seeds yields an identical
-    transcript.  Each seat steps its `chooser` on the other seat's play.
+    Yields each round's (seat 1's state, seat 1's play, seat 2's play), plays in bits (1 is H).
+    """
+    state1, state2 = c1.init, c2.init
+    for t in range(n):
+        a, b = c1.guess(state1), c2.guess(state2)
+        yield state1, a, b
+        if t + 1 < n:
+            state1, state2 = c1.step(state1, b), c2.step(state2, a)
+
+
+def simulate(s1: StrategySpec, seed1: int, s2: StrategySpec, seed2: int, n: int) -> Transcript:
+    """Play the two strategies against each other for n rounds: one `match` of their choosers, as actions.
+
+    Pure given its inputs: replaying with identical seeds yields an identical transcript.
     """
     if n < 1:
         raise ValueError("horizon must be positive")
-    c1, c2 = chooser(s1, n, seed1), chooser(s2, n, seed2)
-    state1, state2, rounds = c1.init, c2.init, []
-    for t in range(n):
-        a, b = c1.guess(state1), c2.guess(state2)
-        rounds.append((bit_to_action(a), bit_to_action(b)))
-        if t + 1 < n:
-            state1, state2 = c1.step(state1, b), c2.step(state2, a)
-    return tuple(rounds)
+    actions = (Action.T, Action.H)
+    return tuple([(actions[a], actions[b]) for _, a, b in match(chooser(s1, n, seed1), chooser(s2, n, seed2), n)])
 
 
 def round_heads(spec: StrategySpec, t: int) -> int:

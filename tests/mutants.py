@@ -427,6 +427,20 @@ MUTANTS = [
         "test_words.py",
     ),
     Mutant(
+        "match-steps-seat-1-on-its-own-play",
+        "strategies.py",
+        "c1.step(state1, b)",
+        "c1.step(state1, a)",
+        "test_exploiter.py",
+    ),
+    Mutant(
+        "match-yields-the-stepped-state",
+        "strategies.py",
+        "        yield state1, a, b\n        if t + 1 < n:\n            state1, state2 = c1.step(state1, b), c2.step(state2, a)\n",
+        "        if t + 1 < n:\n            state1, state2 = c1.step(state1, b), c2.step(state2, a)\n        yield state1, a, b\n",
+        "test_exploiter.py",
+    ),
+    Mutant(
         "round-payoffs-hits-one-round-off",
         "oracle.py",
         "for h in hits]",

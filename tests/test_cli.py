@@ -662,8 +662,10 @@ def test_a_long_sweep_runs_in_a_small_address_space():
     # overruns; a 60000-round discounted sum is one product tree, which a list
     # of 60000 exact powers of 9/10 overruns; an exploiter of a constant is
     # valued by its greedy count, which credits its 10**8 wins without
-    # listing them; and the paper's equilibrium lists its rounds only up to
-    # both seats' horizons plus 2, past which its pay cycles.
+    # listing them; the paper's equilibrium lists its rounds only up to
+    # both seats' horizons plus 2, past which its pay cycles; and two
+    # adaptive seats list their 10**7 rounds' pay from one match of their
+    # choosers, with no transcript of actions beside it.
     resource = pytest.importorskip("resource")
     limit = 512 << 20
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
@@ -690,6 +692,9 @@ def test_a_long_sweep_runs_in_a_small_address_space():
     assert (record["value"], record["certified_epsilon"]) == ("1/1", "2/1")
     done = run("verify-eq", "--n", "100000000", "--gamma", "4999999/5000000")
     assert done.returncode == 0, done.stderr.decode()
+    done = run("verify-eq", "--n", "10000000", "--p1", "pred:markov1", "--p2", "pred:frequency,beat=1")
+    assert done.returncode == 0, done.stderr.decode()
+    assert json.loads(done.stdout)["value"] == "87/5000000"
 
 
 def test_config_file_with_flag_override(tmp_path):

@@ -133,7 +133,7 @@ def test_an_exploiter_of_an_adaptive_model_is_valued_without_a_match(monkeypatch
     def refuse(*args):
         raise AssertionError("simulated a match")
 
-    monkeypatch.setattr("pennylab.oracle.simulate", refuse)
+    monkeypatch.setattr("pennylab.oracle.match", refuse)
     m = predictor_backed("markov1")
     assert exact_value(exploiter_vs(m), m, 50) == 1
     d = Fraction(2, 3)
