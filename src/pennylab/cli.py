@@ -31,7 +31,7 @@ except ImportError:  # an interpreter built without it
 
 from .discounting import TAIL_BITS, DiscountParams, certify_discounted_eq, check_prefix, min_rounds
 from .exploiter import guarantee, play_match
-from .game import as_fraction, average_payoff, cumulative_payoff, format_transcript
+from .game import as_fraction, cumulative_payoff, format_transcript
 from .oracle import best_response_value, certify_gap
 from .prng import check_seed_space, make_generator, parse_generator, predictor_chooser
 from .reductions import eval_next_bit_predictor
@@ -210,10 +210,11 @@ def _sweep_inputs(v: dict) -> list[int]:
 
 def _cmd_simulate(cfg: ExperimentConfig, seats) -> tuple[str, int]:
     transcript = simulate(*seats, cfg.values["n"])
-    avg = average_payoff(transcript)
+    cumulative = cumulative_payoff(transcript)
+    avg = Fraction(cumulative, len(transcript))
     payload = {
         "transcript": format_transcript(transcript),
-        "cumulative": cumulative_payoff(transcript),
+        "cumulative": cumulative,
         "average": frac_str(avg),
         "average_dec": dec_str(avg),
     }

@@ -97,4 +97,6 @@ def average_payoff(t: Transcript) -> Fraction:
 
 
 def format_transcript(t: Transcript) -> str:
-    return ",".join(a.value + b.value for a, b in t)
+    text = (("TT", "TH"), ("HT", "HH"))  # a constant: each round's text by whether each seat played H
+    h = Action.H  # read once, as each read of an Enum member is a lookup through its class
+    return ",".join([text[a is h][b is h] for a, b in t])

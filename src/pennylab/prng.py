@@ -17,7 +17,8 @@ Bits = tuple[int, ...]
 PermFn = Callable[[int], int]
 PredictorFn = Callable[[Bits], int]
 
-DEFAULT_CAP = 1 << 20
+MAX_SEED_LEN = 20
+DEFAULT_CAP = 1 << MAX_SEED_LEN
 MAX_PERM_WIDTH = 20
 
 
@@ -27,14 +28,13 @@ def check_seed_space(seed_len: int) -> int:
     The cap is 2**20, lowered (never raised) by the PENNY_CAP environment
     variable, which is read on every call.
     """
-    space = 1 << seed_len
     try:
         cap = min(DEFAULT_CAP, int(os.environ.get("PENNY_CAP") or DEFAULT_CAP))
     except ValueError:
         raise ValueError("PENNY_CAP must be an integer") from None
-    if space > cap:
+    if seed_len > MAX_SEED_LEN or 1 << seed_len > cap:  # a wider space is refused before it is built
         raise ValueError("seed space too large")
-    return space
+    return 1 << seed_len
 
 
 # Bit values 0 and 1 as bytes, to and from the digits "0" and "1".

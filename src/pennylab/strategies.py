@@ -218,7 +218,7 @@ def _repeat(cycle: tuple[int, ...], count: int) -> tuple[int, ...]:
 
 
 def _check_seed(spec: StrategySpec, seed: int) -> None:
-    if not 0 <= seed < 1 << spec.seed_len:
+    if seed < 0 or seed.bit_length() > spec.seed_len:
         raise ValueError("budget violation")
 
 
@@ -228,8 +228,8 @@ def _seed_bits(spec: StrategySpec, seed: int, n: int) -> tuple[int, ...]:
         if n > horizon(spec):
             raise ValueError("generator stream too short for this round")
         return seed_stream(spec.param("generator"), seed)[:n]
-    bits = int_to_bits(seed, spec.seed_len)
-    return bits[:n] + _repeat(tail_cycle(spec) or bits, n - spec.seed_len)
+    bits = int_to_bits(seed >> max(0, spec.seed_len - n), min(n, spec.seed_len))  # only the bits played
+    return bits + _repeat(tail_cycle(spec) or bits, n - spec.seed_len)
 
 
 def seed_plays(spec: StrategySpec, seed: int, n: int) -> tuple[Action, ...]:

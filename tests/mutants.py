@@ -138,8 +138,15 @@ MUTANTS = [
     Mutant(
         "seed-plays-reads-a-bit-late",
         "strategies.py",
-        "bits = int_to_bits(seed, spec.seed_len)",
-        "bits = int_to_bits(seed, spec.seed_len)[1:] + int_to_bits(seed, spec.seed_len)[:1]",
+        "bits = int_to_bits(seed >> max(0, spec.seed_len - n), min(n, spec.seed_len))",
+        "bits = (lambda b: b[1:] + b[:1])(int_to_bits(seed >> max(0, spec.seed_len - n), min(n, spec.seed_len)))",
+        "test_strategies.py",
+    ),
+    Mutant(
+        "seed-bits-read-from-the-low-end",
+        "strategies.py",
+        "int_to_bits(seed >> max(0, spec.seed_len - n), min(n, spec.seed_len))",
+        "int_to_bits(seed, min(n, spec.seed_len))",
         "test_strategies.py",
     ),
     Mutant(
@@ -354,6 +361,13 @@ MUTANTS = [
         "merged + runs[2 * len(merged) :]",
         "merged",
         "test_exploiter.py",
+    ),
+    Mutant(
+        "round-text-seats-swapped",
+        "game.py",
+        "text[a is h][b is h]",
+        "text[b is h][a is h]",
+        "test_game.py",
     ),
     # The stepping choosers.
     Mutant(
@@ -596,6 +610,20 @@ MUTANTS = [
         "discounting.py",
         "    check_seed_space(generator.seed_len)\n",
         "",
+        "test_cli.py",
+    ),
+    Mutant(
+        "seed-space-shifted-before-the-cap",
+        "prng.py",
+        "if seed_len > MAX_SEED_LEN or 1 << seed_len > cap:",
+        "if 1 << seed_len > cap:",
+        "test_cli.py",
+    ),
+    Mutant(
+        "simulate-average-over-n-plus-one",
+        "cli.py",
+        "avg = Fraction(cumulative, len(transcript))",
+        "avg = Fraction(cumulative, len(transcript) + 1)",
         "test_cli.py",
     ),
     Mutant(

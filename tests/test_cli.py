@@ -656,16 +656,8 @@ def test_sweep_artifact_margins(tmp_path):
         assert int(num) >= 0 and int(den) > 0
 
 
-def test_a_long_sweep_runs_in_a_small_address_space():
-    # The child caps its own address space at 512 MiB.  10**8 rounds past a
-    # one-bit table's depth are counted, never listed, which a list per round
-    # overruns; a 60000-round discounted sum is one product tree, which a list
-    # of 60000 exact powers of 9/10 overruns; an exploiter of a constant is
-    # valued by its greedy count, which credits its 10**8 wins without
-    # listing them; the paper's equilibrium lists its rounds only up to
-    # both seats' horizons plus 2, past which its pay cycles; and two
-    # adaptive seats list their 10**7 rounds' pay from one match of their
-    # choosers, with no transcript of actions beside it.
+def _small_address_space_run():
+    """A runner of the CLI in a child that caps its own address space at 512 MiB."""
     resource = pytest.importorskip("resource")
     limit = 512 << 20
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
@@ -679,6 +671,20 @@ def test_a_long_sweep_runs_in_a_small_address_space():
             timeout=120,
         )
 
+    return run
+
+
+def test_a_long_sweep_runs_in_a_small_address_space():
+    # The child caps its own address space at 512 MiB.  10**8 rounds past a
+    # one-bit table's depth are counted, never listed, which a list per round
+    # overruns; a 60000-round discounted sum is one product tree, which a list
+    # of 60000 exact powers of 9/10 overruns; an exploiter of a constant is
+    # valued by its greedy count, which credits its 10**8 wins without
+    # listing them; the paper's equilibrium lists its rounds only up to
+    # both seats' horizons plus 2, past which its pay cycles; and two
+    # adaptive seats list their 10**7 rounds' pay from one match of their
+    # choosers, with no transcript of actions beside it.
+    run = _small_address_space_run()
     done = run("sweep", "--n", "100000000", "--k", "0..1")
     assert done.returncode == 0, done.stderr.decode()
     lines = [l for l in done.stdout.decode().splitlines() if not l.startswith("#")]
@@ -695,6 +701,32 @@ def test_a_long_sweep_runs_in_a_small_address_space():
     done = run("verify-eq", "--n", "10000000", "--p1", "pred:markov1", "--p2", "pred:frequency,beat=1")
     assert done.returncode == 0, done.stderr.decode()
     assert json.loads(done.stdout)["value"] == "87/5000000"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        "verify-eq --n 4 --p1 uniform:100000000000 --p2 const:H",
+        "verify-eq --n 4 --p1 gen:counter,m=100000000000 --p2 const:H",
+        "verify-eq --n 100000000000 --gamma 0",
+        "sweep --n 100000000000 --k 0..100000000000",
+        "exploit --n 4 --opponent prefix-tail:prefix=100000000000",
+        "prng-test --gen passthrough --n 100000000000 --predictor const1",
+    ],
+)
+def test_an_oversized_seed_length_is_bad_input_in_a_small_address_space(args):
+    # Run in a child only: a check that built 2**seed_len first would ask for
+    # gigabytes.  The length alone is refused, past the 2**20 cap's 20 bits.
+    done = _small_address_space_run()(*args.split())
+    assert done.returncode == 2, done.stderr.decode()
+    assert json.loads(done.stderr.decode().splitlines()[-1])["error"] == "seed space too large"
+
+
+def test_a_seat_with_an_oversized_seed_length_plays_only_the_bits_of_its_rounds():
+    # simulate enumerates no seeds, so no cap applies; four rounds read four seed bits.
+    done = _small_address_space_run()("simulate", "--n", "4", "--p1", "uniform:100000000000", "--p2", "const:H")
+    assert done.returncode == 0, done.stderr.decode()
+    assert json.loads(done.stdout)["transcript"] == "TH,TH,TH,TH"
 
 
 def test_config_file_with_flag_override(tmp_path):

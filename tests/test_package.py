@@ -72,9 +72,10 @@ def test_play_words_sit_on_the_leaf_module_alone():
 
 def test_best_responses_are_valued_by_the_oracle_alone():
     # A best response is an exploiter seat's `exact_value`: the oracle needs
-    # no exploiter module, which keeps only the match it plays.
+    # no exploiter module, which keeps only a match's potential trace and
+    # reads the match itself from strategies alone.
     relative = [(file, name) for file, name in _imports() if name.startswith(".")]
-    assert {name for file, name in relative if file == "exploiter.py"} == {".game", ".strategies"}
+    assert {name for file, name in relative if file == "exploiter.py"} == {".strategies"}
     assert ".exploiter" not in {name for file, name in relative if file == "oracle.py"}
 
 
@@ -161,7 +162,7 @@ RECORDS = {
     "MatchResult": (
         lambda: play_match(constant(_H), 0, 1),
         "cumulative",
-        "MatchResult(transcript=((H, H),), rows=(TraceRow(round=1, p=Fraction(1, 1), alive_size=1, payoff=1, "
+        "MatchResult(rows=(TraceRow(round=1, p=Fraction(1, 1), alive_size=1, payoff=1, "
         "phi=0.0, delta_phi=1.0),), cumulative=1, final_phi=1.0)",
     ),
     "GapReport": (

@@ -25,6 +25,7 @@ from pennylab import (
     predictor_accuracy,
     prefix_tail,
     seed_plays,
+    simulate,
     uniform_table,
 )
 from pennylab import strategies
@@ -264,7 +265,7 @@ def test_words_wider_than_64_bits_take_the_same_walk():
     assert best_response_value(spec, n, delta=delta) == reference_greedy_value(spec, n, delta)
     for seed in range(4):
         assert [tuple(row) for row in play_match(spec, seed, n).rows] == reference_play_rows(spec, seed, n)
-        history = play_match(spec, seed, n).transcript[:40]
+        history = simulate(exploiter_vs(spec), 0, spec, seed, n)[:40]
         for beat in (False, True):
             assert chooser_play(exploiter_vs(spec, beat=beat), history) is reference_exploiter_act(spec, history, beat)
     refuted = tuple((H, H) for _ in range(40))
