@@ -29,7 +29,7 @@ from .strategies import (
     uniform_table,
 )
 from .exploiter import (
-    MatchResult,
+    final_phi,
     play_match,
     potential_step,
 )

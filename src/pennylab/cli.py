@@ -30,12 +30,12 @@ except ImportError:  # an interpreter built without it
     from hashlib import sha256
 
 from .discounting import TAIL_BITS, DiscountParams, certify_discounted_eq, check_prefix, min_rounds
-from .exploiter import guarantee, play_match
-from .game import as_fraction, cumulative_payoff, format_transcript
+from .exploiter import final_phi, guarantee, play_match
+from .game import as_fraction
 from .oracle import best_response_value, certify_gap
 from .prng import check_seed_space, make_generator, parse_generator, predictor_chooser
 from .reductions import eval_next_bit_predictor
-from .strategies import check_seed_spaces, describe, make_gamma_equilibrium, parse_strategy, simulate, uniform_table
+from .strategies import check_seed_spaces, chooser, describe, make_gamma_equilibrium, match, parse_strategy, uniform_table
 
 
 class ExperimentConfig(NamedTuple):
@@ -108,7 +108,7 @@ def json_artifact(cfg: ExperimentConfig, payload: dict) -> str:
     return json.dumps(record, sort_keys=True, indent=2) + "\n"
 
 
-def csv_artifact(cfg: ExperimentConfig, header: list[str], rows: list[list[str]], extra: dict) -> str:
+def csv_artifact(cfg: ExperimentConfig, header: list[str], rows: list[str], extra: dict) -> str:
     lines = [f"# command={cfg.command}", f"# run_id={cfg.run_id}"]
     for key in sorted(cfg.values):
         if cfg.values[key] is not None:
@@ -116,9 +116,7 @@ def csv_artifact(cfg: ExperimentConfig, header: list[str], rows: list[list[str]]
     for key in sorted(extra):
         lines.append(f"# {key}={extra[key]}")
     lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    return "\n".join([*lines, *rows, ""])
 
 
 # --------------------------------------------------------------------------
@@ -209,11 +207,14 @@ def _sweep_inputs(v: dict) -> list[int]:
 
 
 def _cmd_simulate(cfg: ExperimentConfig, seats) -> tuple[str, int]:
-    transcript = simulate(*seats, cfg.values["n"])
-    cumulative = cumulative_payoff(transcript)
-    avg = Fraction(cumulative, len(transcript))
+    s1, seed1, s2, seed2 = seats
+    n = cfg.values["n"]
+    # One byte per round, 2 * a + b for plays a and b (1 is H): so codes 1 and 2 are seat 1's losses.
+    codes = bytearray(2 * a + b for _, a, b in match(chooser(s1, n, seed1), chooser(s2, n, seed2), n))
+    cumulative = n - 2 * (codes.count(1) + codes.count(2))
+    avg = Fraction(cumulative, n)
     payload = {
-        "transcript": format_transcript(transcript),
+        "transcript": ",".join(map(("TT", "TH", "HT", "HH").__getitem__, codes)),
         "cumulative": cumulative,
         "average": frac_str(avg),
         "average_dec": dec_str(avg),
@@ -225,19 +226,18 @@ def _cmd_exploit(cfg: ExperimentConfig, opponent) -> tuple[str, int]:
     n = cfg.values["n"]
     achieved = best_response_value(opponent, n)
     bound = guarantee(n, opponent.seed_len)
-    match = play_match(opponent, cfg.values["opponent_seed"], n)
-    rows = [
-        [str(r.round), frac_str(r.p), str(r.alive_size), str(r.payoff), "%.12g" % r.phi, "%.12g" % r.delta_phi]
-        for r in match.rows
-    ]
+    rows, cumulative = [], 0
+    for r in play_match(opponent, cfg.values["opponent_seed"], n):
+        rows.append("%d,%s,%d,%d,%.12g,%.12g" % (r.round, frac_str(r.p), r.alive_size, r.payoff, r.phi, r.delta_phi))
+        cumulative += r.payoff
     extra = {
         "achieved": frac_str(achieved),
         "achieved_dec": dec_str(achieved),
         "guaranteed": frac_str(bound),
         "guaranteed_dec": dec_str(bound),
         "margin": frac_str(achieved - bound),
-        "final_phi": "%.12g" % match.final_phi,
-        "traced_cumulative": str(match.cumulative),
+        "final_phi": "%.12g" % final_phi(r, cumulative),
+        "traced_cumulative": str(cumulative),
     }
     header = ["round", "p_t", "alive_size", "payoff", "phi", "delta_phi"]
     return csv_artifact(cfg, header, rows, extra), 0 if achieved >= bound else 1
@@ -327,7 +327,7 @@ def _cmd_sweep(cfg: ExperimentConfig, ks) -> tuple[str, int]:
         margin = achieved - bound
         all_ok = all_ok and margin >= 0
         exact = (bound, achieved, margin)
-        rows.append([str(k), str(n), *map(frac_str, exact), *map(dec_str, exact)])
+        rows.append(",".join([str(k), str(n), *map(frac_str, exact), *map(dec_str, exact)]))
     header = ["k", "n", "guaranteed", "achieved", "margin", "guaranteed_dec", "achieved_dec", "margin_dec"]
     return csv_artifact(cfg, header, rows, {"opponent_family": "uniform-table"}), 0 if all_ok else 1
 

@@ -222,28 +222,15 @@ def _check_seed(spec: StrategySpec, seed: int) -> None:
         raise ValueError("budget violation")
 
 
-def _seed_bits(spec: StrategySpec, seed: int, n: int) -> tuple[int, ...]:
-    """An oblivious spec's plays (1 is H) at rounds 1..n for one seed, as `seed_plays` gives them."""
-    if spec.kind == "generator":
-        if n > horizon(spec):
-            raise ValueError("generator stream too short for this round")
-        return seed_stream(spec.param("generator"), seed)[:n]
-    bits = int_to_bits(seed >> max(0, spec.seed_len - n), min(n, spec.seed_len))  # only the bits played
-    return bits + _repeat(tail_cycle(spec) or bits, n - spec.seed_len)
-
-
 def seed_plays(spec: StrategySpec, seed: int, n: int) -> tuple[Action, ...]:
-    """An oblivious strategy's plays at rounds 1..n for one seed.
+    """An oblivious strategy's plays at rounds 1..n for one seed: its `chooser`'s guesses, as actions.
 
-    A generator plays its stream (`prng.seed_stream`); every other family
-    plays the seed's big-endian bits at rounds 1..seed_len and its
-    `tail_cycle` after them, as `round_heads` counts them.  Raises "budget
-    violation" for a seed outside [0, 2**seed_len).
+    Raises "budget violation" for a seed outside [0, 2**seed_len).
     """
     _check_seed(spec, seed)
     if not spec.oblivious:
         raise ValueError("adaptive strategies play from their chooser")
-    return tuple(map(bit_to_action, _seed_bits(spec, seed, n)))
+    return tuple(map(bit_to_action, map(chooser(spec, n, seed).guess, range(n))))
 
 
 def _next_round(t: int, seen: int) -> int:
@@ -256,11 +243,20 @@ def chooser(spec: StrategySpec, n: int, seed: int = 0) -> Chooser:
     `guess(state)` is the spec's own next play (1 is H): the opponent play
     it predicts, or its flip when `beat` is set.  `step(state, bit)` follows
     one opponent play, so the spec never rereads the history.  An oblivious
-    spec guesses its `seed_plays` round by round, whatever it sees.
+    spec's state is the round, whatever it sees: a generator plays its
+    stream, and every other family its seed's first min(n, seed_len)
+    big-endian bits and then its `tail_cycle`, as `round_heads` counts them.
     """
     _check_seed(spec, seed)
+    if spec.kind == "generator":
+        if n > horizon(spec):
+            raise ValueError("generator stream too short for this round")
+        return Chooser(0, seed_stream(spec.param("generator"), seed).__getitem__, _next_round)
     if spec.oblivious:
-        return Chooser(0, _seed_bits(spec, seed, n).__getitem__, _next_round)
+        k = spec.seed_len
+        head = int_to_bits(seed >> max(0, k - n), min(n, k))  # only the bits played
+        cycle = tail_cycle(spec) or head  # a seeded uniform table repeats its seed
+        return Chooser(0, lambda t: head[t] if t < k else cycle[(t - k) % len(cycle)], _next_round)
     if spec.kind == "predictor":
         c = predictor_chooser(spec.param("predictor"), as_play=True)
         return Chooser(c.init, lambda state: c.guess(state) ^ 1, c.step) if spec.param("beat") else c

@@ -79,6 +79,13 @@ MUTANTS = [
         "test_words.py",
     ),
     Mutant(
+        "final-phi-keeps-the-wrong-side",
+        "exploiter.py",
+        "kept if last.payoff == 1 else last.alive_size - kept",
+        "last.alive_size - kept if last.payoff == 1 else kept",
+        "test_words.py",
+    ),
+    Mutant(
         "play-match-alive-read-from-the-wrong-side",
         "exploiter.py",
         "alive = heads if seen else tails",
@@ -138,36 +145,43 @@ MUTANTS = [
     Mutant(
         "seed-plays-reads-a-bit-late",
         "strategies.py",
-        "bits = int_to_bits(seed >> max(0, spec.seed_len - n), min(n, spec.seed_len))",
-        "bits = (lambda b: b[1:] + b[:1])(int_to_bits(seed >> max(0, spec.seed_len - n), min(n, spec.seed_len)))",
+        "head = int_to_bits(seed >> max(0, k - n), min(n, k))",
+        "head = (lambda b: b[1:] + b[:1])(int_to_bits(seed >> max(0, k - n), min(n, k)))",
         "test_strategies.py",
     ),
     Mutant(
         "seed-bits-read-from-the-low-end",
         "strategies.py",
-        "int_to_bits(seed >> max(0, spec.seed_len - n), min(n, spec.seed_len))",
-        "int_to_bits(seed, min(n, spec.seed_len))",
+        "int_to_bits(seed >> max(0, k - n), min(n, k))",
+        "int_to_bits(seed, min(n, k))",
+        "test_strategies.py",
+    ),
+    Mutant(
+        "oblivious-cycle-read-from-the-round",
+        "strategies.py",
+        "cycle[(t - k) % len(cycle)]",
+        "cycle[t % len(cycle)]",
         "test_strategies.py",
     ),
     Mutant(
         "play-match-reads-the-next-round",
         "strategies.py",
-        "__getitem__, _next_round)",
-        "__getitem__, lambda t, seen: min(t + 2, n - 1))",
+        "def _next_round(t: int, seen: int) -> int:\n    return t + 1\n",
+        "def _next_round(t: int, seen: int) -> int:\n    return t + 2\n",
         "test_words.py",
     ),
     Mutant(
         "chooser-oblivious-plays-seed-zero",
         "strategies.py",
-        "_seed_bits(spec, seed, n).__getitem__",
-        "_seed_bits(spec, 0, n).__getitem__",
+        'seed_stream(spec.param("generator"), seed).__getitem__',
+        'seed_stream(spec.param("generator"), 0).__getitem__',
         "test_strategies.py",
     ),
     Mutant(
         "chooser-skips-the-adaptive-seed-check",
         "strategies.py",
-        "    _check_seed(spec, seed)\n    if spec.oblivious:\n        return Chooser",
-        "    if spec.oblivious:\n        return Chooser",
+        '    _check_seed(spec, seed)\n    if spec.kind == "generator":\n',
+        '    if spec.kind == "generator":\n',
         "test_strategies.py",
     ),
     # The seedless rounds.
@@ -622,8 +636,22 @@ MUTANTS = [
     Mutant(
         "simulate-average-over-n-plus-one",
         "cli.py",
-        "avg = Fraction(cumulative, len(transcript))",
-        "avg = Fraction(cumulative, len(transcript) + 1)",
+        "avg = Fraction(cumulative, n)",
+        "avg = Fraction(cumulative, n + 1)",
+        "test_cli.py",
+    ),
+    Mutant(
+        "simulate-code-swaps-the-seats",
+        "cli.py",
+        "bytearray(2 * a + b for",
+        "bytearray(a + 2 * b for",
+        "test_cli.py",
+    ),
+    Mutant(
+        "simulate-counts-matched-heads-as-a-loss",
+        "cli.py",
+        "codes.count(1) + codes.count(2))",
+        "codes.count(1) + codes.count(2) + codes.count(3))",
         "test_cli.py",
     ),
     Mutant(

@@ -320,6 +320,23 @@ GOLDEN_DIGESTS = {
     "sweep --n 10 --k 0..8": "1bac9a26ba28d511863e9ca74b2a9d7172bc9b749a9f60888340464e027644e6",
 }
 
+# SHA-256 of artifacts near the 2**20 seed cap, recorded before the per-round
+# artifacts stopped holding per-round objects.  They run the paths that show
+# only on many words: dense level tables over Blum-Micali m=10 (whose rows
+# come in a row, so they share one compiled table), identity words under a
+# predictor, a sparse root walk over a 2**20-seed counter, and the identity
+# control.
+CAP_DIGESTS = {
+    "exploit --n 20 --opponent gen:bm,perm=mulmod,m=10 --opponent-seed 7": "f7cbbee61344ab21bb888fcdf7f709c46e100a3b81871a282232c72ca7cf8111",
+    "verify-eq --n 20 --p1 gen:bm,perm=mulmod,m=10 --p2 gen:bm,perm=mulmod,m=10": "0041d01012ce09ab54d81ed37b12f35dec2d63b5704c8f36f2541379d3b6207f",
+    "verify-eq --n 20 --p1 exploit:vs=gen:bm,perm=mulmod,m=10 --p2 gen:bm,perm=mulmod,m=10": "04f0022a580ec979b82b9dac424d1c5c95271814df80523ff99517f20a27bb7d",
+    "discounted --delta 1/2 --epsilon 1/2 --n 20 --prefix gen:bm,perm=mulmod,m=10": "6e3d4d9b266dbf901f1d5e596843f02b9b879c04828e5ea7bcf20d14127bd071",
+    "prng-test --gen bm --m 10 --n 20 --predictor markov1": "a73fda247dec2c2cd9a7be12f5249b4b90b7f641d9eb55023d70701510012b98",
+    "verify-eq --n 20 --p1 pred:markov1 --p2 uniform:18": "6e78815cff61772f09ba71f343d57bd779069f2b7ab1b8a7b69b494c2d060c28",
+    "verify-eq --n 40 --p1 exploit:vs=gen:counter,m=20 --p2 gen:counter,m=20": "376eea543cebf3288c46ec5b06cc1d570db7793c778f8a9ed9637f101469e608",
+    "exploit --n 22 --opponent uniform:20 --opponent-seed 7": "2be7b7ffa11d1a6b2e962667c4cff5c09ec7bce87573e284f982ac096e77ec86",
+}
+
 
 PREDICTOR_NAMES = tuple(REFERENCE_PREDICTORS)
 PERMUTATION_NAMES = ("identity", "add1", "mulodd", "mulmod")
@@ -580,6 +597,11 @@ def reference_range_greedy_value(opponent, n, delta=None):
 
 def reference_play_rows(opponent, seed, n):
     """`play_match`'s trace rows by seed lists: (round, p, alive size, payoff, phi, delta_phi) per round."""
+    return reference_play(opponent, seed, n)[0]
+
+
+def reference_play(opponent, seed, n):
+    """`reference_play_rows` and the potential after the match: its payoff less log2 of the seeds left."""
     alive = list(range(check_seed_space(opponent.seed_len)))
     history, rows, accumulated = [], [], 0
     seed = Seed(int_to_bits(seed, opponent.seed_len))
@@ -594,7 +616,7 @@ def reference_play_rows(opponent, seed, n):
         alive = heads if observed is Action.H else tails
         history.append((predicted, observed))
         accumulated += payoff
-    return rows
+    return rows, accumulated - math.log2(len(alive))
 
 
 def reference_exploiter_act(opponent, history, beat=False):

@@ -82,7 +82,7 @@ def test_criterion_2_potential_growth():
             space = 1 << opponent.seed_len
             steps = [0.0] * n
             for seed in range(space):
-                for row in play_match(opponent, seed, n).rows:
+                for row in play_match(opponent, seed, n):
                     assert expected_potential_step(row.p) >= 1.0 - 1e-9, (n, k, label, seed, row)
                     steps[row.round - 1] += row.delta_phi
                     seen.add(row.p)

@@ -166,4 +166,4 @@ def test_play_match_against_a_seedless_opponent_matches_the_seed_list_walk(name,
     n = 9
     nested = exploiter_vs(spec, beat=True)
     for opponent in (spec, nested):
-        assert [tuple(row) for row in play_match(opponent, 0, n).rows] == reference_play_rows(opponent, 0, n)
+        assert [tuple(row) for row in play_match(opponent, 0, n)] == reference_play_rows(opponent, 0, n)

@@ -21,10 +21,17 @@ from hypothesis import strategies as st
 from pennylab import cli
 from pennylab.cli import main, parse_config
 from pennylab.discounting import DiscountParams, min_rounds, tail_gain
-from pennylab.game import as_fraction
-from pennylab.strategies import MAX_NESTING, describe, parse_strategy
+from pennylab.game import as_fraction, cumulative_payoff, format_transcript
+from pennylab.strategies import MAX_NESTING, describe, parse_strategy, simulate
 
-from support import GOLDEN_DIGESTS, PERMUTATION_NAMES, PREDICTOR_NAMES, reference_parse_config
+from support import (
+    CAP_DIGESTS,
+    GOLDEN_DIGESTS,
+    PERMUTATION_NAMES,
+    PREDICTOR_NAMES,
+    reference_parse_config,
+    reference_play,
+)
 
 
 def run_cli(args, tmp_path, name):
@@ -722,6 +729,20 @@ def test_an_oversized_seed_length_is_bad_input_in_a_small_address_space(args):
     assert json.loads(done.stderr.decode().splitlines()[-1])["error"] == "seed space too large"
 
 
+def test_a_long_simulate_runs_in_a_small_address_space():
+    # Each round is one byte of the match's codes until the text is built: a
+    # pair of Actions per round, or a tuple of every round's play per seat,
+    # overruns 512 MiB here.
+    done = _small_address_space_run()("simulate", "--n", "10000000", "--p1", "prefix-tail:prefix=12", "--p2", "alt:H")
+    assert done.returncode == 0, done.stderr.decode()
+    record = json.loads(done.stdout)
+    transcript = record["transcript"]
+    assert len(transcript) == 3 * 10**7 - 1 and transcript.count(",") == 10**7 - 1
+    # Seed 0 plays T for 12 rounds and then H, against H, T, H, ...: each seat wins every other round.
+    assert transcript[:6] == "TH,TT," and transcript[-6:] == ",HH,HT"
+    assert (record["cumulative"], record["average"]) == (0, "0/1")
+
+
 def test_a_seat_with_an_oversized_seed_length_plays_only_the_bits_of_its_rounds():
     # simulate enumerates no seeds, so no cap applies; four rounds read four seed bits.
     done = _small_address_space_run()("simulate", "--n", "4", "--p1", "uniform:100000000000", "--p2", "const:H")
@@ -794,6 +815,24 @@ def test_criterion_8_artifacts_match_golden_digests(tmp_path, command):
     assert hashlib.sha256(blob).hexdigest() == GOLDEN_DIGESTS[command]
 
 
+@pytest.mark.parametrize("command", list(CAP_DIGESTS))  # in order, so the Blum-Micali rows share one compiled table
+def test_cap_scale_artifacts_match_their_digests(tmp_path, command):
+    status, blob = run_cli(command.split(), tmp_path, "artifact")
+    assert status == 0
+    assert hashlib.sha256(blob).hexdigest() == CAP_DIGESTS[command]
+
+
+def _seed_text(draw, spec):
+    return "".join(draw(st.lists(st.sampled_from("01"), min_size=spec.seed_len, max_size=spec.seed_len)))
+
+
+def _run_to_text(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        status = main(argv)
+    return status, out.getvalue()
+
+
 _LEAVES = st.one_of(
     st.integers(0, 6).map("uniform:{}".format),
     st.sampled_from(("const:H", "const:T", "alt:H", "alt:T")),
@@ -819,6 +858,43 @@ def test_spaces_after_separators_are_ignored(descriptor, data):
     # A bare value is stripped as a keyed one is: "const: H" is "const:H", "prefix-tail:prefix= 2, tail= constant" ...
     spaced = "".join(c + " " * data.draw(st.integers(1, 2)) if c in ":,=" else c for c in descriptor)
     assert parse_strategy(spaced, 6) == parse_strategy(descriptor, 6)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_DESCRIPTORS, _DESCRIPTORS, st.integers(1, 12), st.data())
+def test_the_simulate_artifact_is_the_librarys_match(d1, d2, n, data):
+    # The command writes its match from one byte per round; the library's is a tuple of Action pairs.
+    s1, s2 = parse_strategy(d1, n, player=1), parse_strategy(d2, n, player=2)
+    seed1, seed2 = _seed_text(data.draw, s1), _seed_text(data.draw, s2)
+    status, text = _run_to_text(["simulate", "--n", str(n), "--p1", d1, "--p2", d2, "--seed1", seed1, "--seed2", seed2])
+    assert status == 0
+    record = json.loads(text)
+    transcript = simulate(s1, int(seed1 or "0", 2), s2, int(seed2 or "0", 2), n)
+    assert record["transcript"] == format_transcript(transcript)
+    assert record["cumulative"] == cumulative_payoff(transcript)
+    average = Fraction(record["cumulative"], n)
+    assert record["average"] == f"{average.numerator}/{average.denominator}"
+
+
+@settings(max_examples=60, deadline=None)
+@given(_LEAVES, st.integers(1, 10), st.data())
+def test_the_exploit_rows_are_the_seed_list_walk(descriptor, n, data):
+    # Each CSV row is formatted as its trace row is played, and the header's
+    # final potential and traced payoff come from the same pass.
+    opponent = parse_strategy(descriptor, n, player=2)
+    seed = data.draw(st.integers(0, (1 << opponent.seed_len) - 1), label="seed")
+    status, text = _run_to_text(["exploit", "--n", str(n), "--opponent", descriptor, "--opponent-seed", str(seed)])
+    assert status in (0, 1)
+    lines = text.splitlines()
+    header = dict(line[2:].split("=", 1) for line in lines if line.startswith("# "))
+    rows, phi = reference_play(opponent, seed, n)
+    expected = [
+        ",".join([str(t), f"{p.numerator}/{p.denominator}", str(size), str(payoff), format(phi_t, ".12g"), format(d, ".12g")])
+        for t, p, size, payoff, phi_t, d in rows
+    ]
+    assert [line for line in lines if not line.startswith("#")][1:] == expected
+    assert header["final_phi"] == format(phi, ".12g")
+    assert header["traced_cumulative"] == str(sum(row[3] for row in rows))
 
 
 def test_a_spaced_bare_action_simulates(capsys):

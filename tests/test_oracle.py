@@ -201,7 +201,7 @@ def test_exploiter_achieves_the_best_response_value():
         br = best_response_value(opponent, n)
         achieved = exact_value(exploiter_vs(opponent), opponent, n)
         space = 1 << opponent.seed_len
-        replayed = Fraction(sum(play_match(opponent, seed, n).cumulative for seed in range(space)), space * n)
+        replayed = Fraction(sum(row.payoff for seed in range(space) for row in play_match(opponent, seed, n)), space * n)
         assert achieved == br == replayed, label
 
 

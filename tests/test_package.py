@@ -155,15 +155,9 @@ RECORDS = {
         "ConsistentSet(opponent=StrategySpec(kind='uniform-table', params=(('seed_len', 1),)), alive=(0, 1), round=1)",
     ),
     "TraceRow": (
-        lambda: play_match(constant(_H), 0, 1).rows[0],
+        lambda: next(play_match(constant(_H), 0, 1)),
         "p",
         "TraceRow(round=1, p=Fraction(1, 1), alive_size=1, payoff=1, phi=0.0, delta_phi=1.0)",
-    ),
-    "MatchResult": (
-        lambda: play_match(constant(_H), 0, 1),
-        "cumulative",
-        "MatchResult(rows=(TraceRow(round=1, p=Fraction(1, 1), alive_size=1, payoff=1, "
-        "phi=0.0, delta_phi=1.0),), cumulative=1, final_phi=1.0)",
     ),
     "GapReport": (
         lambda: certify_gap(constant(_H), uniform_table(1), 1),

@@ -244,6 +244,32 @@ def test_an_oblivious_chooser_plays_its_seed_whatever_it_sees(spec, data):
         state = c.step(state, bit)
 
 
+# Every oblivious family, by the rounds its chooser reads: a seedless table;
+# seeded tables, whose seed is replayed past 2k; each prefix-tail tail, from
+# an odd prefix, where a cycle read from the round and not from the prefix's
+# end plays the wrong phase; const; alt; and each generator.
+RULE_ROUNDS = (1, 2, 3, 4, 7, 9)
+RULE_POPULATION = (
+    [(f"uniform-{k}", uniform_table(k)) for k in (0, 1, 3)]
+    + [(f"prefix-tail-3-{kind}-{s.value}", prefix_tail(3, kind, s)) for kind in ("constant", "alternator") for s in (H, T)]
+    + [("const-T", constant(T)), ("alt-H", alternator(H)), ("alt-T", alternator(T))]
+    + [("gen-" + name, generator_backed(g)) for name, g in generator_population(max(RULE_ROUNDS))]
+)
+
+
+@pytest.mark.parametrize("spec", [spec for _, spec in RULE_POPULATION], ids=[name for name, _ in RULE_POPULATION])
+@pytest.mark.parametrize("n", RULE_ROUNDS)
+def test_an_oblivious_chooser_plays_the_per_round_rule(spec, n):
+    # Below, at and past the seed length of 3, and past twice it.  The rule
+    # reads the seed's bit (t-1) mod k, the stream, or `reference_fixed_play`.
+    for value in range(1 << spec.seed_len):
+        seed = Seed(int_to_bits(value, spec.seed_len))
+        guess = chooser(spec, n, value).guess
+        expected = [reference_act(spec, seed, ((H, H),) * (t - 1), t) for t in range(1, n + 1)]
+        assert [bit_to_action(guess(t)) for t in range(n)] == expected, value
+        assert seed_plays(spec, value, n) == tuple(expected)
+
+
 SPLIT_N = 5
 SPLIT_POPULATION = oblivious_population(SPLIT_N) + adaptive_population()
 
@@ -351,7 +377,7 @@ def test_tail_rounds_build_no_play_table(monkeypatch):
     pw = play_words(opponent, 300)
     hits = prediction_hits(predictor_chooser("markov1", as_play=True), pw, 300)
     assert (len(hits), pw.below[-1]) == (300, 16)
-    assert play_match(opponent, 5, 300).cumulative > 0
+    assert sum(row.payoff for row in play_match(opponent, 5, 300)) > 0
     assert calls == []
 
 

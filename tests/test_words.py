@@ -30,6 +30,7 @@ from pennylab import (
 )
 from pennylab import strategies
 from pennylab.prng import bits_to_int, round_bits, seed_stream
+from pennylab.exploiter import final_phi
 from pennylab.game import round_value
 from pennylab.oracle import best_response_value, exact_value, round_payoffs
 from pennylab.strategies import _compile_words, chooser, horizon, parse_strategy, play_words
@@ -44,6 +45,7 @@ from support import (
     reference_accuracy,
     reference_exploiter_act,
     reference_greedy_value,
+    reference_play,
     reference_play_rows,
     reference_prediction_hits,
     reference_predictor,
@@ -105,8 +107,10 @@ def test_play_match_rows_match_the_seed_list_walk(case, data):
     spec, n = case
     n = min(n, horizon(spec)) if spec.kind == "generator" else n
     seed = data.draw(st.integers(0, (1 << spec.seed_len) - 1), label="seed")
-    result = play_match(spec, seed, n)
-    assert [tuple(row) for row in result.rows] == reference_play_rows(spec, seed, n)
+    rows = list(play_match(spec, seed, n))
+    reference_rows, reference_final_phi = reference_play(spec, seed, n)
+    assert [tuple(row) for row in rows] == reference_rows
+    assert final_phi(rows[-1], sum(row.payoff for row in rows)) == reference_final_phi  # bit for bit
 
 
 @settings(max_examples=60, deadline=None)
@@ -264,7 +268,7 @@ def test_words_wider_than_64_bits_take_the_same_walk():
     delta = Fraction(9, 10)
     assert best_response_value(spec, n, delta=delta) == reference_greedy_value(spec, n, delta)
     for seed in range(4):
-        assert [tuple(row) for row in play_match(spec, seed, n).rows] == reference_play_rows(spec, seed, n)
+        assert [tuple(row) for row in play_match(spec, seed, n)] == reference_play_rows(spec, seed, n)
         history = simulate(exploiter_vs(spec), 0, spec, seed, n)[:40]
         for beat in (False, True):
             assert chooser_play(exploiter_vs(spec, beat=beat), history) is reference_exploiter_act(spec, history, beat)
