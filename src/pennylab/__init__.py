@@ -6,14 +6,7 @@ exploiter cashes in every missing bit of opponent entropy; and a small PRNG
 lab measures next-bit prediction and distinguishing advantages at toy scale.
 """
 
-from .game import (
-    Action,
-    Transcript,
-    average_payoff,
-    cumulative_payoff,
-    format_transcript,
-    stage_payoff,
-)
+from .game import Action, Transcript
 from .strategies import (
     Seed,  # no pennylab code builds one; see its docstring
     StrategySpec,
@@ -24,7 +17,6 @@ from .strategies import (
     make_gamma_equilibrium,
     predictor_backed,
     prefix_tail,
-    seed_plays,
     simulate,
     uniform_table,
 )

@@ -1,6 +1,6 @@
-"""Stage game primitives: the two-action alphabet, transcripts, and payoff sums.
+"""Stage game primitives: the two-action alphabet, transcripts, and exact round values.
 
-All aggregation is exact: integer payoffs and `fractions.Fraction` averages, so
+All aggregation is exact: integer payoffs and `fractions.Fraction` values, so
 equilibrium-gap comparisons downstream never need a float tolerance.
 """
 
@@ -29,11 +29,6 @@ class Action(Enum):
 
 Round = tuple[Action, Action]
 Transcript = tuple[Round, ...]
-
-
-def bit_to_action(bit: int) -> Action:
-    """Seed/stream bit to action: 1 plays H, 0 plays T."""
-    return Action.H if bit else Action.T
 
 
 def as_fraction(x: RationalLike) -> Fraction:
@@ -75,28 +70,3 @@ def round_value(
     a, _, scale = runs[0] if runs else (0, 1, 1)
     return Fraction(a, scale * den) + tail
 
-
-def stage_payoff(a: Action, b: Action) -> int:
-    """Player 1's payoff for a single round: +1 on matching plays, -1 otherwise.
-
-    Player 1 is the matcher; player 2's payoff is the negation.
-    """
-    return 1 if a is b else -1
-
-
-def cumulative_payoff(t: Transcript) -> int:
-    """Player 1's total payoff over the whole transcript."""
-    return sum(stage_payoff(a, b) for a, b in t)
-
-
-def average_payoff(t: Transcript) -> Fraction:
-    """Cumulative payoff divided by the number of rounds, exact."""
-    if len(t) == 0:
-        raise ValueError("zero-length game")
-    return Fraction(cumulative_payoff(t), len(t))
-
-
-def format_transcript(t: Transcript) -> str:
-    text = (("TT", "TH"), ("HT", "HH"))  # a constant: each round's text by whether each seat played H
-    h = Action.H  # read once, as each read of an Enum member is a lookup through its class
-    return ",".join([text[a is h][b is h] for a, b in t])

@@ -261,7 +261,7 @@ _GENERATORS = {
 def _bm_stream(perm: str, m: int, out_len: int, x: int, y: int) -> Bits:
     """One Blum-Micali stream for the seed (x, y).
 
-    The per-seed path: it serves `seed_plays` and sampled predictor runs.
+    The per-seed path: it serves a generator seat's `strategies.chooser` and sampled predictor runs.
     Compiled round tables come from `round_bits` and never call it.
     """
     fn = permutation(perm, m)

@@ -2,10 +2,11 @@
 
 An oblivious strategy's play at round t depends only on its seed and on t.
 The seed is an integer in [0, 2**seed_len), read big-endian; `seed_len`
-is the bits the family reads, derived from its parameters.  `seed_plays`
-gives one seed's plays and `round_heads` how many seeds play H at one round.
-An adaptive strategy (a predictor or an exploiter) reads no seed.  Every
-strategy's `chooser` follows the opponent's plays; `match` steps two.
+is the bits the family reads, derived from its parameters.  Its `chooser`
+from one seed plays that seed, and `round_heads` counts the seeds that play
+H at one round.  An adaptive strategy (a predictor or an exploiter) reads
+no seed.  Every strategy's `chooser` follows the opponent's plays; `match`
+steps two.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from functools import lru_cache, partial
 from typing import Any, Callable, Iterator, NamedTuple, Sequence, Union
 
-from .game import Action, RationalLike, Transcript, as_fraction, bit_to_action
+from .game import Action, RationalLike, Transcript, as_fraction
 from .prng import (
     Chooser,
     GeneratorSpec,
@@ -220,17 +221,6 @@ def _repeat(cycle: tuple[int, ...], count: int) -> tuple[int, ...]:
 def _check_seed(spec: StrategySpec, seed: int) -> None:
     if seed < 0 or seed.bit_length() > spec.seed_len:
         raise ValueError("budget violation")
-
-
-def seed_plays(spec: StrategySpec, seed: int, n: int) -> tuple[Action, ...]:
-    """An oblivious strategy's plays at rounds 1..n for one seed: its `chooser`'s guesses, as actions.
-
-    Raises "budget violation" for a seed outside [0, 2**seed_len).
-    """
-    _check_seed(spec, seed)
-    if not spec.oblivious:
-        raise ValueError("adaptive strategies play from their chooser")
-    return tuple(map(bit_to_action, map(chooser(spec, n, seed).guess, range(n))))
 
 
 def _next_round(t: int, seen: int) -> int:

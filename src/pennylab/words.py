@@ -11,7 +11,7 @@ from array import array
 from bisect import bisect_left
 from collections import deque
 from functools import partial
-from itertools import chain, compress, islice
+from itertools import accumulate, chain, compress, islice
 from operator import add, le, ne, sub
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -58,11 +58,14 @@ def compile_words(table: Callable[[int], bytes], depth: int, space: int) -> tupl
     integer with a byte per seed, which fills one byte of every word, so the
     build runs at C speed.  Words take the narrowest of 1, 2, 4 or 8 bytes
     that fits, else Python ints.  Only generators other than passthrough
-    come here (every other family has `identity_words`).  Words that grow
-    with the seed need no sort: counter and repeat generators, whose first
-    plays are the seed's bits.  Others are sorted in buckets of about 2**16
-    seeds by their top bits, so the sort holds no more than that many as
-    Python ints at once, and the sorted words are deduplicated once.
+    come here (every other family has `identity_words`).  Dense words, where
+    a table of every depth-bit word is no larger than the seed space, are
+    counted into that table, and the distinct words and `below` are read off
+    its nonzero counts.  Sparser words that grow with the seed need no sort:
+    counter and repeat generators, whose first plays are the seed's bits.
+    Others are sorted in buckets of about 2**16 seeds by their top bits, so
+    the sort holds no more than that many as Python ints at once, and the
+    sorted words are deduplicated once.
     """
     size = -(-depth // 8)
     width = next((w for w in (1, 2, 4, 8) if w >= size), size)
@@ -81,6 +84,13 @@ def compile_words(table: Callable[[int], bytes], depth: int, space: int) -> tupl
         store = list
         words = [int.from_bytes(field[i : i + width], "little") for i in range(0, len(field), width)]
     del field  # the words hold it now
+    if 1 << depth <= space:  # the 2**20 seed cap keeps depth <= 20, so the words are an array
+        counts = array(_CODES[4], bytes(4 << depth))
+        for word in words:
+            counts[word] += 1
+        below = array(_CODES[4], [0])
+        below.extend(accumulate(compress(counts, counts)))
+        return store(compress(range(1 << depth), counts)), below
     if not all(map(le, words, islice(words, 1, None))):
         parts = [words]
         lead = min(depth, max(0, space.bit_length() - 17))

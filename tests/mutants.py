@@ -114,6 +114,20 @@ MUTANTS = [
         "test_words.py",
     ),
     Mutant(
+        "dense-below-counts-unplayed-words",
+        "words.py",
+        "below.extend(accumulate(compress(counts, counts)))",
+        "below.extend(accumulate(counts))",
+        "test_words.py",
+    ),
+    Mutant(
+        "dense-words-read-one-off",
+        "words.py",
+        "compress(range(1 << depth), counts)",
+        "compress(range(1, (1 << depth) + 1), counts)",
+        "test_words.py",
+    ),
+    Mutant(
         "sort-buckets-swapped",
         "words.py",
         "parts[word >> (depth - lead)].append(word)",
@@ -375,13 +389,6 @@ MUTANTS = [
         "merged + runs[2 * len(merged) :]",
         "merged",
         "test_exploiter.py",
-    ),
-    Mutant(
-        "round-text-seats-swapped",
-        "game.py",
-        "text[a is h][b is h]",
-        "text[b is h][a is h]",
-        "test_game.py",
     ),
     # The stepping choosers.
     Mutant(
@@ -645,6 +652,13 @@ MUTANTS = [
         "cli.py",
         "bytearray(2 * a + b for",
         "bytearray(a + 2 * b for",
+        "test_cli.py",
+    ),
+    Mutant(
+        "round-text-seats-swapped",
+        "cli.py",
+        '("TT", "TH", "HT", "HH")',
+        '("TT", "HT", "TH", "HH")',
         "test_cli.py",
     ),
     Mutant(

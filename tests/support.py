@@ -23,11 +23,10 @@ from pennylab import (
     predictor_backed,
     prefix_tail,
     simulate,
-    stage_payoff,
     uniform_table,
 )
 from pennylab.exploiter import potential_step
-from pennylab.game import RationalLike, Transcript, as_fraction, bit_to_action
+from pennylab.game import RationalLike, Transcript, as_fraction
 from pennylab.oracle import round_payoffs
 from pennylab.prng import (
     PREDICTORS,
@@ -122,6 +121,34 @@ def discounted_payoff(t: Transcript, delta: RationalLike) -> Fraction:
         raise ValueError("invalid discount factor")
     weights = round_weights(d, len(t))
     return sum((w * stage_payoff(a, b) for w, (a, b) in zip(weights[1:], t)), Fraction(0))
+
+
+def bit_to_action(bit: int) -> Action:
+    """Seed/stream bit to action: 1 plays H, 0 plays T."""
+    return Action.H if bit else Action.T
+
+
+def stage_payoff(a: Action, b: Action) -> int:
+    """Player 1's payoff for a single round: +1 on matching plays, -1 otherwise.
+
+    Player 1 is the matcher; player 2's payoff is the negation.
+    """
+    return 1 if a is b else -1
+
+
+def cumulative_payoff(t: Transcript) -> int:
+    """Player 1's total payoff over the whole transcript."""
+    return sum(stage_payoff(a, b) for a, b in t)
+
+
+def seed_plays(spec, seed, n):
+    """An oblivious strategy's plays at rounds 1..n for one seed: its `chooser`'s guesses, as actions."""
+    return tuple(map(bit_to_action, map(chooser(spec, n, seed).guess, range(n))))
+
+
+def format_transcript(t: Transcript) -> str:
+    """"HH,HT,TT" for a transcript, player 1's symbol first in each pair: `parse_transcript`'s inverse."""
+    return ",".join(a.value + b.value for a, b in t)
 
 
 def parse_transcript(text: str) -> Transcript:

@@ -38,7 +38,14 @@ from pennylab import (
 )
 from pennylab.exploiter import guarantee, play_match
 
-from support import expected_potential_step, generator_population, oblivious_population, opponents_with_budget, reference_tree_best_response
+from support import (
+    expected_potential_step,
+    generator_population,
+    oblivious_population,
+    opponents_with_budget,
+    reference_tree_best_response,
+    stage_payoff,
+)
 
 H, T = Action.H, Action.T
 
@@ -154,7 +161,6 @@ def test_criterion_5_predictor_payoff_identity():
         report = eval_next_bit_predictor(broken_repeat(n), "frequency")
         for i, p in enumerate(report.per_position, start=1):
             assert p == (Fraction(1, 2) if i >= 3 else 0)
-        from pennylab.game import stage_payoff
         from pennylab.strategies import simulate
 
         repeat_player = generator_backed(broken_repeat(n))

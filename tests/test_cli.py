@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from pennylab import cli
 from pennylab.cli import main, parse_config
 from pennylab.discounting import DiscountParams, min_rounds, tail_gain
-from pennylab.game import as_fraction, cumulative_payoff, format_transcript
+from pennylab.game import as_fraction
 from pennylab.strategies import MAX_NESTING, describe, parse_strategy, simulate
 
 from support import (
@@ -29,6 +29,8 @@ from support import (
     GOLDEN_DIGESTS,
     PERMUTATION_NAMES,
     PREDICTOR_NAMES,
+    cumulative_payoff,
+    format_transcript,
     reference_parse_config,
     reference_play,
 )

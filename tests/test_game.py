@@ -7,17 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pennylab.game import (
-    Action,
-    as_fraction,
-    average_payoff,
+from pennylab.game import Action, as_fraction, round_value
+
+from support import (
     cumulative_payoff,
+    discounted_payoff,
     format_transcript,
-    round_value,
+    parse_transcript,
+    round_weights,
     stage_payoff,
 )
-
-from support import discounted_payoff, parse_transcript, round_weights
 
 H, T = Action.H, Action.T
 
@@ -45,16 +44,6 @@ def test_cumulative_examples():
     assert cumulative_payoff(((H, H), (H, T), (T, T))) == 1
 
 
-def test_average_examples():
-    assert average_payoff(((H, H), (H, T))) == 0
-    assert average_payoff(((H, H), (H, H), (H, T))) == Fraction(1, 3)
-
-
-def test_average_rejects_empty_transcript():
-    with pytest.raises(ValueError, match="zero-length game"):
-        average_payoff(())
-
-
 def test_discounted_examples():
     assert discounted_payoff(((H, H),), Fraction(1, 2)) == Fraction(1, 2)
     assert discounted_payoff(((H, T), (H, H)), Fraction(1, 2)) == Fraction(-1, 4)
@@ -78,14 +67,6 @@ def test_zero_sum_and_antisymmetry(t):
 @given(transcripts, transcripts)
 def test_cumulative_is_linear_under_concatenation(t1, t2):
     assert cumulative_payoff(t1 + t2) == cumulative_payoff(t1) + cumulative_payoff(t2)
-
-
-@given(transcripts.filter(lambda t: len(t) > 0))
-def test_average_bounded_with_equality_iff_uniform_outcome(t):
-    avg = average_payoff(t)
-    assert -1 <= avg <= 1
-    outcomes = {stage_payoff(a, b) for a, b in t}
-    assert (abs(avg) == 1) == (len(outcomes) == 1)
 
 
 @given(st.integers(min_value=1, max_value=30), st.fractions(min_value="1/100", max_value="99/100"))

@@ -25,7 +25,7 @@ from pennylab import (
     uniform_table,
 )
 from pennylab.exploiter import guarantee
-from pennylab.game import cumulative_payoff, round_value, stage_payoff
+from pennylab.game import round_value
 from pennylab.oracle import round_payoffs
 from pennylab.prng import PREDICTORS, check_seed_space
 from pennylab.strategies import horizon, parse_strategy, round_heads
@@ -35,10 +35,12 @@ from support import (
     PREDICTOR_NAMES,
     REFERENCE_PREDICTORS,
     adaptive_population,
+    cumulative_payoff,
     discounted_payoff,
     oblivious_population,
     payoff_fractions,
     reference_tree_best_response,
+    stage_payoff,
 )
 from test_game import WIDE_DELTA
 

@@ -12,7 +12,7 @@ import pytest
 
 import pennylab
 from pennylab.cli import ExperimentConfig
-from pennylab import strategies
+from pennylab import game, strategies
 from pennylab.discounting import DiscountParams, certify_discounted_eq, tail_gain
 from pennylab.exploiter import play_match
 from pennylab.game import Action
@@ -28,7 +28,6 @@ from pennylab.strategies import (
     make_gamma_equilibrium,
     predictor_backed,
     prefix_tail,
-    seed_plays,
     uniform_table,
 )
 
@@ -77,6 +76,15 @@ def test_best_responses_are_valued_by_the_oracle_alone():
     relative = [(file, name) for file, name in _imports() if name.startswith(".")]
     assert {name for file, name in relative if file == "exploiter.py"} == {".strategies"}
     assert ".exploiter" not in {name for file, name in relative if file == "oracle.py"}
+
+
+def test_the_library_plays_in_bits_alone():
+    # The Action forms of payoffs and one seed's plays are test references
+    # (tests/support.py); the package keeps only `Action`, `Transcript` and `simulate`.
+    for name in ("stage_payoff", "cumulative_payoff", "average_payoff", "format_transcript", "seed_plays"):
+        assert not hasattr(pennylab, name), name
+    assert not hasattr(game, "bit_to_action")
+    assert not hasattr(strategies, "seed_plays")
 
 
 def test_relative_imports_form_no_cycle():
@@ -232,8 +240,7 @@ def test_validated_records_reject_bad_fields_when_built_directly(construct, mess
     "call, error, message",
     [
         (lambda: tail_gain("1/2", -1), ValueError, "round index must be non-negative"),
-        (lambda: seed_plays(predictor_backed("markov1"), 0, 3), ValueError, "adaptive strategies play from their chooser"),
-        (lambda: seed_plays(generator_backed(passthrough(3)), 0, 4), ValueError, "generator stream too short for this round"),
+        (lambda: strategies.chooser(generator_backed(passthrough(3)), 4), ValueError, "generator stream too short for this round"),
         (lambda: strategies.chooser(exploiter_vs(uniform_table(2)), 0), ValueError, "horizon must be positive"),
         (
             lambda: strategies.chooser(exploiter_vs(predictor_backed("markov1")), 0),
@@ -268,7 +275,7 @@ def test_validated_records_reject_bad_fields_when_built_directly(construct, mess
         ),
     ],
     ids=[
-        "tail-gain-negative-round", "seed-plays-adaptive", "seed-plays-short-stream",
+        "tail-gain-negative-round", "seed-plays-short-stream",
         "exploit-chooser-zero-rounds-vs-uniform", "exploit-chooser-zero-rounds-vs-pred",
         "param-unknown", "describe-unknown-kind", "prefix-tail-negative", "gamma-empty-horizon",
         "per-round-short-stream", "accuracy-against-adaptive", "predictor-zero-samples", "predictor-unknown-mode",

@@ -49,6 +49,7 @@ from support import (
     oblivious_population,
     reference_prediction_hits,
     reference_stream,
+    stage_payoff,
 )
 
 H, T = Action.H, Action.T
@@ -382,7 +383,6 @@ def test_predictor_entry_points_take_registered_names_only(monkeypatch):
 def test_frequency_wins_every_affected_round_against_repeat():
     # Payoff +1 on every round from 3 on, for every seed of the repeat stream.
     from pennylab.strategies import simulate
-    from pennylab.game import stage_payoff
 
     opponent = generator_backed(broken_repeat(8))
     striker = predictor_backed("frequency")

@@ -22,12 +22,10 @@ from pennylab import (
     predictor_backed,
     prefix_tail,
     register_predictor,
-    seed_plays,
     simulate,
     uniform_table,
 )
 from pennylab import prng, strategies
-from pennylab.game import bit_to_action
 from pennylab.prng import PREDICTORS, Chooser, GeneratorSpec, int_to_bits, predictor_chooser, seed_stream
 from pennylab.strategies import (
     MAX_NESTING,
@@ -42,12 +40,14 @@ from pennylab.words import is_identity, prediction_hits
 
 from support import (
     adaptive_population,
+    bit_to_action,
     generator_population,
     oblivious_population,
     reference_act,
     reference_round_plays,
     reference_split,
     round_plays,
+    seed_plays,
 )
 
 H, T = Action.H, Action.T
@@ -163,7 +163,6 @@ def test_act_rejects_history_round_mismatch():
 def test_seeds_outside_the_declared_space_are_budget_violations(spec, seed):
     # Nothing wraps a seed into the space: each entry point rejects it.
     for call in (
-        lambda: seed_plays(spec, seed, 3),
         lambda: chooser(spec, 3, seed),
         lambda: simulate(spec, seed, constant(H), 0, 3),
         lambda: simulate(constant(H), 0, spec, seed, 3),
@@ -350,8 +349,6 @@ def test_fixed_plays_of_seedless_rounds():
     assert seedless_plays(uniform_table(0), (7,)) == [H]
     for spec in (uniform_table(2), generator_backed(passthrough(4))):
         assert seedless_plays(spec, range(1, 5)) == [None] * 4
-    with pytest.raises(ValueError, match="adaptive strategies play from their chooser"):
-        seed_plays(predictor_backed("markov1"), 0, 4)
 
 
 def test_tail_plays_after_an_odd_and_an_even_prefix():

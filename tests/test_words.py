@@ -3,6 +3,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +25,6 @@ from pennylab import (
     predictor_backed,
     predictor_accuracy,
     prefix_tail,
-    seed_plays,
     simulate,
     uniform_table,
 )
@@ -34,7 +34,7 @@ from pennylab.exploiter import final_phi
 from pennylab.game import round_value
 from pennylab.oracle import best_response_value, exact_value, round_payoffs
 from pennylab.strategies import _compile_words, chooser, horizon, parse_strategy, play_words
-from pennylab.words import compile_words, prediction_hits
+from pennylab.words import compile_words, distinct_words, prediction_hits
 
 from support import (
     PERMUTATION_NAMES,
@@ -50,7 +50,9 @@ from support import (
     reference_prediction_hits,
     reference_predictor,
     reference_round_payoffs,
+    reference_round_plays,
     reference_stream_hits,
+    seed_plays,
 )
 
 H, T = Action.H, Action.T
@@ -284,10 +286,34 @@ def test_words_wider_than_64_bits_take_the_same_walk():
 
 
 def test_large_seed_spaces_sort_their_words_in_parts():
-    # 2**18 seeds of unordered words: the sort runs in four parts, by the first two plays.
-    g = blum_micali("mulmod", 9, 12)
-    tables = [round_bits(g, t) for t in range(1, 13)]
-    words, below = compile_words(lambda t: tables[t - 1], 12, 1 << 18)
-    counts = Counter(zip(*tables))
-    assert list(words) == [bits_to_int(w) for w in sorted(counts)]
+    # 2**18 seeds of unordered 20-round words, too sparse for a table of every
+    # word: the sort runs in four parts, by the first two plays.
+    g = blum_micali("mulmod", 9, 20)
+    tables = [round_bits(g, t) for t in range(1, 21)]
+    words, below = compile_words(lambda t: tables[t - 1], 20, 1 << 18)
+    counts = Counter(map(bits_to_int, zip(*tables)))
+    assert list(words) == sorted(counts)
     assert [b - a for a, b in zip(below, below[1:])] == [counts[w] for w in sorted(counts)]
+
+
+# Blum-Micali, counter and repeat words, each at depths one below, at and one
+# above its seed length: a table of every word is no larger than the seed
+# space up to the seed length, and sparser one round past it.
+COMPILE_POPULATION = [
+    ("bm-mulmod", generator_backed(blum_micali("mulmod", 3, 7))),
+    ("bm-identity", generator_backed(blum_micali("identity", 2, 5))),
+    ("counter", generator_backed(broken_counter(4, 5))),
+    ("repeat", generator_backed(broken_repeat(3))),
+]
+
+
+@pytest.mark.parametrize("offset", (-1, 0, 1))
+@pytest.mark.parametrize("spec", [spec for _, spec in COMPILE_POPULATION], ids=[name for name, _ in COMPILE_POPULATION])
+def test_compiled_words_are_the_sorted_distinct_seed_words(spec, offset):
+    depth, space = spec.seed_len + offset, 1 << spec.seed_len
+    g = spec.param("generator")
+    tables = [reference_round_plays(spec, t) for t in range(1, depth + 1)]
+    seed_words = [sum(table[s] << (depth - t) for t, table in enumerate(tables, 1)) for s in range(space)]
+    words, below = compile_words(partial(round_bits, g), depth, space)
+    expected_words, expected_below = distinct_words(sorted(seed_words))
+    assert (list(words), list(below)) == (expected_words, list(expected_below))
