@@ -12,7 +12,7 @@ steps two.
 from __future__ import annotations
 
 from functools import lru_cache, partial
-from typing import Any, Callable, Iterator, NamedTuple, Sequence, Union
+from typing import Any, Iterator, NamedTuple, Sequence, Union
 
 from .game import Action, RationalLike, Transcript, as_fraction
 from .prng import (
@@ -26,7 +26,7 @@ from .prng import (
     round_bits,
     seed_stream,
 )
-from .words import PlayWords, compile_words, identity_words, split_words
+from .words import PlayWords, compile_words, identity_words, late_plays, split_words
 
 
 class Seed:
@@ -214,10 +214,6 @@ def tail_cycle(spec: StrategySpec) -> tuple[int, ...]:
     return (s,) if spec.param("tail_kind") == "constant" else (s, s ^ 1)
 
 
-def _repeat(cycle: tuple[int, ...], count: int) -> tuple[int, ...]:
-    return (cycle * (count // len(cycle) + 1))[:count] if count > 0 else ()
-
-
 def _check_seed(spec: StrategySpec, seed: int) -> None:
     if seed < 0 or seed.bit_length() > spec.seed_len:
         raise ValueError("budget violation")
@@ -261,15 +257,15 @@ def majority_chooser(opponent: StrategySpec, beat: bool, n: int) -> Chooser:
     [lo, hi) of `play_words(opponent, n)`, and of those the seeds that play
     H at round t are [mid, hi).  Each step splits the range with one bisect
     of the words up to their depth and past it, where a range holds one
-    word, by that word's late plays.  A seedless adaptive opponent is one
-    word of depth 0: while consistent, it plays against the exploiter's own
-    plays, its play or that play's flip, so its late plays are one fixed
-    sequence; once refuted, its range stays empty.  The prediction is the
+    word, by that word's `late_plays`, the last word's kept.  A seedless
+    adaptive opponent is one word of depth 0 whose `cycle` is its plays
+    against the exploiter's own (its play or that play's flip) while
+    consistent; once refuted, its range stays empty.  The prediction is the
     play more of the range's seeds make; ties predict H.
     """
     if n < 1:
         raise ValueError("horizon must be positive")
-    words, below, depth, late = play_words(opponent, n)
+    pw = play_words(opponent, n)
     if not opponent.oblivious:
         inner, plays = chooser(opponent, n), []
         state = inner.init
@@ -277,7 +273,9 @@ def majority_chooser(opponent: StrategySpec, beat: bool, n: int) -> Chooser:
             plays.append(inner.guess(state))
             if t + 1 < n:
                 state = inner.step(state, plays[-1] ^ beat)
-        late = lambda lo: plays
+        pw = pw._replace(cycle=tuple(plays))
+    words, below, depth, _ = pw
+    late = lru_cache(maxsize=1)(lambda lo: late_plays(pw, lo, n - depth))
 
     def at(lo: int, hi: int, t: int) -> tuple:
         if t > depth:  # the range holds one word, or none
@@ -350,7 +348,7 @@ _SEEDLESS = PlayWords((0,), (0, 1), 0)
 
 
 def play_words(spec: StrategySpec, n: int) -> PlayWords:
-    """The play words of a game of n rounds: rounds 1..min(n, horizon), and each word's `late_plays` past them.
+    """The play words of a game of n rounds: rounds 1..min(n, horizon), and past them the spec's `tail_cycle`.
 
     Checks the seed space against the cap on every call.  A generator
     stream shorter than n rounds is rejected, as `prng.round_bits` rejects it.
@@ -369,7 +367,7 @@ def play_words(spec: StrategySpec, n: int) -> PlayWords:
         raise ValueError("generator stream too short for this round")
     compiled = spec.kind == "generator" and spec.param("generator").kind != "uniform-passthrough"
     pw = _compile_words(spec, depth) if compiled else identity_words(depth, space)
-    return pw._replace(late=late_plays(spec, pw.words, depth, n))
+    return pw._replace(cycle=tail_cycle(spec)) if depth < n else pw
 
 
 @lru_cache(maxsize=4)
@@ -380,21 +378,6 @@ def _compile_words(spec: StrategySpec, depth: int) -> PlayWords:
     12 MiB for at most 64; wider words are a list of Python ints.
     """
     return PlayWords(*compile_words(partial(round_bits, spec.param("generator")), depth, 1 << spec.seed_len), depth)
-
-
-def late_plays(opponent: StrategySpec, words: Sequence[int], depth: int, n: int) -> Callable[[int], tuple[int, ...]]:
-    """`late(lo)`: word `lo`'s plays (1 is H) at rounds depth+1..n, of an oblivious opponent's depth-round words.
-
-    Past its words' depth a spec's word is its seed.  A uniform table's word
-    is the seed itself, whose bits it repeats; a walk reads one word's late
-    plays round after round, so the last word's are kept.  Every other spec
-    repeats its `tail_cycle` there, built once for all words on the first read.
-    """
-    k = opponent.seed_len
-    if opponent.kind == "uniform-table" and k:
-        return lru_cache(maxsize=1)(lambda lo: _repeat(int_to_bits(words[lo], k), n - depth))
-    tail = lru_cache(maxsize=1)(lambda: _repeat(tail_cycle(opponent), n - depth))
-    return lambda lo: tail()
 
 
 def _parse_action(text: str) -> Action:

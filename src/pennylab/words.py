@@ -13,7 +13,7 @@ from collections import deque
 from functools import partial
 from itertools import accumulate, chain, compress, islice
 from operator import add, le, ne, sub
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .prng import Chooser, int_to_bits
 
@@ -29,15 +29,15 @@ class PlayWords(NamedTuple):
     1..depth.  below[j] counts the seeds whose word is below words[j], so the
     seeds of a range [lo, hi) of words number below[hi] - below[lo].  Every
     consistent set is such a range: the words agreeing with the plays seen.
-    late(j) gives word j's plays (1 is H) at rounds depth+1..n, or is None
-    if no walk reads past the depth.  A seedless adaptive spec compiles to
-    one empty word held by its one seed.
+    Past the depth every word repeats `cycle` (1 is H), or its own bits if
+    the cycle is empty (`late_plays`).  A seedless adaptive spec compiles
+    to one empty word held by its one seed, with no plays past it.
     """
 
     words: Sequence[int]
     below: Sequence[int]
     depth: int
-    late: Optional[Callable[[int], tuple[int, ...]]] = None
+    cycle: tuple[int, ...] = ()
 
 
 def identity_words(depth: int, space: int) -> PlayWords:
@@ -48,6 +48,16 @@ def identity_words(depth: int, space: int) -> PlayWords:
 def is_identity(pw: PlayWords) -> bool:
     """Whether `pw` are `identity_words`: every depth-bit word, each held by the same number of seeds."""
     return isinstance(pw.below, range) and len(pw.words) == 1 << pw.depth
+
+
+def late_plays(pw: PlayWords, lo: int, count: int) -> tuple[int, ...]:
+    """Word `lo`'s first `count` plays (1 is H) past the depth: `pw.cycle` repeated, or else the word's own bits."""
+    if count <= 0:
+        return ()
+    cycle = pw.cycle or int_to_bits(pw.words[lo], pw.depth)
+    if not cycle:
+        raise ValueError("seedless play words have no plays past their depth")
+    return (cycle * (count // len(cycle) + 1))[:count]
 
 
 def compile_words(table: Callable[[int], bytes], depth: int, space: int) -> tuple[Sequence[int], Sequence[int]]:
@@ -133,18 +143,17 @@ def prediction_hits(chooser: Chooser, pw: PlayWords, n: int) -> list[int]:
     weighted by its seed count.  One walk over the trie of their prefixes
     carries the chooser's state: `guess` once per node, `step` once per edge.
     A range of one word finishes its remaining positions in a loop that
-    guesses and steps once per position; past the words' depth, `pw.late`
-    gives that word's bits.
+    guesses and steps once per position, past the depth on its `late_plays`.
     """
     init, guess, step = chooser
-    words, below, depth, late = pw
+    words, below, depth, _ = pw
     hits = [0] * n
     stack = [(0, 0, len(words), init)]
     while stack:
         i, lo, hi, state = stack.pop()
         if hi - lo == 1:
             count = below[hi] - below[lo]
-            bits = int_to_bits(words[lo], depth - i) + (late(lo) if depth < n else ())
+            bits = int_to_bits(words[lo], depth - i) + late_plays(pw, lo, n - depth)
             for j, bit in enumerate(bits, i):
                 if guess(state) == bit:
                     hits[j] += count

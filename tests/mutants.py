@@ -108,9 +108,9 @@ MUTANTS = [
     ),
     Mutant(
         "uniform-table-not-wrapped-past-its-horizon",
-        "strategies.py",
-        "_repeat(int_to_bits(words[lo], k), n - depth)",
-        "(int_to_bits(words[lo], k) + (1,) * n)[: n - depth]",
+        "words.py",
+        "cycle = pw.cycle or int_to_bits(pw.words[lo], pw.depth)",
+        "cycle = pw.cycle or int_to_bits(pw.words[lo], pw.depth) + (1,) * count",
         "test_words.py",
     ),
     Mutant(
@@ -229,7 +229,7 @@ MUTANTS = [
     ),
     Mutant(
         "repeat-one-play-short",
-        "strategies.py",
+        "words.py",
         "(cycle * (count // len(cycle) + 1))[:count]",
         "(cycle * (count // len(cycle) + 1))[: count - 1]",
         "test_strategies.py",
@@ -258,22 +258,22 @@ MUTANTS = [
     Mutant(
         "uniform-late-plays-rebuilt-every-read",
         "strategies.py",
-        "return lru_cache(maxsize=1)(lambda lo: _repeat(int_to_bits(words[lo], k), n - depth))",
-        "return lambda lo: _repeat(int_to_bits(words[lo], k), n - depth)",
+        "late = lru_cache(maxsize=1)(lambda lo: late_plays(pw, lo, n - depth))",
+        "late = lambda lo: late_plays(pw, lo, n - depth)",
         "test_strategies.py",
     ),
     Mutant(
         "late-plays-a-round-early",
         "strategies.py",
-        "_repeat(tail_cycle(opponent), n - depth)",
-        "_repeat(tail_cycle(opponent)[::-1], n - depth)",
+        "pw._replace(cycle=tail_cycle(spec))",
+        "pw._replace(cycle=tail_cycle(spec)[::-1])",
         "test_strategies.py",
     ),
     Mutant(
         "exploiter-chooser-accepts-a-zero-round-game",
         "strategies.py",
-        '    if n < 1:\n        raise ValueError("horizon must be positive")\n    words, below, depth, late = play_words(opponent, n)\n',
-        "    words, below, depth, late = play_words(opponent, n)\n",
+        '    if n < 1:\n        raise ValueError("horizon must be positive")\n    pw = play_words(opponent, n)\n',
+        "    pw = play_words(opponent, n)\n",
         "test_package.py",
     ),
     Mutant(
@@ -285,17 +285,38 @@ MUTANTS = [
     ),
     Mutant(
         "word-hits-shares-a-uniform-tables-tail",
-        "strategies.py",
-        'if opponent.kind == "uniform-table" and k:',
-        "if False:",
+        "words.py",
+        "int_to_bits(pw.words[lo], pw.depth)",
+        "int_to_bits(pw.words[0], pw.depth)",
         "test_words.py",
     ),
     Mutant(
         "word-hits-uniform-tail-a-round-late",
-        "strategies.py",
-        "_repeat(int_to_bits(words[lo], k), n - depth)",
-        "_repeat(int_to_bits(words[lo], k), n - depth + 1)[1:]",
+        "words.py",
+        "cycle = pw.cycle or int_to_bits(pw.words[lo], pw.depth)",
+        "cycle = pw.cycle or int_to_bits(pw.words[lo] << 1 | pw.words[lo] >> (pw.depth - 1), pw.depth)",
         "test_words.py",
+    ),
+    Mutant(
+        "own-late-plays-read-from-the-low-end",
+        "words.py",
+        "int_to_bits(pw.words[lo], pw.depth)",
+        "int_to_bits(pw.words[lo], pw.depth)[::-1]",
+        "test_strategies.py",
+    ),
+    Mutant(
+        "late-cycle-phase-starts-a-round-late",
+        "words.py",
+        "(cycle * (count // len(cycle) + 1))[:count]",
+        "(cycle * (count // len(cycle) + 2))[1 : count + 1]",
+        "test_words.py",
+    ),
+    Mutant(
+        "seedless-late-plays-unguarded",
+        "words.py",
+        "    if not cycle:\n        raise ValueError",
+        "    if False:\n        raise ValueError",
+        "test_strategies.py",
     ),
     # The level tables and identity play words.
     Mutant(

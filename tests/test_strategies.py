@@ -25,7 +25,7 @@ from pennylab import (
     simulate,
     uniform_table,
 )
-from pennylab import prng, strategies
+from pennylab import prng, strategies, words
 from pennylab.prng import PREDICTORS, Chooser, GeneratorSpec, int_to_bits, predictor_chooser, seed_stream
 from pennylab.strategies import (
     MAX_NESTING,
@@ -36,7 +36,7 @@ from pennylab.strategies import (
     play_words,
     round_heads,
 )
-from pennylab.words import is_identity, prediction_hits
+from pennylab.words import PlayWords, is_identity, late_plays, prediction_hits
 
 from support import (
     adaptive_population,
@@ -282,7 +282,7 @@ def test_split_matches_seed_by_seed_reference(spec, data):
     # Follow a drawn history, mostly along consistent plays, so ranges reach
     # the last round, one word past the horizon, and the empty range.  The
     # exploiter's chooser splits an oblivious spec's words by one bisect, or
-    # past their depth by `late_plays`, and an adaptive one's single seed by
+    # past their depth by `words.late_plays`, and an adaptive one's single seed by
     # that spec's chooser, stepped with the exploiter's own plays, which are
     # its guesses.
     init, guess, step = chooser(exploiter_vs(spec, data.draw(st.booleans(), label="beat")), SPLIT_N)
@@ -393,51 +393,57 @@ LATE_POPULATION = (
 
 @pytest.mark.parametrize("spec", [spec for _, spec in LATE_POPULATION], ids=[name for name, _ in LATE_POPULATION])
 def test_late_plays_are_each_words_seed_plays(spec):
-    # Past its words' depth a word is its seed: late(lo) is seed words[lo]'s
-    # plays there, by the per-round reference on that seed.
+    # Past its words' depth a word is its seed: its late plays are seed
+    # words[lo]'s plays there, by the per-round reference on that seed.
     k = spec.seed_len
     for n in range(k + 1, 3 * k + 3):
-        words, _, depth, late = play_words(spec, n)
-        for lo, word in enumerate(words):
+        pw = play_words(spec, n)
+        for lo, word in enumerate(pw.words):
             seed = Seed(int_to_bits(word, k))
-            plays = [reference_act(spec, seed, ((H, H),) * (t - 1), t) for t in range(depth + 1, n + 1)]
-            assert late(lo) == tuple(int(a is H) for a in plays), (n, lo)
+            plays = [reference_act(spec, seed, ((H, H),) * (t - 1), t) for t in range(pw.depth + 1, n + 1)]
+            assert late_plays(pw, lo, n - pw.depth) == tuple(int(a is H) for a in plays), (n, lo)
 
 
-def test_fixed_late_plays_are_built_on_their_first_read(monkeypatch):
-    # Every family but a compiled generator has identity words; a seedless one's are its one empty word.
+def test_identity_play_words_are_plain_data():
+    # Every family but a compiled generator has identity words; a seedless
+    # one's are its one empty word.  Past the depth they hold a cycle, not a
+    # closure, so two calls give equal words.
     for desc in ("const:H", "alt:T", "uniform:0", "prefix-tail:prefix=0", "uniform:3", "prefix-tail:prefix=2"):
-        assert is_identity(play_words(parse_strategy(desc, 9), 9)), desc
-    # A walk that never reads past the depth, as `best_response_value`'s, pays nothing for the late plays.
-    calls = []
-    real_tail_cycle = strategies.tail_cycle
+        spec = parse_strategy(desc, 9)
+        assert is_identity(play_words(spec, 9)), desc
+        assert play_words(spec, 9) == play_words(spec, 9), desc
+    assert play_words(prefix_tail(2, "alternator", T), 9).cycle == (0, 1)
+    assert play_words(uniform_table(3), 9).cycle == ()  # each word replays its own bits
+    spec = generator_backed(passthrough(5))
+    assert is_identity(play_words(spec, 5)) and play_words(spec, 5) == play_words(spec, 5)
 
-    def counting_tail_cycle(spec):
-        calls.append(spec)
-        return real_tail_cycle(spec)
 
-    monkeypatch.setattr(strategies, "tail_cycle", counting_tail_cycle)
-    pw = play_words(alternator(H), 50)
-    assert calls == []
-    assert pw.late(0) == (1, 0) * 25
-    assert calls == [alternator(H)]
-    assert pw.late(0) == (1, 0) * 25
-    assert calls == [alternator(H)]
+def test_seedless_words_have_no_late_plays():
+    # An adaptive spec's one empty word has no plays past its depth of 0 until
+    # its exploiter gives it a cycle: reading them is a ValueError, not a
+    # division by the empty cycle's length.
+    pw = play_words(predictor_backed("markov1"), 5)
+    assert (pw.depth, pw.cycle) == (0, ())
+    assert late_plays(pw, 0, 0) == ()
+    with pytest.raises(ValueError, match="no plays past their depth"):
+        late_plays(pw, 0, 3)
+    assert late_plays(pw._replace(cycle=(1, 0)), 0, 3) == (1, 0, 1)
+    assert late_plays(PlayWords((0b110,), (0, 1), 3), 0, 7) == (1, 1, 0, 1, 1, 0, 1)
 
 
 def test_a_chooser_builds_a_uniform_tables_late_plays_once(monkeypatch):
     # It reads the one word's late plays each round past the depth; a rebuild
     # per round would make a game of n rounds cost O(n**2).
     calls = []
-    real_int_to_bits = strategies.int_to_bits
+    real_int_to_bits = words.int_to_bits
 
     def counting_int_to_bits(value, length):
         calls.append(value)
         return real_int_to_bits(value, length)
 
-    monkeypatch.setattr(strategies, "int_to_bits", counting_int_to_bits)
+    monkeypatch.setattr(words, "int_to_bits", counting_int_to_bits)
     simulate(exploiter_vs(uniform_table(3)), 0, uniform_table(3), 0b101, 50)
-    assert calls == [0b101, 0b101]  # the seat's own plays, and the exploiter's late plays of its word
+    assert calls == [0b101]  # the exploiter's late plays of its word, built once
 
 
 def test_a_seedless_models_plays_are_computed_once_when_its_exploiter_is_built(monkeypatch):

@@ -29,11 +29,11 @@ from pennylab import (
     uniform_table,
 )
 from pennylab import strategies
-from pennylab.prng import bits_to_int, round_bits, seed_stream
+from pennylab.prng import bits_to_int, predictor_chooser, round_bits, seed_stream
 from pennylab.exploiter import final_phi
 from pennylab.game import round_value
 from pennylab.oracle import best_response_value, exact_value, round_payoffs
-from pennylab.strategies import _compile_words, chooser, horizon, parse_strategy, play_words
+from pennylab.strategies import _compile_words, chooser, describe, horizon, parse_strategy, play_words
 from pennylab.words import compile_words, distinct_words, prediction_hits
 
 from support import (
@@ -51,6 +51,7 @@ from support import (
     reference_predictor,
     reference_round_payoffs,
     reference_round_plays,
+    reference_simulate,
     reference_stream_hits,
     seed_plays,
 )
@@ -222,6 +223,31 @@ def test_exact_hits_match_the_stream_loop(case, predictor):
         assert eval_next_bit_predictor(g, predictor).per_position == tuple(
             Fraction(h, space) - Fraction(1, 2) for h in hits
         )
+
+
+# Past the depth a uniform table's words replay their own bits, in full by
+# n = 2 * depth and once more from the start at 2 * depth + 1; a
+# prefix-tail's share its tail cycle.  `specs()` stops short of both.
+TWICE_POPULATION = [uniform_table(3)] + [prefix_tail(3, tail, a) for tail in ("constant", "alternator") for a in (H, T)]
+
+
+@pytest.mark.parametrize("offset", (0, 1))
+@pytest.mark.parametrize("spec", TWICE_POPULATION, ids=describe)
+def test_late_plays_match_the_references_at_twice_the_depth(spec, offset):
+    n = 2 * horizon(spec) + offset
+    seeds = range(1 << spec.seed_len)
+    streams = [tuple(int(a is H) for a, _ in reference_simulate(spec, s, constant(H), 0, n)) for s in seeds]
+    pw = play_words(spec, n)
+    for predictor in PREDICTOR_NAMES:
+        expected = reference_stream_hits(reference_predictor(predictor), streams, n)
+        assert prediction_hits(predictor_chooser(predictor), pw, n) == expected, predictor
+    for beat in (False, True):
+        player = exploiter_vs(spec, beat=beat)
+        for s in seeds:
+            assert simulate(player, 0, spec, s, n) == reference_simulate(player, 0, spec, s, n), (beat, s)
+        # The exploiter's chooser walked over every word, as a near model's exploiter is.
+        values, space = _hit_walk(player, spec, n)
+        assert [Fraction(v, space) for v in values] == reference_round_payoffs(player, spec, n), beat
 
 
 @pytest.mark.parametrize("predictor", PREDICTOR_NAMES)
