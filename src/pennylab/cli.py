@@ -14,6 +14,7 @@ config is validated, an internal error.  Statuses 2 and 3 print one JSON line
 from __future__ import annotations
 
 import importlib
+import io
 import os
 import sys
 from decimal import MAX_EMAX, MAX_PREC, Context, Decimal
@@ -108,15 +109,12 @@ def json_artifact(cfg: ExperimentConfig, payload: dict) -> str:
     return json.dumps(record, sort_keys=True, indent=2) + "\n"
 
 
-def csv_artifact(cfg: ExperimentConfig, header: list[str], rows: list[str], extra: dict) -> str:
+def csv_artifact(cfg: ExperimentConfig, header: list[str], rows: str, extra: dict) -> str:
+    """`# key=value` lines of the config and `extra`, the header line, then `rows`, each row ending in a newline."""
     lines = [f"# command={cfg.command}", f"# run_id={cfg.run_id}"]
-    for key in sorted(cfg.values):
-        if cfg.values[key] is not None:
-            lines.append(f"# {key}={cfg.values[key]}")
-    for key in sorted(extra):
-        lines.append(f"# {key}={extra[key]}")
-    lines.append(",".join(header))
-    return "\n".join([*lines, *rows, ""])
+    lines += [f"# {key}={cfg.values[key]}" for key in sorted(cfg.values) if cfg.values[key] is not None]
+    lines += [f"# {key}={extra[key]}" for key in sorted(extra)]
+    return "\n".join([*lines, ",".join(header), rows])
 
 
 # --------------------------------------------------------------------------
@@ -226,9 +224,9 @@ def _cmd_exploit(cfg: ExperimentConfig, opponent) -> tuple[str, int]:
     n = cfg.values["n"]
     achieved = best_response_value(opponent, n)
     bound = guarantee(n, opponent.seed_len)
-    rows, cumulative = [], 0
+    rows, cumulative = io.StringIO(), 0
     for r in play_match(opponent, cfg.values["opponent_seed"], n):
-        rows.append("%d,%s,%d,%d,%.12g,%.12g" % (r.round, frac_str(r.p), r.alive_size, r.payoff, r.phi, r.delta_phi))
+        rows.write("%d,%s,%d,%d,%.12g,%.12g\n" % (r.round, frac_str(r.p), r.alive_size, r.payoff, r.phi, r.delta_phi))
         cumulative += r.payoff
     extra = {
         "achieved": frac_str(achieved),
@@ -240,7 +238,7 @@ def _cmd_exploit(cfg: ExperimentConfig, opponent) -> tuple[str, int]:
         "traced_cumulative": str(cumulative),
     }
     header = ["round", "p_t", "alive_size", "payoff", "phi", "delta_phi"]
-    return csv_artifact(cfg, header, rows, extra), 0 if achieved >= bound else 1
+    return csv_artifact(cfg, header, rows.getvalue(), extra), 0 if achieved >= bound else 1
 
 
 def _cmd_verify_eq(cfg: ExperimentConfig, pair) -> tuple[str, int]:
@@ -327,9 +325,9 @@ def _cmd_sweep(cfg: ExperimentConfig, ks) -> tuple[str, int]:
         margin = achieved - bound
         all_ok = all_ok and margin >= 0
         exact = (bound, achieved, margin)
-        rows.append(",".join([str(k), str(n), *map(frac_str, exact), *map(dec_str, exact)]))
+        rows.append(",".join([str(k), str(n), *map(frac_str, exact), *map(dec_str, exact)]) + "\n")
     header = ["k", "n", "guaranteed", "achieved", "margin", "guaranteed_dec", "achieved_dec", "margin_dec"]
-    return csv_artifact(cfg, header, rows, {"opponent_family": "uniform-table"}), 0 if all_ok else 1
+    return csv_artifact(cfg, header, "".join(rows), {"opponent_family": "uniform-table"}), 0 if all_ok else 1
 
 
 # --------------------------------------------------------------------------

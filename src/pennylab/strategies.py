@@ -258,28 +258,28 @@ def majority_chooser(opponent: StrategySpec, beat: bool, n: int) -> Chooser:
     H at round t are [mid, hi).  Each step splits the range with one bisect
     of the words up to their depth and past it, where a range holds one
     word, by that word's `late_plays`, the last word's kept.  A seedless
-    adaptive opponent is one word of depth 0 whose `cycle` is its plays
-    against the exploiter's own (its play or that play's flip) while
-    consistent; once refuted, its range stays empty.  The prediction is the
-    play more of the range's seeds make; ties predict H.
+    adaptive opponent is one word of depth 0 whose `cycle` is its n plays
+    as bytes against the exploiter's own (its play or that play's flip)
+    while consistent; once refuted, its range stays empty.  The prediction
+    is the play more of the range's seeds make; ties predict H.
     """
     if n < 1:
         raise ValueError("horizon must be positive")
     pw = play_words(opponent, n)
     if not opponent.oblivious:
-        inner, plays = chooser(opponent, n), []
+        inner, plays = chooser(opponent, n), bytearray()
         state = inner.init
         for t in range(n):
             plays.append(inner.guess(state))
             if t + 1 < n:
                 state = inner.step(state, plays[-1] ^ beat)
-        pw = pw._replace(cycle=tuple(plays))
+        pw = pw._replace(cycle=bytes(plays))
     words, below, depth, _ = pw
-    late = lru_cache(maxsize=1)(lambda lo: late_plays(pw, lo, n - depth))
+    late = lru_cache(maxsize=1)(lambda lo: late_plays(pw, lo))
 
     def at(lo: int, hi: int, t: int) -> tuple:
         if t > depth:  # the range holds one word, or none
-            return lo, lo if lo < hi and late(lo)[t - 1 - depth] else hi, hi, t
+            return lo, lo if lo < hi and (c := late(lo))[(t - 1 - depth) % len(c)] else hi, hi, t
         return lo, lo if lo == hi else split_words(words, lo, hi, depth - t), hi, t
 
     def guess(view: tuple) -> int:

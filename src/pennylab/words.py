@@ -11,7 +11,7 @@ from array import array
 from bisect import bisect_left
 from collections import deque
 from functools import partial
-from itertools import accumulate, chain, compress, islice
+from itertools import accumulate, chain, compress, cycle, islice
 from operator import add, le, ne, sub
 from typing import Callable, NamedTuple, Sequence
 
@@ -29,15 +29,15 @@ class PlayWords(NamedTuple):
     1..depth.  below[j] counts the seeds whose word is below words[j], so the
     seeds of a range [lo, hi) of words number below[hi] - below[lo].  Every
     consistent set is such a range: the words agreeing with the plays seen.
-    Past the depth every word repeats `cycle` (1 is H), or its own bits if
-    the cycle is empty (`late_plays`).  A seedless adaptive spec compiles
-    to one empty word held by its one seed, with no plays past it.
+    Past the depth every word repeats `cycle`, or its own bits if the cycle is
+    empty (`late_plays`).  A seedless adaptive spec compiles to one empty word
+    of its one seed and no cycle; its exploiter sets the cycle to its plays, one byte a round.
     """
 
     words: Sequence[int]
     below: Sequence[int]
     depth: int
-    cycle: tuple[int, ...] = ()
+    cycle: Sequence[int] = ()
 
 
 def identity_words(depth: int, space: int) -> PlayWords:
@@ -50,14 +50,12 @@ def is_identity(pw: PlayWords) -> bool:
     return isinstance(pw.below, range) and len(pw.words) == 1 << pw.depth
 
 
-def late_plays(pw: PlayWords, lo: int, count: int) -> tuple[int, ...]:
-    """Word `lo`'s first `count` plays (1 is H) past the depth: `pw.cycle` repeated, or else the word's own bits."""
-    if count <= 0:
-        return ()
-    cycle = pw.cycle or int_to_bits(pw.words[lo], pw.depth)
-    if not cycle:
+def late_plays(pw: PlayWords, lo: int) -> Sequence[int]:
+    """The plays c (1 is H) word `lo` repeats past the depth, round t > depth playing c[(t - 1 - depth) % len(c)]."""
+    c = pw.cycle or int_to_bits(pw.words[lo], pw.depth)
+    if not c:
         raise ValueError("seedless play words have no plays past their depth")
-    return (cycle * (count // len(cycle) + 1))[:count]
+    return c
 
 
 def compile_words(table: Callable[[int], bytes], depth: int, space: int) -> tuple[Sequence[int], Sequence[int]]:
@@ -153,7 +151,9 @@ def prediction_hits(chooser: Chooser, pw: PlayWords, n: int) -> list[int]:
         i, lo, hi, state = stack.pop()
         if hi - lo == 1:
             count = below[hi] - below[lo]
-            bits = int_to_bits(words[lo], depth - i) + late_plays(pw, lo, n - depth)
+            c = late_plays(pw, lo) if depth < n else ()  # a tail longer than c is read off c in place
+            bits = int_to_bits(words[lo], depth - i)
+            bits = bits + c[: n - depth] if n - depth <= len(c) else chain(bits, islice(cycle(c), n - depth))
             for j, bit in enumerate(bits, i):
                 if guess(state) == bit:
                     hits[j] += count

@@ -54,7 +54,7 @@ MUTANTS = [
         "hits-one-word-range-a-position-late",
         "words.py",
         "for j, bit in enumerate(bits, i):",
-        "for j, bit in enumerate(bits[1:], i + 1):",
+        "for j, bit in enumerate(islice(bits, 1, None), i + 1):",
         "test_words.py",
     ),
     Mutant(
@@ -109,8 +109,8 @@ MUTANTS = [
     Mutant(
         "uniform-table-not-wrapped-past-its-horizon",
         "words.py",
-        "cycle = pw.cycle or int_to_bits(pw.words[lo], pw.depth)",
-        "cycle = pw.cycle or int_to_bits(pw.words[lo], pw.depth) + (1,) * count",
+        "c = pw.cycle or int_to_bits(pw.words[lo], pw.depth)",
+        "c = pw.cycle or int_to_bits(pw.words[lo], pw.depth) + (1,) * pw.depth",
         "test_words.py",
     ),
     Mutant(
@@ -230,9 +230,9 @@ MUTANTS = [
     Mutant(
         "repeat-one-play-short",
         "words.py",
-        "(cycle * (count // len(cycle) + 1))[:count]",
-        "(cycle * (count // len(cycle) + 1))[: count - 1]",
-        "test_strategies.py",
+        "bits + c[: n - depth]",
+        "bits + c[: n - depth - 1]",
+        "test_words.py",
     ),
     Mutant(
         "round-heads-cycle-phase-off-by-one",
@@ -251,16 +251,30 @@ MUTANTS = [
     Mutant(
         "split-past-depth-always-hi",
         "strategies.py",
-        "return lo, lo if lo < hi and late(lo)[t - 1 - depth] else hi, hi, t",
+        "return lo, lo if lo < hi and (c := late(lo))[(t - 1 - depth) % len(c)] else hi, hi, t",
         "return lo, hi, hi, t",
         "test_words.py",
     ),
     Mutant(
         "uniform-late-plays-rebuilt-every-read",
         "strategies.py",
-        "late = lru_cache(maxsize=1)(lambda lo: late_plays(pw, lo, n - depth))",
-        "late = lambda lo: late_plays(pw, lo, n - depth)",
+        "late = lru_cache(maxsize=1)(lambda lo: late_plays(pw, lo))",
+        "late = lambda lo: late_plays(pw, lo)",
         "test_strategies.py",
+    ),
+    Mutant(
+        "chooser-late-index-wraps-at-the-depth",
+        "strategies.py",
+        "[(t - 1 - depth) % len(c)]",
+        "[(t - 1 - depth) % max(depth, 1)]",
+        "test_words.py",
+    ),
+    Mutant(
+        "seedless-plays-stored-one-round-short",
+        "strategies.py",
+        "pw._replace(cycle=bytes(plays))",
+        "pw._replace(cycle=bytes(plays[:-1]))",
+        "test_choosers.py",
     ),
     Mutant(
         "late-plays-a-round-early",
@@ -279,8 +293,8 @@ MUTANTS = [
     Mutant(
         "chooser-reads-its-late-plays-a-round-early",
         "strategies.py",
-        "late(lo)[t - 1 - depth]",
-        "late(lo)[t - 2 - depth]",
+        "[(t - 1 - depth) % len(c)]",
+        "[(t - 2 - depth) % len(c)]",
         "test_words.py",
     ),
     Mutant(
@@ -293,8 +307,8 @@ MUTANTS = [
     Mutant(
         "word-hits-uniform-tail-a-round-late",
         "words.py",
-        "cycle = pw.cycle or int_to_bits(pw.words[lo], pw.depth)",
-        "cycle = pw.cycle or int_to_bits(pw.words[lo] << 1 | pw.words[lo] >> (pw.depth - 1), pw.depth)",
+        "c = pw.cycle or int_to_bits(pw.words[lo], pw.depth)",
+        "c = pw.cycle or int_to_bits(pw.words[lo] << 1 | pw.words[lo] >> (pw.depth - 1), pw.depth)",
         "test_words.py",
     ),
     Mutant(
@@ -307,14 +321,14 @@ MUTANTS = [
     Mutant(
         "late-cycle-phase-starts-a-round-late",
         "words.py",
-        "(cycle * (count // len(cycle) + 1))[:count]",
-        "(cycle * (count // len(cycle) + 2))[1 : count + 1]",
+        "islice(cycle(c), n - depth)",
+        "islice(cycle(c), 1, n - depth + 1)",
         "test_words.py",
     ),
     Mutant(
         "seedless-late-plays-unguarded",
         "words.py",
-        "    if not cycle:\n        raise ValueError",
+        "    if not c:\n        raise ValueError",
         "    if False:\n        raise ValueError",
         "test_strategies.py",
     ),

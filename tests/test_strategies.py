@@ -1,6 +1,10 @@
 """Strategy families: determinism, budgets, obliviousness, and the equilibrium pair."""
 
+import sys
+import tracemalloc
+from collections import deque
 from fractions import Fraction
+from itertools import cycle, islice
 
 import pytest
 from hypothesis import given, settings
@@ -32,6 +36,7 @@ from pennylab.strategies import (
     StrategySpec,
     chooser,
     describe,
+    match,
     parse_strategy,
     play_words,
     round_heads,
@@ -401,7 +406,8 @@ def test_late_plays_are_each_words_seed_plays(spec):
         for lo, word in enumerate(pw.words):
             seed = Seed(int_to_bits(word, k))
             plays = [reference_act(spec, seed, ((H, H),) * (t - 1), t) for t in range(pw.depth + 1, n + 1)]
-            assert late_plays(pw, lo, n - pw.depth) == tuple(int(a is H) for a in plays), (n, lo)
+            late = islice(cycle(late_plays(pw, lo)), n - pw.depth)
+            assert tuple(late) == tuple(int(a is H) for a in plays), (n, lo)
 
 
 def test_identity_play_words_are_plain_data():
@@ -424,11 +430,43 @@ def test_seedless_words_have_no_late_plays():
     # division by the empty cycle's length.
     pw = play_words(predictor_backed("markov1"), 5)
     assert (pw.depth, pw.cycle) == (0, ())
-    assert late_plays(pw, 0, 0) == ()
     with pytest.raises(ValueError, match="no plays past their depth"):
-        late_plays(pw, 0, 3)
-    assert late_plays(pw._replace(cycle=(1, 0)), 0, 3) == (1, 0, 1)
-    assert late_plays(PlayWords((0b110,), (0, 1), 3), 0, 7) == (1, 1, 0, 1, 1, 0, 1)
+        late_plays(pw, 0)
+    assert tuple(islice(cycle(late_plays(pw._replace(cycle=b"\x01\x00"), 0)), 3)) == (1, 0, 1)
+    assert tuple(islice(cycle(late_plays(PlayWords((0b110,), (0, 1), 3), 0)), 7)) == (1, 1, 0, 1, 1, 0, 1)
+
+
+def _traced_peak(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("desc", ["pred:markov1", "alt:H", "uniform:10"])
+def test_an_exploiters_match_holds_no_copy_of_its_late_plays(desc):
+    # Past the depth a word's plays are read off its cycle by round: neither
+    # the exploiter's chooser nor the match copies a tail of n plays, and a
+    # seedless model's plays are held once, one byte a round.
+    n = 2 * 10**5
+    opponent = parse_strategy(desc, n)
+    seed = opponent.seed_len and 0b1011001110
+
+    def play():
+        deque(match(chooser(exploiter_vs(opponent), n), chooser(opponent, n, seed), n), maxlen=0)
+
+    peak = _traced_peak(play)
+    assert peak < 1 << 20, peak
+
+
+def test_a_one_word_hit_walk_holds_no_copy_of_its_late_plays():
+    # The hits list is the walk's only O(n) allocation.
+    n = 10**6
+    pw = play_words(alternator(H), n)
+    peak = _traced_peak(lambda: prediction_hits(predictor_chooser("markov1", as_play=True), pw, n))
+    assert peak < sys.getsizeof([0] * n) + (1 << 20), peak
 
 
 def test_a_chooser_builds_a_uniform_tables_late_plays_once(monkeypatch):
@@ -448,18 +486,25 @@ def test_a_chooser_builds_a_uniform_tables_late_plays_once(monkeypatch):
 
 def test_a_seedless_models_plays_are_computed_once_when_its_exploiter_is_built(monkeypatch):
     # While consistent, the model plays against the exploiter's own plays, one
-    # fixed sequence: building the chooser guesses once per round, and a walk
-    # of its views (lo, mid, hi, t) calls the model no more.
-    calls = []
+    # fixed sequence: building the chooser guesses once per round and steps
+    # once per round but the last, and a walk of its views (lo, mid, hi, t)
+    # calls the model no more.
+    calls, steps = [], []
 
     def counted(prefix):
         calls.append(prefix)
         return sum(prefix) & 1
 
+    def counting_chooser(spec, n, seed=0):
+        model = real_chooser(spec, n, seed)
+        return Chooser(model.init, model.guess, lambda state, bit: steps.append(bit) or model.step(state, bit))
+
+    real_chooser = strategies.chooser
+    monkeypatch.setattr(strategies, "chooser", counting_chooser)  # the exploiter's chooser of its model
     monkeypatch.setitem(PREDICTORS, "counted", None)  # teardown removes the registration
     register_predictor("counted", counted)
     seat = chooser(exploiter_vs(predictor_backed("counted")), 7)
-    assert len(calls) == 7
+    assert (len(calls), len(steps)) == (7, 6)
     views = [seat.init]
 
     def step(view, seen):
