@@ -110,11 +110,14 @@ def json_artifact(cfg: ExperimentConfig, payload: dict) -> str:
 
 
 def csv_artifact(cfg: ExperimentConfig, header: list[str], rows: str, extra: dict) -> str:
-    """`# key=value` lines of the config and `extra`, the header line, then `rows`, each row ending in a newline."""
     lines = [f"# command={cfg.command}", f"# run_id={cfg.run_id}"]
-    lines += [f"# {key}={cfg.values[key]}" for key in sorted(cfg.values) if cfg.values[key] is not None]
-    lines += [f"# {key}={extra[key]}" for key in sorted(extra)]
-    return "\n".join([*lines, ",".join(header), rows])
+    for key in sorted(cfg.values):
+        if cfg.values[key] is not None:
+            lines.append(f"# {key}={cfg.values[key]}")
+    for key in sorted(extra):
+        lines.append(f"# {key}={extra[key]}")
+    lines.append(",".join(header))
+    return "\n".join([*lines, rows])  # each of the rows ends in a newline
 
 
 # --------------------------------------------------------------------------

@@ -151,9 +151,8 @@ def prediction_hits(chooser: Chooser, pw: PlayWords, n: int) -> list[int]:
         i, lo, hi, state = stack.pop()
         if hi - lo == 1:
             count = below[hi] - below[lo]
-            c = late_plays(pw, lo) if depth < n else ()  # a tail longer than c is read off c in place
-            bits = int_to_bits(words[lo], depth - i)
-            bits = bits + c[: n - depth] if n - depth <= len(c) else chain(bits, islice(cycle(c), n - depth))
+            c = late_plays(pw, lo) if depth < n else ()
+            bits = chain(int_to_bits(words[lo], depth - i), islice(cycle(c), n - depth))
             for j, bit in enumerate(bits, i):
                 if guess(state) == bit:
                     hits[j] += count

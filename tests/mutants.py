@@ -230,8 +230,8 @@ MUTANTS = [
     Mutant(
         "repeat-one-play-short",
         "words.py",
-        "bits + c[: n - depth]",
-        "bits + c[: n - depth - 1]",
+        "islice(cycle(c), n - depth)",
+        "islice(cycle(c), max(n - depth - 1, 0))",  # one play short, not an islice error at depth n
         "test_words.py",
     ),
     Mutant(

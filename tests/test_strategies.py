@@ -463,7 +463,7 @@ def test_an_exploiters_match_holds_no_copy_of_its_late_plays(desc):
 
 def test_a_one_word_hit_walk_holds_no_copy_of_its_late_plays():
     # The hits list is the walk's only O(n) allocation.
-    n = 10**6
+    n = 2 * 10**5
     pw = play_words(alternator(H), n)
     peak = _traced_peak(lambda: prediction_hits(predictor_chooser("markov1", as_play=True), pw, n))
     assert peak < sys.getsizeof([0] * n) + (1 << 20), peak
