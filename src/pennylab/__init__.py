@@ -27,6 +27,7 @@ from .exploiter import (
 )
 from .oracle import GapReport, best_response_value, certify_gap, exact_value
 from .prng import (
+    Chooser,
     GeneratorSpec,
     blum_micali,
     broken_counter,

@@ -15,7 +15,6 @@ from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 Bits = tuple[int, ...]
 PermFn = Callable[[int], int]
-PredictorFn = Callable[[Bits], int]
 
 MAX_SEED_LEN = 20
 DEFAULT_CAP = 1 << MAX_SEED_LEN
@@ -360,11 +359,11 @@ def seed_stream(g: GeneratorSpec, value: int) -> Bits:
 class Chooser(NamedTuple):
     """A next-bit guesser that carries its state along a stream instead of rereading the prefix.
 
-    `guess(state)` is the bit it predicts next and `step(state, bit)` the
-    state once that bit is seen; `init` is the state before any bit.  Folding
-    `step` over a prefix and calling `guess` equals the predictor on that
-    prefix.  The state is an immutable value, so one state may be stepped
-    down both branches of a walk.
+    `guess(state)` is the bit it predicts next, 0 or 1, and `step(state,
+    bit)` the state once that bit is seen; `init` is the state before any
+    bit.  Folding `step` over a prefix and calling `guess` equals the
+    predictor on that prefix.  A state is an immutable, hashable value, so
+    one state may be stepped down both branches of a walk.
     """
 
     init: Any
@@ -374,10 +373,6 @@ class Chooser(NamedTuple):
 
 def _keep(state: Any, bit: int) -> Any:
     return state
-
-
-def _extend(prefix: Bits, bit: int) -> Bits:
-    return prefix + (bit,)
 
 
 def _zero(state: Any) -> int:
@@ -451,25 +446,24 @@ _BUILTINS = {
     "periodicity": Chooser((0, 0, 0), _periodicity_guess, _periodicity_step),
 }
 
-# The prefix functions passed to `register_predictor`, by name; empty at import.
-PREDICTORS: dict[str, PredictorFn] = {}
+# The choosers passed to `register_predictor`, by name; empty at import.
+PREDICTORS: dict[str, Chooser] = {}
 
 
-def register_predictor(name: str, fn: PredictorFn) -> None:
-    PREDICTORS[name] = fn
+def register_predictor(name: str, chooser: Chooser) -> None:
+    """Register `chooser` as the predictor `name`, shadowing a built-in of that name.
 
-
-def predictor_chooser(name: str, as_play: bool = False) -> Chooser:
-    """The stepping form of the predictor named `name`.
-
-    A registered function, which shadows a built-in of the same name, steps
-    the prefix tuple itself and is called on it once per guess.  Its guess is
-    compared to the next bit as it is, unless `as_play`: then any truthy
-    guess is 1, as a match plays it.  A built-in keeps O(1) state.
+    Its guesses are read as bits: any truthy guess is 1, as a match plays it.
     """
-    fn = PREDICTORS.get(name)
-    if fn is not None:
-        return Chooser((), (lambda prefix: 1 if fn(prefix) else 0) if as_play else fn, _extend)
-    if name not in _BUILTINS:
+    if not isinstance(chooser, Chooser) or not callable(chooser.guess) or not callable(chooser.step):
+        raise ValueError("a predictor must be a Chooser with callable guess and step")
+    guess = chooser.guess
+    PREDICTORS[name] = chooser._replace(guess=lambda state: 1 if guess(state) else 0)
+
+
+def predictor_chooser(name: str) -> Chooser:
+    """The chooser of the predictor named `name`: the registered one, else the built-in."""
+    c = PREDICTORS.get(name) or _BUILTINS.get(name)
+    if c is None:
         raise ValueError(f"unknown predictor: {name!r}")
-    return _BUILTINS[name]
+    return c

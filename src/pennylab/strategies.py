@@ -244,7 +244,7 @@ def chooser(spec: StrategySpec, n: int, seed: int = 0) -> Chooser:
         cycle = tail_cycle(spec) or head  # a seeded uniform table repeats its seed
         return Chooser(0, lambda t: head[t] if t < k else cycle[(t - k) % len(cycle)], _next_round)
     if spec.kind == "predictor":
-        c = predictor_chooser(spec.param("predictor"), as_play=True)
+        c = predictor_chooser(spec.param("predictor"))
         return Chooser(c.init, lambda state: c.guess(state) ^ 1, c.step) if spec.param("beat") else c
     return majority_chooser(spec.param("opponent"), spec.param("beat"), n)
 

@@ -443,15 +443,22 @@ MUTANTS = [
     Mutant(
         "builtin-shadows-a-registered-name",
         "prng.py",
-        "fn = PREDICTORS.get(name)",
-        "fn = None if name in _BUILTINS else PREDICTORS.get(name)",
+        "c = PREDICTORS.get(name) or _BUILTINS.get(name)",
+        "c = _BUILTINS.get(name) or PREDICTORS.get(name)",
         "test_choosers.py",
     ),
     Mutant(
         "registered-guess-played-unnormalized",
         "prng.py",
-        "(lambda prefix: 1 if fn(prefix) else 0) if as_play else fn",
-        "fn",
+        "chooser._replace(guess=lambda state: 1 if guess(state) else 0)",
+        "chooser",
+        "test_choosers.py",
+    ),
+    Mutant(
+        "register-predictor-accepts-a-bare-function",
+        "prng.py",
+        "if not isinstance(chooser, Chooser) or not callable(chooser.guess) or not callable(chooser.step):",
+        "if False:",
         "test_choosers.py",
     ),
     Mutant(

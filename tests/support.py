@@ -22,6 +22,7 @@ from pennylab import (
     passthrough,
     predictor_backed,
     prefix_tail,
+    register_predictor,
     simulate,
     uniform_table,
 )
@@ -30,6 +31,7 @@ from pennylab.game import RationalLike, Transcript, as_fraction
 from pennylab.oracle import round_payoffs
 from pennylab.prng import (
     PREDICTORS,
+    Chooser,
     bits_to_int,
     check_seed_space,
     int_to_bits,
@@ -90,9 +92,32 @@ REFERENCE_PREDICTORS = {
     "periodicity": _periodicity,
 }
 
+# The prefix functions tests registered through `register_prefix_predictor`, by name.
+REGISTERED_PREFIX_FUNCTIONS = {}
+
+
+def prefix_chooser(fn):
+    """The prefix function `fn` as a `Chooser` whose state is the prefix itself, so each step copies it."""
+    return Chooser((), fn, lambda prefix, bit: prefix + (bit,))
+
+
+def register_prefix_predictor(monkeypatch, name, fn):
+    """Register `fn` as the predictor `name` through `prefix_chooser`, and as its reference; teardown removes both."""
+    monkeypatch.setitem(PREDICTORS, name, None)
+    monkeypatch.setitem(REGISTERED_PREFIX_FUNCTIONS, name, fn)
+    register_predictor(name, prefix_chooser(fn))
+
+
 def reference_predictor(name):
-    """The prefix function a predictor name stands for: a built-in's reference body above, else the function a test registered."""
-    return REFERENCE_PREDICTORS[name] if name in REFERENCE_PREDICTORS else PREDICTORS[name]
+    """The prefix function a predictor name stands for.
+
+    The function a test registered, any truthy guess read as 1, else a
+    built-in's reference body above.
+    """
+    if name in REGISTERED_PREFIX_FUNCTIONS:
+        fn = REGISTERED_PREFIX_FUNCTIONS[name]
+        return lambda prefix: 1 if fn(prefix) else 0
+    return REFERENCE_PREDICTORS[name]
 
 
 def round_weights(delta: Fraction, n: int) -> list[Fraction]:

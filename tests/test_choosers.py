@@ -12,9 +12,11 @@ from hypothesis import strategies as st
 
 from pennylab import (
     Action,
+    Chooser,
     broken_counter,
     constant,
     eval_next_bit_predictor,
+    exact_value,
     exploiter_vs,
     play_match,
     predictor_accuracy,
@@ -24,7 +26,8 @@ from pennylab import (
     uniform_table,
 )
 from pennylab.prng import PREDICTORS, predictor_chooser
-from pennylab.strategies import horizon, parse_strategy
+from pennylab.strategies import chooser, horizon, match, parse_strategy, play_words
+from pennylab.words import prediction_hits
 
 from support import (
     PREDICTOR_NAMES,
@@ -36,8 +39,9 @@ from support import (
     reference_prediction_hits,
     reference_round_payoffs,
     reference_simulate,
+    register_prefix_predictor,
 )
-from test_words import specs
+from test_words import _past_stream, specs
 
 bits = st.integers(0, 1)
 
@@ -74,10 +78,8 @@ def test_a_registered_predictor_steps_its_prefix(monkeypatch):
         calls.append(prefix)
         return sum(prefix) & 1
 
-    monkeypatch.setitem(PREDICTORS, "parity", None)  # teardown removes the registration
-    register_predictor("parity", parity)
-    chooser = predictor_chooser("parity")
-    assert chooser.init == () and chooser.guess is parity
+    register_prefix_predictor(monkeypatch, "parity", parity)
+    assert predictor_chooser("parity").init == ()
     g = broken_counter(3, 6)
     hits = reference_prediction_hits(g, "parity")
     assert eval_next_bit_predictor(g, "parity").per_position == tuple(Fraction(h, 8) - Fraction(1, 2) for h in hits)
@@ -85,15 +87,17 @@ def test_a_registered_predictor_steps_its_prefix(monkeypatch):
     assert predictor_accuracy("parity", uniform_table(3), 7) == reference_accuracy("parity", uniform_table(3), 7)
     player = predictor_backed("parity", beat=True)
     assert payoff_fractions(uniform_table(3), player, 7) == reference_round_payoffs(uniform_table(3), player, 7)
-    # A built-in name registered to another function takes that function.
-    monkeypatch.setitem(PREDICTORS, "markov1", parity)
+    # A built-in name registered to another predictor takes that one.
+    register_prefix_predictor(monkeypatch, "markov1", parity)
     assert payoff_fractions(predictor_backed("markov1"), uniform_table(3), 7) == reference_round_payoffs(
         predictor_backed("parity"), uniform_table(3), 7
     )
-    # A guess of 2 is a miss for prng-test, which compares it to the bit, but
-    # plays H in a match, as `reference_act` plays any truthy guess.
-    monkeypatch.setitem(PREDICTORS, "twos", None)
-    register_predictor("twos", lambda prefix: 2 * (sum(prefix) & 1))
+    # A guess of 2 is read as 1 everywhere: prng-test counts it a hit on a 1,
+    # and a match plays it as H, as the reference reads any truthy guess.
+    register_prefix_predictor(monkeypatch, "twos", lambda prefix: 2 * (sum(prefix) & 1))
+    for mode in ("exact", "sampled"):
+        report = eval_next_bit_predictor(g, "twos", mode=mode, samples=20, eval_seed=3)
+        assert report == eval_next_bit_predictor(g, "parity", mode=mode, samples=20, eval_seed=3)
     assert eval_next_bit_predictor(g, "twos").per_position == tuple(
         Fraction(h, 8) - Fraction(1, 2) for h in reference_prediction_hits(g, "twos")
     )
@@ -109,6 +113,63 @@ def test_a_registered_predictor_steps_its_prefix(monkeypatch):
         assert payoff_fractions(player, uniform_table(3), 7) == payoff_fractions(
             predictor_backed("parity", beat=beat), uniform_table(3), 7
         )
+
+
+def test_register_predictor_takes_only_a_chooser_of_callables():
+    for bad in (
+        lambda prefix: 1,
+        ((), lambda state: 1, lambda state, bit: state),  # a plain tuple
+        Chooser((), 1, lambda state, bit: state),
+        Chooser((), lambda state: 1, None),
+    ):
+        with pytest.raises(ValueError, match="Chooser"):
+            register_predictor("bad", bad)
+    assert "bad" not in PREDICTORS
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(PREDICTOR_NAMES), specs(), st.booleans(), st.data())
+def test_a_registered_chooser_twin_of_each_builtin_equals_it(name, case, beat, data):
+    spec, n = case
+    if _past_stream(spec, n):
+        return
+    builtin = predictor_chooser(name)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(PREDICTORS, "twin", None)  # the context's exit removes the registration
+        register_predictor("twin", Chooser(*builtin))
+        pw = play_words(spec, n)
+        assert prediction_hits(predictor_chooser("twin"), pw, n) == prediction_hits(builtin, pw, n)
+        assert predictor_accuracy("twin", spec, n) == predictor_accuracy(name, spec, n)
+        if spec.kind == "generator":
+            g = spec.param("generator")
+            samples, eval_seed = data.draw(st.integers(1, 40), label="samples"), data.draw(st.integers(0, 9))
+            sampled = {"samples": samples, "eval_seed": eval_seed}
+            assert eval_next_bit_predictor(g, "twin") == eval_next_bit_predictor(g, name)
+            assert eval_next_bit_predictor(g, "twin", "sampled", **sampled) == eval_next_bit_predictor(
+                g, name, "sampled", **sampled
+            )
+        seed = data.draw(st.integers(0, (1 << spec.seed_len) - 1), label="seed")
+        twin, same = (chooser(predictor_backed(p, beat), n) for p in ("twin", name))
+        plays = [list(match(c, chooser(spec, n, seed), n)) for c in (twin, same)]
+        assert plays[0] == plays[1]
+
+
+def test_a_registered_chooser_steps_its_own_state_once_a_round(monkeypatch):
+    # The registry keeps the chooser as given, so a seat of n rounds costs n
+    # steps on markov1's five counters, with no prefix copied.
+    n = 4 * 10**4
+    markov1 = predictor_chooser("markov1")
+    widths = []
+
+    def step(state, bit):
+        widths.append(len(state))
+        return markov1.step(state, bit)
+
+    monkeypatch.setitem(PREDICTORS, "twin", None)  # teardown removes the registration
+    register_predictor("twin", Chooser(markov1.init, markov1.guess, step))
+    model = predictor_backed("markov1")
+    assert exact_value(predictor_backed("twin"), model, n) == exact_value(model, model, n)
+    assert len(widths) < n and set(widths) == {5}
 
 
 SEATS = (

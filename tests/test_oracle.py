@@ -27,7 +27,7 @@ from pennylab import (
 from pennylab.exploiter import guarantee
 from pennylab.game import round_value
 from pennylab.oracle import round_payoffs
-from pennylab.prng import PREDICTORS, check_seed_space
+from pennylab.prng import check_seed_space
 from pennylab.strategies import horizon, parse_strategy, round_heads
 from pennylab.words import majority_wins
 
@@ -40,6 +40,7 @@ from support import (
     oblivious_population,
     payoff_fractions,
     reference_tree_best_response,
+    register_prefix_predictor,
     stage_payoff,
 )
 from test_game import WIDE_DELTA
@@ -121,7 +122,7 @@ def test_round_payoffs_acts_once_per_opponent_prefix(monkeypatch):
     # prefixes; the adaptive seat predicts once at each, from either seat.
     calls = []
     markov1 = REFERENCE_PREDICTORS["markov1"]
-    monkeypatch.setitem(PREDICTORS, "markov1", lambda prefix: calls.append(prefix) or markov1(prefix))
+    register_prefix_predictor(monkeypatch, "markov1", lambda prefix: calls.append(prefix) or markov1(prefix))
     round_payoffs(predictor_backed("markov1"), uniform_table(4), 6)
     assert len(calls) == 47
     calls.clear()

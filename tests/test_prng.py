@@ -22,12 +22,10 @@ from pennylab import (
     predictor_accuracy,
     predictor_backed,
     register_permutation,
-    register_predictor,
     uniform_table,
 )
 from pennylab import prng
 from pennylab.prng import (
-    PREDICTORS,
     GeneratorSpec,
     bits_to_int,
     int_to_bits,
@@ -49,6 +47,7 @@ from support import (
     oblivious_population,
     reference_prediction_hits,
     reference_stream,
+    register_prefix_predictor,
     stage_payoff,
 )
 
@@ -267,8 +266,8 @@ def test_prediction_hits_calls_the_predictor_once_per_distinct_prefix(monkeypatc
         calls.append(prefix)
         return reference(prefix)
 
-    monkeypatch.setitem(PREDICTORS, "counted-markov1", markov1)  # teardown removes the registrations
-    monkeypatch.setitem(PREDICTORS, "reference-markov1", reference)
+    register_prefix_predictor(monkeypatch, "counted-markov1", markov1)
+    register_prefix_predictor(monkeypatch, "reference-markov1", reference)
     n = 4
     streams = [int_to_bits(value, n) for value in range(1 << n)] * 2
     words, below = distinct_words(sorted(map(bits_to_int, streams)))
@@ -374,8 +373,7 @@ def test_predictor_entry_points_take_registered_names_only(monkeypatch):
         eval_next_bit_predictor(g, const1)
     with pytest.raises(ValueError, match="unknown predictor"):
         predictor_accuracy(const1, uniform_table(2), 3)
-    monkeypatch.setitem(PREDICTORS, "ones", None)  # teardown removes the registration
-    register_predictor("ones", const1)
+    register_prefix_predictor(monkeypatch, "ones", const1)
     assert eval_next_bit_predictor(g, "ones") == eval_next_bit_predictor(g, "const1")
     assert predictor_accuracy("ones", constant(H), 3) == 1
 

@@ -25,12 +25,11 @@ from pennylab import (
     play_match,
     predictor_backed,
     prefix_tail,
-    register_predictor,
     simulate,
     uniform_table,
 )
 from pennylab import prng, strategies, words
-from pennylab.prng import PREDICTORS, Chooser, GeneratorSpec, int_to_bits, predictor_chooser, seed_stream
+from pennylab.prng import Chooser, GeneratorSpec, int_to_bits, predictor_chooser, seed_stream
 from pennylab.strategies import (
     MAX_NESTING,
     StrategySpec,
@@ -51,6 +50,7 @@ from support import (
     reference_act,
     reference_round_plays,
     reference_split,
+    register_prefix_predictor,
     round_plays,
     seed_plays,
 )
@@ -377,7 +377,7 @@ def test_tail_rounds_build_no_play_table(monkeypatch):
     monkeypatch.setattr(strategies, "round_bits", counting_round_bits)
     opponent = prefix_tail(4, "alternator", H)
     pw = play_words(opponent, 300)
-    hits = prediction_hits(predictor_chooser("markov1", as_play=True), pw, 300)
+    hits = prediction_hits(predictor_chooser("markov1"), pw, 300)
     assert (len(hits), pw.below[-1]) == (300, 16)
     assert sum(row.payoff for row in play_match(opponent, 5, 300)) > 0
     assert calls == []
@@ -465,7 +465,7 @@ def test_a_one_word_hit_walk_holds_no_copy_of_its_late_plays():
     # The hits list is the walk's only O(n) allocation.
     n = 2 * 10**5
     pw = play_words(alternator(H), n)
-    peak = _traced_peak(lambda: prediction_hits(predictor_chooser("markov1", as_play=True), pw, n))
+    peak = _traced_peak(lambda: prediction_hits(predictor_chooser("markov1"), pw, n))
     assert peak < sys.getsizeof([0] * n) + (1 << 20), peak
 
 
@@ -501,8 +501,7 @@ def test_a_seedless_models_plays_are_computed_once_when_its_exploiter_is_built(m
 
     real_chooser = strategies.chooser
     monkeypatch.setattr(strategies, "chooser", counting_chooser)  # the exploiter's chooser of its model
-    monkeypatch.setitem(PREDICTORS, "counted", None)  # teardown removes the registration
-    register_predictor("counted", counted)
+    register_prefix_predictor(monkeypatch, "counted", counted)
     seat = chooser(exploiter_vs(predictor_backed("counted")), 7)
     assert (len(calls), len(steps)) == (7, 6)
     views = [seat.init]
